@@ -4,8 +4,9 @@ Every stage reads and writes the documented JSONL artifacts under the
 configured work directory, so stages rerun independently and reproduce their
 outputs byte for byte given the same inputs and seeds.
 
-Exit codes: 0 success, 2 configuration error, 3 missing upstream artifact,
-4 LLM backend failure.
+Exit codes: 0 success, 2 configuration error (including a model that does
+not match the configured encoder), 3 missing upstream artifact, 4 LLM
+backend failure.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .retriever import (
     train_triple_scorer,
 )
 from .retriever.subgraph import (
+    ModelFormatError,
     RetrievedSubgraph,
     read_subgraphs,
     subgraph_to_record,
@@ -292,8 +294,8 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
 def cmd_retrieve(cfg: PipelineConfig) -> int:
     g = _load_graph(cfg)
     questions = _load_questions(cfg, g)
-    model = load_model(_require(cfg.model_artifact, "train"))
     encoder = HashedBowEncoder(cfg.text_dim)
+    model = load_model(_require(cfg.model_artifact, "train"), expected_encoder_tag=encoder.tag)
     k = cfg.top_k + (cfg.entity_k_bonus if cfg.retrieval_level == "entity" else 0)
 
     def run(q: kgmod.Question) -> dict:
@@ -501,6 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ModelFormatError as exc:
+        print(f"model error: {exc}; rerun `kgrag train` with this config", file=sys.stderr)
         return EXIT_CONFIG
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)

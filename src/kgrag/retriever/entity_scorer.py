@@ -9,24 +9,14 @@ positives are the entities appearing in the refined supervision triples.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..kg import KnowledgeGraph, Question, Triple
-from .features import HashedBowEncoder, TextEncoder, entity_feature_matrix
-from .triple_scorer import (
-    TrainConfig,
-    TrainSample,
-    _encoder_from_tag,
-    _pos_weight,
-    sgd_step,
-    weighted_bce_from_logits,
-)
-
-logger = logging.getLogger(__name__)
+from .features import TextEncoder, question_features
+from .triple_scorer import Scorer, TrainConfig, TrainSample, fit, weighted_bce_from_logits
 
 
 def entity_positives(positives: set[Triple]) -> set[int]:
@@ -59,35 +49,24 @@ def prepare_graph_tensors(
     depth: int,
     slots: int,
 ) -> GraphTensors:
-    node_ids = sorted({e for _, tr in g.iter_triples() for e in (tr.head, tr.tail)})
-    local = {e: i for i, e in enumerate(node_ids)}
-    full = entity_feature_matrix(g, q, encoder, depth, slots)
-    X = full[node_ids] if node_ids else full[:0]
-    src, dst, rels = [], [], []
-    for _, tr in g.iter_triples():
-        src.append(local[tr.head])
-        dst.append(local[tr.tail])
-        rels.append(encoder(g.relation_label(tr.relation)))
-    edge_src = np.array(src, dtype=np.intp)
-    edge_dst = np.array(dst, dtype=np.intp)
-    R = np.stack(rels) if rels else np.zeros((0, encoder.dim))
-    recipients = np.concatenate([edge_dst, edge_src])
-    degree = np.bincount(recipients, minlength=len(node_ids)).astype(np.float64)
+    f = question_features(g, q, encoder, depth, slots)
+    recipients = np.concatenate([f.tail, f.head])
+    degree = np.bincount(recipients, minlength=len(f.entity_ids)).astype(np.float64)
     log_deg = np.log1p(degree)
     norm = float(log_deg.mean()) if len(log_deg) and log_deg.mean() > 0 else 1.0
     return GraphTensors(
-        node_ids=node_ids,
-        X=X,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        R=R,
+        node_ids=f.entity_ids,
+        X=f.entity_matrix(),
+        edge_src=f.head,
+        edge_dst=f.tail,
+        R=f.relation_text[f.relation],
         recipients=recipients,
         degree=degree,
         scale=log_deg / norm,
     )
 
 
-class EntityScorer:
+class EntityScorer(Scorer):
     """Message-passing scorer with a sigmoid head per entity."""
 
     kind = "entity"
@@ -104,15 +83,11 @@ class EntityScorer:
         seed: int,
         rng: np.random.Generator | None = None,
     ):
+        super().__init__(encoder_tag, dde_depth, dde_slots, seed)
         self.input_dim = input_dim
         self.rel_dim = rel_dim
         self.hidden = hidden
         self.depth = depth
-        self.encoder_tag = encoder_tag
-        self.dde_depth = dde_depth
-        self.dde_slots = dde_slots
-        self.seed = seed
-        self.epoch_losses: list[float] = []
         if rng is None:
             return
         self.params: list[np.ndarray] = []
@@ -260,44 +235,25 @@ class EntityScorer:
             grad_h = grad_h_prev
         return loss, grads  # type: ignore[return-value]
 
-    def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
+    # -- training hooks (see fit) ---------------------------------------------
 
-    def set_parameter_vector(self, vec: np.ndarray) -> None:
-        offset = 0
-        for i, p in enumerate(self.params):
-            self.params[i] = vec[offset : offset + p.size].reshape(p.shape).copy()
-            offset += p.size
-
-
-@dataclass
-class _PreparedEntities:
-    gt: GraphTensors
-    y: np.ndarray
-    pos_weight: float
-    pos_entities: set[int]
-
-
-def _prepare_entity_samples(
-    samples: Sequence[TrainSample], config: TrainConfig, encoder: TextEncoder
-) -> list[_PreparedEntities]:
-    prepared = []
-    for question, graph, positives in samples:
+    @staticmethod
+    def sample_inputs(
+        sample: TrainSample, config: TrainConfig, encoder: TextEncoder
+    ) -> tuple[GraphTensors, list[int], set[int]]:
+        """Graph tensors, the entity id of each node row, and the positive entity ids."""
+        question, graph, positives = sample
         gt = prepare_graph_tensors(graph, question, encoder, config.dde_depth, config.dde_slots)
-        pos = entity_positives(positives)
-        y = np.array([1.0 if e in pos else 0.0 for e in gt.node_ids])
-        n_pos = int(y.sum())
-        if n_pos == 0:
-            raise ValueError(f"question {question.id}: no positive entities in working graph")
-        prepared.append(
-            _PreparedEntities(
-                gt=gt,
-                y=y,
-                pos_weight=_pos_weight(n_pos, len(gt.node_ids) - n_pos, config.pos_weight_cap),
-                pos_entities=pos,
-            )
-        )
-    return prepared
+        return gt, gt.node_ids, entity_positives(positives)
+
+    @staticmethod
+    def arch_kwargs(gt: GraphTensors, config: TrainConfig, encoder: TextEncoder) -> dict:
+        return {
+            "input_dim": gt.X.shape[1],
+            "rel_dim": encoder.dim,
+            "hidden": config.gnn_hidden,
+            "depth": config.gnn_depth,
+        }
 
 
 def train_entity_scorer(
@@ -306,56 +262,8 @@ def train_entity_scorer(
     val_samples: Sequence[TrainSample] | None = None,
     encoder: TextEncoder | None = None,
 ) -> EntityScorer:
-    """Train the entity scorer; checkpoint selection mirrors the triple scorer."""
-    if not samples:
-        raise ValueError("no training samples")
-    encoder = encoder or HashedBowEncoder(config.text_dim)
-    prepared = _prepare_entity_samples(samples, config, encoder)
-    val_prepared = (
-        _prepare_entity_samples(val_samples, config, encoder) if val_samples else None
-    )
-
-    rng = np.random.default_rng(config.seed)
-    model = EntityScorer(
-        input_dim=prepared[0].gt.X.shape[1],
-        rel_dim=encoder.dim,
-        hidden=config.gnn_hidden,
-        depth=config.gnn_depth,
-        encoder_tag=encoder.tag,
-        dde_depth=config.dde_depth,
-        dde_slots=config.dde_slots,
-        seed=config.seed,
-        rng=rng,
-    )
-
-    best_recall = -1.0
-    best_params: list[np.ndarray] | None = None
-    for epoch in range(config.epochs):
-        losses = []
-        for sample in prepared:
-            loss, grads = model.loss_and_grad(sample.gt, sample.y, sample.pos_weight)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}")
-            sgd_step(model.params, grads, config.learning_rate)
-            losses.append(loss)
-        model.epoch_losses.append(float(np.mean(losses)))
-        if val_prepared is not None:
-            total = 0.0
-            for sample in val_prepared:
-                scores = model.scores(sample.gt)
-                ranked = sorted(
-                    zip(sample.gt.node_ids, scores), key=lambda pair: (-pair[1], pair[0])
-                )[: config.recall_k]
-                hits = sum(1 for e, _ in ranked if e in sample.pos_entities)
-                total += hits / len(sample.pos_entities)
-            recall = total / len(val_prepared)
-            if recall > best_recall:
-                best_recall = recall
-                best_params = [p.copy() for p in model.params]
-    if best_params is not None:
-        model.params = best_params
-        logger.info("selected checkpoint with validation recall %.4f", best_recall)
-    return model
+    """Train the entity scorer with :func:`fit` (same loop and checkpoint rule as triples)."""
+    return fit(EntityScorer, samples, config, val_samples, encoder)
 
 
 def score_entities(
@@ -365,11 +273,7 @@ def score_entities(
     encoder: TextEncoder | None = None,
 ) -> list[tuple[int, float]]:
     """One score per entity incident to a visible triple, ascending entity id."""
-    encoder = encoder or _encoder_from_tag(model.encoder_tag)
-    if encoder.tag != model.encoder_tag:
-        raise ValueError(
-            f"encoder mismatch: model trained with {model.encoder_tag!r}, got {encoder.tag!r}"
-        )
+    encoder = model.checked_encoder(encoder)
     gt = prepare_graph_tensors(g, q, encoder, model.dde_depth, model.dde_slots)
     if not gt.node_ids:
         return []

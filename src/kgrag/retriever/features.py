@@ -1,10 +1,10 @@
 """Query/triple text embeddings and directional distance encoding (DDE).
 
 The default text encoder is a hashed bag-of-tokens: stable across runs and
-processes, no model weights involved. DDE records, for every entity, the
-forward BFS hop distance (following edge direction) and the backward distance
-from an anchor set, each capped at the configured depth with a separate
-"unreachable" bucket, one-hot encoded.
+processes, no model weights involved. DDE records, for every entity of the
+question's working graph, the forward BFS hop distance (following edge
+direction) and the backward distance from an anchor set, each capped at the
+configured depth with a separate "unreachable" bucket, one-hot encoded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from typing import Callable, Iterable, Protocol
+from dataclasses import dataclass
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -88,31 +89,28 @@ def _directed_bfs(g: KnowledgeGraph, anchors: Iterable[int], direction: str) -> 
     return dist
 
 
-def _one_hot(distance: int | None, depth: int) -> np.ndarray:
-    # buckets: 0..depth, then one "unreachable" bucket
-    vec = np.zeros(depth + 2, dtype=np.float64)
-    vec[depth + 1 if distance is None else min(distance, depth)] = 1.0
-    return vec
-
-
 def compute_dde(
     g: KnowledgeGraph, anchors: set[int], depth: int = DEFAULT_DDE_DEPTH
 ) -> dict[int, np.ndarray]:
-    """Per-entity one-hot codes ``[forward | backward]`` of hop distances from anchors.
+    """One-hot codes ``[forward | backward]`` of hop distances from anchors.
 
-    Forward follows edge direction from the anchor set, backward runs against
-    it. Finite distances beyond ``depth`` land in the depth bucket; entities
-    with no path at all land in the unreachable bucket.
+    There is one code per entity of ``g``'s visible triples (the question's
+    working graph), keyed in ascending entity id. Forward follows edge
+    direction from the anchor set, backward runs against it. Finite distances
+    beyond ``depth`` land in the depth bucket; entities with no path at all
+    land in the unreachable bucket ``depth + 1``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    fwd = _directed_bfs(g, anchors, "out")
-    bwd = _directed_bfs(g, anchors, "in")
-    codes: dict[int, np.ndarray] = {}
-    touched = set(range(len(g.entities)))
-    for e in touched:
-        codes[e] = np.concatenate([_one_hot(fwd.get(e), depth), _one_hot(bwd.get(e), depth)])
-    return codes
+    entities = sorted(g.out_index.keys() | g.in_index.keys())
+    buckets = np.full((len(entities), 2), depth + 1, dtype=np.intp)
+    for col, direction in enumerate(("out", "in")):
+        dist = _directed_bfs(g, anchors, direction)
+        for i, e in enumerate(entities):
+            if e in dist:
+                buckets[i, col] = min(dist[e], depth)
+    codes = np.eye(depth + 2)[buckets].reshape(len(entities), 2 * (depth + 2))
+    return dict(zip(entities, codes))
 
 
 def anchor_slots(anchors: set[int], slots: int = DEFAULT_DDE_SLOTS) -> list[set[int]]:
@@ -133,12 +131,96 @@ def anchor_slots(anchors: set[int], slots: int = DEFAULT_DDE_SLOTS) -> list[set[
     return pooled
 
 
+# -- the per-question bundle --------------------------------------------------
+
+
+def _text_rows(encoder: TextEncoder, labels: list[str]) -> np.ndarray:
+    return np.stack([encoder(label) for label in labels]) if labels else np.zeros((0, encoder.dim))
+
+
+@dataclass
+class QuestionFeatures:
+    """Everything both scorers read for one question, over its working graph only.
+
+    Triples are local rows in load order; entities and relations are local
+    rows in ascending id order, and ``head``/``relation``/``tail`` index them.
+    """
+
+    tids: list[int]  # visible triple ids
+    entity_ids: list[int]  # the view's entities, ascending
+    head: np.ndarray  # (E,) local entity row per triple
+    relation: np.ndarray  # (E,) local relation row per triple
+    tail: np.ndarray  # (E,) local entity row per triple
+    query: np.ndarray  # (T,) query text
+    entity_text: np.ndarray  # (V, T)
+    relation_text: np.ndarray  # (R, T)
+    dde: np.ndarray  # (V, slots, 2 * (depth + 2)) one-hot [forward | backward] per slot
+
+    def triple_matrix(self) -> np.ndarray:
+        """Rows ``[query | head text | relation text | tail text | DDE]``, one per triple.
+
+        The DDE block holds, per anchor slot, head-forward / head-backward /
+        tail-forward / tail-backward one-hot codes.
+        """
+        n = len(self.tids)
+        _, slots, width = self.dde.shape
+        dde = np.concatenate([self.dde[self.head], self.dde[self.tail]], axis=2)
+        return np.hstack(
+            [
+                np.tile(self.query, (n, 1)),
+                self.entity_text[self.head],
+                self.relation_text[self.relation],
+                self.entity_text[self.tail],
+                dde.reshape(n, 2 * slots * width),
+            ]
+        )
+
+    def entity_matrix(self) -> np.ndarray:
+        """Rows ``[query | entity text | DDE]``, one per entity in ``entity_ids``."""
+        n, slots, width = self.dde.shape
+        return np.hstack(
+            [np.tile(self.query, (n, 1)), self.entity_text, self.dde.reshape(n, slots * width)]
+        )
+
+
+def question_features(
+    g: KnowledgeGraph,
+    q: Question,
+    encoder: TextEncoder,
+    depth: int = DEFAULT_DDE_DEPTH,
+    slots: int = DEFAULT_DDE_SLOTS,
+) -> QuestionFeatures:
+    """Build the feature bundle of question ``q`` over its working graph ``g``."""
+    tids = list(g.triple_ids)
+    hrt = np.array([g.triple(t) for t in tids], dtype=np.intp).reshape(-1, 3)
+    entity_ids = np.unique(hrt[:, [0, 2]])
+    relation_ids = np.unique(hrt[:, 1])
+    width = 2 * (depth + 2)
+    dde = np.zeros((len(entity_ids), slots, width))
+    dde[:, :, [depth + 1, width - 1]] = 1.0  # an empty slot stays "unreachable"
+    entities = entity_ids.tolist()
+    for s, slot in enumerate(anchor_slots(set(q.query_entities), slots)):
+        if slot:
+            codes = compute_dde(g, slot, depth)
+            dde[:, s] = np.array([codes[e] for e in entities]).reshape(-1, width)
+    return QuestionFeatures(
+        tids=tids,
+        entity_ids=entities,
+        head=np.searchsorted(entity_ids, hrt[:, 0]),
+        relation=np.searchsorted(relation_ids, hrt[:, 1]),
+        tail=np.searchsorted(entity_ids, hrt[:, 2]),
+        query=encoder(q.text),
+        entity_text=_text_rows(encoder, [g.entity_label(e) for e in entities]),
+        relation_text=_text_rows(encoder, [g.relation_label(r) for r in relation_ids.tolist()]),
+        dde=dde,
+    )
+
+
 class TripleFeatureBuilder:
     """Feature rows for every triple of a question's working graph.
 
-    A row is ``[query | head text | relation text | tail text | DDE]`` where
-    the DDE block holds, per anchor slot, head-forward / head-backward /
-    tail-forward / tail-backward one-hot codes.
+    A row is ``[query | head text | relation text | tail text | DDE]`` (see
+    :meth:`QuestionFeatures.triple_matrix`).
     """
 
     def __init__(
@@ -148,47 +230,18 @@ class TripleFeatureBuilder:
         encoder: TextEncoder | None = None,
         depth: int = DEFAULT_DDE_DEPTH,
         slots: int = DEFAULT_DDE_SLOTS,
-        relation_text: Callable[[int], str] | None = None,
     ):
-        self.g = g
         self.depth = depth
         self.slots = slots
         self.encoder = encoder or HashedBowEncoder()
-        self.query_vec = self.encoder(q.text)
-        self._relation_text = relation_text or (lambda rid: g.relation_label(rid))
-        self._slot_codes = [
-            compute_dde(g, slot, depth) if slot else None
-            for slot in anchor_slots(set(q.query_entities), slots)
-        ]
-        self._empty = np.concatenate([_one_hot(None, depth), _one_hot(None, depth)])
+        self.features = question_features(g, q, self.encoder, depth, slots)
 
     @property
     def dim(self) -> int:
         return 4 * self.encoder.dim + self.slots * 4 * (self.depth + 2)
 
-    def _entity_codes(self, e: int) -> list[np.ndarray]:
-        return [
-            codes[e] if codes is not None else self._empty for codes in self._slot_codes
-        ]
-
-    def row(self, tid: int) -> np.ndarray:
-        tr = self.g.triple(tid)
-        blocks = [
-            self.query_vec,
-            self.encoder(self.g.entity_label(tr.head)),
-            self.encoder(self._relation_text(tr.relation)),
-            self.encoder(self.g.entity_label(tr.tail)),
-        ]
-        for head_code, tail_code in zip(self._entity_codes(tr.head), self._entity_codes(tr.tail)):
-            half = len(head_code) // 2
-            blocks += [head_code[:half], head_code[half:], tail_code[:half], tail_code[half:]]
-        return np.concatenate(blocks)
-
-    def matrix(self, tids: Iterable[int] | None = None) -> tuple[list[int], np.ndarray]:
-        ids = list(tids) if tids is not None else [tid for tid, _ in self.g.iter_triples()]
-        if not ids:
-            return [], np.zeros((0, self.dim), dtype=np.float64)
-        return ids, np.stack([self.row(tid) for tid in ids])
+    def matrix(self) -> tuple[list[int], np.ndarray]:
+        return self.features.tids, self.features.triple_matrix()
 
 
 def entity_feature_matrix(
@@ -198,17 +251,7 @@ def entity_feature_matrix(
     depth: int = DEFAULT_DDE_DEPTH,
     slots: int = DEFAULT_DDE_SLOTS,
 ) -> np.ndarray:
-    """Node features ``[query | entity text | DDE]`` for every entity id."""
+    """Node features ``[query | entity text | DDE]`` for the entities of ``g``'s
+    visible triples (the question's working graph), in ascending entity id."""
     encoder = encoder or HashedBowEncoder()
-    query_vec = encoder(q.text)
-    slot_codes = [
-        compute_dde(g, slot, depth) if slot else None
-        for slot in anchor_slots(set(q.query_entities), slots)
-    ]
-    empty = np.concatenate([_one_hot(None, depth), _one_hot(None, depth)])
-    rows = []
-    for e in range(len(g.entities)):
-        blocks = [query_vec, encoder(g.entity_label(e))]
-        blocks += [codes[e] if codes is not None else empty for codes in slot_codes]
-        rows.append(np.concatenate(blocks))
-    return np.stack(rows) if rows else np.zeros((0, 2 * encoder.dim + slots * 2 * (depth + 2)))
+    return question_features(g, q, encoder, depth, slots).entity_matrix()

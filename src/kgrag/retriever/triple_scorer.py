@@ -1,16 +1,18 @@
-"""Binary triple classifier: feedforward net over text + structural features.
+"""Binary triple classifier plus the training core both scorers share.
 
-Training maximizes per-question binary cross-entropy with all non-positive
-triples of the working graph as negatives, class-weighted per question.
-Plain fixed-step gradient descent, fixed iteration order: training twice with
-the same seed gives bitwise-identical weights.
+The triple scorer is a feedforward net over text + structural features.
+Training (:func:`fit`, used by both scorers) maximizes per-question binary
+cross-entropy with every non-positive triple or entity of the working graph
+as a negative, class-weighted per question. Plain fixed-step gradient
+descent, fixed iteration order: training twice with the same seed gives
+bitwise-identical weights.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,7 +83,47 @@ def weighted_bce_from_logits(
     return loss, dz
 
 
-class TripleScorer:
+class Scorer:
+    """What both scorers share: metadata, flat parameter access, encoder checks.
+
+    A subclass defines ``loss_and_grad`` and ``scores`` on its own input type,
+    and gives :func:`fit` two hooks: ``sample_inputs`` (a training sample's
+    inputs, the id of each score and the positive ids) and ``arch_kwargs``
+    (its constructor's architecture arguments).
+    """
+
+    kind: str
+    params: list[np.ndarray]
+
+    def __init__(self, encoder_tag: str, dde_depth: int, dde_slots: int, seed: int):
+        self.encoder_tag = encoder_tag
+        self.dde_depth = dde_depth
+        self.dde_slots = dde_slots
+        self.seed = seed
+        self.epoch_losses: list[float] = []
+
+    def checked_encoder(self, encoder: TextEncoder | None) -> TextEncoder:
+        """``encoder``, or one rebuilt from the model's tag; refuses a mismatch."""
+        encoder = encoder or _encoder_from_tag(self.encoder_tag)
+        if encoder.tag != self.encoder_tag:
+            raise ValueError(
+                f"encoder mismatch: model trained with {self.encoder_tag!r}, got {encoder.tag!r}"
+            )
+        return encoder
+
+    # -- flat parameter access (used by gradient checks) ----------------------
+
+    def parameter_vector(self) -> np.ndarray:
+        return np.concatenate([p.ravel() for p in self.params])
+
+    def set_parameter_vector(self, vec: np.ndarray) -> None:
+        offset = 0
+        for i, p in enumerate(self.params):
+            self.params[i] = vec[offset : offset + p.size].reshape(p.shape).copy()
+            offset += p.size
+
+
+class TripleScorer(Scorer):
     """MLP over triple feature rows with a sigmoid head."""
 
     kind = "triple"
@@ -97,14 +139,10 @@ class TripleScorer:
         seed: int,
         rng: np.random.Generator | None = None,
     ):
+        super().__init__(encoder_tag, dde_depth, dde_slots, seed)
         self.input_dim = input_dim
         self.hidden = tuple(hidden)
         self.activation = activation
-        self.encoder_tag = encoder_tag
-        self.dde_depth = dde_depth
-        self.dde_slots = dde_slots
-        self.seed = seed
-        self.epoch_losses: list[float] = []
         if rng is not None:
             self.params: list[np.ndarray] = []
             fan_in = input_dim
@@ -200,16 +238,21 @@ class TripleScorer:
                 f"feature dimension mismatch: got {X.shape}, model expects (*, {self.input_dim})"
             )
 
-    # -- flat parameter access (used by gradient checks) ----------------------
+    # -- training hooks (see fit) ---------------------------------------------
 
-    def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
+    @staticmethod
+    def sample_inputs(
+        sample: TrainSample, config: TrainConfig, encoder: TextEncoder
+    ) -> tuple[np.ndarray, list[int], set[int]]:
+        """Feature matrix, the triple id of each row, and the positive triple ids."""
+        question, graph, positives = sample
+        builder = TripleFeatureBuilder(graph, question, encoder, config.dde_depth, config.dde_slots)
+        tids, X = builder.matrix()
+        return X, tids, {t for t in tids if graph.triple(t) in positives}
 
-    def set_parameter_vector(self, vec: np.ndarray) -> None:
-        offset = 0
-        for i, p in enumerate(self.params):
-            self.params[i] = vec[offset : offset + p.size].reshape(p.shape).copy()
-            offset += p.size
+    @staticmethod
+    def arch_kwargs(X: np.ndarray, config: TrainConfig, encoder: TextEncoder) -> dict:
+        return {"input_dim": X.shape[1], "hidden": config.hidden, "activation": config.activation}
 
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
@@ -217,44 +260,27 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> No
         p -= lr * g
 
 
-def _pos_weight(n_pos: int, n_neg: int, cap: float) -> float:
-    if n_pos == 0:
-        raise ValueError("sample has zero positive triples")
-    return float(min(cap, max(1.0, n_neg / n_pos)))
-
-
 @dataclass
 class _Prepared:
-    tids: list[int]
-    X: np.ndarray
+    inputs: Any  # what the scorer's loss_and_grad and scores take
+    ids: list[int]  # the triple or entity id of each score
     y: np.ndarray
     pos_weight: float
-    pos_tids: set[int] = field(default_factory=set)
+    positives: set[int]
 
 
-def _prepare_triple_samples(
-    samples: Sequence[TrainSample], config: TrainConfig, encoder: TextEncoder
-) -> list[_Prepared]:
-    prepared = []
-    for question, graph, positives in samples:
-        builder = TripleFeatureBuilder(
-            graph, question, encoder, config.dde_depth, config.dde_slots
+def _prepare(
+    scorer: type[Scorer], sample: TrainSample, config: TrainConfig, encoder: TextEncoder
+) -> _Prepared:
+    inputs, ids, positives = scorer.sample_inputs(sample, config, encoder)
+    y = np.array([1.0 if i in positives else 0.0 for i in ids])
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        raise ValueError(
+            f"question {sample.question.id}: no positive {scorer.kind} ids in working graph"
         )
-        tids, X = builder.matrix()
-        y = np.array([1.0 if graph.triple(t) in positives else 0.0 for t in tids])
-        n_pos = int(y.sum())
-        if n_pos == 0:
-            raise ValueError(f"question {question.id}: no positive triples in working graph")
-        prepared.append(
-            _Prepared(
-                tids=tids,
-                X=X,
-                y=y,
-                pos_weight=_pos_weight(n_pos, len(tids) - n_pos, config.pos_weight_cap),
-                pos_tids={t for t, flag in zip(tids, y) if flag > 0.5},
-            )
-        )
-    return prepared
+    pos_weight = float(min(config.pos_weight_cap, max(1.0, (len(ids) - n_pos) / n_pos)))
+    return _Prepared(inputs, ids, y, pos_weight, positives)
 
 
 def recall_at_k(scored: Sequence[tuple[int, float]], positives: set[int], k: int) -> float:
@@ -265,21 +291,22 @@ def recall_at_k(scored: Sequence[tuple[int, float]], positives: set[int], k: int
     return hit / len(positives)
 
 
-def _validation_recall(model, prepared: Sequence[_Prepared], k: int) -> float:
+def _validation_recall(model: Scorer, prepared: Sequence[_Prepared], k: int) -> float:
     total = 0.0
     for sample in prepared:
-        scores = model.scores(sample.X)
-        total += recall_at_k(list(zip(sample.tids, scores)), sample.pos_tids, k)
+        scores = model.scores(sample.inputs)
+        total += recall_at_k(list(zip(sample.ids, scores)), sample.positives, k)
     return total / len(prepared)
 
 
-def train_triple_scorer(
+def fit(
+    scorer: type[Scorer],
     samples: Sequence[TrainSample],
-    config: TrainConfig = TrainConfig(),
+    config: TrainConfig,
     val_samples: Sequence[TrainSample] | None = None,
     encoder: TextEncoder | None = None,
-) -> TripleScorer:
-    """Train the triple classifier; returns the best-validation or final model.
+) -> Scorer:
+    """Train a ``scorer`` class; returns the best-validation or final model.
 
     With a validation split, the checkpoint with the highest validation
     recall@k is returned (earliest epoch on ties); otherwise the final epoch.
@@ -287,21 +314,15 @@ def train_triple_scorer(
     if not samples:
         raise ValueError("no training samples")
     encoder = encoder or HashedBowEncoder(config.text_dim)
-    prepared = _prepare_triple_samples(samples, config, encoder)
-    val_prepared = (
-        _prepare_triple_samples(val_samples, config, encoder) if val_samples else None
-    )
-
-    rng = np.random.default_rng(config.seed)
-    model = TripleScorer(
-        input_dim=prepared[0].X.shape[1],
-        hidden=config.hidden,
-        activation=config.activation,
+    prepared = [_prepare(scorer, s, config, encoder) for s in samples]
+    val_prepared = [_prepare(scorer, s, config, encoder) for s in val_samples or ()]
+    model = scorer(
+        **scorer.arch_kwargs(prepared[0].inputs, config, encoder),
         encoder_tag=encoder.tag,
         dde_depth=config.dde_depth,
         dde_slots=config.dde_slots,
         seed=config.seed,
-        rng=rng,
+        rng=np.random.default_rng(config.seed),
     )
 
     best_recall = -1.0
@@ -309,13 +330,13 @@ def train_triple_scorer(
     for epoch in range(config.epochs):
         losses = []
         for sample in prepared:
-            loss, grads = model.loss_and_grad(sample.X, sample.y, sample.pos_weight)
+            loss, grads = model.loss_and_grad(sample.inputs, sample.y, sample.pos_weight)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}")
             sgd_step(model.params, grads, config.learning_rate)
             losses.append(loss)
         model.epoch_losses.append(float(np.mean(losses)))
-        if val_prepared is not None:
+        if val_prepared:
             recall = _validation_recall(model, val_prepared, config.recall_k)
             if recall > best_recall:
                 best_recall = recall
@@ -326,6 +347,16 @@ def train_triple_scorer(
     return model
 
 
+def train_triple_scorer(
+    samples: Sequence[TrainSample],
+    config: TrainConfig = TrainConfig(),
+    val_samples: Sequence[TrainSample] | None = None,
+    encoder: TextEncoder | None = None,
+) -> TripleScorer:
+    """Train the triple classifier with :func:`fit`."""
+    return fit(TripleScorer, samples, config, val_samples, encoder)
+
+
 def score_triples(
     model: TripleScorer,
     q: Question,
@@ -333,11 +364,7 @@ def score_triples(
     encoder: TextEncoder | None = None,
 ) -> list[tuple[int, float]]:
     """One score per visible triple, in triple-id order."""
-    encoder = encoder or _encoder_from_tag(model.encoder_tag)
-    if encoder.tag != model.encoder_tag:
-        raise ValueError(
-            f"encoder mismatch: model trained with {model.encoder_tag!r}, got {encoder.tag!r}"
-        )
+    encoder = model.checked_encoder(encoder)
     builder = TripleFeatureBuilder(g, q, encoder, model.dde_depth, model.dde_slots)
     tids, X = builder.matrix()
     if not tids:
