@@ -4,9 +4,10 @@ Every stage reads and writes the documented JSONL artifacts under the
 configured work directory, so stages rerun independently and reproduce their
 outputs byte for byte given the same inputs and seeds.
 
-Exit codes: 0 success, 2 configuration error (including a model that does
-not match the configured encoder), 3 missing upstream artifact, 4 LLM
-backend failure.
+Exit codes: 0 success, 2 configuration error (including an input file that
+ingest cannot parse and a model that does not match the configured
+encoder), 3 missing, stale or foreign upstream artifact, 4 LLM backend
+failure.
 """
 
 from __future__ import annotations
@@ -60,17 +61,32 @@ EXIT_MISSING = 3
 EXIT_BACKEND = 4
 
 
-class MissingArtifactError(Exception):
-    def __init__(self, path: Path, producing_stage: str):
+class UpstreamArtifactError(Exception):
+    """An upstream artifact that is absent, or that does not parse against the graph."""
+
+    def __init__(self, path: Path, producing_stage: str, problem: str | None = None):
         self.path = path
         self.producing_stage = producing_stage
-        super().__init__(f"missing artifact {path}; run `kgrag {producing_stage}` first")
+        super().__init__(
+            f"missing artifact {path}; run `kgrag {producing_stage}` first"
+            if problem is None
+            else f"stale or foreign artifact {path}: {problem}; rerun `kgrag {producing_stage}`"
+        )
 
 
 def _require(path: Path, producing_stage: str) -> Path:
     if not path.exists():
-        raise MissingArtifactError(path, producing_stage)
+        raise UpstreamArtifactError(path, producing_stage)
     return path
+
+
+def _read(path: Path, producing_stage: str, reader, *args):
+    """``reader(fh, *args)`` over an upstream artifact; exit 3 names the stage to rerun."""
+    with _require(path, producing_stage).open(encoding="utf-8") as fh:
+        try:
+            return reader(fh, *args)
+        except (kgmod.KGFormatError, json.JSONDecodeError) as exc:
+            raise UpstreamArtifactError(path, producing_stage, str(exc)) from exc
 
 
 def _parallel_map(fn, items, workers: int):
@@ -83,19 +99,17 @@ def _parallel_map(fn, items, workers: int):
 # -- shared loading ------------------------------------------------------------
 
 
-def _load_graph(cfg: PipelineConfig) -> kgmod.KnowledgeGraph:
-    path = _require(cfg.graph_artifact, "ingest")
-    with path.open(encoding="utf-8") as fh:
-        return kgmod.load_kg(fh, "tsv")
-
-
-def _load_questions(cfg: PipelineConfig, g: kgmod.KnowledgeGraph) -> list[kgmod.Question]:
-    path = _require(cfg.questions_artifact, "ingest")
-    with path.open(encoding="utf-8") as fh:
-        questions, unresolved = kgmod.load_questions(fh, g)
+def _load_inputs(cfg: PipelineConfig) -> tuple[kgmod.KnowledgeGraph, list[kgmod.Question]]:
+    g = _read(cfg.graph_artifact, "ingest", kgmod.load_kg)
+    questions, unresolved = _read(cfg.questions_artifact, "ingest", kgmod.load_questions, g)
     for qid, labels in unresolved.items():
         logger.warning("question %s still has unresolved labels: %s", qid, labels)
-    return questions
+    return g, questions
+
+
+def _read_predictions(fh) -> list[metrics.Prediction]:
+    records = (json.loads(line) for line in fh if line.strip())
+    return [metrics.Prediction(str(rec["id"]), tuple(rec["answers"])) for rec in records]
 
 
 def _answers_by_question_text(questions: list[kgmod.Question], g) -> dict[str, set[str]]:
@@ -169,10 +183,16 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
         problems.append(f"paths.questions does not exist: {cfg.questions_path}")
     if problems:
         raise ConfigError(problems)
-    with open(cfg.kg_path, encoding="utf-8") as fh:
-        g = kgmod.load_kg(fh, cfg.kg_format)
-    with open(cfg.questions_path, encoding="utf-8") as fh:
-        questions, unresolved = kgmod.load_questions(fh, g)
+    try:
+        with open(cfg.kg_path, encoding="utf-8") as fh:
+            g = kgmod.load_kg(fh, cfg.kg_format)
+    except kgmod.KGFormatError as exc:
+        raise ConfigError([f"paths.kg {cfg.kg_path}: {exc}"]) from exc
+    try:
+        with open(cfg.questions_path, encoding="utf-8") as fh:
+            questions, unresolved = kgmod.load_questions(fh, g)
+    except kgmod.KGFormatError as exc:
+        raise ConfigError([f"paths.questions {cfg.questions_path}: {exc}"]) from exc
     Path(cfg.work_dir).mkdir(parents=True, exist_ok=True)
     with cfg.graph_artifact.open("w", encoding="utf-8") as fh:
         kgmod.to_tsv(g, fh)
@@ -184,16 +204,7 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
                 "question_entities": sorted(g.entity_label(e) for e in q.query_entities),
                 "answer_entities": sorted(g.entity_label(e) for e in q.answer_entities),
                 "scope": (
-                    sorted(
-                        [
-                            g.entity_label(g.triple(t).head),
-                            g.relation_label(g.triple(t).relation),
-                            g.entity_label(g.triple(t).tail),
-                        ]
-                        for t in q.scope
-                    )
-                    if q.scope is not None
-                    else None
+                    sorted(g.labels(g.triple(t)) for t in q.scope) if q.scope is not None else None
                 ),
             }
             fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
@@ -204,8 +215,7 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
 
 
 def cmd_candidates(cfg: PipelineConfig) -> int:
-    g = _load_graph(cfg)
-    questions = _load_questions(cfg, g)
+    g, questions = _load_inputs(cfg)
 
     def build(q: kgmod.Question) -> dict:
         view = kgmod.working_graph(g, q)
@@ -220,10 +230,8 @@ def cmd_candidates(cfg: PipelineConfig) -> int:
 
 
 def cmd_refine(cfg: PipelineConfig, limit: int | None = None, backend: str | None = None) -> int:
-    g = _load_graph(cfg)
-    questions = _load_questions(cfg, g)
-    with _require(cfg.pool_artifact, "candidates").open(encoding="utf-8") as fh:
-        pools = poolmod.read_pools(fh, g)
+    g, questions = _load_inputs(cfg)
+    pools = _read(cfg.pool_artifact, "candidates", poolmod.read_pools, g)
     client = _make_client(cfg, backend or cfg.llm.backend, questions, g)
     demos = (
         refinemod.load_refine_demos(cfg.refine_demos_path) if cfg.refine_demos_path else ()
@@ -256,13 +264,11 @@ def _weak_supervision(
 
 
 def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
-    g = _load_graph(cfg)
-    questions = _load_questions(cfg, g)
+    g, questions = _load_inputs(cfg)
     if no_refine:
         positives = {q.id: _weak_supervision(g, q, cfg.path_cap) for q in questions}
     else:
-        with _require(cfg.supervision_artifact, "refine").open(encoding="utf-8") as fh:
-            supervision = refinemod.read_supervision(fh, g)
+        supervision = _read(cfg.supervision_artifact, "refine", refinemod.read_supervision, g)
         positives = {qid: sup.positive_triples for qid, sup in supervision.items()}
 
     train_samples, val_samples = [], []
@@ -292,8 +298,7 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
 
 
 def cmd_retrieve(cfg: PipelineConfig) -> int:
-    g = _load_graph(cfg)
-    questions = _load_questions(cfg, g)
+    g, questions = _load_inputs(cfg)
     encoder = HashedBowEncoder(cfg.text_dim)
     model = load_model(_require(cfg.model_artifact, "train"), expected_encoder_tag=encoder.tag)
     k = cfg.top_k + (cfg.entity_k_bonus if cfg.retrieval_level == "entity" else 0)
@@ -321,10 +326,8 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
 
 
 def cmd_reorganize(cfg: PipelineConfig) -> int:
-    g = _load_graph(cfg)
-    questions = _load_questions(cfg, g)
-    with _require(cfg.retrieval_artifact, "retrieve").open(encoding="utf-8") as fh:
-        subgraphs = read_subgraphs(fh, g)
+    g, questions = _load_inputs(cfg)
+    subgraphs = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g)
     labels = {e: g.entity_label(e) for e in range(len(g.entities))}
 
     def run(q: kgmod.Question) -> dict:
@@ -346,16 +349,13 @@ def cmd_reorganize(cfg: PipelineConfig) -> int:
 def cmd_answer(
     cfg: PipelineConfig, llm: str | None = None, no_reorganize: bool = False
 ) -> int:
-    g = _load_graph(cfg)
-    questions = _load_questions(cfg, g)
+    g, questions = _load_inputs(cfg)
     client = _make_client(cfg, llm or cfg.llm.backend, questions, g)
     demos = reorganize.load_qa_demos(cfg.qa_demos_path) if cfg.qa_demos_path else ()
     if no_reorganize:
-        with _require(cfg.retrieval_artifact, "retrieve").open(encoding="utf-8") as fh:
-            subgraphs = read_subgraphs(fh, g)
+        subgraphs = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g)
     else:
-        with _require(cfg.chains_artifact, "reorganize").open(encoding="utf-8") as fh:
-            chains_by_q = reorganize.read_chains(fh)
+        chains_by_q = _read(cfg.chains_artifact, "reorganize", reorganize.read_chains)
 
     def run(q: kgmod.Question) -> dict:
         if no_reorganize:
@@ -385,17 +385,9 @@ def cmd_answer(
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
-    g = _load_graph(cfg)
-    questions = _load_questions(cfg, g)
+    g, questions = _load_inputs(cfg)
     gold = {q.id: {g.entity_label(a) for a in q.answer_entities} for q in questions}
-    preds = []
-    with _require(cfg.answers_artifact, "answer").open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            preds.append(metrics.Prediction(str(rec["id"]), tuple(rec["answers"])))
+    preds = _read(cfg.answers_artifact, "answer", _read_predictions)
     aliases = None
     if cfg.aliases_path:
         with open(cfg.aliases_path, encoding="utf-8") as fh:
@@ -507,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelFormatError as exc:
         print(f"model error: {exc}; rerun `kgrag train` with this config", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingArtifactError as exc:
+    except UpstreamArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except CompletionError as exc:

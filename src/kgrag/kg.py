@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -115,6 +116,7 @@ class KnowledgeGraph:
     ``triples`` is the full id-indexed storage; ``triple_ids`` lists the ids
     visible in this graph (a scoped view keeps the parent's storage and lists
     a subset). Iteration order over visible triples is load order.
+    ``triple_index`` maps each stored triple to its id and is shared by views.
     """
 
     entities: list[str]
@@ -125,6 +127,7 @@ class KnowledgeGraph:
     in_index: dict[int, list[int]]
     entity_ids: dict[str, int] = field(repr=False)
     relation_ids: dict[str, int] = field(repr=False)
+    triple_index: dict[Triple, int] = field(repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -134,7 +137,9 @@ class KnowledgeGraph:
         entities: list[str],
         relations: list[str],
         triples: list[Triple],
+        triple_index: dict[Triple, int],
     ) -> "KnowledgeGraph":
+        """Graph over distinct ``triples``; ``triple_index`` maps each to its position."""
         tids = tuple(range(len(triples)))
         out_index, in_index = _build_indices(triples, tids)
         return cls(
@@ -146,6 +151,7 @@ class KnowledgeGraph:
             in_index=in_index,
             entity_ids={lab: i for i, lab in enumerate(entities)},
             relation_ids={lab: i for i, lab in enumerate(relations)},
+            triple_index=triple_index,
         )
 
     def restrict(self, scope: Iterable[int]) -> "KnowledgeGraph":
@@ -166,6 +172,7 @@ class KnowledgeGraph:
             in_index=in_index,
             entity_ids=self.entity_ids,
             relation_ids=self.relation_ids,
+            triple_index=self.triple_index,
         )
 
     # -- lookups -----------------------------------------------------------
@@ -193,10 +200,22 @@ class KnowledgeGraph:
         return self.entity_ids.get(label)
 
     def triple_id_of(self, head: int, relation: int, tail: int) -> int | None:
-        for tid in self.out_index.get(head, ()):
-            if self.triples[tid] == (head, relation, tail):
-                return tid
-        return None
+        """Id of the triple if it is visible in this graph, else ``None``."""
+        tid = self.triple_index.get((head, relation, tail))
+        if tid is None or len(self.triple_ids) == len(self.triples):  # every stored id visible
+            return tid
+        return tid if tid in self.out_index.get(head, ()) else None
+
+    def labels(self, tr: Triple) -> list[str]:
+        """The ``[head, relation, tail]`` labels of a triple, as artifacts record it."""
+        return [self.entities[tr.head], self.relations[tr.relation], self.entities[tr.tail]]
+
+    def resolve(self, head: str, relation: str, tail: str) -> int | None:
+        """Id of the visible triple with these labels, or ``None``."""
+        h, r, t = self.entity_ids.get(head), self.relation_ids.get(relation), self.entity_ids.get(tail)
+        if h is None or r is None or t is None:
+            return None
+        return self.triple_id_of(h, r, t)
 
     def neighbors(self, e: int, direction: str = "both") -> list[int]:
         """Triple ids touching entity ``e``, in load order.
@@ -215,6 +234,16 @@ class KnowledgeGraph:
             return sorted(merged)
         raise ValueError(f"unknown direction {direction!r}")
 
+    def steps(self, e: int) -> list[tuple[int, str]]:
+        """``(triple id, orientation leaving e)`` per triple touching ``e``, in id order.
+
+        A self-loop appears once, as forward.
+        """
+        return [
+            (tid, FORWARD if self.triples[tid].head == e else BACKWARD)
+            for tid in self.neighbors(e, "both")
+        ]
+
 
 def _build_indices(
     triples: list[Triple], tids: Iterable[int]
@@ -226,6 +255,31 @@ def _build_indices(
         out_index.setdefault(tr.head, []).append(tid)
         in_index.setdefault(tr.tail, []).append(tid)
     return out_index, in_index
+
+
+def hop_distances(g: KnowledgeGraph, anchors: Iterable[int], direction: str = "both") -> dict[int, int]:
+    """Multi-source BFS hop distance from ``anchors`` to every entity they reach in ``g``.
+
+    ``out`` follows edge direction, ``in`` runs against it and ``both`` ignores it.
+    """
+    # (index, position in a Triple of the entity at the far end) pairs to follow
+    walks = {"out": ((g.out_index, 2),), "in": ((g.in_index, 0),)}
+    walks["both"] = walks["out"] + walks["in"]
+    if direction not in walks:
+        raise ValueError(f"unknown direction {direction!r}")
+    triples = g.triples
+    dist = dict.fromkeys(anchors, 0)
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        d = dist[u] + 1
+        for index, far in walks[direction]:
+            for tid in index.get(u, ()):
+                v = triples[tid][far]
+                if v not in dist:
+                    dist[v] = d
+                    queue.append(v)
+    return dist
 
 
 def working_graph(g: KnowledgeGraph, q: Question) -> KnowledgeGraph:
@@ -258,7 +312,7 @@ def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") ->
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
     triples: list[Triple] = []
-    seen: set[Triple] = set()
+    triple_index: dict[Triple, int] = {}
     duplicates = 0
 
     def ent(label: str) -> int:
@@ -292,26 +346,31 @@ def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") ->
             if not isinstance(obj, dict) or not {"h", "r", "t"} <= obj.keys():
                 raise KGFormatError("expected an object with keys h, r, t", lineno)
             h_lab, r_lab, t_lab = str(obj["h"]), str(obj["r"]), str(obj["t"])
+            # graph.tsv must reload to the same ids: its reader splits on tabs
+            # and line breaks and strips each field
+            for lab in (h_lab, r_lab, t_lab):
+                if lab != lab.strip() or any(c in lab for c in "\t\n\r"):
+                    raise KGFormatError(
+                        f"label {lab!r} has surrounding whitespace, a tab or a line break", lineno
+                    )
         if not h_lab or not r_lab or not t_lab:
             raise KGFormatError("empty head, relation, or tail", lineno)
         tr = Triple(ent(h_lab), rel(r_lab), ent(t_lab))
-        if tr in seen:
+        if tr in triple_index:
             duplicates += 1
             continue
-        seen.add(tr)
+        triple_index[tr] = len(triples)
         triples.append(tr)
 
     if duplicates:
         logger.info("collapsed %d duplicate triples at load", duplicates)
-    return KnowledgeGraph.from_triples(entities, relations, triples)
+    return KnowledgeGraph.from_triples(entities, relations, triples, triple_index)
 
 
 def to_tsv(g: KnowledgeGraph, sink: IO[str]) -> None:
     """Write visible triples as TSV in load order; reloading reproduces ids."""
     for _, tr in g.iter_triples():
-        sink.write(
-            f"{g.entity_label(tr.head)}\t{g.relation_label(tr.relation)}\t{g.entity_label(tr.tail)}\n"
-        )
+        sink.write("\t".join(g.labels(tr)) + "\n")
 
 
 def load_questions(
@@ -357,12 +416,7 @@ def load_questions(
             tids = []
             for item in obj["scope"]:
                 h, r, t = (str(x) for x in item)
-                hid, rid = g.entity_id(h), g.relation_ids.get(r)
-                tid = (
-                    g.triple_id_of(hid, rid, g.entity_id(t))
-                    if hid is not None and rid is not None and g.entity_id(t) is not None
-                    else None
-                )
+                tid = g.resolve(h, r, t)
                 if tid is None:
                     problems.append(f"{h}|{r}|{t}")
                 else:

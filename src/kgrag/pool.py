@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from .kg import (
-    BACKWARD,
-    FORWARD,
+    KGFormatError,
     KnowledgeGraph,
     Question,
     ReasoningPath,
+    hop_distances,
+    step_exit,
 )
 
 logger = logging.getLogger(__name__)
@@ -54,33 +54,7 @@ class CandidatePool:
         return zip(self.paths, self.provenance, self.class_sizes)
 
 
-# -- incidence + shortest paths ---------------------------------------------
-
-
-def _incidence(g: KnowledgeGraph) -> dict[int, list[tuple[int, int, str]]]:
-    """entity -> [(triple id, other endpoint, orientation leaving the entity)].
-
-    Built in triple-id order so traversals that scan slots in order are
-    deterministic. A self-loop contributes one forward slot.
-    """
-    inc: dict[int, list[tuple[int, int, str]]] = {}
-    for tid, tr in g.iter_triples():
-        inc.setdefault(tr.head, []).append((tid, tr.tail, FORWARD))
-        if tr.tail != tr.head:
-            inc.setdefault(tr.tail, []).append((tid, tr.head, BACKWARD))
-    return inc
-
-
-def _bfs_distances(inc: dict[int, list[tuple[int, int, str]]], start: int) -> dict[int, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for _, v, _ in inc.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+# -- shortest paths ---------------------------------------------------------
 
 
 def shortest_paths(
@@ -98,23 +72,22 @@ def shortest_paths(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    inc = _incidence(g)
     paths: list[ReasoningPath] = []
     dist_to_target: dict[int, dict[int, int]] = {}
 
     for s in sorted(set(sources)):
-        dist_s = _bfs_distances(inc, s)
+        dist_s = hop_distances(g, (s,))
         for t in sorted(set(targets)):
             if s == t or t not in dist_s:
                 continue
             if t not in dist_to_target:
-                dist_to_target[t] = _bfs_distances(inc, t)
+                dist_to_target[t] = hop_distances(g, (t,))
             dist_t = dist_to_target[t]
             total = dist_s[t]
             emitted = 0
 
             # DFS along edges that stay on a shortest s-t path; scanning
-            # incidence slots in triple-id order yields lexicographic output.
+            # steps in triple-id order yields lexicographic output.
             stack: list[tuple[int, tuple[int, ...], tuple[str, ...]]] = [(s, (), ())]
             acc: list[ReasoningPath] = []
             while stack and emitted < cap:
@@ -125,7 +98,8 @@ def shortest_paths(
                     emitted += 1
                     continue
                 # push in reverse so the smallest triple id is expanded first
-                for tid, v, orient in reversed(inc.get(u, ())):
+                for tid, orient in reversed(g.steps(u)):
+                    v = step_exit(g.triple(tid), orient)
                     if dist_s.get(v) == depth + 1 and dist_t.get(v) == total - depth - 1:
                         stack.append((v, tids + (tid,), orients + (orient,)))
             paths.extend(acc)
@@ -139,11 +113,10 @@ def _neighborhood(g: KnowledgeGraph, anchors: Iterable[int]) -> list[ReasoningPa
     seen: set[int] = set()
     out: list[ReasoningPath] = []
     for e in sorted(set(anchors)):
-        for tid in g.neighbors(e, "both"):
+        for tid, orient in g.steps(e):
             if tid in seen:
                 continue
             seen.add(tid)
-            orient = FORWARD if g.triple(tid).head == e else BACKWARD
             out.append(ReasoningPath((tid,), (orient,)))
     return out
 
@@ -236,17 +209,9 @@ def build_pool(
 def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
     paths = []
     for path, prov, size in pool.entries():
-        triples = [
-            [
-                g.entity_label(tr.head),
-                g.relation_label(tr.relation),
-                g.entity_label(tr.tail),
-            ]
-            for tr in path.triples(g)
-        ]
         paths.append(
             {
-                "triples": triples,
+                "triples": [g.labels(tr) for tr in path.triples(g)],
                 "orientations": list(path.orientations),
                 "provenance": prov,
                 "class_size": size,
@@ -265,12 +230,9 @@ def pool_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, CandidatePool]:
     for entry in rec["paths"]:
         tids = []
         for h, r, t in entry["triples"]:
-            hid, rid, tid_ = g.entity_id(h), g.relation_ids.get(r), g.entity_id(t)
-            if hid is None or rid is None or tid_ is None:
-                raise KeyError(f"unknown labels in pool record: {h}|{r}|{t}")
-            tid = g.triple_id_of(hid, rid, tid_)
+            tid = g.resolve(h, r, t)
             if tid is None:
-                raise KeyError(f"triple not in graph: {h}|{r}|{t}")
+                raise KGFormatError(f"pool triple not in graph: {h}|{r}|{t}")
             tids.append(tid)
         pool.append(
             ReasoningPath(tuple(tids), tuple(entry["orientations"])),

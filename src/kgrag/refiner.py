@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .kg import FORWARD, KnowledgeGraph, Question, ReasoningPath, Triple
+from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question, ReasoningPath, Triple
 from .llm import CompletionRequest
 from .pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, CandidatePool
 
@@ -206,16 +206,10 @@ def refine(
 
 
 def supervision_to_record(sup: RefinedSupervision, g: KnowledgeGraph) -> dict:
-    triples = sorted(
-        [
-            [g.entity_label(h), g.relation_label(r), g.entity_label(t)]
-            for h, r, t in sup.positive_triples
-        ]
-    )
     return {
         "question_id": sup.question_id,
         "selected_indices": sup.selected_indices,
-        "positive_triples": triples,
+        "positive_triples": sorted(g.labels(tr) for tr in sup.positive_triples),
         "refiner_tag": sup.refiner_tag,
     }
 
@@ -223,10 +217,10 @@ def supervision_to_record(sup: RefinedSupervision, g: KnowledgeGraph) -> dict:
 def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
     positives: set[Triple] = set()
     for h, r, t in rec["positive_triples"]:
-        hid, rid, tid = g.entity_id(h), g.relation_ids.get(r), g.entity_id(t)
-        if hid is None or rid is None or tid is None:
-            raise KeyError(f"unknown labels in supervision record: {h}|{r}|{t}")
-        positives.add(Triple(hid, rid, tid))
+        tid = g.resolve(h, r, t)
+        if tid is None:
+            raise KGFormatError(f"supervision triple not in graph: {h}|{r}|{t}")
+        positives.add(g.triple(tid))
     return RefinedSupervision(
         question_id=str(rec["question_id"]),
         selected_indices=[int(i) for i in rec["selected_indices"]],

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Protocol
 
 import numpy as np
 
-from ..kg import KnowledgeGraph, Question
+from ..kg import KnowledgeGraph, Question, hop_distances
 
 _TOKEN = re.compile(r"\w+")
 
@@ -70,25 +69,6 @@ def encode_text(text: str, dim: int = DEFAULT_TEXT_DIM) -> np.ndarray:
 # -- directional distances ----------------------------------------------------
 
 
-def _directed_bfs(g: KnowledgeGraph, anchors: Iterable[int], direction: str) -> dict[int, int]:
-    dist: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for a in sorted(set(anchors)):
-        if a not in dist:
-            dist[a] = 0
-            queue.append(a)
-    index = g.out_index if direction == "out" else g.in_index
-    while queue:
-        u = queue.popleft()
-        for tid in index.get(u, ()):
-            tr = g.triple(tid)
-            v = tr.tail if direction == "out" else tr.head
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def compute_dde(
     g: KnowledgeGraph, anchors: set[int], depth: int = DEFAULT_DDE_DEPTH
 ) -> dict[int, np.ndarray]:
@@ -105,7 +85,7 @@ def compute_dde(
     entities = sorted(g.out_index.keys() | g.in_index.keys())
     buckets = np.full((len(entities), 2), depth + 1, dtype=np.intp)
     for col, direction in enumerate(("out", "in")):
-        dist = _directed_bfs(g, anchors, direction)
+        dist = hop_distances(g, anchors, direction)
         for i, e in enumerate(entities):
             if e in dist:
                 buckets[i, col] = min(dist[e], depth)

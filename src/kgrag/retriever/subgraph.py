@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..kg import KnowledgeGraph
+from ..kg import KGFormatError, KnowledgeGraph
 
 MODEL_FORMAT_VERSION = 1
 
@@ -82,10 +82,13 @@ def subgraph_to_record(qid: str, sub: RetrievedSubgraph) -> dict:
 def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, RetrievedSubgraph]:
     entries = []
     for tid, (h, r, t), score in zip(rec["tids"], rec["triples"], rec["scores"]):
-        tr = g.triple(int(tid))
+        tid = int(tid)
+        if not 0 <= tid < len(g.triples):
+            raise KGFormatError(f"retrieved triple id {tid} not in graph")
+        tr = g.triple(tid)
         entries.append(
             RetrievedTriple(
-                tid=int(tid),
+                tid=tid,
                 head=tr.head,
                 tail=tr.tail,
                 head_label=h,

@@ -1,10 +1,15 @@
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrag.cli import (
     EXIT_BACKEND,
@@ -13,6 +18,7 @@ from kgrag.cli import (
     EXIT_OK,
     main,
 )
+from kgrag.kg import load_kg
 
 from conftest import write_fixture_config
 
@@ -341,3 +347,81 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "ingested" in result.stdout
+
+
+def _edit_first_record(edit):
+    def corrupt(text: str) -> str:
+        lines = text.splitlines()
+        record = json.loads(lines[0])
+        edit(record)
+        return "\n".join([json.dumps(record), *lines[1:]]) + "\n"
+
+    return corrupt
+
+
+def _unknown_pool_label(rec):
+    rec["paths"][0]["triples"][0][0] = "no-such-entity"
+
+
+def _unknown_supervision_label(rec):
+    rec["positive_triples"][0][1] = "no-such-relation"
+
+
+def _supervision_triple_not_in_graph(rec):
+    head, relation, _ = rec["positive_triples"][0]
+    rec["positive_triples"][0] = [head, relation, head]  # the fixture has no self-loops
+
+
+def _retrieved_tid_out_of_range(rec):
+    rec["tids"][0] = 10**6
+
+
+@pytest.mark.parametrize(
+    "artifact, stage, producer, corrupt",
+    [
+        ("pool.jsonl", "refine", "candidates", _edit_first_record(_unknown_pool_label)),
+        ("supervision.jsonl", "train", "refine", _edit_first_record(_unknown_supervision_label)),
+        ("supervision.jsonl", "train", "refine", _edit_first_record(_supervision_triple_not_in_graph)),
+        ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(_retrieved_tid_out_of_range)),
+        ("chains.jsonl", "answer", "reorganize", lambda text: text[: len(text) // 2]),
+    ],
+    ids=["pool-label", "supervision-label", "supervision-triple", "retrieval-tid", "truncated-chains"],
+)
+def test_stale_upstream_artifact_names_producing_stage(
+    pipeline_dir, tmp_path, capsys, artifact, stage, producer, corrupt
+):
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    path = tmp_path / "out" / artifact
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    rc = main([stage, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING
+    assert f"kgrag {producer}" in err
+    assert artifact in err
+    assert "Traceback" not in err
+
+
+_LABEL = st.text(st.sampled_from("ab\u00e9 \t\n\r\x0b\x85"), max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_LABEL, _LABEL, _LABEL), min_size=1, max_size=4))
+def test_jsonl_ingest_reloads_losslessly_or_exits_config(rows):
+    source = "".join(json.dumps({"h": h, "r": r, "t": t}) + "\n" for h, r, t in rows)
+    valid = all(lab and lab == lab.strip() and not set(lab) & set("\t\n\r") for row in rows for lab in row)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "kg.jsonl").write_text(source, encoding="utf-8")
+        (tmp / "questions.jsonl").write_text("", encoding="utf-8")
+        paths = {"kg": str(tmp / "kg.jsonl"), "questions": str(tmp / "questions.jsonl")}
+        cfg_path = write_fixture_config(tmp, kg_format="jsonl", paths=paths)
+        rc = main(["ingest", "--config", str(cfg_path)])
+        assert rc == (EXIT_OK if valid else EXIT_CONFIG)
+        if rc == EXIT_OK:
+            original = load_kg(io.StringIO(source), "jsonl")
+            with (tmp / "out" / "graph.tsv").open(encoding="utf-8") as fh:
+                reloaded = load_kg(fh, "tsv")
+            assert reloaded.entities == original.entities
+            assert reloaded.relations == original.relations
+            assert reloaded.triples == original.triples
