@@ -85,7 +85,7 @@ def _read(path: Path, producing_stage: str, reader, *args):
     with _require(path, producing_stage).open(encoding="utf-8") as fh:
         try:
             return reader(fh, *args)
-        except (kgmod.KGFormatError, json.JSONDecodeError) as exc:
+        except kgmod.KGFormatError as exc:
             raise UpstreamArtifactError(path, producing_stage, str(exc)) from exc
 
 
@@ -105,11 +105,6 @@ def _load_inputs(cfg: PipelineConfig) -> tuple[kgmod.KnowledgeGraph, list[kgmod.
     for qid, labels in unresolved.items():
         logger.warning("question %s still has unresolved labels: %s", qid, labels)
     return g, questions
-
-
-def _read_predictions(fh) -> list[metrics.Prediction]:
-    records = (json.loads(line) for line in fh if line.strip())
-    return [metrics.Prediction(str(rec["id"]), tuple(rec["answers"])) for rec in records]
 
 
 def _answers_by_question_text(questions: list[kgmod.Question], g) -> dict[str, set[str]]:
@@ -141,17 +136,21 @@ class _SamplingClient:
 
 
 def _make_client(cfg: PipelineConfig, backend: str, questions, g):
+    if backend not in ("mock", "replay", "remote"):
+        raise ConfigError([f"unknown llm backend {backend!r}"])
     if backend == "mock":
         inner = MockOracle(_answers_by_question_text(questions, g))
-    elif backend == "replay":
-        if not cfg.replay_path:
-            raise ConfigError(["paths.replay is required for the replay backend"])
-        inner = ReplayBackend(ReplayStore(cfg.replay_path))
-    elif backend == "remote":
-        store = ReplayStore(cfg.replay_path) if cfg.replay_path else None
-        inner = remote_from_env(store=store, max_inflight=cfg.llm.max_inflight)
     else:
-        raise ConfigError([f"unknown llm backend {backend!r}"])
+        if backend == "replay" and not cfg.replay_path:
+            raise ConfigError(["paths.replay is required for the replay backend"])
+        try:
+            store = ReplayStore(cfg.replay_path) if cfg.replay_path else None
+        except kgmod.KGFormatError as exc:
+            raise ConfigError([f"paths.replay {cfg.replay_path} is unreadable: {exc}"]) from exc
+        if backend == "replay":
+            inner = ReplayBackend(store)
+        else:
+            inner = remote_from_env(store=store, max_inflight=cfg.llm.max_inflight)
     return _SamplingClient(inner, cfg.llm.temperature, cfg.llm.seed, cfg.llm.max_tokens)
 
 
@@ -193,21 +192,20 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
             questions, unresolved = kgmod.load_questions(fh, g)
     except kgmod.KGFormatError as exc:
         raise ConfigError([f"paths.questions {cfg.questions_path}: {exc}"]) from exc
-    Path(cfg.work_dir).mkdir(parents=True, exist_ok=True)
-    with cfg.graph_artifact.open("w", encoding="utf-8") as fh:
+    records = [
+        {
+            "id": q.id,
+            "question": q.text,
+            "question_entities": sorted(g.entity_label(e) for e in q.query_entities),
+            "answer_entities": sorted(g.entity_label(e) for e in q.answer_entities),
+            "scope": sorted(g.labels(g.triple(t)) for t in q.scope) if q.scope is not None else None,
+        }
+        for q in questions
+    ]
+    with kgmod.published(cfg.graph_artifact) as fh:
         kgmod.to_tsv(g, fh)
-    with cfg.questions_artifact.open("w", encoding="utf-8") as fh:
-        for q in questions:
-            record = {
-                "id": q.id,
-                "question": q.text,
-                "question_entities": sorted(g.entity_label(e) for e in q.query_entities),
-                "answer_entities": sorted(g.entity_label(e) for e in q.answer_entities),
-                "scope": (
-                    sorted(g.labels(g.triple(t)) for t in q.scope) if q.scope is not None else None
-                ),
-            }
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    with kgmod.published(cfg.questions_artifact) as fh:
+        kgmod.write_jsonl(fh, records)
     for qid, labels in unresolved.items():
         print(f"warning: question {qid}: unresolved labels {labels}", file=sys.stderr)
     print(f"ingested {len(g)} triples, {len(questions)} questions -> {cfg.work_dir}")
@@ -223,7 +221,7 @@ def cmd_candidates(cfg: PipelineConfig) -> int:
         return poolmod.pool_to_record(q.id, built, g)
 
     records = _parallel_map(build, questions, cfg.workers)
-    with cfg.pool_artifact.open("w", encoding="utf-8") as fh:
+    with kgmod.published(cfg.pool_artifact) as fh:
         poolmod.write_pools(fh, records)
     print(f"candidate pools for {len(records)} questions -> {cfg.pool_artifact}")
     return EXIT_OK
@@ -247,7 +245,7 @@ def cmd_refine(cfg: PipelineConfig, limit: int | None = None, backend: str | Non
         return refinemod.supervision_to_record(sup, g)
 
     records = [rec for rec in _parallel_map(run, selected, cfg.workers) if rec is not None]
-    with cfg.supervision_artifact.open("w", encoding="utf-8") as fh:
+    with kgmod.published(cfg.supervision_artifact) as fh:
         refinemod.write_supervision(fh, records)
     print(f"refined supervision for {len(records)} questions -> {cfg.supervision_artifact}")
     return EXIT_OK
@@ -319,7 +317,7 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
         return subgraph_to_record(q.id, sub)
 
     records = _parallel_map(run, questions, cfg.workers)
-    with cfg.retrieval_artifact.open("w", encoding="utf-8") as fh:
+    with kgmod.published(cfg.retrieval_artifact) as fh:
         write_subgraphs(fh, records)
     print(f"retrieved top-{k} triples for {len(records)} questions -> {cfg.retrieval_artifact}")
     return EXIT_OK
@@ -340,7 +338,7 @@ def cmd_reorganize(cfg: PipelineConfig) -> int:
         return reorganize.chains_to_record(q.id, chains, labels)
 
     records = _parallel_map(run, questions, cfg.workers)
-    with cfg.chains_artifact.open("w", encoding="utf-8") as fh:
+    with kgmod.published(cfg.chains_artifact) as fh:
         reorganize.write_chains(fh, records)
     print(f"evidence chains for {len(records)} questions -> {cfg.chains_artifact}")
     return EXIT_OK
@@ -377,9 +375,8 @@ def cmd_answer(
         }
 
     records = _parallel_map(run, questions, cfg.workers)
-    with cfg.answers_artifact.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+    with kgmod.published(cfg.answers_artifact) as fh:
+        kgmod.write_jsonl(fh, records)
     print(f"answers for {len(records)} questions -> {cfg.answers_artifact}")
     return EXIT_OK
 
@@ -387,16 +384,18 @@ def cmd_answer(
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
     gold = {q.id: {g.entity_label(a) for a in q.answer_entities} for q in questions}
-    preds = _read(cfg.answers_artifact, "answer", _read_predictions)
+    def prediction(rec: dict) -> metrics.Prediction:
+        return metrics.Prediction(str(rec["id"]), tuple(rec["answers"]))
+
+    preds = _read(cfg.answers_artifact, "answer", kgmod.read_jsonl, prediction)
     aliases = None
     if cfg.aliases_path:
         with open(cfg.aliases_path, encoding="utf-8") as fh:
             aliases = json.load(fh)
     report = metrics.evaluate(preds, gold, aliases)
-    with cfg.report_artifact.open("w", encoding="utf-8") as json_fh, cfg.per_question_artifact.open(
-        "w", encoding="utf-8", newline=""
-    ) as csv_fh:
-        metrics.write_report(report, json_fh, csv_fh)
+    with kgmod.published(cfg.report_artifact) as json_fh:
+        with kgmod.published(cfg.per_question_artifact) as csv_fh:
+            metrics.write_report(report, json_fh, csv_fh)
     print(
         f"macro_f1={report.macro_f1:.4f} micro_f1={report.micro_f1:.4f} "
         f"hit={report.hit:.4f} hit@1={report.hit_at_1:.4f} -> {cfg.report_artifact}"
@@ -409,10 +408,9 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         inst, cfg, trials = load_experiment(fh)
     summary = estimate_recovery_rounds(inst, cfg, trials)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "trials.csv").open("w", encoding="utf-8", newline="") as fh:
+    with kgmod.published(out / "trials.csv") as fh:
         write_trials_csv(summary, fh)
-    with (out / "summary.json").open("w", encoding="utf-8") as fh:
+    with kgmod.published(out / "summary.json") as fh:
         write_summary_json(summary, inst, cfg, fh)
     print(
         f"{summary.recovered_trials}/{summary.trials} trials recovered, "

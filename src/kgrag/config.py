@@ -151,6 +151,16 @@ def _validate(cfg: PipelineConfig) -> list[str]:
     return problems
 
 
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a boolean")
+    return value
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a config file, reporting every violation at once."""
     try:
@@ -160,55 +170,67 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError([f"config file not found: {path}"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc.msg} (line {exc.lineno})"]) from None
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config must be a JSON object, got {raw!r}"])
 
-    paths = raw.get("paths", {})
-    training_raw = raw.get("training", {})
-    llm_raw = raw.get("llm", {})
+    problems: list[str] = []
+    sections = {"": raw}
+    for name in ("paths", "training", "llm"):
+        sections[name] = raw.get(name, {})
+        if not isinstance(sections[name], dict):
+            problems.append(f"{name} must be a JSON object, got {sections[name]!r}")
+            sections[name] = {}
+
+    def get(key: str, convert, default):
+        section, _, name = key.rpartition(".")
+        value = sections[section].get(name, default)
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            problems.append(f"{key} has the wrong type: {value!r}")
+            return convert(default)
+
     cfg = PipelineConfig(
-        kg_path=str(paths.get("kg", "")),
-        questions_path=str(paths.get("questions", "")),
-        work_dir=str(paths.get("work_dir", "out")),
-        replay_path=paths.get("replay"),
-        refine_demos_path=paths.get("refine_demos"),
-        qa_demos_path=paths.get("qa_demos"),
-        aliases_path=paths.get("aliases"),
-        kg_format=str(raw.get("kg_format", "tsv")),
-        retrieval_level=str(raw.get("retrieval_level", "triple")),
-        top_k=int(raw.get("top_k", 500)),
-        entity_k_bonus=int(raw.get("entity_k_bonus", 200)),
-        dde_depth=int(raw.get("dde_depth", 3)),
-        dde_slots=int(raw.get("dde_slots", 3)),
-        text_dim=int(raw.get("text_dim", 256)),
-        chain_length_limit=(
-            None if raw.get("chain_length_limit", 2) is None else int(raw.get("chain_length_limit", 2))
-        ),
-        path_cap=int(raw.get("path_cap", 256)),
-        pool_limit=int(raw.get("pool_limit", 137)),
-        seed=int(raw.get("seed", 42)),
-        workers=int(raw.get("workers", 1)),
-        validation_ids=tuple(str(x) for x in raw.get("validation_ids", [])),
+        kg_path=get("paths.kg", str, ""),
+        questions_path=get("paths.questions", str, ""),
+        work_dir=get("paths.work_dir", str, "out"),
+        replay_path=get("paths.replay", _optional(str), None),
+        refine_demos_path=get("paths.refine_demos", _optional(str), None),
+        qa_demos_path=get("paths.qa_demos", _optional(str), None),
+        aliases_path=get("paths.aliases", _optional(str), None),
+        kg_format=get("kg_format", str, "tsv"),
+        retrieval_level=get("retrieval_level", str, "triple"),
+        top_k=get("top_k", int, 500),
+        entity_k_bonus=get("entity_k_bonus", int, 200),
+        dde_depth=get("dde_depth", int, 3),
+        dde_slots=get("dde_slots", int, 3),
+        text_dim=get("text_dim", int, 256),
+        chain_length_limit=get("chain_length_limit", _optional(int), 2),
+        path_cap=get("path_cap", int, 256),
+        pool_limit=get("pool_limit", int, 137),
+        seed=get("seed", int, 42),
+        workers=get("workers", int, 1),
+        validation_ids=get("validation_ids", lambda ids: tuple(str(i) for i in ids), ()),
         training=TrainingSettings(
-            epochs=int(training_raw.get("epochs", 80)),
-            learning_rate=float(training_raw.get("learning_rate", 0.05)),
-            hidden=tuple(int(h) for h in training_raw.get("hidden", (256, 256))),
-            activation=str(training_raw.get("activation", "tanh")),
-            pos_weight_cap=float(training_raw.get("pos_weight_cap", 100.0)),
-            gnn_hidden=int(training_raw.get("gnn_hidden", 64)),
-            gnn_depth=int(training_raw.get("gnn_depth", 3)),
-            recall_k=(
-                int(training_raw["recall_k"]) if training_raw.get("recall_k") is not None else None
-            ),
+            epochs=get("training.epochs", int, 80),
+            learning_rate=get("training.learning_rate", float, 0.05),
+            hidden=get("training.hidden", lambda sizes: tuple(int(h) for h in sizes), (256, 256)),
+            activation=get("training.activation", str, "tanh"),
+            pos_weight_cap=get("training.pos_weight_cap", float, 100.0),
+            gnn_hidden=get("training.gnn_hidden", int, 64),
+            gnn_depth=get("training.gnn_depth", int, 3),
+            recall_k=get("training.recall_k", _optional(int), None),
         ),
         llm=LLMSettings(
-            backend=str(llm_raw.get("backend", "mock")),
-            temperature=float(llm_raw.get("temperature", 0.0)),
-            seed=int(llm_raw.get("seed", 42)),
-            max_tokens=int(llm_raw.get("max_tokens", 1024)),
-            max_inflight=int(llm_raw.get("max_inflight", 4)),
-            include_explanations=bool(llm_raw.get("include_explanations", True)),
+            backend=get("llm.backend", str, "mock"),
+            temperature=get("llm.temperature", float, 0.0),
+            seed=get("llm.seed", int, 42),
+            max_tokens=get("llm.max_tokens", int, 1024),
+            max_inflight=get("llm.max_inflight", int, 4),
+            include_explanations=get("llm.include_explanations", _boolean, True),
         ),
     )
-    problems = _validate(cfg)
+    problems += _validate(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg

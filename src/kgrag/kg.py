@@ -4,17 +4,23 @@ Entities and relations get dense integer ids in first-seen order; labels live
 in side tables. Triples are a set: duplicates are collapsed at load time (the
 collapse count is logged). A graph restricted to a question scope shares the
 parent's vocabulary and triple ids, so ids stay stable across views.
+The loading section owns the artifact format: :func:`read_jsonl`,
+:func:`write_jsonl` and :func:`published` are the only reader, writer and publisher.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, NamedTuple
+from pathlib import Path
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 logger = logging.getLogger(__name__)
+T = TypeVar("T")
 
 FORWARD = "f"
 BACKWARD = "b"
@@ -160,8 +166,10 @@ class KnowledgeGraph:
         for tid in tids:
             if tid < 0 or tid >= len(self.triples):
                 raise KeyError(f"scope references unknown triple id {tid}")
-        visible = set(self.triple_ids)
-        tids = tuple(t for t in tids if t in visible)
+        if not self._shows_every_triple():
+            visible = set(self.triple_ids)
+            tids = [t for t in tids if t in visible]
+        tids = tuple(tids)
         out_index, in_index = _build_indices(self.triples, tids)
         return KnowledgeGraph(
             entities=self.entities,
@@ -176,6 +184,9 @@ class KnowledgeGraph:
         )
 
     # -- lookups -----------------------------------------------------------
+
+    def _shows_every_triple(self) -> bool:
+        return len(self.triple_ids) == len(self.triples)
 
     def __len__(self) -> int:
         return len(self.triple_ids)
@@ -202,7 +213,7 @@ class KnowledgeGraph:
     def triple_id_of(self, head: int, relation: int, tail: int) -> int | None:
         """Id of the triple if it is visible in this graph, else ``None``."""
         tid = self.triple_index.get((head, relation, tail))
-        if tid is None or len(self.triple_ids) == len(self.triples):  # every stored id visible
+        if tid is None or self._shows_every_triple():
             return tid
         return tid if tid in self.out_index.get(head, ()) else None
 
@@ -297,6 +308,101 @@ def _decode_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
         yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
 
+class _Record(dict):
+    """A JSONL object that remembers the last field read from it, to name it in a parse error."""
+
+    last_key: str | None = None
+
+    def __getitem__(self, key):
+        self.last_key = key
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.last_key = key
+        return super().get(key, default)
+
+
+def read_jsonl(source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[dict], T]) -> list[T]:
+    """``parse(record)`` for each JSON object line of ``source``; blank lines are skipped.
+
+    A line that is not a JSON object, or a record ``parse`` rejects (``KeyError``, ``TypeError``,
+    ``ValueError``, a line-less :class:`KGFormatError`), raises :class:`KGFormatError` naming the line.
+    """
+    out = []
+    for lineno, line in enumerate(_decode_lines(source), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise KGFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+        if not isinstance(obj, dict):
+            raise KGFormatError(f"expected a JSON object, got {type(obj).__name__}", lineno)
+        rec = _Record(obj)
+        try:
+            out.append(parse(rec))
+        except KGFormatError as exc:
+            if exc.line is not None:
+                raise
+            raise KGFormatError(str(exc), lineno) from exc
+        except KeyError as exc:
+            raise KGFormatError(f"missing field {exc}", lineno) from exc
+        except (TypeError, ValueError) as exc:
+            raise KGFormatError(f"field {rec.last_key!r}: {exc}", lineno) from exc
+    return out
+
+
+def write_jsonl(sink: IO[str], records: Iterable[dict]) -> None:
+    """One sorted-key JSON object per line, non-ASCII text unescaped."""
+    for rec in records:
+        sink.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+@contextmanager
+def published(path: str | Path) -> Iterator[IO[str]]:
+    """A UTF-8 text sink (line endings as written) that replaces ``path`` when the block completes.
+
+    It writes a temporary sibling and renames it over ``path``; on an exception the
+    sibling is removed and ``path`` stays as it was, so no reader sees a partial file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as sink:
+            yield sink
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _tsv_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[str, ...]]:
+    for lineno, line in enumerate(_decode_lines(source), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise KGFormatError(f"expected 3 tab-separated fields, got {len(parts)}", lineno)
+        row = tuple(p.strip() for p in parts)
+        if not all(row):
+            raise KGFormatError("empty head, relation, or tail", lineno)
+        yield row
+
+
+def _jsonl_row(obj: dict) -> tuple[str, ...]:
+    row = str(obj["h"]), str(obj["r"]), str(obj["t"])
+    # graph.tsv must reload to the same ids: its reader splits on tabs and
+    # line breaks and strips each field
+    for lab in row:
+        if lab != lab.strip() or any(c in lab for c in "\t\n\r"):
+            raise KGFormatError(f"label {lab!r} has surrounding whitespace, a tab or a line break")
+    if not all(row):
+        raise KGFormatError("empty head, relation, or tail")
+    return row
+
+
 def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") -> KnowledgeGraph:
     """Load a graph from TSV (``head<TAB>relation<TAB>tail``) or JSONL (``{h,r,t}``).
 
@@ -307,55 +413,16 @@ def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") ->
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown triple format {format!r}")
 
-    entities: list[str] = []
-    relations: list[str] = []
-    entity_ids: dict[str, int] = {}
+    entity_ids: dict[str, int] = {}  # label -> id; insertion order is id order
     relation_ids: dict[str, int] = {}
     triples: list[Triple] = []
     triple_index: dict[Triple, int] = {}
     duplicates = 0
-
-    def ent(label: str) -> int:
-        if label not in entity_ids:
-            entity_ids[label] = len(entities)
-            entities.append(label)
-        return entity_ids[label]
-
-    def rel(label: str) -> int:
-        if label not in relation_ids:
-            relation_ids[label] = len(relations)
-            relations.append(label)
-        return relation_ids[label]
-
-    for lineno, line in enumerate(_decode_lines(source), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        if format == "tsv":
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise KGFormatError(
-                    f"expected 3 tab-separated fields, got {len(parts)}", lineno
-                )
-            h_lab, r_lab, t_lab = (p.strip() for p in parts)
-        else:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise KGFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if not isinstance(obj, dict) or not {"h", "r", "t"} <= obj.keys():
-                raise KGFormatError("expected an object with keys h, r, t", lineno)
-            h_lab, r_lab, t_lab = str(obj["h"]), str(obj["r"]), str(obj["t"])
-            # graph.tsv must reload to the same ids: its reader splits on tabs
-            # and line breaks and strips each field
-            for lab in (h_lab, r_lab, t_lab):
-                if lab != lab.strip() or any(c in lab for c in "\t\n\r"):
-                    raise KGFormatError(
-                        f"label {lab!r} has surrounding whitespace, a tab or a line break", lineno
-                    )
-        if not h_lab or not r_lab or not t_lab:
-            raise KGFormatError("empty head, relation, or tail", lineno)
-        tr = Triple(ent(h_lab), rel(r_lab), ent(t_lab))
+    rows = _tsv_rows(source) if format == "tsv" else read_jsonl(source, _jsonl_row)
+    for h_lab, r_lab, t_lab in rows:
+        h = entity_ids.setdefault(h_lab, len(entity_ids))
+        r = relation_ids.setdefault(r_lab, len(relation_ids))
+        tr = Triple(h, r, entity_ids.setdefault(t_lab, len(entity_ids)))
         if tr in triple_index:
             duplicates += 1
             continue
@@ -364,7 +431,7 @@ def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") ->
 
     if duplicates:
         logger.info("collapsed %d duplicate triples at load", duplicates)
-    return KnowledgeGraph.from_triples(entities, relations, triples, triple_index)
+    return KnowledgeGraph.from_triples(list(entity_ids), list(relation_ids), triples, triple_index)
 
 
 def to_tsv(g: KnowledgeGraph, sink: IO[str]) -> None:
@@ -383,20 +450,10 @@ def load_questions(
     triples. Unresolvable labels are dropped and reported per question id in
     the returned mapping.
     """
-    questions: list[Question] = []
     unresolved: dict[str, list[str]] = {}
 
-    for lineno, line in enumerate(_decode_lines(source), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise KGFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
-        if not isinstance(obj, dict) or "id" not in obj or "question" not in obj:
-            raise KGFormatError("question record needs 'id' and 'question'", lineno)
-        qid = str(obj["id"])
+    def parse(obj: dict) -> Question:
+        qid, text = str(obj["id"]), str(obj["question"])
         problems: list[str] = []
 
         def resolve(labels: Iterable[str]) -> frozenset[int]:
@@ -412,11 +469,10 @@ def load_questions(
         query = resolve(obj.get("question_entities", []))
         answers = resolve(obj.get("answer_entities", []))
         scope: frozenset[int] | None = None
-        if "scope" in obj and obj["scope"] is not None:
+        if obj.get("scope") is not None:
             tids = []
-            for item in obj["scope"]:
-                h, r, t = (str(x) for x in item)
-                tid = g.resolve(h, r, t)
+            for h, r, t in obj["scope"]:
+                tid = g.resolve(str(h), str(r), str(t))
                 if tid is None:
                     problems.append(f"{h}|{r}|{t}")
                 else:
@@ -425,6 +481,6 @@ def load_questions(
         if problems:
             unresolved[qid] = problems
             logger.warning("question %s: unresolved labels %s", qid, problems)
-        questions.append(Question(qid, str(obj["question"]), query, answers, scope))
+        return Question(qid, text, query, answers, scope)
 
-    return questions, unresolved
+    return read_jsonl(source, parse), unresolved

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .kg import read_jsonl, write_jsonl
+
 logger = logging.getLogger(__name__)
 
 ENV_URL = "REG_LLM_URL"
@@ -161,8 +163,13 @@ class MockOracle:
 # -- replay ------------------------------------------------------------------
 
 
+def _replay_entry(obj: dict) -> tuple[str, tuple[str, int, int]]:
+    digest, text, usage = obj["digest"], obj["text"], obj.get("usage", {})
+    return digest, (text, int(usage.get("prompt", 0)), int(usage.get("completion", 0)))
+
+
 class ReplayStore:
-    """JSONL-backed response cache keyed by request digest."""
+    """JSONL-backed response cache keyed by request digest; an unreadable file raises KGFormatError."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -170,17 +177,7 @@ class ReplayStore:
         self._entries: dict[str, tuple[str, int, int]] = {}
         if self.path.exists():
             with self.path.open(encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    usage = obj.get("usage", {})
-                    self._entries[obj["digest"]] = (
-                        obj["text"],
-                        int(usage.get("prompt", 0)),
-                        int(usage.get("completion", 0)),
-                    )
+                self._entries = dict(read_jsonl(fh, _replay_entry))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -194,18 +191,9 @@ class ReplayStore:
                 return
             self._entries[digest] = (text, prompt_tokens, completion_tokens)
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            usage = {"prompt": prompt_tokens, "completion": completion_tokens}
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "digest": digest,
-                            "text": text,
-                            "usage": {"prompt": prompt_tokens, "completion": completion_tokens},
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                write_jsonl(fh, [{"digest": digest, "text": text, "usage": usage}])
 
 
 class ReplayBackend:

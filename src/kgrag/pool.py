@@ -10,10 +10,9 @@ paths of one representative answer, then collapse paths that share the same
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO
 
 from .kg import (
     KGFormatError,
@@ -21,7 +20,9 @@ from .kg import (
     Question,
     ReasoningPath,
     hop_distances,
+    read_jsonl,
     step_exit,
+    write_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -244,17 +245,8 @@ def pool_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, CandidatePool]:
     return str(rec["id"]), pool
 
 
-def write_pools(sink: IO[str], records: Iterable[dict]) -> None:
-    for rec in records:
-        sink.write(json.dumps(rec, sort_keys=True) + "\n")
+write_pools = write_jsonl
 
 
 def read_pools(source: IO[str], g: KnowledgeGraph) -> dict[str, CandidatePool]:
-    pools: dict[str, CandidatePool] = {}
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        qid, pool = pool_from_record(json.loads(line), g)
-        pools[qid] = pool
-    return pools
+    return dict(read_jsonl(source, lambda rec: pool_from_record(rec, g)))

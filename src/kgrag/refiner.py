@@ -13,9 +13,10 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question, ReasoningPath, Triple
+from .kg import read_jsonl, write_jsonl
 from .llm import CompletionRequest
 from .pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, CandidatePool
 
@@ -230,20 +231,12 @@ def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
     )
 
 
-def write_supervision(sink: IO[str], records: Iterable[dict]) -> None:
-    for rec in records:
-        sink.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+write_supervision = write_jsonl
 
 
 def read_supervision(source: IO[str], g: KnowledgeGraph) -> dict[str, RefinedSupervision]:
-    out: dict[str, RefinedSupervision] = {}
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        sup = supervision_from_record(json.loads(line), g)
-        out[sup.question_id] = sup
-    return out
+    sups = read_jsonl(source, lambda rec: supervision_from_record(rec, g))
+    return {sup.question_id: sup for sup in sups}
 
 
 def load_refine_demos(path: str | Path) -> list[RefineDemo]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
-from .kg import BACKWARD, FORWARD
+from .kg import BACKWARD, FORWARD, read_jsonl, write_jsonl
 from .llm import CompletionRequest
 from .refiner import render_chain
 from .retriever.subgraph import RetrievedSubgraph, RetrievedTriple
@@ -342,20 +342,11 @@ def chains_from_record(rec: dict) -> tuple[str, list[EvidenceChain]]:
     return str(rec["question_id"]), chains
 
 
-def write_chains(sink: IO[str], records: Iterable[dict]) -> None:
-    for rec in records:
-        sink.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+write_chains = write_jsonl
 
 
 def read_chains(source: IO[str]) -> dict[str, list[EvidenceChain]]:
-    out: dict[str, list[EvidenceChain]] = {}
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        qid, chains = chains_from_record(json.loads(line))
-        out[qid] = chains
-    return out
+    return dict(read_jsonl(source, chains_from_record))
 
 
 def load_qa_demos(path) -> list[QADemo]:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..kg import KGFormatError, KnowledgeGraph
+from ..kg import KGFormatError, KnowledgeGraph, published, read_jsonl, write_jsonl
 
 MODEL_FORMAT_VERSION = 1
 
@@ -81,8 +81,9 @@ def subgraph_to_record(qid: str, sub: RetrievedSubgraph) -> dict:
 
 def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, RetrievedSubgraph]:
     entries = []
-    for tid, (h, r, t), score in zip(rec["tids"], rec["triples"], rec["scores"]):
-        tid = int(tid)
+    # one column at a time, so that a parse error names the field it came from
+    tids, scores = [int(tid) for tid in rec["tids"]], [float(score) for score in rec["scores"]]
+    for tid, (h, r, t), score in zip(tids, rec["triples"], scores):
         if not 0 <= tid < len(g.triples):
             raise KGFormatError(f"retrieved triple id {tid} not in graph")
         tr = g.triple(tid)
@@ -94,26 +95,17 @@ def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, RetrievedSu
                 head_label=h,
                 relation=r,
                 tail_label=t,
-                score=float(score),
+                score=score,
             )
         )
     return str(rec["id"]), RetrievedSubgraph(entries=entries, k=int(rec["k"]))
 
 
-def write_subgraphs(sink, records: Iterable[dict]) -> None:
-    for rec in records:
-        sink.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+write_subgraphs = write_jsonl
 
 
 def read_subgraphs(source, g: KnowledgeGraph) -> dict[str, RetrievedSubgraph]:
-    out: dict[str, RetrievedSubgraph] = {}
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        qid, sub = subgraph_from_record(json.loads(line), g)
-        out[qid] = sub
-    return out
+    return dict(read_jsonl(source, lambda rec: subgraph_from_record(rec, g)))
 
 
 # -- model files ---------------------------------------------------------------
@@ -135,8 +127,7 @@ def save_model(model, path: str | Path) -> None:
         "arch": model.arch(),
         "weights": {name: w.tolist() for name, w in model.named_params()},
     }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with published(path) as fh:
         json.dump(payload, fh, sort_keys=True)
 
 

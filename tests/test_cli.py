@@ -376,6 +376,18 @@ def _retrieved_tid_out_of_range(rec):
     rec["tids"][0] = 10**6
 
 
+def _pool_without_orientations(rec):
+    del rec["paths"][0]["orientations"]
+
+
+def _pool_orientation_x(rec):
+    rec["paths"][0]["orientations"][0] = "x"
+
+
+def _scope_item_of_two_labels(rec):
+    rec["scope"] = [["spain", "capital"]]
+
+
 @pytest.mark.parametrize(
     "artifact, stage, producer, corrupt",
     [
@@ -384,8 +396,28 @@ def _retrieved_tid_out_of_range(rec):
         ("supervision.jsonl", "train", "refine", _edit_first_record(_supervision_triple_not_in_graph)),
         ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(_retrieved_tid_out_of_range)),
         ("chains.jsonl", "answer", "reorganize", lambda text: text[: len(text) // 2]),
+        ("pool.jsonl", "refine", "candidates", _edit_first_record(_pool_without_orientations)),
+        ("pool.jsonl", "refine", "candidates", _edit_first_record(_pool_orientation_x)),
+        ("supervision.jsonl", "train", "refine", _edit_first_record(lambda rec: rec.pop("selected_indices"))),
+        ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(lambda rec: rec.pop("scores"))),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(lambda rec: rec["chains"][0].pop("tids"))),
+        ("answers.jsonl", "evaluate", "answer", _edit_first_record(lambda rec: rec.pop("answers"))),
+        ("questions.jsonl", "candidates", "ingest", _edit_first_record(_scope_item_of_two_labels)),
     ],
-    ids=["pool-label", "supervision-label", "supervision-triple", "retrieval-tid", "truncated-chains"],
+    ids=[
+        "pool-label",
+        "supervision-label",
+        "supervision-triple",
+        "retrieval-tid",
+        "truncated-chains",
+        "pool-no-orientations",
+        "pool-orientation-x",
+        "supervision-no-selected-indices",
+        "retrieval-no-scores",
+        "chains-no-tids",
+        "answers-no-answers",
+        "questions-scope-item-of-two",
+    ],
 )
 def test_stale_upstream_artifact_names_producing_stage(
     pipeline_dir, tmp_path, capsys, artifact, stage, producer, corrupt
@@ -399,7 +431,61 @@ def test_stale_upstream_artifact_names_producing_stage(
     assert rc == EXIT_MISSING
     assert f"kgrag {producer}" in err
     assert artifact in err
+    assert "line " in err
     assert "Traceback" not in err
+
+
+def test_failed_stage_leaves_previous_artifact_whole(pipeline_dir, tmp_path, monkeypatch):
+    from kgrag import pool as poolmod
+
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+    def torn_writer(sink, records):
+        sink.write('{"id": "q01", "paths": [')
+        raise RuntimeError("writer failed")
+
+    monkeypatch.setattr(poolmod, "write_pools", torn_writer)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        main(["candidates", "--config", str(cfg_path)])
+    after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert after == before
+
+
+@pytest.mark.parametrize(
+    "override, key, shown",
+    [
+        ({"top_k": "abc"}, "top_k", "'abc'"),
+        ({"training": {"hidden": 5}}, "training.hidden", "5"),
+        ({"paths": "x"}, "paths", "'x'"),
+        ({"llm": {"include_explanations": "false"}}, "llm.include_explanations", "'false'"),
+    ],
+    ids=["top_k-string", "hidden-int", "paths-string", "include_explanations-string"],
+)
+def test_wrong_typed_config_value_exits_config(tmp_path, capsys, override, key, shown):
+    cfg_path = write_fixture_config(tmp_path, **override)
+    rc = main(["ingest", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert f"{key} " in err
+    assert shown in err
+
+
+@pytest.mark.parametrize("backend", ["replay", "remote"])
+def test_unreadable_replay_store_exits_config(pipeline_dir, tmp_path, capsys, backend):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text('{"digest": "d1", "text": "[]", "usage": {}}\n{"digest": "d2", "te', encoding="utf-8")
+    cfg_path = write_fixture_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["paths"]["work_dir"] = str(pipeline_dir / "out")
+    cfg["paths"]["replay"] = str(replay)
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["answer", "--config", str(cfg_path), "--llm", backend])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "paths.replay" in err
+    assert "line 2" in err
 
 
 _LABEL = st.text(st.sampled_from("ab\u00e9 \t\n\r\x0b\x85"), max_size=3)
