@@ -5,8 +5,10 @@ configured work directory, so stages rerun independently and reproduce their
 outputs byte for byte given the same inputs and seeds.
 
 Exit codes: 0 success, 2 configuration error (including an input file that
-ingest cannot parse and a model that does not match the configured
-encoder), 3 missing, stale or foreign upstream artifact, 4 LLM backend
+ingest cannot parse, an unreadable demo, alias or experiment file, a remote
+backend without its environment, and a model that does not match the
+configured encoder), 3 missing, stale or foreign upstream artifact (a
+``model.json`` that is not JSON or lacks a field included), 4 LLM backend
 failure.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import kg as kgmod
 from . import metrics, pool as poolmod, reorganize, refiner as refinemod
-from .config import ConfigError, PipelineConfig, load_config
+from .config import ConfigError, PipelineConfig, load_config, read_json
 from .llm import (
     CompletionError,
     CompletionRequest,
@@ -150,7 +151,10 @@ def _make_client(cfg: PipelineConfig, backend: str, questions, g):
         if backend == "replay":
             inner = ReplayBackend(store)
         else:
-            inner = remote_from_env(store=store, max_inflight=cfg.llm.max_inflight)
+            try:
+                inner = remote_from_env(store=store, max_inflight=cfg.llm.max_inflight)
+            except ValueError as exc:
+                raise ConfigError([str(exc)]) from exc
     return _SamplingClient(inner, cfg.llm.temperature, cfg.llm.seed, cfg.llm.max_tokens)
 
 
@@ -298,7 +302,10 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
 def cmd_retrieve(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
     encoder = HashedBowEncoder(cfg.text_dim)
-    model = load_model(_require(cfg.model_artifact, "train"), expected_encoder_tag=encoder.tag)
+    try:
+        model = load_model(_require(cfg.model_artifact, "train"), expected_encoder_tag=encoder.tag)
+    except kgmod.KGFormatError as exc:
+        raise UpstreamArtifactError(cfg.model_artifact, "train", str(exc)) from exc
     k = cfg.top_k + (cfg.entity_k_bonus if cfg.retrieval_level == "entity" else 0)
 
     def run(q: kgmod.Question) -> dict:
@@ -390,8 +397,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     preds = _read(cfg.answers_artifact, "answer", kgmod.read_jsonl, prediction)
     aliases = None
     if cfg.aliases_path:
-        with open(cfg.aliases_path, encoding="utf-8") as fh:
-            aliases = json.load(fh)
+        aliases = read_json(
+            cfg.aliases_path, "paths.aliases", lambda raw: {k: str(v) for k, v in raw.items()}
+        )
     report = metrics.evaluate(preds, gold, aliases)
     with kgmod.published(cfg.report_artifact) as json_fh:
         with kgmod.published(cfg.per_question_artifact) as csv_fh:
@@ -404,8 +412,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 
 def cmd_simulate(config_path: str, out_dir: str) -> int:
-    with open(config_path, encoding="utf-8") as fh:
-        inst, cfg, trials = load_experiment(fh)
+    inst, cfg, trials = load_experiment(config_path)
     summary = estimate_recovery_rounds(inst, cfg, trials)
     out = Path(out_dir)
     with kgmod.published(out / "trials.csv") as fh:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class ConfigError(Exception):
@@ -13,6 +16,63 @@ class ConfigError(Exception):
     def __init__(self, problems: list[str]):
         self.problems = problems
         super().__init__("; ".join(problems))
+
+
+_REQUIRED = object()
+
+
+def json_field(
+    obj: Any, key: str, convert: Callable[[Any], T] = lambda value: value, default: Any = _REQUIRED
+) -> T:
+    """``convert(obj[key])`` for a JSON object ``obj``, or ``default`` if given and ``key`` is absent.
+
+    A missing required key raises ``KeyError(key)``, and a value ``convert`` rejects raises a
+    ``TypeError`` naming the key; :func:`read_json` reports both as a :class:`ConfigError`.
+    """
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {obj!r}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):
+        raise TypeError(f"{key} has the wrong type: {obj[key]!r}") from None
+
+
+def str_tuple(values: Any) -> tuple[str, ...]:
+    if not isinstance(values, list):
+        raise TypeError("not a JSON list")
+    return tuple(str(v) for v in values)
+
+
+def read_json(
+    path: str | Path, role: str, parse: Callable[[Any], T] = lambda raw: raw, kind: type = dict
+) -> T:
+    """``parse`` of the JSON document at ``path``, an input named by the config key ``role``.
+
+    A file that cannot be read, that is not JSON or whose top level is not a ``kind``
+    (dict or list), and a document ``parse`` rejects (``KeyError``, ``TypeError``,
+    ``ValueError``) raise :class:`ConfigError` naming the role, the path and the field.
+    """
+    where = f"{role} {path}"
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError([f"{where} cannot be read: {exc.strerror}"]) from None
+    except ValueError as exc:
+        raise ConfigError([f"{where} is not valid JSON: {exc}"]) from None
+    if not isinstance(raw, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ConfigError([f"{where} must hold {shape}, got {type(raw).__name__}"])
+    try:
+        return parse(raw)
+    except KeyError as exc:
+        raise ConfigError([f"{where}: missing field {exc}"]) from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"{where}: {exc}"]) from None
 
 
 @dataclass
@@ -163,16 +223,7 @@ def _boolean(value) -> bool:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a config file, reporting every violation at once."""
-    try:
-        with Path(path).open(encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError([f"config file not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc.msg} (line {exc.lineno})"]) from None
-    if not isinstance(raw, dict):
-        raise ConfigError([f"config must be a JSON object, got {raw!r}"])
-
+    raw = read_json(path, "config")
     problems: list[str] = []
     sections = {"": raw}
     for name in ("paths", "training", "llm"):

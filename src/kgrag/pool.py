@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterable
 
 from .kg import (
     KGFormatError,

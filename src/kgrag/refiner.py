@@ -8,13 +8,13 @@ garbage output the refiner falls back to the pool's shortest-path candidates.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
+from .config import json_field, read_json, str_tuple
 from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question, ReasoningPath, Triple
 from .kg import read_jsonl, write_jsonl
 from .llm import CompletionRequest
@@ -241,14 +241,13 @@ def read_supervision(source: IO[str], g: KnowledgeGraph) -> dict[str, RefinedSup
 
 def load_refine_demos(path: str | Path) -> list[RefineDemo]:
     """Demonstrations from a JSON list of {question, chains, selection, explanation?}."""
-    with Path(path).open(encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return [
-        RefineDemo(
-            question=str(d["question"]),
-            chains=tuple(str(c) for c in d["chains"]),
-            selection=tuple(int(i) for i in d["selection"]),
-            explanation=str(d.get("explanation", "")),
-        )
-        for d in raw
-    ]
+    return read_json(path, "paths.refine_demos", lambda raw: [_refine_demo(d) for d in raw], kind=list)
+
+
+def _refine_demo(d: dict) -> RefineDemo:
+    return RefineDemo(
+        question=json_field(d, "question", str),
+        chains=json_field(d, "chains", str_tuple),
+        selection=json_field(d, "selection", lambda ids: tuple(int(i) for i in ids)),
+        explanation=json_field(d, "explanation", str, ""),
+    )

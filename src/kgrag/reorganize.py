@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import IO, Sequence
 
+from .config import json_field, read_json, str_tuple
 from .kg import BACKWARD, FORWARD, read_jsonl, write_jsonl
 from .llm import CompletionRequest
 from .refiner import render_chain
@@ -349,18 +351,15 @@ def read_chains(source: IO[str]) -> dict[str, list[EvidenceChain]]:
     return dict(read_jsonl(source, chains_from_record))
 
 
-def load_qa_demos(path) -> list[QADemo]:
+def load_qa_demos(path: str | Path) -> list[QADemo]:
     """Demonstrations from a JSON list of {question, evidence, answers, explanation?}."""
-    from pathlib import Path
+    return read_json(path, "paths.qa_demos", lambda raw: [_qa_demo(d) for d in raw], kind=list)
 
-    with Path(path).open(encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return [
-        QADemo(
-            question=str(d["question"]),
-            evidence=tuple(str(e) for e in d["evidence"]),
-            answers=tuple(str(a) for a in d["answers"]),
-            explanation=str(d.get("explanation", "")),
-        )
-        for d in raw
-    ]
+
+def _qa_demo(d: dict) -> QADemo:
+    return QADemo(
+        question=json_field(d, "question", str),
+        evidence=json_field(d, "evidence", str_tuple),
+        answers=json_field(d, "answers", str_tuple),
+        explanation=json_field(d, "explanation", str, ""),
+    )

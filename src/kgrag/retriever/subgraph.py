@@ -111,8 +111,8 @@ def read_subgraphs(source, g: KnowledgeGraph) -> dict[str, RetrievedSubgraph]:
 # -- model files ---------------------------------------------------------------
 
 
-class ModelFormatError(ValueError):
-    pass
+class ModelFormatError(Exception):
+    """A well-formed model of another format version, kind or encoder."""
 
 
 def save_model(model, path: str | Path) -> None:
@@ -132,22 +132,34 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, expected_encoder_tag: str | None = None):
+    """The model :func:`save_model` wrote to ``path``: one JSON object on one line.
+
+    A file that is not that object, or a record missing a field or holding one
+    of the wrong type, raises :class:`KGFormatError`; a model of another format
+    version, kind or encoder raises :class:`ModelFormatError`.
+    """
     from .entity_scorer import EntityScorer
     from .triple_scorer import TripleScorer
 
+    def parse(payload: dict):
+        if payload.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported model format {payload.get('format_version')}")
+        if expected_encoder_tag is not None and payload["encoder_tag"] != expected_encoder_tag:
+            raise ModelFormatError(
+                f"encoder tag mismatch: model has {payload['encoder_tag']!r}, "
+                f"expected {expected_encoder_tag!r}"
+            )
+        kind = payload.get("kind")
+        scorer = {"triple": TripleScorer, "entity": EntityScorer}.get(kind)
+        if scorer is None:
+            raise ModelFormatError(f"unknown model kind {kind!r}")
+        if not isinstance(payload["weights"], dict):
+            raise TypeError("weights must be a JSON object")
+        weights = {name: np.asarray(w, dtype=np.float64) for name, w in payload["weights"].items()}
+        return scorer.from_payload(payload, weights)
+
     with Path(path).open(encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format {payload.get('format_version')}")
-    if expected_encoder_tag is not None and payload["encoder_tag"] != expected_encoder_tag:
-        raise ModelFormatError(
-            f"encoder tag mismatch: model has {payload['encoder_tag']!r}, "
-            f"expected {expected_encoder_tag!r}"
-        )
-    weights = {name: np.asarray(w, dtype=np.float64) for name, w in payload["weights"].items()}
-    kind = payload.get("kind")
-    if kind == "triple":
-        return TripleScorer.from_payload(payload, weights)
-    if kind == "entity":
-        return EntityScorer.from_payload(payload, weights)
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+        models = read_jsonl(fh, parse)
+    if len(models) != 1:
+        raise KGFormatError(f"expected one model record, found {len(models)}")
+    return models[0]

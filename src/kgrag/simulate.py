@@ -14,10 +14,13 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
+
+from .config import json_field, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -86,13 +89,19 @@ def reward_coverage(selected: set[int] | frozenset[int], inst: OracleInstance) -
     return (overlap * inst.s0 - noise * inst.delta0) / (inst.k * inst.s0)
 
 
+def count_reward(count, size: int, inst: OracleInstance):
+    """Draw-normalized reward of a size-``size`` draw holding ``count`` oracle items.
+
+    ``(count s0 − (size − count) δ0) / (size s0)``; ``count`` may be an integer array.
+    """
+    return (count * inst.s0 - (size - count) * inst.delta0) / (size * inst.s0)
+
+
 def reward_draw(selected: set[int] | frozenset[int], inst: OracleInstance) -> float:
     """Reward normalized by the draw size, in [-δ0/s0, 1]. Selection must be nonempty."""
     if not selected:
         raise ValueError("selected set must be nonempty")
-    overlap = len(selected & inst.oracle_set)
-    noise = len(selected) - overlap
-    return (overlap * inst.s0 - noise * inst.delta0) / (len(selected) * inst.s0)
+    return count_reward(len(selected & inst.oracle_set), len(selected), inst)
 
 
 def acceptance_occupancy(inst: OracleInstance, threshold: float) -> float:
@@ -102,8 +111,7 @@ def acceptance_occupancy(inst: OracleInstance, threshold: float) -> float:
 
 def universe_reward(inst: OracleInstance) -> float:
     """Draw-normalized reward of the whole universe (r0)."""
-    n, k = inst.universe_size, inst.k
-    return (k * inst.s0 - (n - k) * inst.delta0) / (n * inst.s0)
+    return count_reward(inst.k, inst.universe_size, inst)
 
 
 def _check_config(inst: OracleInstance, cfg: SearchConfig) -> None:
@@ -119,39 +127,44 @@ def _check_config(inst: OracleInstance, cfg: SearchConfig) -> None:
         )
 
 
+FIRST_BLOCK = 16  # rounds in a search's first batch of counts; each later batch doubles
+
+
 def run_subset_search(
     inst: OracleInstance, cfg: SearchConfig, seed: int | Sequence[int] | None = None
 ) -> SearchTrace:
     """Uniform size-S draws, strict-threshold acceptance, union until covered.
 
-    Draws are returned to the pool after each round. The trace is fully
-    determined by the seed (``cfg.seed`` unless overridden).
+    A draw counts only through its oracle count, which is hypergeometric, so
+    rounds are sampled as counts in batches that double from ``FIRST_BLOCK``.
+    An accepted round is then materialised as a uniform subset of that many
+    oracle items plus a uniform subset of the rest: the law of a uniform
+    size-S draw given its count. Draws are returned to the pool after each
+    round. The trace is fully determined by the seed (``cfg.seed`` unless
+    overridden).
     """
     _check_config(inst, cfg)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    oracle_mask = np.zeros(inst.universe_size, dtype=bool)
-    oracle_mask[list(inst.oracle_set)] = True
-    covered = np.zeros(inst.universe_size, dtype=bool)
-    identified: set[int] = set()
+    oracle = np.array(sorted(inst.oracle_set))
+    others = np.delete(np.arange(inst.universe_size), oracle)
+    identified = np.zeros(inst.universe_size, dtype=bool)
     rewards: list[float] = []
-    accepted = 0
-    remaining = inst.k
-    s0, d0, size = inst.s0, inst.delta0, cfg.subset_size
-
-    for rounds in range(1, cfg.max_rounds + 1):
-        draw = rng.choice(inst.universe_size, size=size, replace=False)
-        overlap = int(oracle_mask[draw].sum())
-        reward = (overlap * s0 - (size - overlap) * d0) / (size * s0)
-        rewards.append(reward)
-        if reward > cfg.threshold:
+    accepted, recovered = 0, False
+    size, block = cfg.subset_size, FIRST_BLOCK
+    while not recovered and len(rewards) < cfg.max_rounds:
+        counts = rng.hypergeometric(inst.k, len(others), size, min(block, cfg.max_rounds - len(rewards)))
+        block_rewards = count_reward(counts, size, inst)
+        for i in np.flatnonzero(block_rewards > cfg.threshold):
             accepted += 1
-            identified.update(int(i) for i in draw)
-            hits = draw[oracle_mask[draw] & ~covered[draw]]
-            covered[hits] = True
-            remaining -= len(hits)
-            if remaining == 0:
-                return SearchTrace(rounds, accepted, True, rewards, frozenset(identified))
-    return SearchTrace(cfg.max_rounds, accepted, False, rewards, frozenset(identified))
+            identified[oracle[rng.choice(inst.k, size=counts[i], replace=False)]] = True
+            identified[others[rng.choice(len(others), size=size - counts[i], replace=False)]] = True
+            if identified[oracle].all():
+                recovered, block_rewards = True, block_rewards[: i + 1]
+                break
+        rewards += block_rewards.tolist()
+        block *= 2
+    final_set = frozenset(np.flatnonzero(identified).tolist())
+    return SearchTrace(len(rewards), accepted, recovered, rewards, final_set)
 
 
 def hypergeometric_tail(n: int, k: int, s: int, min_count: int) -> float:
@@ -189,17 +202,8 @@ def measure_acceptance_rate(
 ) -> float:
     """Empirical acceptance frequency over independent rounds (no stopping)."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    oracle_mask = np.zeros(inst.universe_size, dtype=bool)
-    oracle_mask[list(inst.oracle_set)] = True
-    s0, d0, size = inst.s0, inst.delta0, cfg.subset_size
-    accepted = 0
-    for _ in range(rounds):
-        draw = rng.choice(inst.universe_size, size=size, replace=False)
-        overlap = int(oracle_mask[draw].sum())
-        reward = (overlap * s0 - (size - overlap) * d0) / (size * s0)
-        if reward > cfg.threshold:
-            accepted += 1
-    return accepted / rounds
+    counts = rng.hypergeometric(inst.k, inst.universe_size - inst.k, cfg.subset_size, size=rounds)
+    return int(np.count_nonzero(count_reward(counts, cfg.subset_size, inst) > cfg.threshold)) / rounds
 
 
 @dataclass(frozen=True)
@@ -212,20 +216,8 @@ class RecoverySummary:
     acceptance_rate: float
     rounds_per_trial: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "recovered_trials": self.recovered_trials,
-            "mean_rounds": self.mean_rounds,
-            "median_rounds": self.median_rounds,
-            "quantiles": dict(self.quantiles),
-            "acceptance_rate": self.acceptance_rate,
-        }
 
-
-def estimate_recovery_rounds(
-    inst: OracleInstance, cfg: SearchConfig, trials: int
-) -> RecoverySummary:
+def estimate_recovery_rounds(inst: OracleInstance, cfg: SearchConfig, trials: int) -> RecoverySummary:
     """Monte-Carlo rounds-to-recovery statistics over independent trials.
 
     Each trial runs with a generator derived from (base seed, trial index) so
@@ -235,27 +227,21 @@ def estimate_recovery_rounds(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rounds_per_trial = []
-    recovered = 0
-    accepted_total = 0
-    rounds_total = 0
+    rounds_per_trial, recovered, accepted = [], 0, 0
     for trial in range(trials):
         trace = run_subset_search(inst, cfg, seed=[cfg.seed, trial])
         rounds_per_trial.append(trace.rounds_executed)
         recovered += int(trace.recovered)
-        accepted_total += trace.accepted_rounds
-        rounds_total += trace.rounds_executed
+        accepted += trace.accepted_rounds
     arr = np.array(rounds_per_trial, dtype=np.float64)
-    quantiles = {
-        f"p{q}": float(np.quantile(arr, q / 100.0)) for q in (10, 25, 75, 90)
-    }
+    quantiles = {f"p{q}": float(np.quantile(arr, q / 100.0)) for q in (10, 25, 75, 90)}
     return RecoverySummary(
         trials=trials,
         recovered_trials=recovered,
         mean_rounds=float(arr.mean()),
         median_rounds=float(np.median(arr)),
         quantiles=quantiles,
-        acceptance_rate=accepted_total / rounds_total if rounds_total else 0.0,
+        acceptance_rate=accepted / sum(rounds_per_trial),
         rounds_per_trial=tuple(rounds_per_trial),
     )
 
@@ -263,26 +249,39 @@ def estimate_recovery_rounds(
 # -- experiment config / output -------------------------------------------------
 
 
-def load_experiment(source: IO[str]) -> tuple[OracleInstance, SearchConfig, int]:
+def load_experiment(path: str | Path) -> tuple[OracleInstance, SearchConfig, int]:
     """Experiment JSON {N, K, s0, delta0, S, threshold, max_rounds, trials, seed}.
 
     The oracle set is the first K item ids; by symmetry of uniform draws any
-    other choice gives the same law.
+    other choice gives the same law. A file that cannot be read, a missing or
+    wrong-typed field, or a value out of range raises :class:`ConfigError`
+    naming the file and the field.
     """
-    raw = json.load(source)
+    return read_json(path, "experiment", _experiment)
+
+
+def _experiment(raw: dict) -> tuple[OracleInstance, SearchConfig, int]:
+    n, k, size = (json_field(raw, key, int) for key in ("N", "K", "S"))
+    trials = json_field(raw, "trials", int, 100)
+    seed = json_field(raw, "seed", int, 42)
+    for key, value, low, high in (
+        ("K", k, 1, n), ("S", size, 1, n), ("trials", trials, 1, math.inf), ("seed", seed, 0, math.inf)
+    ):
+        if not low <= value <= high:
+            raise ValueError(f"{key} must lie in [{low}, {high}], got {value}")
     inst = OracleInstance(
-        universe_size=int(raw["N"]),
-        oracle_set=frozenset(range(int(raw["K"]))),
-        s0=float(raw.get("s0", 1.0)),
-        delta0=float(raw.get("delta0", 0.0)),
+        universe_size=n,
+        oracle_set=frozenset(range(k)),
+        s0=json_field(raw, "s0", float, 1.0),
+        delta0=json_field(raw, "delta0", float, 0.0),
     )
     cfg = SearchConfig(
-        subset_size=int(raw["S"]),
-        threshold=float(raw["threshold"]),
-        max_rounds=int(raw.get("max_rounds", 10000)),
-        seed=int(raw.get("seed", 42)),
+        subset_size=size,
+        threshold=json_field(raw, "threshold", float),
+        max_rounds=json_field(raw, "max_rounds", int, 10000),
+        seed=seed,
     )
-    return inst, cfg, int(raw.get("trials", 100))
+    return inst, cfg, trials
 
 
 def write_trials_csv(summary: RecoverySummary, sink: IO[str]) -> None:
@@ -307,7 +306,7 @@ def write_summary_json(
             "seed": cfg.seed,
         },
         "closed_form_acceptance": acceptance_probability(inst, cfg),
-        **summary.to_dict(),
+        **{key: value for key, value in asdict(summary).items() if key != "rounds_per_trial"},
     }
     json.dump(payload, sink, sort_keys=True, indent=2)
     sink.write("\n")

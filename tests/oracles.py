@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+import numpy as np
+
 
 def undirected_distance(edges: list[tuple[int, int, int]], start: int) -> dict[int, int]:
     """BFS hop distance treating (tid, head, tail) edges as undirected."""
@@ -136,3 +138,34 @@ def all_subsets(items: list[int], max_size: int | None = None):
     upper = len(items) if max_size is None else max_size
     for size in range(0, upper + 1):
         yield from (set(c) for c in combinations(items, size))
+
+
+def per_draw_subset_search(
+    n: int,
+    oracle: frozenset[int],
+    s0: float,
+    d0: float,
+    size: int,
+    threshold: float,
+    max_rounds: int,
+    seed,
+) -> tuple[int, int, bool, list[float], set[int]]:
+    """Reference subset search that draws every round's S distinct items with ``rng.choice``.
+
+    Returns (rounds executed, accepted rounds, recovered, per-round rewards,
+    union of the accepted draws).
+    """
+    rng = np.random.default_rng(seed)
+    identified: set[int] = set()
+    rewards: list[float] = []
+    accepted = 0
+    for rounds in range(1, max_rounds + 1):
+        draw = {int(i) for i in rng.choice(n, size=size, replace=False)}
+        overlap = len(draw & oracle)
+        rewards.append((overlap * s0 - (size - overlap) * d0) / (size * s0))
+        if rewards[-1] > threshold:
+            accepted += 1
+            identified |= draw
+            if oracle <= identified:
+                return rounds, accepted, True, rewards, identified
+    return max_rounds, accepted, False, rewards, identified

@@ -336,6 +336,109 @@ def test_simulate_command(tmp_path):
     assert (tmp_path / "sim" / "trials.csv").read_text().startswith("trial,rounds")
 
 
+_EXPERIMENT = {"N": 60, "K": 2, "S": 10, "threshold": 0.05, "max_rounds": 50, "trials": 3, "seed": 7}
+
+
+def _experiment_without(key):
+    return json.dumps({k: v for k, v in _EXPERIMENT.items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        (None, "cannot be read"),
+        ('{"N": 60, "K"', "not valid JSON"),
+        ("[60, 2, 10]", "must hold an object"),
+        (_experiment_without("N"), "missing field 'N'"),
+        (_experiment_without("K"), "missing field 'K'"),
+        (_experiment_without("S"), "missing field 'S'"),
+        (_experiment_without("threshold"), "missing field 'threshold'"),
+        (json.dumps({**_EXPERIMENT, "K": 0}), "K must lie in [1, 60], got 0"),
+        (json.dumps({**_EXPERIMENT, "S": 61}), "S must lie in [1, 60], got 61"),
+        (json.dumps({**_EXPERIMENT, "N": "many"}), "N has the wrong type"),
+        (json.dumps({**_EXPERIMENT, "max_rounds": 0}), "max_rounds must be >= 1"),
+    ],
+    ids=["missing-file", "not-json", "not-object", "no-N", "no-K", "no-S", "no-threshold", "K-0",
+         "S-over-N", "N-string", "max_rounds-0"],
+)
+def test_simulate_bad_experiment_exits_config(tmp_path, capsys, text, shown):
+    exp = tmp_path / "exp.json"
+    if text is not None:
+        exp.write_text(text)
+    rc = main(["simulate", "--config", str(exp), "--out-dir", str(tmp_path / "sim")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert f"experiment {exp}" in err
+    assert shown in err
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, key, text, shown",
+    [
+        ("answer", "qa_demos", '[{"question": "q?", "answers": ["a"]}]', "missing field 'evidence'"),
+        ("answer", "qa_demos", '{"question": "q?"}', "must hold a list"),
+        ("refine", "refine_demos", '[{"question": "q?", "chains": 5, "selection": [1]}]', "chains has the wrong type"),
+        ("evaluate", "aliases", None, "cannot be read"),
+        ("evaluate", "aliases", '{"the eternal city": ', "not valid JSON"),
+    ],
+    ids=["qa-demo-without-evidence", "qa-demos-not-list", "refine-demo-chains-int", "aliases-missing",
+         "aliases-not-json"],
+)
+def test_bad_demo_or_alias_file_exits_config(pipeline_dir, tmp_path, capsys, stage, key, text, shown):
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    source = tmp_path / f"{key}.json"
+    if text is not None:
+        source.write_text(text)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["paths"][key] = str(source)
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main([stage, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert f"paths.{key} {source}" in err
+    assert shown in err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+@pytest.mark.parametrize("stage", ["refine", "answer"])
+def test_remote_backend_without_environment_exits_config(pipeline_dir, tmp_path, capsys, monkeypatch, stage):
+    monkeypatch.delenv("REG_LLM_URL", raising=False)
+    monkeypatch.delenv("REG_LLM_MODEL", raising=False)
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    rc = main([stage, "--config", str(cfg_path), "--llm", "remote"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "REG_LLM_URL" in err and "REG_LLM_MODEL" in err
+
+
+def _drop_encoder_tag(text: str) -> str:
+    payload = json.loads(text)
+    del payload["encoder_tag"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "corrupt, shown",
+    [(lambda text: text[: len(text) // 2], "invalid JSON"), (_drop_encoder_tag, "missing field 'encoder_tag'")],
+    ids=["cut-in-half", "no-encoder_tag"],
+)
+def test_unreadable_model_exits_missing(pipeline_dir, tmp_path, capsys, corrupt, shown):
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    model = tmp_path / "out" / "model.json"
+    model.write_text(corrupt(model.read_text(encoding="utf-8")), encoding="utf-8")
+    rc = main(["retrieve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING
+    assert "model.json" in err
+    assert shown in err
+    assert "rerun `kgrag train`" in err
+
+
 def test_module_entry_point(tmp_path):
     cfg_path = write_fixture_config(tmp_path)
     result = subprocess.run(

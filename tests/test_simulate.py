@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from kgrag.simulate import (
     write_trials_csv,
 )
 
-from oracles import all_subsets
+from oracles import all_subsets, per_draw_subset_search
 
 
 def inst(n=10, k=2, s0=1.0, d0=0.5):
@@ -225,7 +226,9 @@ def test_experiment_round_trip(tmp_path):
         "trials": 20,
         "seed": 9,
     }
-    i, cfg, trials = load_experiment(io.StringIO(json.dumps(payload)))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload))
+    i, cfg, trials = load_experiment(path)
     assert i.universe_size == 50 and i.k == 2
     assert cfg.subset_size == 10 and trials == 20
     summary = estimate_recovery_rounds(i, cfg, trials)
@@ -236,3 +239,103 @@ def test_experiment_round_trip(tmp_path):
     blob = json.loads(json_sink.getvalue())
     assert blob["config"]["N"] == 50
     assert "closed_form_acceptance" in blob
+
+
+# -- the count-level sampler against the per-draw reference and the closed form --
+
+
+def _reference(i, cfg, seed):
+    return per_draw_subset_search(
+        i.universe_size, i.oracle_set, i.s0, i.delta0, cfg.subset_size, cfg.threshold, cfg.max_rounds, seed
+    )
+
+
+def _within(observed, expected, se, bound=4.0):
+    return abs(observed - expected) <= bound * se
+
+
+def test_round_counts_follow_the_hypergeometric_law():
+    # with delta0 = 0 a round's reward is count / S; four oracle items cap it at
+    # 4/6, so threshold 0.9 never accepts and every round is an independent draw
+    i = OracleInstance(30, frozenset(range(4)), s0=1.0, delta0=0.0)
+    cfg = SearchConfig(subset_size=6, threshold=0.9, max_rounds=20_000, seed=8)
+    trace = run_subset_search(i, cfg)
+    reference = _reference(i, cfg, cfg.seed)
+    assert trace.rounds_executed == len(trace.rewards) == cfg.max_rounds
+    frequencies = [
+        np.bincount(np.rint(np.array(rewards) * 6).astype(int), minlength=5) / cfg.max_rounds
+        for rewards in (trace.rewards, reference[3])
+    ]
+    for count in range(5):
+        pmf = hypergeometric_tail(30, 4, 6, count) - hypergeometric_tail(30, 4, 6, count + 1)
+        se = math.sqrt(pmf * (1 - pmf) / cfg.max_rounds)
+        got, want = frequencies[0][count], frequencies[1][count]
+        assert _within(got, pmf, se), (count, got, pmf)
+        assert _within(want, pmf, se), (count, want, pmf)
+        assert _within(got, want, math.sqrt(2) * se), (count, got, want)
+
+
+def test_accepted_rounds_cover_oracle_items_uniformly():
+    # one round per trial; a draw is accepted iff it holds an oracle item
+    i = OracleInstance(30, frozenset(range(4)), s0=1.0, delta0=0.0)
+    cfg = SearchConfig(subset_size=6, threshold=0.15, max_rounds=1, seed=0)
+    trials = 4000
+    hits = {"count-level": np.zeros(30), "per-draw": np.zeros(30)}
+    accepted = {"count-level": 0, "per-draw": 0}
+    for seed in range(trials):
+        trace = run_subset_search(i, cfg, seed=seed)
+        _, ref_accepted, _, _, ref_set = _reference(i, cfg, seed)
+        for name, took, final_set in (
+            ("count-level", trace.accepted_rounds, trace.final_set),
+            ("per-draw", ref_accepted, ref_set),
+        ):
+            if took:
+                assert len(final_set) == cfg.subset_size
+                accepted[name] += 1
+                hits[name][sorted(final_set)] += 1
+        if trace.accepted_rounds:
+            assert len(trace.final_set & i.oracle_set) == round(trace.rewards[0] * 6)
+        else:
+            assert trace.final_set == frozenset()
+    # given acceptance, each oracle item is in the draw with probability E[count | count >= 1] / K
+    p_accept = hypergeometric_tail(30, 4, 6, 1)
+    per_item = 6 * 4 / 30 / p_accept / 4
+    for name in hits:
+        n_acc = accepted[name]
+        assert _within(n_acc / trials, p_accept, math.sqrt(p_accept * (1 - p_accept) / trials))
+        se = math.sqrt(per_item * (1 - per_item) / n_acc)
+        for item in range(4):
+            assert _within(hits[name][item] / n_acc, per_item, se), (name, item)
+        noise = (6 - 4 * per_item) / 26
+        se = math.sqrt(noise * (1 - noise) / n_acc)
+        for item in range(4, 30):
+            assert _within(hits[name][item] / n_acc, noise, se), (name, item)
+
+
+def test_trace_counts_agree_with_rewards_and_final_set():
+    i = OracleInstance(60, frozenset(range(5)), s0=1.0, delta0=0.0)
+    cfg = SearchConfig(subset_size=8, threshold=0.2, max_rounds=3000, seed=3)
+    for seed in range(20):
+        trace = run_subset_search(i, cfg, seed=seed)
+        assert len(trace.rewards) == trace.rounds_executed
+        assert trace.accepted_rounds == sum(r > cfg.threshold for r in trace.rewards)
+        assert len(trace.final_set) <= trace.accepted_rounds * cfg.subset_size
+        assert trace.recovered == (i.oracle_set <= trace.final_set)
+
+
+def test_mean_rounds_to_recovery_matches_the_per_draw_reference():
+    # a draw is accepted with two or three of the three oracle items, so most
+    # trials need two accepted rounds whose oracle items together cover all three
+    i = OracleInstance(40, frozenset(range(3)), s0=1.0, delta0=0.0)
+    cfg = SearchConfig(subset_size=8, threshold=0.2, max_rounds=5000, seed=21)
+    trials = 400
+    summary = estimate_recovery_rounds(i, cfg, trials)
+    reference = [_reference(i, cfg, [cfg.seed, trial]) for trial in range(trials)]
+    ref_rounds = np.array([r[0] for r in reference], dtype=np.float64)
+    assert summary.recovered_trials == trials and all(r[2] for r in reference)
+    rounds = np.array(summary.rounds_per_trial, dtype=np.float64)
+    se = math.sqrt(rounds.var(ddof=1) / trials + ref_rounds.var(ddof=1) / trials)
+    assert _within(rounds.mean(), ref_rounds.mean(), se), (rounds.mean(), ref_rounds.mean(), se)
+    closed = acceptance_probability(i, cfg)
+    executed = rounds.sum()
+    assert _within(summary.acceptance_rate, closed, math.sqrt(closed * (1 - closed) / executed))
