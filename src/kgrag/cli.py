@@ -391,8 +391,12 @@ def cmd_answer(
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
     gold = {q.id: {g.entity_label(a) for a in q.answer_entities} for q in questions}
+
     def prediction(rec: dict) -> metrics.Prediction:
-        return metrics.Prediction(str(rec["id"]), tuple(rec["answers"]))
+        qid = str(rec["id"])
+        if qid not in gold:
+            raise ValueError(f"question {qid!r} is not in {cfg.questions_artifact.name}")
+        return metrics.Prediction(qid, tuple(rec["answers"]))
 
     preds = _read(cfg.answers_artifact, "answer", kgmod.read_jsonl, prediction)
     aliases = None

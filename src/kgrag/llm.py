@@ -9,6 +9,7 @@ cache responses into a replay store.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -169,15 +170,30 @@ def _replay_entry(obj: dict) -> tuple[str, tuple[str, int, int]]:
 
 
 class ReplayStore:
-    """JSONL-backed response cache keyed by request digest; an unreadable file raises KGFormatError."""
+    """JSONL-backed response cache keyed by request digest; an unreadable file raises KGFormatError.
+
+    Every record is written whole, newline included, so a last line without a
+    newline that does not parse is a write that was cut off: it is dropped with
+    a warning. Before the next record is appended, such a line is cut from the
+    file, and a whole last record without its newline gets one.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[str, int, int]] = {}
+        self._tail: tuple[int, bytes] | None = None  # where to end the file, and with what
         if self.path.exists():
-            with self.path.open(encoding="utf-8") as fh:
-                self._entries = dict(read_jsonl(fh, _replay_entry))
+            data = self.path.read_bytes()
+            cut = data.rfind(b"\n") + 1
+            if cut < len(data):
+                try:
+                    json.loads(data[cut:])
+                    self._tail = (len(data), b"\n")
+                except ValueError:
+                    logger.warning("replay store %s: dropping a torn last line", self.path)
+                    data, self._tail = data[:cut], (cut, b"")
+            self._entries = dict(read_jsonl(io.BytesIO(data), _replay_entry))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -191,6 +207,12 @@ class ReplayStore:
                 return
             self._entries[digest] = (text, prompt_tokens, completion_tokens)
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._tail is not None:
+                with self.path.open("r+b") as fh:
+                    fh.seek(self._tail[0])
+                    fh.write(self._tail[1])
+                    fh.truncate()
+                self._tail = None
             usage = {"prompt": prompt_tokens, "completion": completion_tokens}
             with self.path.open("a", encoding="utf-8") as fh:
                 write_jsonl(fh, [{"digest": digest, "text": text, "usage": usage}])

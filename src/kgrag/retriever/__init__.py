@@ -7,7 +7,6 @@ from .features import (
     anchor_slots,
     compute_dde,
     encode_text,
-    entity_feature_matrix,
 )
 from .subgraph import RetrievedSubgraph, RetrievedTriple, load_model, save_model, top_k
 from .triple_scorer import (
@@ -32,7 +31,6 @@ __all__ = [
     "anchor_slots",
     "compute_dde",
     "encode_text",
-    "entity_feature_matrix",
     "RetrievedSubgraph",
     "RetrievedTriple",
     "load_model",

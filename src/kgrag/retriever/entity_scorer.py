@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..kg import KnowledgeGraph, Question, Triple
-from .features import TextEncoder, question_features
+from .features import QuestionFeatures, TextEncoder, question_features
 from .triple_scorer import Scorer, TrainConfig, TrainSample, fit, weighted_bce_from_logits
 
 
@@ -29,17 +29,20 @@ def entity_positives(positives: set[Triple]) -> set[int]:
 
 
 @dataclass
-class GraphTensors:
-    """Precomputed per-question arrays the network runs on."""
+class GraphTensors(QuestionFeatures):
+    """A question's feature bundle plus the per-node arrays the network runs on.
 
-    node_ids: list[int]  # global entity id per local row
+    Node rows are the bundle's entities, and each triple is an edge from its
+    head to its tail.
+    """
+
     X: np.ndarray  # (V, F) node features
-    edge_src: np.ndarray  # (E,) local indices
-    edge_dst: np.ndarray
-    R: np.ndarray  # (E, T) relation embeddings
-    recipients: np.ndarray  # (2E,) delivery targets for [forward; backward] messages
     degree: np.ndarray  # (V,) message count per node
     scale: np.ndarray  # (V,) log(1+deg) / mean(log(1+deg))
+
+    node_ids = property(lambda self: self.entity_ids)
+    edge_src = property(lambda self: self.head)
+    edge_dst = property(lambda self: self.tail)
 
 
 def prepare_graph_tensors(
@@ -54,16 +57,7 @@ def prepare_graph_tensors(
     degree = np.bincount(recipients, minlength=len(f.entity_ids)).astype(np.float64)
     log_deg = np.log1p(degree)
     norm = float(log_deg.mean()) if len(log_deg) and log_deg.mean() > 0 else 1.0
-    return GraphTensors(
-        node_ids=f.entity_ids,
-        X=f.entity_matrix(),
-        edge_src=f.head,
-        edge_dst=f.tail,
-        R=f.relation_text[f.relation],
-        recipients=recipients,
-        degree=degree,
-        scale=log_deg / norm,
-    )
+    return GraphTensors(**vars(f), X=f.entity_matrix(), degree=degree, scale=log_deg / norm)
 
 
 class EntityScorer(Scorer):
@@ -107,11 +101,6 @@ class EntityScorer(Scorer):
         self.params.append(rng.normal(0.0, 0.01, (hidden, 1)))
         self.params.append(np.zeros(1))
 
-    # six arrays per layer: Wf, bf, Wb, bb, Wu, bu
-    def _layer_params(self, layer: int) -> tuple[np.ndarray, ...]:
-        base = 6 * layer
-        return tuple(self.params[base : base + 6])
-
     def arch(self) -> dict:
         return {
             "type": "mpnn",
@@ -149,32 +138,24 @@ class EntityScorer(Scorer):
         return model
 
     # -- forward / backward ---------------------------------------------------
+    # A message is linear in [sender state | relation text] before its tanh, so
+    # each table is projected once and gathered per edge (see QuestionFeatures).
 
     def _forward(self, gt: GraphTensors) -> tuple[np.ndarray, list]:
         h = gt.X
-        n_nodes = h.shape[0]
-        n_edges = len(gt.edge_src)
         caches = []
+        denom = np.clip(gt.degree, 1.0, None)[:, None]
         for layer in range(self.depth):
-            Wf, bf, Wb, bb, Wu, bu = self._layer_params(layer)
-            if n_edges:
-                in_f = np.concatenate([h[gt.edge_src], gt.R], axis=1)
-                in_b = np.concatenate([h[gt.edge_dst], gt.R], axis=1)
-                mf = np.tanh(in_f @ Wf + bf)
-                mb = np.tanh(in_b @ Wb + bb)
-                M = np.vstack([mf, mb])
-            else:
-                in_f = in_b = np.zeros((0, h.shape[1] + self.rel_dim))
-                mf = mb = np.zeros((0, self.hidden))
-                M = np.zeros((0, self.hidden))
-            total = np.zeros((n_nodes, self.hidden))
-            np.add.at(total, gt.recipients, M)
-            denom = np.clip(gt.degree, 1.0, None)[:, None]
+            Wf, bf, Wb, bb, Wu, bu = self.params[6 * layer : 6 * layer + 6]
+            d = h.shape[1]
+            mf = np.tanh((h @ Wf[:d])[gt.head] + (gt.relation_text @ Wf[d:])[gt.relation] + bf)
+            mb = np.tanh((h @ Wb[:d])[gt.tail] + (gt.relation_text @ Wb[d:])[gt.relation] + bb)
+            total = gt.by_tail.sum(mf) + gt.by_head.sum(mb)  # forward messages reach the tail
             mean = total / denom
             amp = mean * gt.scale[:, None]
             u_in = np.concatenate([h, mean, total, amp], axis=1)
             h_out = np.tanh(u_in @ Wu + bu)
-            caches.append((h, in_f, in_b, mf, mb, mean, u_in, h_out))
+            caches.append((h, mf, mb, u_in, h_out))
             h = h_out
         w_out, b_out = self.params[-2], self.params[-1]
         logits = (h @ w_out).ravel() + b_out[0]
@@ -197,42 +178,29 @@ class EntityScorer(Scorer):
         grads[-2] = h_last.T @ dz[:, None]
         grads[-1] = np.array([dz.sum()])
         grad_h = dz[:, None] @ w_out.T.reshape(1, -1)
-        n_edges = len(gt.edge_src)
         denom = np.clip(gt.degree, 1.0, None)[:, None]
+        rel_t = gt.relation_text.T
         for layer in reversed(range(self.depth)):
-            Wf, bf, Wb, bb, Wu, bu = self._layer_params(layer)
-            h_in, in_f, in_b, mf, mb, mean, u_in, h_out = caches[layer]
+            Wf, bf, Wb, bb, Wu, bu = self.params[6 * layer : 6 * layer + 6]
+            h_in, mf, mb, u_in, h_out = caches[layer]
             dzu = grad_h * (1.0 - h_out * h_out)
             base = 6 * layer
             grads[base + 4] = u_in.T @ dzu
             grads[base + 5] = dzu.sum(axis=0)
             grad_u_in = dzu @ Wu.T
-            d_in = h_in.shape[1]
-            grad_h_direct = grad_u_in[:, :d_in]
-            g_mean = grad_u_in[:, d_in : d_in + self.hidden]
-            g_total = grad_u_in[:, d_in + self.hidden : d_in + 2 * self.hidden]
-            g_amp = grad_u_in[:, d_in + 2 * self.hidden :]
-            g_mean_all = g_mean + g_amp * gt.scale[:, None]
-            g_sum_all = g_total + g_mean_all / denom
-            grad_h_prev = grad_h_direct.copy()
-            if n_edges:
-                grad_M = g_sum_all[gt.recipients]
-                dzf = grad_M[:n_edges] * (1.0 - mf * mf)
-                dzb = grad_M[n_edges:] * (1.0 - mb * mb)
-                grads[base + 0] = in_f.T @ dzf
-                grads[base + 1] = dzf.sum(axis=0)
-                grads[base + 2] = in_b.T @ dzb
-                grads[base + 3] = dzb.sum(axis=0)
-                g_in_f = dzf @ Wf.T
-                g_in_b = dzb @ Wb.T
-                np.add.at(grad_h_prev, gt.edge_src, g_in_f[:, :d_in])
-                np.add.at(grad_h_prev, gt.edge_dst, g_in_b[:, :d_in])
-            else:
-                grads[base + 0] = np.zeros_like(Wf)
-                grads[base + 1] = np.zeros_like(bf)
-                grads[base + 2] = np.zeros_like(Wb)
-                grads[base + 3] = np.zeros_like(bb)
-            grad_h = grad_h_prev
+            d = h_in.shape[1]
+            splits = [d, d + self.hidden, d + 2 * self.hidden]
+            g_h, g_mean, g_total, g_amp = np.split(grad_u_in, splits, axis=1)
+            g_sum_all = g_total + (g_mean + g_amp * gt.scale[:, None]) / denom
+            dzf = g_sum_all[gt.tail] * (1.0 - mf * mf)
+            dzb = g_sum_all[gt.head] * (1.0 - mb * mb)
+            dzf_by_head, dzb_by_tail = gt.by_head.sum(dzf), gt.by_tail.sum(dzb)
+            grads[base + 0] = np.vstack([h_in.T @ dzf_by_head, rel_t @ gt.by_relation.sum(dzf)])
+            grads[base + 1] = dzf.sum(axis=0)
+            grads[base + 2] = np.vstack([h_in.T @ dzb_by_tail, rel_t @ gt.by_relation.sum(dzb)])
+            grads[base + 3] = dzb.sum(axis=0)
+            if layer:  # the input features take no gradient
+                grad_h = g_h + dzf_by_head @ Wf[:d].T + dzb_by_tail @ Wb[:d].T
         return loss, grads  # type: ignore[return-value]
 
     # -- training hooks (see fit) ---------------------------------------------

@@ -118,12 +118,36 @@ def _text_rows(encoder: TextEncoder, labels: list[str]) -> np.ndarray:
     return np.stack([encoder(label) for label in labels]) if labels else np.zeros((0, encoder.dim))
 
 
+class Segments:
+    """Rows grouped by an integer key, for sums over each group.
+
+    One stable argsort puts the rows in key order, so each group's sum is one
+    ``np.add.reduceat`` slice and adds its rows in their original order.
+    """
+
+    def __init__(self, keys: np.ndarray, size: int):
+        self.size = size  # number of keys; a key no row has sums to zero
+        self.order = np.argsort(keys, kind="stable")
+        ordered = keys[self.order]
+        self.starts = np.flatnonzero(np.diff(ordered, prepend=-1))  # keys are >= 0
+        self.keys = ordered[self.starts]
+
+    def sum(self, rows: np.ndarray) -> np.ndarray:
+        """``out[k] = rows[keys == k].sum(axis=0)`` for every key ``k < size``."""
+        out = np.zeros((self.size,) + rows.shape[1:])
+        out[self.keys] = np.add.reduceat(rows[self.order], self.starts, axis=0)
+        return out
+
+
 @dataclass
 class QuestionFeatures:
     """Everything both scorers read for one question, over its working graph only.
 
     Triples are local rows in load order; entities and relations are local
     rows in ascending id order, and ``head``/``relation``/``tail`` index them.
+    The scorers never build a row per triple: they project the entity and
+    relation tables once and gather the projections by these indices, and the
+    ``by_*`` groupings sum per-triple gradients back onto the tables.
     """
 
     tids: list[int]  # visible triple ids
@@ -135,25 +159,16 @@ class QuestionFeatures:
     entity_text: np.ndarray  # (V, T)
     relation_text: np.ndarray  # (R, T)
     dde: np.ndarray  # (V, slots, 2 * (depth + 2)) one-hot [forward | backward] per slot
+    by_head: Segments
+    by_relation: Segments
+    by_tail: Segments
 
-    def triple_matrix(self) -> np.ndarray:
-        """Rows ``[query | head text | relation text | tail text | DDE]``, one per triple.
-
-        The DDE block holds, per anchor slot, head-forward / head-backward /
-        tail-forward / tail-backward one-hot codes.
-        """
-        n = len(self.tids)
+    @property
+    def triple_dim(self) -> int:
+        """Width of a triple's input ``[query | head | relation | tail text | DDE]``;
+        per anchor slot, its DDE holds the head's and then the tail's code."""
         _, slots, width = self.dde.shape
-        dde = np.concatenate([self.dde[self.head], self.dde[self.tail]], axis=2)
-        return np.hstack(
-            [
-                np.tile(self.query, (n, 1)),
-                self.entity_text[self.head],
-                self.relation_text[self.relation],
-                self.entity_text[self.tail],
-                dde.reshape(n, 2 * slots * width),
-            ]
-        )
+        return 4 * len(self.query) + 2 * slots * width
 
     def entity_matrix(self) -> np.ndarray:
         """Rows ``[query | entity text | DDE]``, one per entity in ``entity_ids``."""
@@ -183,25 +198,27 @@ def question_features(
         if slot:
             codes = compute_dde(g, slot, depth)
             dde[:, s] = np.array([codes[e] for e in entities]).reshape(-1, width)
+    head = np.searchsorted(entity_ids, hrt[:, 0])
+    relation = np.searchsorted(relation_ids, hrt[:, 1])
+    tail = np.searchsorted(entity_ids, hrt[:, 2])
     return QuestionFeatures(
         tids=tids,
         entity_ids=entities,
-        head=np.searchsorted(entity_ids, hrt[:, 0]),
-        relation=np.searchsorted(relation_ids, hrt[:, 1]),
-        tail=np.searchsorted(entity_ids, hrt[:, 2]),
+        head=head,
+        relation=relation,
+        tail=tail,
         query=encoder(q.text),
         entity_text=_text_rows(encoder, [g.entity_label(e) for e in entities]),
         relation_text=_text_rows(encoder, [g.relation_label(r) for r in relation_ids.tolist()]),
         dde=dde,
+        by_head=Segments(head, len(entities)),
+        by_relation=Segments(relation, len(relation_ids)),
+        by_tail=Segments(tail, len(entities)),
     )
 
 
 class TripleFeatureBuilder:
-    """Feature rows for every triple of a question's working graph.
-
-    A row is ``[query | head text | relation text | tail text | DDE]`` (see
-    :meth:`QuestionFeatures.triple_matrix`).
-    """
+    """The feature bundle the triple scorer reads for a question's working graph."""
 
     def __init__(
         self,
@@ -211,27 +228,12 @@ class TripleFeatureBuilder:
         depth: int = DEFAULT_DDE_DEPTH,
         slots: int = DEFAULT_DDE_SLOTS,
     ):
-        self.depth = depth
-        self.slots = slots
-        self.encoder = encoder or HashedBowEncoder()
-        self.features = question_features(g, q, self.encoder, depth, slots)
+        self.features = question_features(g, q, encoder or HashedBowEncoder(), depth, slots)
 
     @property
     def dim(self) -> int:
-        return 4 * self.encoder.dim + self.slots * 4 * (self.depth + 2)
+        return self.features.triple_dim
 
-    def matrix(self) -> tuple[list[int], np.ndarray]:
-        return self.features.tids, self.features.triple_matrix()
-
-
-def entity_feature_matrix(
-    g: KnowledgeGraph,
-    q: Question,
-    encoder: TextEncoder | None = None,
-    depth: int = DEFAULT_DDE_DEPTH,
-    slots: int = DEFAULT_DDE_SLOTS,
-) -> np.ndarray:
-    """Node features ``[query | entity text | DDE]`` for the entities of ``g``'s
-    visible triples (the question's working graph), in ascending entity id."""
-    encoder = encoder or HashedBowEncoder()
-    return question_features(g, q, encoder, depth, slots).entity_matrix()
+    def matrix(self) -> tuple[list[int], QuestionFeatures]:
+        """The visible triple ids and the bundle that scores them, in that order."""
+        return self.features.tids, self.features

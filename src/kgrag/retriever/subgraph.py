@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 
 from ..kg import KGFormatError, KnowledgeGraph, published, read_jsonl, write_jsonl
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,11 @@ class ModelFormatError(Exception):
 
 
 def save_model(model, path: str | Path) -> None:
-    """Versioned JSON dump of architecture, metadata, and weights."""
+    """Versioned JSON dump of architecture, metadata, and weights.
+
+    A weight is ``{"shape", "data"}``, data the base64 of its little-endian
+    float64 bytes, so loading gives back every bit (``-0.0`` and subnormals too).
+    """
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
@@ -125,7 +130,10 @@ def save_model(model, path: str | Path) -> None:
         "dde_slots": model.dde_slots,
         "seed": model.seed,
         "arch": model.arch(),
-        "weights": {name: w.tolist() for name, w in model.named_params()},
+        "weights": {
+            name: {"shape": list(w.shape), "data": base64.b64encode(w.astype("<f8").tobytes()).decode()}
+            for name, w in model.named_params()
+        },
     }
     with published(path) as fh:
         json.dump(payload, fh, sort_keys=True)
@@ -155,7 +163,12 @@ def load_model(path: str | Path, expected_encoder_tag: str | None = None):
             raise ModelFormatError(f"unknown model kind {kind!r}")
         if not isinstance(payload["weights"], dict):
             raise TypeError("weights must be a JSON object")
-        weights = {name: np.asarray(w, dtype=np.float64) for name, w in payload["weights"].items()}
+        weights = {
+            name: np.frombuffer(base64.b64decode(w["data"], validate=True), "<f8")
+            .reshape(w["shape"])
+            .copy()
+            for name, w in payload["weights"].items()
+        }
         return scorer.from_payload(payload, weights)
 
     with Path(path).open(encoding="utf-8") as fh:

@@ -22,6 +22,7 @@ from .features import (
     DEFAULT_DDE_SLOTS,
     DEFAULT_TEXT_DIM,
     HashedBowEncoder,
+    QuestionFeatures,
     TextEncoder,
     TripleFeatureBuilder,
 )
@@ -124,7 +125,7 @@ class Scorer:
 
 
 class TripleScorer(Scorer):
-    """MLP over triple feature rows with a sigmoid head."""
+    """MLP over a triple's input row (see :class:`QuestionFeatures`) with a sigmoid head."""
 
     kind = "triple"
 
@@ -190,69 +191,86 @@ class TripleScorer(Scorer):
         return model
 
     # -- forward / backward --------------------------------------------------
+    # The first layer is linear in [query | head | relation | tail | DDE], so it
+    # splits by block over the bundle's tables (see QuestionFeatures).
 
-    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, list]:
+    @staticmethod
+    def _blocks(W: np.ndarray, f: QuestionFeatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of ``W``'s text blocks (query, head, relation, tail) and per-slot
+        DDE blocks (head, tail), and the bundle's DDE codes, one row per entity."""
+        n, slots, width = f.dde.shape
+        T = len(f.query)
+        text = W[: 4 * T].reshape(4, T, -1)
+        return text, W[4 * T :].reshape(slots, 2, width, -1), f.dde.reshape(n, slots * width)
+
+    def _first_layer(self, f: QuestionFeatures) -> np.ndarray:
+        if f.triple_dim != self.input_dim:
+            raise ValueError(
+                f"feature dimension mismatch: got {f.triple_dim}, model expects {self.input_dim}"
+            )
+        text, dde, codes = self._blocks(self.params[0], f)
+        head = f.entity_text @ text[1] + codes @ dde[:, 0].reshape(codes.shape[1], -1)
+        tail = f.entity_text @ text[3] + codes @ dde[:, 1].reshape(codes.shape[1], -1)
+        relation = f.relation_text @ text[2]
+        return head[f.head] + relation[f.relation] + tail[f.tail] + (f.query @ text[0] + self.params[1])
+
+    def _first_layer_grad(self, f: QuestionFeatures, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grad_W = np.zeros(self.params[0].shape)  # C order, so the blocks below are views
+        text, dde, codes = self._blocks(grad_W, f)
+        by_head, by_tail = f.by_head.sum(dz), f.by_tail.sum(dz)
+        text[0] = np.outer(f.query, dz.sum(axis=0))
+        text[1] = f.entity_text.T @ by_head
+        text[2] = f.relation_text.T @ f.by_relation.sum(dz)
+        text[3] = f.entity_text.T @ by_tail
+        dde[:, 0] = (codes.T @ by_head).reshape(dde[:, 0].shape)
+        dde[:, 1] = (codes.T @ by_tail).reshape(dde[:, 1].shape)
+        return grad_W, dz.sum(axis=0)
+
+    def _forward(self, f: QuestionFeatures) -> tuple[np.ndarray, list]:
         caches = []
-        h = X
+        z = self._first_layer(f)
         for i in range(len(self.hidden)):
-            W, b = self.params[2 * i], self.params[2 * i + 1]
-            z = h @ W + b
             a = _activate(z, self.activation)
-            caches.append((h, z, a))
-            h = a
-        w_out, b_out = self.params[-2], self.params[-1]
-        logits = (h @ w_out).ravel() + b_out[0]
-        caches.append((h,))
-        return logits, caches
+            caches.append((z, a))
+            z = a @ self.params[2 * i + 2] + self.params[2 * i + 3]
+        return z.ravel(), caches
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        self._check_dim(X)
-        return self._forward(X)[0]
+    def logits(self, f: QuestionFeatures) -> np.ndarray:
+        return self._forward(f)[0]
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.logits(X)))
+    def scores(self, f: QuestionFeatures) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-self.logits(f)))
 
     def loss_and_grad(
-        self, X: np.ndarray, y: np.ndarray, pos_weight: float
+        self, f: QuestionFeatures, y: np.ndarray, pos_weight: float
     ) -> tuple[float, list[np.ndarray]]:
-        self._check_dim(X)
-        logits, caches = self._forward(X)
+        logits, caches = self._forward(f)
         loss, dz = weighted_bce_from_logits(logits, y, pos_weight)
-        grads: list[np.ndarray | None] = [None] * len(self.params)
-        h_last = caches[-1][0]
-        w_out = self.params[-2]
-        grads[-2] = h_last.T @ dz[:, None]
-        grads[-1] = np.array([dz.sum()])
-        grad_h = dz[:, None] @ w_out.T.reshape(1, -1) if h_last.size else np.zeros_like(h_last)
+        grads: list[np.ndarray] = [np.empty(0)] * len(self.params)
+        grad = dz[:, None]
         for i in reversed(range(len(self.hidden))):
-            h_in, z, a = caches[i]
-            dz_layer = grad_h * _activate_grad(a, z, self.activation)
-            grads[2 * i] = h_in.T @ dz_layer
-            grads[2 * i + 1] = dz_layer.sum(axis=0)
-            grad_h = dz_layer @ self.params[2 * i].T
-        return loss, grads  # type: ignore[return-value]
-
-    def _check_dim(self, X: np.ndarray) -> None:
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise ValueError(
-                f"feature dimension mismatch: got {X.shape}, model expects (*, {self.input_dim})"
-            )
+            z, a = caches[i]
+            grads[2 * i + 2] = a.T @ grad
+            grads[2 * i + 3] = grad.sum(axis=0)
+            grad = (grad @ self.params[2 * i + 2].T) * _activate_grad(a, z, self.activation)
+        grads[0], grads[1] = self._first_layer_grad(f, grad)
+        return loss, grads
 
     # -- training hooks (see fit) ---------------------------------------------
 
     @staticmethod
     def sample_inputs(
         sample: TrainSample, config: TrainConfig, encoder: TextEncoder
-    ) -> tuple[np.ndarray, list[int], set[int]]:
-        """Feature matrix, the triple id of each row, and the positive triple ids."""
+    ) -> tuple[QuestionFeatures, list[int], set[int]]:
+        """Feature bundle, the triple id of each score, and the positive triple ids."""
         question, graph, positives = sample
         builder = TripleFeatureBuilder(graph, question, encoder, config.dde_depth, config.dde_slots)
-        tids, X = builder.matrix()
-        return X, tids, {t for t in tids if graph.triple(t) in positives}
+        tids, f = builder.matrix()
+        return f, tids, {t for t in tids if graph.triple(t) in positives}
 
     @staticmethod
-    def arch_kwargs(X: np.ndarray, config: TrainConfig, encoder: TextEncoder) -> dict:
-        return {"input_dim": X.shape[1], "hidden": config.hidden, "activation": config.activation}
+    def arch_kwargs(f: QuestionFeatures, config: TrainConfig, encoder: TextEncoder) -> dict:
+        return {"input_dim": f.triple_dim, "hidden": config.hidden, "activation": config.activation}
 
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
@@ -366,10 +384,10 @@ def score_triples(
     """One score per visible triple, in triple-id order."""
     encoder = model.checked_encoder(encoder)
     builder = TripleFeatureBuilder(g, q, encoder, model.dde_depth, model.dde_slots)
-    tids, X = builder.matrix()
+    tids, f = builder.matrix()
     if not tids:
         return []
-    return list(zip(tids, model.scores(X).tolist()))
+    return list(zip(tids, model.scores(f).tolist()))
 
 
 def _encoder_from_tag(tag: str) -> TextEncoder:

@@ -131,7 +131,11 @@ FIRST_BLOCK = 16  # rounds in a search's first batch of counts; each later batch
 
 
 def run_subset_search(
-    inst: OracleInstance, cfg: SearchConfig, seed: int | Sequence[int] | None = None
+    inst: OracleInstance,
+    cfg: SearchConfig,
+    seed: int | Sequence[int] | None = None,
+    *,
+    checked: bool = False,
 ) -> SearchTrace:
     """Uniform size-S draws, strict-threshold acceptance, union until covered.
 
@@ -141,9 +145,11 @@ def run_subset_search(
     oracle items plus a uniform subset of the rest: the law of a uniform
     size-S draw given its count. Draws are returned to the pool after each
     round. The trace is fully determined by the seed (``cfg.seed`` unless
-    overridden).
+    overridden). ``checked`` says the caller has already checked ``cfg``
+    against ``inst``, so that a many-trial run warns once.
     """
-    _check_config(inst, cfg)
+    if not checked:
+        _check_config(inst, cfg)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     oracle = np.array(sorted(inst.oracle_set))
     others = np.delete(np.arange(inst.universe_size), oracle)
@@ -227,9 +233,10 @@ def estimate_recovery_rounds(inst: OracleInstance, cfg: SearchConfig, trials: in
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_config(inst, cfg)
     rounds_per_trial, recovered, accepted = [], 0, 0
     for trial in range(trials):
-        trace = run_subset_search(inst, cfg, seed=[cfg.seed, trial])
+        trace = run_subset_search(inst, cfg, seed=[cfg.seed, trial], checked=True)
         rounds_per_trial.append(trace.rounds_executed)
         recovered += int(trace.recovered)
         accepted += trace.accepted_rounds

@@ -12,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
+from kgrag.retriever.triple_scorer import weighted_bce_from_logits
+
 
 def undirected_distance(edges: list[tuple[int, int, int]], start: int) -> dict[int, int]:
     """BFS hop distance treating (tid, head, tail) edges as undirected."""
@@ -169,3 +171,115 @@ def per_draw_subset_search(
             if oracle <= identified:
                 return rounds, accepted, True, rewards, identified
     return max_rounds, accepted, False, rewards, identified
+
+
+# -- dense retriever layers ------------------------------------------------------
+#
+# The scorers project each entity and relation table once and gather per triple
+# or edge; these build the per-triple and per-edge rows explicitly and scatter
+# with np.add.at, as the scorers did before they were factored.
+
+
+def triple_matrix(f) -> np.ndarray:
+    """Rows ``[query | head text | relation text | tail text | DDE]`` of a feature bundle.
+
+    The DDE block holds, per anchor slot, head-forward / head-backward /
+    tail-forward / tail-backward one-hot codes.
+    """
+    n = len(f.tids)
+    _, slots, width = f.dde.shape
+    dde = np.concatenate([f.dde[f.head], f.dde[f.tail]], axis=2)
+    return np.hstack(
+        [
+            np.tile(f.query, (n, 1)),
+            f.entity_text[f.head],
+            f.relation_text[f.relation],
+            f.entity_text[f.tail],
+            dde.reshape(n, 2 * slots * width),
+        ]
+    )
+
+
+def dense_triple_loss_and_grad(model, X: np.ndarray, y: np.ndarray, pos_weight: float):
+    """(logits, loss, grads) of a triple scorer's MLP over dense rows ``X``."""
+    act = np.tanh if model.activation == "tanh" else lambda z: np.maximum(z, 0.0)
+    n_hidden = len(model.hidden)
+    layers = [(model.params[2 * i], model.params[2 * i + 1]) for i in range(n_hidden + 1)]
+    inputs, outs = [], []
+    h = X
+    for i, (W, b) in enumerate(layers):
+        z = h @ W + b
+        inputs.append(h)
+        h = act(z) if i < n_hidden else z
+        outs.append((z, h))
+    logits = h.ravel()
+    loss, dz = weighted_bce_from_logits(logits, y, pos_weight)
+    grads = [None] * len(model.params)
+    grad = dz[:, None]
+    for i in reversed(range(n_hidden + 1)):
+        z, a = outs[i]
+        if i < n_hidden:
+            grad = grad * ((1.0 - a * a) if model.activation == "tanh" else (z > 0).astype(z.dtype))
+        grads[2 * i] = inputs[i].T @ grad
+        grads[2 * i + 1] = grad.sum(axis=0)
+        grad = grad @ layers[i][0].T
+    return logits, loss, grads
+
+
+def dense_entity_loss_and_grad(model, f, y: np.ndarray, pos_weight: float):
+    """(logits, loss, grads) of an entity scorer over a feature bundle, with
+    concatenated per-edge message inputs and ``np.add.at`` scatters."""
+    src, dst = f.head, f.tail
+    R = f.relation_text[f.relation]
+    recipients = np.concatenate([dst, src])
+    n_nodes, n_edges = len(f.entity_ids), len(f.tids)
+    degree = np.zeros(n_nodes)
+    np.add.at(degree, recipients, 1.0)
+    log_deg = np.log1p(degree)
+    norm = float(log_deg.mean()) if n_nodes and log_deg.mean() > 0 else 1.0
+    scale = (log_deg / norm)[:, None]
+    denom = np.clip(degree, 1.0, None)[:, None]
+    H = model.hidden
+
+    h = f.entity_matrix()
+    caches = []
+    for layer in range(model.depth):
+        Wf, bf, Wb, bb, Wu, bu = model.params[6 * layer : 6 * layer + 6]
+        in_f = np.concatenate([h[src], R], axis=1)
+        in_b = np.concatenate([h[dst], R], axis=1)
+        mf, mb = np.tanh(in_f @ Wf + bf), np.tanh(in_b @ Wb + bb)
+        total = np.zeros((n_nodes, H))
+        np.add.at(total, recipients, np.vstack([mf, mb]))
+        mean = total / denom
+        u_in = np.concatenate([h, mean, total, mean * scale], axis=1)
+        h_out = np.tanh(u_in @ Wu + bu)
+        caches.append((h, in_f, in_b, mf, mb, u_in, h_out))
+        h = h_out
+    logits = (h @ model.params[-2]).ravel() + model.params[-1][0]
+    loss, dz = weighted_bce_from_logits(logits, y, pos_weight)
+
+    grads = [None] * len(model.params)
+    grads[-2] = h.T @ dz[:, None]
+    grads[-1] = np.array([dz.sum()])
+    grad_h = dz[:, None] @ model.params[-2].T
+    for layer in reversed(range(model.depth)):
+        Wf, bf, Wb, bb, Wu, bu = model.params[6 * layer : 6 * layer + 6]
+        h_in, in_f, in_b, mf, mb, u_in, h_out = caches[layer]
+        d = h_in.shape[1]
+        dzu = grad_h * (1.0 - h_out * h_out)
+        grads[6 * layer + 4] = u_in.T @ dzu
+        grads[6 * layer + 5] = dzu.sum(axis=0)
+        g_u = dzu @ Wu.T
+        g_mean = g_u[:, d : d + H] + g_u[:, d + 2 * H :] * scale
+        g_sum = g_u[:, d + H : d + 2 * H] + g_mean / denom
+        grad_m = g_sum[recipients]
+        dzf = grad_m[:n_edges] * (1.0 - mf * mf)
+        dzb = grad_m[n_edges:] * (1.0 - mb * mb)
+        grads[6 * layer + 0] = in_f.T @ dzf
+        grads[6 * layer + 1] = dzf.sum(axis=0)
+        grads[6 * layer + 2] = in_b.T @ dzb
+        grads[6 * layer + 3] = dzb.sum(axis=0)
+        grad_h = g_u[:, :d].copy()
+        np.add.at(grad_h, src, (dzf @ Wf.T)[:, :d])
+        np.add.at(grad_h, dst, (dzb @ Wb.T)[:, :d])
+    return logits, loss, grads

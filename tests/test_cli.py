@@ -439,6 +439,22 @@ def test_unreadable_model_exits_missing(pipeline_dir, tmp_path, capsys, corrupt,
     assert "rerun `kgrag train`" in err
 
 
+def test_model_of_format_version_1_exits_config(pipeline_dir, tmp_path, capsys):
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    model = tmp_path / "out" / "model.json"
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["format_version"] = 1  # version 1 stored each weight as nested JSON lists
+    payload["weights"] = {name: [0.0] * len(w["shape"]) for name, w in payload["weights"].items()}
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["retrieve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "unsupported model format 1" in err
+    assert "rerun `kgrag train`" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point(tmp_path):
     cfg_path = write_fixture_config(tmp_path)
     result = subprocess.run(
@@ -506,6 +522,7 @@ def _scope_item_of_two_labels(rec):
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(lambda rec: rec["chains"][0].pop("tids"))),
         ("answers.jsonl", "evaluate", "answer", _edit_first_record(lambda rec: rec.pop("answers"))),
         ("questions.jsonl", "candidates", "ingest", _edit_first_record(_scope_item_of_two_labels)),
+        ("answers.jsonl", "evaluate", "answer", _edit_first_record(lambda rec: rec.update(id="no-such-question"))),
     ],
     ids=[
         "pool-label",
@@ -520,6 +537,7 @@ def _scope_item_of_two_labels(rec):
         "chains-no-tids",
         "answers-no-answers",
         "questions-scope-item-of-two",
+        "answers-foreign-id",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(
@@ -578,7 +596,10 @@ def test_wrong_typed_config_value_exits_config(tmp_path, capsys, override, key, 
 @pytest.mark.parametrize("backend", ["replay", "remote"])
 def test_unreadable_replay_store_exits_config(pipeline_dir, tmp_path, capsys, backend):
     replay = tmp_path / "replay.jsonl"
-    replay.write_text('{"digest": "d1", "text": "[]", "usage": {}}\n{"digest": "d2", "te', encoding="utf-8")
+    replay.write_text(
+        '{"digest": "d1", "text": "[]", "usage": {}}\n{"digest": "d2", "te\n{"digest": "d3", "text": "[]"}\n',
+        encoding="utf-8",
+    )
     cfg_path = write_fixture_config(tmp_path)
     cfg = json.loads(cfg_path.read_text())
     cfg["paths"]["work_dir"] = str(pipeline_dir / "out")

@@ -9,11 +9,11 @@ from kgrag.retriever import (
     anchor_slots,
     compute_dde,
     encode_text,
-    entity_feature_matrix,
 )
+from kgrag.retriever.features import question_features
 
 from conftest import graph_from_lines, make_question
-from oracles import directed_distance
+from oracles import directed_distance, triple_matrix
 
 
 def decode(code: np.ndarray, depth: int):
@@ -115,7 +115,8 @@ def test_triple_feature_dimension_contract():
     q = make_question(g, ["A"], ["C"], text="a to c")
     enc = HashedBowEncoder(32)
     builder = TripleFeatureBuilder(g, q, enc, depth=3, slots=3)
-    tids, X = builder.matrix()
+    tids, bundle = builder.matrix()
+    X = triple_matrix(bundle)
     assert X.shape == (2, 4 * 32 + 3 * 4 * (3 + 2))
     assert builder.dim == X.shape[1]
     # every DDE one-hot block sums to 1
@@ -129,12 +130,12 @@ def test_triple_features_deterministic():
     q = make_question(g, ["A"], ["C"], text="a to c")
     b1 = TripleFeatureBuilder(g, q, HashedBowEncoder(32))
     b2 = TripleFeatureBuilder(g, q, HashedBowEncoder(32))
-    assert np.array_equal(b1.matrix()[1], b2.matrix()[1])
+    assert np.array_equal(triple_matrix(b1.matrix()[1]), triple_matrix(b2.matrix()[1]))
 
 
 def test_entity_feature_matrix_shape():
     g = graph_from_lines("A r1 B", "B r2 C")
     q = make_question(g, ["A"], ["C"], text="a to c")
     enc = HashedBowEncoder(16)
-    X = entity_feature_matrix(g, q, enc, depth=2, slots=2)
+    X = question_features(g, q, enc, depth=2, slots=2).entity_matrix()
     assert X.shape == (3, 2 * 16 + 2 * 2 * (2 + 2))

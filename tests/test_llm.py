@@ -1,9 +1,11 @@
 import json
+import logging
 import threading
 import time
 
 import pytest
 
+from kgrag.kg import KGFormatError
 from kgrag.llm import (
     CompletionRequest,
     MockOracle,
@@ -130,6 +132,38 @@ def test_replay_round_trip(tmp_path):
     assert result.text == "recorded text"
     assert result.backend == "replay"
     assert result.token_usage == {"prompt": 3, "completion": 2}
+
+
+def test_replay_store_drops_a_torn_last_line(tmp_path, caplog):
+    path = tmp_path / "replay.jsonl"
+    whole = '{"digest": "d1", "text": "one", "usage": {"prompt": 1, "completion": 2}}\n'
+    path.write_text(whole + '{"digest": "d2", "te', encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="kgrag.llm"):
+        store = ReplayStore(path)
+    assert len(store) == 1
+    assert store.get("d1") == ("one", 1, 2)
+    assert any("torn last line" in r.getMessage() for r in caplog.records)
+    store.put("d3", "three", 0, 0)  # appends after the complete records only
+    caplog.clear()
+    reloaded = ReplayStore(path)
+    assert len(reloaded) == 2 and reloaded.get("d3") == ("three", 0, 0)
+    assert not caplog.records
+
+
+def test_replay_store_keeps_a_whole_last_line_without_newline(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    path.write_text('{"digest": "d1", "text": "one"}\n{"digest": "d2", "text": "two"}', encoding="utf-8")
+    store = ReplayStore(path)
+    assert store.get("d2") == ("two", 0, 0)
+    store.put("d3", "three", 0, 0)  # starts a line of its own
+    assert len(ReplayStore(path)) == 3
+
+
+def test_replay_store_bad_middle_line_is_unreadable(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    path.write_text('{"digest": "d1", "te\n{"digest": "d2", "text": "two"}\n', encoding="utf-8")
+    with pytest.raises(KGFormatError, match="line 1"):
+        ReplayStore(path)
 
 
 def test_replay_miss_names_digest(tmp_path):

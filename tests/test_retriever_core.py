@@ -1,17 +1,23 @@
 """Contracts shared by both scorers: checkpoint selection and view-local features."""
 
 import io
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgrag.kg import Question, load_kg
 from kgrag.retriever import (
+    EntityScorer,
     HashedBowEncoder,
     TrainConfig,
     TrainSample,
     TripleFeatureBuilder,
+    TripleScorer,
     anchor_slots,
     compute_dde,
     entity_positives,
@@ -23,7 +29,12 @@ from kgrag.retriever import (
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
 from kgrag.retriever.triple_scorer import recall_at_k
 
-from oracles import directed_distance
+from oracles import (
+    dense_entity_loss_and_grad,
+    dense_triple_loss_and_grad,
+    directed_distance,
+    triple_matrix,
+)
 from synth import separable_corpus
 
 
@@ -123,7 +134,8 @@ def test_scope_local_features_match_oracle_on_random_scopes():
         view_entities = {e for _, tr in view.iter_triples() for e in (tr.head, tr.tail)}
         want = expected_buckets(view, q, slots, depth)
 
-        tids, X = TripleFeatureBuilder(view, q, encoder, depth, slots).matrix()
+        tids, bundle = TripleFeatureBuilder(view, q, encoder, depth, slots).matrix()
+        X = triple_matrix(bundle)
         assert tids == list(view.triple_ids)
         for tid, row in zip(tids, X):
             tr = view.triple(tid)
@@ -147,8 +159,82 @@ def test_scope_local_features_match_oracle_on_random_scopes():
             assert got == [b for s in range(slots) for b in want[s][e]]
         for i, (_, tr) in enumerate(view.iter_triples()):
             assert (gt.node_ids[gt.edge_src[i]], gt.node_ids[gt.edge_dst[i]]) == (tr.head, tr.tail)
-            assert np.array_equal(gt.R[i], encoder(view.relation_label(tr.relation)))
+            assert np.array_equal(
+                gt.relation_text[gt.relation[i]], encoder(view.relation_label(tr.relation))
+            )
 
         for slot in anchor_slots(set(q.query_entities), slots):
             if slot:
                 assert set(compute_dde(view, slot, depth)) == view_entities
+
+
+_TRIPLES = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), min_size=1, max_size=24
+)
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=_TRIPLES,
+    keep=st.lists(st.booleans(), min_size=24, max_size=24),
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(["tanh", "relu"]),
+)
+@example(rows=[(0, 0, 0), (0, 1, 1)], keep=[True] * 24, seed=0, activation="tanh")  # self-loop
+@example(rows=[(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 0)], keep=[True] * 24, seed=1, activation="tanh")  # parallel
+@example(rows=[(0, 0, 1), (1, 0, 2), (2, 0, 0)], keep=[True] * 24, seed=2, activation="relu")  # one relation
+@example(rows=[(3, 1, 4), (4, 2, 5)], keep=[True] + [False] * 23, seed=3, activation="tanh")  # one triple
+@example(rows=[(0, 0, 1), (1, 1, 2)], keep=[False] * 24, seed=4, activation="tanh")  # empty view
+def test_factored_scorers_match_dense_oracle(rows, keep, seed, activation):
+    """Logits, loss and every gradient of both scorers equal the dense layers' on random views."""
+    g = load_kg(io.StringIO("\n".join(f"e{h}\trel{r}\te{t}" for h, r, t in rows)), "tsv")
+    view = g.restrict([t for t in range(len(g)) if keep[t]])
+    q = Question("q", "which e1 rel0", frozenset({0, len(g.entities) - 1}), frozenset(), frozenset())
+    encoder, depth, slots = HashedBowEncoder(8), 2, 2
+    rng = np.random.default_rng(seed)
+
+    def randomized(model):
+        model.params = [rng.normal(0.0, 0.7, p.shape) for p in model.params]
+        return model
+
+    tids, bundle = TripleFeatureBuilder(view, q, encoder, depth, slots).matrix()
+    y = (rng.random(len(tids)) < 0.3).astype(np.float64)
+    hidden = [(), (5,), (5, 4)][seed % 3]
+    triple = randomized(
+        TripleScorer(bundle.triple_dim, hidden, activation, encoder.tag, depth, slots, 0, rng)
+    )
+    gt = prepare_graph_tensors(view, q, encoder, depth, slots)
+    y_ent = (rng.random(len(gt.node_ids)) < 0.3).astype(np.float64)
+    entity = randomized(
+        EntityScorer(gt.X.shape[1], encoder.dim, 4, 2, encoder.tag, depth, slots, 0, rng)
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):  # an empty view has a 0/0 loss
+        cases = [
+            (triple, bundle, y, 2.0, dense_triple_loss_and_grad(triple, triple_matrix(bundle), y, 2.0)),
+            (entity, gt, y_ent, 3.0, dense_entity_loss_and_grad(entity, bundle, y_ent, 3.0)),
+        ]
+        for model, inputs, labels, pos_weight, (want_logits, want_loss, want_grads) in cases:
+            loss, grads = model.loss_and_grad(inputs, labels, pos_weight)
+            _assert_close(model.logits(inputs), want_logits)
+            _assert_close(loss, want_loss)
+            assert len(grads) == len(want_grads) == len(model.params)
+            for got, want, param in zip(grads, want_grads, model.params):
+                assert got.shape == want.shape == param.shape
+                _assert_close(got, want)
+
+
+def test_no_scatter_add_under_src():
+    """The sorted segment sum is the only scatter: no unbuffered ufunc ``.at`` under src/kgrag."""
+    root = Path(__file__).resolve().parents[1] / "src" / "kgrag"
+    pattern = re.compile(r"np\.\w+\.at\b|\.at\(")
+    hits = [
+        f"{path.relative_to(root)}:{lineno}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not hits, hits

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from kgrag.retriever import (
     HashedBowEncoder,
     TrainConfig,
     TrainSample,
+    TripleFeatureBuilder,
     load_model,
     save_model,
     score_triples,
@@ -138,8 +141,10 @@ def test_score_triples_dimension_mismatch():
     samples = corpus_samples(n_questions=1, seed=13)
     cfg = TrainConfig(seed=42, epochs=1, hidden=(8, 8), text_dim=16)
     model = train_triple_scorer(samples, cfg, encoder=HashedBowEncoder(16))
+    question, graph, _ = samples[0]
+    _, bundle = TripleFeatureBuilder(graph, question, HashedBowEncoder(5)).matrix()
     with pytest.raises(ValueError, match="mismatch"):
-        model.logits(np.zeros((3, 5)))
+        model.logits(bundle)
 
 
 def test_validation_checkpoint_selection():
@@ -206,3 +211,20 @@ def test_model_load_rejects_encoder_tag_mismatch(tmp_path):
     save_model(model, path)
     with pytest.raises(ModelFormatError, match="encoder tag"):
         load_model(path, expected_encoder_tag="hashed-bow-999")
+
+
+def test_model_weights_round_trip_bit_exact(tmp_path):
+    from kgrag.retriever import TripleScorer
+
+    model = TripleScorer(6, (3,), "tanh", "hashed-bow-1", 1, 1, 0, np.random.default_rng(0))
+    model.params[0][0, :] = [-0.0, 5e-324, -2.2250738585072014e-308]
+    model.params[1][:] = [np.pi, -1e300, 1e-310]
+    model.params[-1][:] = [-0.0]  # the 1-element output bias
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert json.loads(path.read_text())["format_version"] == 2
+    for got, want in zip(loaded.params, model.params):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # tells -0.0 from 0.0

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import math
 
 import numpy as np
@@ -112,6 +113,16 @@ def test_threshold_at_or_above_one_never_accepts():
     assert trace.accepted_rounds == 0
     assert not trace.recovered
     assert trace.rounds_executed == 200
+
+
+def test_out_of_range_threshold_warns_once_per_estimate(caplog):
+    i = OracleInstance(20, frozenset(range(2)), s0=1.0, delta0=0.1)
+    cfg = SearchConfig(subset_size=5, threshold=1.0, max_rounds=20, seed=3)
+    with caplog.at_level(logging.WARNING, logger="kgrag.simulate"):
+        estimate_recovery_rounds(i, cfg, trials=5)
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "outside the analyzed range" in warnings[0].getMessage()
 
 
 def test_search_deterministic_given_seed():
