@@ -40,10 +40,6 @@ class GraphTensors(QuestionFeatures):
     degree: np.ndarray  # (V,) message count per node
     scale: np.ndarray  # (V,) log(1+deg) / mean(log(1+deg))
 
-    node_ids = property(lambda self: self.entity_ids)
-    edge_src = property(lambda self: self.head)
-    edge_dst = property(lambda self: self.tail)
-
 
 def prepare_graph_tensors(
     g: KnowledgeGraph,
@@ -212,7 +208,7 @@ class EntityScorer(Scorer):
         """Graph tensors, the entity id of each node row, and the positive entity ids."""
         question, graph, positives = sample
         gt = prepare_graph_tensors(graph, question, encoder, config.dde_depth, config.dde_slots)
-        return gt, gt.node_ids, entity_positives(positives)
+        return gt, gt.entity_ids, entity_positives(positives)
 
     @staticmethod
     def arch_kwargs(gt: GraphTensors, config: TrainConfig, encoder: TextEncoder) -> dict:
@@ -243,9 +239,9 @@ def score_entities(
     """One score per entity incident to a visible triple, ascending entity id."""
     encoder = model.checked_encoder(encoder)
     gt = prepare_graph_tensors(g, q, encoder, model.dde_depth, model.dde_slots)
-    if not gt.node_ids:
+    if not gt.entity_ids:
         return []
-    return list(zip(gt.node_ids, model.scores(gt).tolist()))
+    return list(zip(gt.entity_ids, model.scores(gt).tolist()))
 
 
 def entity_to_triple_scores(

@@ -114,9 +114,7 @@ def universe_reward(inst: OracleInstance) -> float:
     return count_reward(inst.k, inst.universe_size, inst)
 
 
-def _check_config(inst: OracleInstance, cfg: SearchConfig) -> None:
-    if cfg.subset_size > inst.universe_size:
-        raise ValueError("subset_size cannot exceed the universe size")
+def _warn_if_threshold_unanalyzed(inst: OracleInstance, cfg: SearchConfig) -> None:
     r0 = universe_reward(inst)
     if not (r0 < cfg.threshold < 1.0):
         logger.warning(
@@ -134,8 +132,6 @@ def run_subset_search(
     inst: OracleInstance,
     cfg: SearchConfig,
     seed: int | Sequence[int] | None = None,
-    *,
-    checked: bool = False,
 ) -> SearchTrace:
     """Uniform size-S draws, strict-threshold acceptance, union until covered.
 
@@ -145,11 +141,10 @@ def run_subset_search(
     oracle items plus a uniform subset of the rest: the law of a uniform
     size-S draw given its count. Draws are returned to the pool after each
     round. The trace is fully determined by the seed (``cfg.seed`` unless
-    overridden). ``checked`` says the caller has already checked ``cfg``
-    against ``inst``, so that a many-trial run warns once.
+    overridden).
     """
-    if not checked:
-        _check_config(inst, cfg)
+    if cfg.subset_size > inst.universe_size:
+        raise ValueError("subset_size cannot exceed the universe size")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     oracle = np.array(sorted(inst.oracle_set))
     others = np.delete(np.arange(inst.universe_size), oracle)
@@ -233,10 +228,10 @@ def estimate_recovery_rounds(inst: OracleInstance, cfg: SearchConfig, trials: in
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_config(inst, cfg)
+    _warn_if_threshold_unanalyzed(inst, cfg)
     rounds_per_trial, recovered, accepted = [], 0, 0
     for trial in range(trials):
-        trace = run_subset_search(inst, cfg, seed=[cfg.seed, trial], checked=True)
+        trace = run_subset_search(inst, cfg, seed=[cfg.seed, trial])
         rounds_per_trial.append(trace.rounds_executed)
         recovered += int(trace.recovered)
         accepted += trace.accepted_rounds

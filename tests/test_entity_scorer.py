@@ -57,7 +57,7 @@ def test_entity_gradient_matches_central_differences():
     model = train_entity_scorer([sample], cfg, encoder=encoder)
     gt = prepare_graph_tensors(sample.graph, sample.question, encoder, cfg.dde_depth, cfg.dde_slots)
     positives = entity_positives(sample.positives)
-    y = np.array([1.0 if e in positives else 0.0 for e in gt.node_ids])
+    y = np.array([1.0 if e in positives else 0.0 for e in gt.entity_ids])
     _, grads = model.loss_and_grad(gt, y, pos_weight=3.0)
     flat_grad = np.concatenate([g.ravel() for g in grads])
     vec = model.parameter_vector()

@@ -151,14 +151,14 @@ def test_scope_local_features_match_oracle_on_random_scopes():
                 assert got[4 * s : 4 * s + 4] == [*want[s][tr.head], *want[s][tr.tail]]
 
         gt = prepare_graph_tensors(view, q, encoder, depth, slots)
-        assert gt.node_ids == sorted(view_entities)
-        for e, row in zip(gt.node_ids, gt.X):
+        assert gt.entity_ids == sorted(view_entities)
+        for e, row in zip(gt.entity_ids, gt.X):
             text = np.concatenate([encoder(q.text), encoder(view.entity_label(e))])
             assert np.array_equal(row[: 2 * dim], text)
             got = decode_blocks(row[2 * dim :], 2 * slots, depth)
             assert got == [b for s in range(slots) for b in want[s][e]]
         for i, (_, tr) in enumerate(view.iter_triples()):
-            assert (gt.node_ids[gt.edge_src[i]], gt.node_ids[gt.edge_dst[i]]) == (tr.head, tr.tail)
+            assert (gt.entity_ids[gt.head[i]], gt.entity_ids[gt.tail[i]]) == (tr.head, tr.tail)
             assert np.array_equal(
                 gt.relation_text[gt.relation[i]], encoder(view.relation_label(tr.relation))
             )
@@ -208,7 +208,7 @@ def test_factored_scorers_match_dense_oracle(rows, keep, seed, activation):
         TripleScorer(bundle.triple_dim, hidden, activation, encoder.tag, depth, slots, 0, rng)
     )
     gt = prepare_graph_tensors(view, q, encoder, depth, slots)
-    y_ent = (rng.random(len(gt.node_ids)) < 0.3).astype(np.float64)
+    y_ent = (rng.random(len(gt.entity_ids)) < 0.3).astype(np.float64)
     entity = randomized(
         EntityScorer(gt.X.shape[1], encoder.dim, 4, 2, encoder.tag, depth, slots, 0, rng)
     )
