@@ -4,12 +4,17 @@ Every stage reads and writes the documented JSONL artifacts under the
 configured work directory, so stages rerun independently and reproduce their
 outputs byte for byte given the same inputs and seeds.
 
+Every config value must hold its JSON type (``"top_k": 5``, not ``5.7``,
+``true`` or ``"5"``), and a key the config schema does not have, such as a
+misspelt ``"trainig"``, is a configuration error naming the key.
+
 Exit codes: 0 success, 2 configuration error (including an input file that
 ingest cannot parse, an unreadable demo, alias or experiment file, a remote
 backend without its environment, and a model that does not match the
 configured encoder), 3 missing, stale or foreign upstream artifact (a
-``model.json`` that is not JSON or lacks a field included), 4 LLM backend
-failure.
+``model.json`` that is not JSON or lacks a field, a retrieved triple whose
+labels differ from ``graph.tsv``, and an ``answers.jsonl`` that answers a
+question twice or not at all included), 4 LLM backend failure.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path
 
 from . import kg as kgmod
 from . import metrics, pool as poolmod, reorganize, refiner as refinemod
-from .config import ConfigError, PipelineConfig, load_config, read_json
+from .config import ConfigError, PipelineConfig, json_field, load_config, read_json
 from .llm import (
     CompletionError,
     CompletionRequest,
@@ -137,17 +142,15 @@ class _SamplingClient:
 
 
 def _make_client(cfg: PipelineConfig, backend: str, questions, g):
-    if backend not in ("mock", "replay", "remote"):
-        raise ConfigError([f"unknown llm backend {backend!r}"])
     if backend == "mock":
         inner = MockOracle(_answers_by_question_text(questions, g))
     else:
-        if backend == "replay" and not cfg.replay_path:
+        if backend == "replay" and not cfg.paths.replay:
             raise ConfigError(["paths.replay is required for the replay backend"])
         try:
-            store = ReplayStore(cfg.replay_path) if cfg.replay_path else None
+            store = ReplayStore(cfg.paths.replay) if cfg.paths.replay else None
         except kgmod.KGFormatError as exc:
-            raise ConfigError([f"paths.replay {cfg.replay_path} is unreadable: {exc}"]) from exc
+            raise ConfigError([f"paths.replay {cfg.paths.replay} is unreadable: {exc}"]) from exc
         if backend == "replay":
             inner = ReplayBackend(store)
         else:
@@ -159,19 +162,10 @@ def _make_client(cfg: PipelineConfig, backend: str, questions, g):
 
 
 def _train_config(cfg: PipelineConfig) -> TrainConfig:
+    recall_k = cfg.top_k if cfg.training.recall_k is None else cfg.training.recall_k
     return TrainConfig(
-        seed=cfg.seed,
-        epochs=cfg.training.epochs,
-        learning_rate=cfg.training.learning_rate,
-        hidden=cfg.training.hidden,
-        activation=cfg.training.activation,
-        text_dim=cfg.text_dim,
-        dde_depth=cfg.dde_depth,
-        dde_slots=cfg.dde_slots,
-        pos_weight_cap=cfg.training.pos_weight_cap,
-        recall_k=cfg.recall_k(),
-        gnn_hidden=cfg.training.gnn_hidden,
-        gnn_depth=cfg.training.gnn_depth,
+        **{**vars(cfg.training), "recall_k": recall_k},
+        seed=cfg.seed, text_dim=cfg.text_dim, dde_depth=cfg.dde_depth, dde_slots=cfg.dde_slots,
     )
 
 
@@ -180,22 +174,22 @@ def _train_config(cfg: PipelineConfig) -> TrainConfig:
 
 def cmd_ingest(cfg: PipelineConfig) -> int:
     problems = []
-    if not Path(cfg.kg_path).exists():
-        problems.append(f"paths.kg does not exist: {cfg.kg_path}")
-    if not Path(cfg.questions_path).exists():
-        problems.append(f"paths.questions does not exist: {cfg.questions_path}")
+    if not Path(cfg.paths.kg).exists():
+        problems.append(f"paths.kg does not exist: {cfg.paths.kg}")
+    if not Path(cfg.paths.questions).exists():
+        problems.append(f"paths.questions does not exist: {cfg.paths.questions}")
     if problems:
         raise ConfigError(problems)
     try:
-        with open(cfg.kg_path, encoding="utf-8") as fh:
+        with open(cfg.paths.kg, encoding="utf-8") as fh:
             g = kgmod.load_kg(fh, cfg.kg_format)
     except kgmod.KGFormatError as exc:
-        raise ConfigError([f"paths.kg {cfg.kg_path}: {exc}"]) from exc
+        raise ConfigError([f"paths.kg {cfg.paths.kg}: {exc}"]) from exc
     try:
-        with open(cfg.questions_path, encoding="utf-8") as fh:
+        with open(cfg.paths.questions, encoding="utf-8") as fh:
             questions, unresolved = kgmod.load_questions(fh, g)
     except kgmod.KGFormatError as exc:
-        raise ConfigError([f"paths.questions {cfg.questions_path}: {exc}"]) from exc
+        raise ConfigError([f"paths.questions {cfg.paths.questions}: {exc}"]) from exc
     records = [
         {
             "id": q.id,
@@ -212,7 +206,7 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
         kgmod.write_jsonl(fh, records)
     for qid, labels in unresolved.items():
         print(f"warning: question {qid}: unresolved labels {labels}", file=sys.stderr)
-    print(f"ingested {len(g)} triples, {len(questions)} questions -> {cfg.work_dir}")
+    print(f"ingested {len(g)} triples, {len(questions)} questions -> {cfg.paths.work_dir}")
     return EXIT_OK
 
 
@@ -236,7 +230,7 @@ def cmd_refine(cfg: PipelineConfig, limit: int | None = None, backend: str | Non
     pools = _read(cfg.pool_artifact, "candidates", poolmod.read_pools, g)
     client = _make_client(cfg, backend or cfg.llm.backend, questions, g)
     demos = (
-        refinemod.load_refine_demos(cfg.refine_demos_path) if cfg.refine_demos_path else ()
+        refinemod.load_refine_demos(cfg.paths.refine_demos) if cfg.paths.refine_demos else ()
     )
     selected = questions[:limit] if limit is not None else questions
 
@@ -356,7 +350,7 @@ def cmd_answer(
 ) -> int:
     g, questions = _load_inputs(cfg)
     client = _make_client(cfg, llm or cfg.llm.backend, questions, g)
-    demos = reorganize.load_qa_demos(cfg.qa_demos_path) if cfg.qa_demos_path else ()
+    demos = reorganize.load_qa_demos(cfg.paths.qa_demos) if cfg.paths.qa_demos else ()
     if no_reorganize:
         subgraphs = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g)
     else:
@@ -391,18 +385,27 @@ def cmd_answer(
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
     gold = {q.id: {g.entity_label(a) for a in q.answer_entities} for q in questions}
+    answered: set[str] = set()
 
     def prediction(rec: dict) -> metrics.Prediction:
         qid = str(rec["id"])
         if qid not in gold:
             raise ValueError(f"question {qid!r} is not in {cfg.questions_artifact.name}")
+        if qid in answered:
+            raise ValueError(f"question {qid!r} is answered twice")
+        answered.add(qid)
         return metrics.Prediction(qid, tuple(rec["answers"]))
 
     preds = _read(cfg.answers_artifact, "answer", kgmod.read_jsonl, prediction)
+    unanswered = [q.id for q in questions if q.id not in answered]
+    if unanswered:
+        raise UpstreamArtifactError(
+            cfg.answers_artifact, "answer", f"no line answers question {unanswered[0]!r}"
+        )
     aliases = None
-    if cfg.aliases_path:
+    if cfg.paths.aliases:
         aliases = read_json(
-            cfg.aliases_path, "paths.aliases", lambda raw: {k: str(v) for k, v in raw.items()}
+            cfg.paths.aliases, "paths.aliases", lambda raw: {k: json_field(raw, k, str) for k in raw}
         )
     report = metrics.evaluate(preds, gold, aliases)
     with kgmod.published(cfg.report_artifact) as json_fh:

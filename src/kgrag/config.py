@@ -1,11 +1,16 @@
-"""Pipeline configuration: one JSON file, per-flag overrides at the CLI."""
+"""Pipeline configuration: one JSON file, per-flag overrides at the CLI.
+
+The dataclasses below are the file's only schema, and :func:`load_config` walks them.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from types import UnionType
+from typing import Any, Callable, Literal, TypeVar, Union, get_args, get_origin, get_type_hints
 
 T = TypeVar("T")
 
@@ -21,13 +26,12 @@ class ConfigError(Exception):
 _REQUIRED = object()
 
 
-def json_field(
-    obj: Any, key: str, convert: Callable[[Any], T] = lambda value: value, default: Any = _REQUIRED
-) -> T:
-    """``convert(obj[key])`` for a JSON object ``obj``, or ``default`` if given and ``key`` is absent.
+def json_field(obj: Any, key: str, tp: Any, default: Any = _REQUIRED) -> Any:
+    """``obj[key]`` if it holds the JSON type ``tp``, or ``default`` if given and ``key`` is absent.
 
-    A missing required key raises ``KeyError(key)``, and a value ``convert`` rejects raises a
-    ``TypeError`` naming the key; :func:`read_json` reports both as a :class:`ConfigError`.
+    ``tp`` is ``bool``, ``int``, ``float`` (an integer read as a float), ``str``, ``dict``,
+    ``tuple[X, ...]`` (a JSON list), ``X | None`` or ``Literal[...]``. A missing required key
+    raises ``KeyError(key)``; a wrong type (``TypeError``) or choice (``ValueError``) names the key.
     """
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {obj!r}")
@@ -36,15 +40,31 @@ def json_field(
             raise KeyError(key)
         return default
     try:
-        return convert(obj[key])
-    except (TypeError, ValueError):
+        return _as(obj[key], tp)
+    except ValueError as exc:
+        raise ValueError(f"{key} must be {exc}, got {obj[key]!r}") from None
+    except TypeError:
         raise TypeError(f"{key} has the wrong type: {obj[key]!r}") from None
 
 
-def str_tuple(values: Any) -> tuple[str, ...]:
-    if not isinstance(values, list):
-        raise TypeError("not a JSON list")
-    return tuple(str(v) for v in values)
+def _as(value: Any, tp: Any) -> Any:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        if value in args:
+            return value
+        raise ValueError(" or ".join(map(repr, args)))
+    if origin in (Union, UnionType):  # X | None
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _as(value, inner)
+    if origin is tuple:  # tuple[X, ...]
+        if isinstance(value, list):
+            return tuple(_as(item, args[0]) for item in value)
+    elif tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
+        return value
+    raise TypeError(tp)
 
 
 def read_json(
@@ -75,49 +95,64 @@ def read_json(
         raise ConfigError([f"{where}: {exc}"]) from None
 
 
+def _at_least(low: float, default: Any) -> Any:
+    """A field whose value, when not ``None``, must be ``>= low``."""
+    return field(default=default, metadata={"min": low})
+
+
+@dataclass
+class PathSettings:
+    kg: str = ""  # required
+    questions: str = ""  # required
+    work_dir: str = "out"
+    replay: str | None = None
+    refine_demos: str | None = None
+    qa_demos: str | None = None
+    aliases: str | None = None
+
+
 @dataclass
 class TrainingSettings:
-    epochs: int = 80
-    learning_rate: float = 0.05
+    epochs: int = _at_least(0, 80)
+    learning_rate: float = 0.05  # must be positive
     hidden: tuple[int, ...] = (256, 256)
-    activation: str = "tanh"
+    activation: Literal["tanh", "relu"] = "tanh"
     pos_weight_cap: float = 100.0
-    gnn_hidden: int = 64
-    gnn_depth: int = 3
+    gnn_hidden: int = _at_least(1, 64)
+    gnn_depth: int = _at_least(1, 3)
     recall_k: int | None = None  # defaults to top_k
 
 
 @dataclass
 class LLMSettings:
-    backend: str = "mock"
-    temperature: float = 0.0
+    backend: Literal["mock", "replay", "remote"] = "mock"
+    temperature: float = _at_least(0, 0.0)
     seed: int = 42
-    max_tokens: int = 1024
-    max_inflight: int = 4
+    max_tokens: int = _at_least(1, 1024)
+    max_inflight: int = _at_least(1, 4)
     include_explanations: bool = True
 
 
 @dataclass
 class PipelineConfig:
-    kg_path: str = ""
-    questions_path: str = ""
-    work_dir: str = "out"
-    replay_path: str | None = None
-    refine_demos_path: str | None = None
-    qa_demos_path: str | None = None
-    aliases_path: str | None = None
-    kg_format: str = "tsv"
-    retrieval_level: str = "triple"
-    top_k: int = 500
-    entity_k_bonus: int = 200
-    dde_depth: int = 3
-    dde_slots: int = 3
-    text_dim: int = 256
-    chain_length_limit: int | None = 2  # None means unlimited expansion depth
-    path_cap: int = 256
-    pool_limit: int = 137
-    seed: int = 42
-    workers: int = 1
+    """The config file's schema: each field's name is its key, its annotation the JSON type
+    its value must hold (a dataclass is a nested object), its default the value used when the
+    key is absent, and ``metadata["min"]`` its lower bound. Any other key is an error.
+    """
+
+    paths: PathSettings = field(default_factory=PathSettings)
+    kg_format: Literal["tsv", "jsonl"] = "tsv"
+    retrieval_level: Literal["triple", "entity"] = "triple"
+    top_k: int = _at_least(1, 500)
+    entity_k_bonus: int = _at_least(0, 200)
+    dde_depth: int = _at_least(1, 3)
+    dde_slots: int = _at_least(1, 3)
+    text_dim: int = _at_least(1, 256)
+    chain_length_limit: int | None = _at_least(1, 2)  # None means unlimited expansion depth
+    path_cap: int = _at_least(1, 256)
+    pool_limit: int = _at_least(1, 137)
+    seed: int = _at_least(0, 42)
+    workers: int = _at_least(1, 1)
     validation_ids: tuple[str, ...] = ()
     training: TrainingSettings = field(default_factory=TrainingSettings)
     llm: LLMSettings = field(default_factory=LLMSettings)
@@ -125,7 +160,7 @@ class PipelineConfig:
     # -- derived artifact paths ---------------------------------------------
 
     def artifact(self, name: str) -> Path:
-        return Path(self.work_dir) / name
+        return Path(self.paths.work_dir) / name
 
     @property
     def graph_artifact(self) -> Path:
@@ -167,121 +202,43 @@ class PipelineConfig:
     def per_question_artifact(self) -> Path:
         return self.artifact("per_question.csv")
 
-    def recall_k(self) -> int:
-        return self.training.recall_k if self.training.recall_k is not None else self.top_k
+
+_type_hints = functools.cache(get_type_hints)  # one evaluation per schema class
 
 
-def _validate(cfg: PipelineConfig) -> list[str]:
-    problems = []
-    if cfg.kg_format not in ("tsv", "jsonl"):
-        problems.append(f"kg_format must be tsv or jsonl, got {cfg.kg_format!r}")
-    if cfg.retrieval_level not in ("triple", "entity"):
-        problems.append(f"retrieval_level must be triple or entity, got {cfg.retrieval_level!r}")
-    for name, value, low in (
-        ("top_k", cfg.top_k, 1),
-        ("entity_k_bonus", cfg.entity_k_bonus, 0),
-        ("dde_depth", cfg.dde_depth, 1),
-        ("dde_slots", cfg.dde_slots, 1),
-        ("text_dim", cfg.text_dim, 1),
-        ("path_cap", cfg.path_cap, 1),
-        ("pool_limit", cfg.pool_limit, 1),
-        ("workers", cfg.workers, 1),
-        ("training.epochs", cfg.training.epochs, 0),
-        ("training.gnn_hidden", cfg.training.gnn_hidden, 1),
-        ("training.gnn_depth", cfg.training.gnn_depth, 1),
-        ("llm.max_inflight", cfg.llm.max_inflight, 1),
-        ("llm.max_tokens", cfg.llm.max_tokens, 1),
-    ):
-        if value < low:
-            problems.append(f"{name} must be >= {low}, got {value}")
-    if cfg.chain_length_limit is not None and cfg.chain_length_limit < 1:
-        problems.append("chain_length_limit must be >= 1 or null")
-    if cfg.training.learning_rate <= 0:
-        problems.append("training.learning_rate must be positive")
-    if cfg.training.activation not in ("tanh", "relu"):
-        problems.append(f"training.activation must be tanh or relu, got {cfg.training.activation!r}")
-    if cfg.llm.backend not in ("mock", "replay", "remote"):
-        problems.append(f"llm.backend must be mock, replay, or remote, got {cfg.llm.backend!r}")
-    if cfg.llm.temperature < 0:
-        problems.append("llm.temperature must be >= 0")
-    if not cfg.kg_path:
-        problems.append("paths.kg is required")
-    if not cfg.questions_path:
-        problems.append("paths.questions is required")
-    return problems
-
-
-def _optional(convert):
-    return lambda value: None if value is None else convert(value)
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("not a boolean")
-    return value
+def _load(cls: type[T], raw: dict, prefix: str, problems: list[str]) -> T:
+    """``cls`` from the JSON object ``raw``; a bad value is added to ``problems`` and its default kept."""
+    hints = _type_hints(cls)
+    problems += [f"{prefix}{key} is not a setting" for key in raw if key not in hints]
+    values = {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        section = is_dataclass(tp)
+        default = {} if section else f.default
+        try:
+            value = json_field(raw, f.name, dict if section else tp, default)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{prefix}{exc}")
+            value = default
+        low = f.metadata.get("min")
+        if section:
+            value = _load(tp, value, f"{prefix}{f.name}.", problems)
+        elif low is not None and value is not None and value < low:
+            problems.append(f"{prefix}{f.name} must be >= {low}, got {value}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a config file, reporting every violation at once."""
-    raw = read_json(path, "config")
     problems: list[str] = []
-    sections = {"": raw}
-    for name in ("paths", "training", "llm"):
-        sections[name] = raw.get(name, {})
-        if not isinstance(sections[name], dict):
-            problems.append(f"{name} must be a JSON object, got {sections[name]!r}")
-            sections[name] = {}
-
-    def get(key: str, convert, default):
-        section, _, name = key.rpartition(".")
-        value = sections[section].get(name, default)
-        try:
-            return convert(value)
-        except (TypeError, ValueError):
-            problems.append(f"{key} has the wrong type: {value!r}")
-            return convert(default)
-
-    cfg = PipelineConfig(
-        kg_path=get("paths.kg", str, ""),
-        questions_path=get("paths.questions", str, ""),
-        work_dir=get("paths.work_dir", str, "out"),
-        replay_path=get("paths.replay", _optional(str), None),
-        refine_demos_path=get("paths.refine_demos", _optional(str), None),
-        qa_demos_path=get("paths.qa_demos", _optional(str), None),
-        aliases_path=get("paths.aliases", _optional(str), None),
-        kg_format=get("kg_format", str, "tsv"),
-        retrieval_level=get("retrieval_level", str, "triple"),
-        top_k=get("top_k", int, 500),
-        entity_k_bonus=get("entity_k_bonus", int, 200),
-        dde_depth=get("dde_depth", int, 3),
-        dde_slots=get("dde_slots", int, 3),
-        text_dim=get("text_dim", int, 256),
-        chain_length_limit=get("chain_length_limit", _optional(int), 2),
-        path_cap=get("path_cap", int, 256),
-        pool_limit=get("pool_limit", int, 137),
-        seed=get("seed", int, 42),
-        workers=get("workers", int, 1),
-        validation_ids=get("validation_ids", lambda ids: tuple(str(i) for i in ids), ()),
-        training=TrainingSettings(
-            epochs=get("training.epochs", int, 80),
-            learning_rate=get("training.learning_rate", float, 0.05),
-            hidden=get("training.hidden", lambda sizes: tuple(int(h) for h in sizes), (256, 256)),
-            activation=get("training.activation", str, "tanh"),
-            pos_weight_cap=get("training.pos_weight_cap", float, 100.0),
-            gnn_hidden=get("training.gnn_hidden", int, 64),
-            gnn_depth=get("training.gnn_depth", int, 3),
-            recall_k=get("training.recall_k", _optional(int), None),
-        ),
-        llm=LLMSettings(
-            backend=get("llm.backend", str, "mock"),
-            temperature=get("llm.temperature", float, 0.0),
-            seed=get("llm.seed", int, 42),
-            max_tokens=get("llm.max_tokens", int, 1024),
-            max_inflight=get("llm.max_inflight", int, 4),
-            include_explanations=get("llm.include_explanations", _boolean, True),
-        ),
-    )
-    problems += _validate(cfg)
+    cfg = _load(PipelineConfig, read_json(path, "config"), "", problems)
+    if cfg.training.learning_rate <= 0:
+        problems.append("training.learning_rate must be positive")
+    if not cfg.paths.kg:
+        problems.append("paths.kg is required")
+    if not cfg.paths.questions:
+        problems.append("paths.questions is required")
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-from .config import json_field, read_json, str_tuple
+from .config import json_field, read_json
 from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question, ReasoningPath, Triple
 from .kg import read_jsonl, write_jsonl
 from .llm import CompletionRequest
@@ -52,7 +52,6 @@ class RefineDemo:
 class RefinedSupervision:
     question_id: str
     selected_indices: list[int]  # 0-based pool positions
-    selected_paths: list[ReasoningPath]
     positive_triples: set[Triple]
     refiner_tag: str
 
@@ -109,11 +108,13 @@ def build_refine_prompt(
     pool: CandidatePool,
     g: KnowledgeGraph,
     demos: Sequence[RefineDemo] = (),
-    limit: int = DEFAULT_POOL_LIMIT,
+    order: Sequence[int] | None = None,
 ) -> CompletionRequest:
+    """The selection prompt over the pool positions ``order`` (by default :func:`candidate_order`)."""
     if len(pool) == 0:
         raise RefineError(f"question {q.id}: empty candidate pool")
-    order = candidate_order(pool, limit)
+    if order is None:
+        order = candidate_order(pool)
     blocks = [_demo_block(d) for d in demos]
     lines = [f"Question: {q.text}", "Candidate evidence chains:"]
     for rank, idx in enumerate(order, start=1):
@@ -165,19 +166,18 @@ def refine(
     pool: CandidatePool,
     g: KnowledgeGraph,
     client,
-    fallback: str = "weak",
     demos: Sequence[RefineDemo] = (),
     limit: int = DEFAULT_POOL_LIMIT,
 ) -> RefinedSupervision:
     """Prompt, complete, parse; fall back to shortest-path candidates if needed.
 
-    ``fallback="weak"`` substitutes all shortest-path pool entries when the
-    model refuses or selects nothing; ``fallback="error"`` raises instead.
+    When the model refuses or selects nothing, every shortest-path pool entry
+    is selected instead.
     """
     if len(pool) == 0:
         raise RefineError(f"question {q.id}: empty candidate pool")
     order = candidate_order(pool, limit)
-    request = build_refine_prompt(q, pool, g, demos, limit)
+    request = build_refine_prompt(q, pool, g, demos, order)
     result = client.complete(request)
     try:
         picks = parse_selection(result.text, len(order))
@@ -186,18 +186,13 @@ def refine(
         picks = []
     selected = [order[p - 1] for p in picks]
     if not selected:
-        if fallback == "weak":
-            selected = [i for i, prov in enumerate(pool.provenance) if prov == PROV_SHORTEST]
-        else:
-            raise RefineError(f"question {q.id}: empty selection and fallback disabled")
-    paths = [pool.paths[i] for i in selected]
+        selected = [i for i, prov in enumerate(pool.provenance) if prov == PROV_SHORTEST]
     positives: set[Triple] = set()
-    for path in paths:
-        positives.update(path.triples(g))
+    for i in selected:
+        positives.update(pool.paths[i].triples(g))
     return RefinedSupervision(
         question_id=q.id,
         selected_indices=selected,
-        selected_paths=paths,
         positive_triples=positives,
         refiner_tag=getattr(client, "tag", "unknown"),
     )
@@ -225,7 +220,6 @@ def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
     return RefinedSupervision(
         question_id=str(rec["question_id"]),
         selected_indices=[int(i) for i in rec["selected_indices"]],
-        selected_paths=[],
         positive_triples=positives,
         refiner_tag=str(rec.get("refiner_tag", "unknown")),
     )
@@ -247,7 +241,7 @@ def load_refine_demos(path: str | Path) -> list[RefineDemo]:
 def _refine_demo(d: dict) -> RefineDemo:
     return RefineDemo(
         question=json_field(d, "question", str),
-        chains=json_field(d, "chains", str_tuple),
-        selection=json_field(d, "selection", lambda ids: tuple(int(i) for i in ids)),
+        chains=json_field(d, "chains", tuple[str, ...]),
+        selection=json_field(d, "selection", tuple[int, ...]),
         explanation=json_field(d, "explanation", str, ""),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Sequence
 
-from .config import json_field, read_json, str_tuple
+from .config import json_field, read_json
 from .kg import BACKWARD, FORWARD, read_jsonl, write_jsonl
 from .llm import CompletionRequest
 from .refiner import render_chain
@@ -359,7 +359,7 @@ def load_qa_demos(path: str | Path) -> list[QADemo]:
 def _qa_demo(d: dict) -> QADemo:
     return QADemo(
         question=json_field(d, "question", str),
-        evidence=json_field(d, "evidence", str_tuple),
-        answers=json_field(d, "answers", str_tuple),
+        evidence=json_field(d, "evidence", tuple[str, ...]),
+        answers=json_field(d, "answers", tuple[str, ...]),
         explanation=json_field(d, "explanation", str, ""),
     )

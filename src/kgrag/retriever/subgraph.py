@@ -88,6 +88,10 @@ def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, RetrievedSu
         if not 0 <= tid < len(g.triples):
             raise KGFormatError(f"retrieved triple id {tid} not in graph")
         tr = g.triple(tid)
+        # the relation label is not checked: an entity-level record may merge "r1 | r2"
+        ends = g.entity_label(tr.head), g.entity_label(tr.tail)
+        if (h, t) != ends:
+            raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
         entries.append(
             RetrievedTriple(
                 tid=tid,

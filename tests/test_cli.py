@@ -507,6 +507,18 @@ def _scope_item_of_two_labels(rec):
     rec["scope"] = [["spain", "capital"]]
 
 
+def _retrieved_labels_foreign(rec):
+    rec["triples"][0][0], rec["triples"][0][2] = "Nowhere", "Nobody"
+
+
+def _first_line_twice(text: str) -> str:
+    return text.splitlines(keepends=True)[0] + text
+
+
+def _first_line_dropped(text: str) -> str:
+    return "".join(text.splitlines(keepends=True)[1:])
+
+
 @pytest.mark.parametrize(
     "artifact, stage, producer, corrupt",
     [
@@ -523,6 +535,10 @@ def _scope_item_of_two_labels(rec):
         ("answers.jsonl", "evaluate", "answer", _edit_first_record(lambda rec: rec.pop("answers"))),
         ("questions.jsonl", "candidates", "ingest", _edit_first_record(_scope_item_of_two_labels)),
         ("answers.jsonl", "evaluate", "answer", _edit_first_record(lambda rec: rec.update(id="no-such-question"))),
+        ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(_retrieved_labels_foreign)),
+        ("retrieval.jsonl", "answer --no-reorganize", "retrieve", _edit_first_record(_retrieved_labels_foreign)),
+        ("answers.jsonl", "evaluate", "answer", _first_line_twice),
+        ("answers.jsonl", "evaluate", "answer", _first_line_dropped),
     ],
     ids=[
         "pool-label",
@@ -538,6 +554,10 @@ def _scope_item_of_two_labels(rec):
         "answers-no-answers",
         "questions-scope-item-of-two",
         "answers-foreign-id",
+        "retrieval-foreign-label",
+        "retrieval-foreign-label-flat",
+        "answers-duplicate-id",
+        "answers-missing-id",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(
@@ -547,7 +567,7 @@ def test_stale_upstream_artifact_names_producing_stage(
     shutil.copytree(pipeline_dir / "out", tmp_path / "out")
     path = tmp_path / "out" / artifact
     path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
-    rc = main([stage, "--config", str(cfg_path)])
+    rc = main([*stage.split(), "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == EXIT_MISSING
     assert f"kgrag {producer}" in err

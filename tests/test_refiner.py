@@ -1,4 +1,5 @@
 import io
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -154,13 +155,6 @@ def test_refine_falls_back_to_shortest_paths_on_garbage():
     assert sup.positive_triples == weak
 
 
-def test_refine_fallback_error_mode_raises():
-    g, q, pool = _pool_fixture()
-    client = ScriptedClient("nope")
-    with pytest.raises(RefineError):
-        refine(q, pool, g, client, fallback="error")
-
-
 def test_refine_empty_pool_errors_before_llm_call():
     g, q, _ = _pool_fixture()
     client = ScriptedClient("1")
@@ -214,6 +208,17 @@ def test_pool_limit_truncation_maps_back_to_pool_positions():
     sup = refine(q, pool, g, client, limit=2)
     # provenance priority puts the shortest-path entry first in the prompt
     assert sup.selected_indices == [2]
+
+
+def test_pool_truncation_is_logged_once_per_question(caplog):
+    g = graph_from_lines("Q r1 A", "Q r2 B", "Q r3 C")
+    q = make_question(g, ["Q"], ["C"], text="limited")
+    pool = CandidatePool()
+    for tid in range(3):
+        pool.append(ReasoningPath((tid,), ("f",)), PROV_QUERY)
+    with caplog.at_level(logging.WARNING, logger="kgrag.refiner"):
+        refine(q, pool, g, ScriptedClient("1"), limit=2)
+    assert [r.getMessage() for r in caplog.records] == ["candidate pool 3 exceeds limit 2; truncating"]
 
 
 def test_supervision_cache_round_trip():
