@@ -9,12 +9,14 @@ Every config value must hold its JSON type (``"top_k": 5``, not ``5.7``,
 misspelt ``"trainig"``, is a configuration error naming the key.
 
 Exit codes: 0 success, 2 configuration error (including an input file that
-ingest cannot parse, an unreadable demo, alias or experiment file, a remote
-backend without its environment, and a model that does not match the
-configured encoder), 3 missing, stale or foreign upstream artifact (a
-``model.json`` that is not JSON or lacks a field, a retrieved triple whose
-labels differ from ``graph.tsv``, and an ``answers.jsonl`` that answers a
-question twice or not at all included), 4 LLM backend failure.
+ingest cannot parse, such as an id or label that is not a JSON string, an
+unreadable demo, alias or experiment file, a remote backend without its
+environment, and a model that does not match the configured encoder), 3
+missing, stale or foreign upstream artifact (a field of the wrong JSON type, a
+``model.json`` that is not JSON, lacks a field or holds weights that do not
+match its architecture, a retrieved triple whose labels differ from
+``graph.tsv``, and an ``answers.jsonl`` that answers a question twice or not at
+all included), 4 LLM backend failure (a malformed remote response included).
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _require(path: Path, producing_stage: str) -> Path:
 
 def _read(path: Path, producing_stage: str, reader, *args):
     """``reader(fh, *args)`` over an upstream artifact; exit 3 names the stage to rerun."""
-    with _require(path, producing_stage).open(encoding="utf-8") as fh:
+    with _require(path, producing_stage).open("rb") as fh:
         try:
             return reader(fh, *args)
         except kgmod.KGFormatError as exc:
@@ -181,12 +183,12 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
     if problems:
         raise ConfigError(problems)
     try:
-        with open(cfg.paths.kg, encoding="utf-8") as fh:
+        with open(cfg.paths.kg, "rb") as fh:
             g = kgmod.load_kg(fh, cfg.kg_format)
     except kgmod.KGFormatError as exc:
         raise ConfigError([f"paths.kg {cfg.paths.kg}: {exc}"]) from exc
     try:
-        with open(cfg.paths.questions, encoding="utf-8") as fh:
+        with open(cfg.paths.questions, "rb") as fh:
             questions, unresolved = kgmod.load_questions(fh, g)
     except kgmod.KGFormatError as exc:
         raise ConfigError([f"paths.questions {cfg.paths.questions}: {exc}"]) from exc
@@ -388,13 +390,13 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     answered: set[str] = set()
 
     def prediction(rec: dict) -> metrics.Prediction:
-        qid = str(rec["id"])
+        qid = json_field(rec, "id", str)
         if qid not in gold:
             raise ValueError(f"question {qid!r} is not in {cfg.questions_artifact.name}")
         if qid in answered:
             raise ValueError(f"question {qid!r} is answered twice")
         answered.add(qid)
-        return metrics.Prediction(qid, tuple(rec["answers"]))
+        return metrics.Prediction(qid, json_field(rec, "answers", tuple[str, ...]))
 
     preds = _read(cfg.answers_artifact, "answer", kgmod.read_jsonl, prediction)
     unanswered = [q.id for q in questions if q.id not in answered]

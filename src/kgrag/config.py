@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import functools
 import json
+import reprlib
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from types import UnionType
-from typing import Any, Callable, Literal, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Literal, TypeVar, get_args, get_origin, get_type_hints
 
 T = TypeVar("T")
 
@@ -29,12 +29,13 @@ _REQUIRED = object()
 def json_field(obj: Any, key: str, tp: Any, default: Any = _REQUIRED) -> Any:
     """``obj[key]`` if it holds the JSON type ``tp``, or ``default`` if given and ``key`` is absent.
 
-    ``tp`` is ``bool``, ``int``, ``float`` (an integer read as a float), ``str``, ``dict``,
-    ``tuple[X, ...]`` (a JSON list), ``X | None`` or ``Literal[...]``. A missing required key
-    raises ``KeyError(key)``; a wrong type (``TypeError``) or choice (``ValueError``) names the key.
+    ``tp`` is ``bool``, ``int``, ``float`` (an integer read as a float), ``str``, ``dict`` or
+    ``list`` (whose items the caller checks), ``tuple[X, ...]`` or ``tuple[X, Y, Z]`` (a JSON
+    list), ``X | None`` or ``Literal[...]``. A missing required key raises ``KeyError(key)``;
+    a wrong type (``TypeError``) or choice (``ValueError``) names the key.
     """
     if not isinstance(obj, dict):
-        raise TypeError(f"expected a JSON object, got {obj!r}")
+        raise TypeError(f"expected a JSON object, got {reprlib.repr(obj)}")
     if key not in obj:
         if default is _REQUIRED:
             raise KeyError(key)
@@ -42,23 +43,35 @@ def json_field(obj: Any, key: str, tp: Any, default: Any = _REQUIRED) -> Any:
     try:
         return _as(obj[key], tp)
     except ValueError as exc:
-        raise ValueError(f"{key} must be {exc}, got {obj[key]!r}") from None
+        raise ValueError(f"{key} must be {exc}, got {reprlib.repr(obj[key])}") from None
     except TypeError:
-        raise TypeError(f"{key} has the wrong type: {obj[key]!r}") from None
+        raise TypeError(f"{key} has the wrong type: {reprlib.repr(obj[key])}") from None
+
+
+_parts = functools.cache(lambda tp: (get_origin(tp), get_args(tp)))
 
 
 def _as(value: Any, tp: Any) -> Any:
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Literal:
+    origin, args = _parts(tp)
+    if origin is tuple:
+        # one pass over the item types settles the common case, items of the plain types asked for
+        if type(value) is list:
+            if args[-1] is not Ellipsis:  # tuple[X, Y, Z]
+                if tuple(map(type, value)) == args:
+                    return tuple(value)
+                if len(value) == len(args):
+                    return tuple(_as(item, item_tp) for item, item_tp in zip(value, args))
+            elif set(map(type, value)) <= {args[0]}:
+                return tuple(value)
+            else:
+                return tuple(_as(item, args[0]) for item in value)
+    elif origin is Literal:
         if value in args:
             return value
         raise ValueError(" or ".join(map(repr, args)))
-    if origin in (Union, UnionType):  # X | None
+    elif origin is not None:  # X | None
         (inner,) = set(args) - {type(None)}
         return None if value is None else _as(value, inner)
-    if origin is tuple:  # tuple[X, ...]
-        if isinstance(value, list):
-            return tuple(_as(item, args[0]) for item in value)
     elif tp is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
+from .config import json_field
+
 logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
@@ -303,9 +305,15 @@ def working_graph(g: KnowledgeGraph, q: Question) -> KnowledgeGraph:
 # -- loading / serialization -----------------------------------------------
 
 
-def _decode_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
-    for raw in source:
-        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
+def _decode_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of each line; a line of bytes that is not UTF-8 is a KGFormatError."""
+    for lineno, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise KGFormatError(f"not UTF-8: {exc.reason}", lineno) from None
+        yield lineno, raw
 
 
 class _Record(dict):
@@ -317,19 +325,16 @@ class _Record(dict):
         self.last_key = key
         return super().__getitem__(key)
 
-    def get(self, key, default=None):
-        self.last_key = key
-        return super().get(key, default)
-
 
 def read_jsonl(source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[dict], T]) -> list[T]:
     """``parse(record)`` for each JSON object line of ``source``; blank lines are skipped.
 
-    A line that is not a JSON object, or a record ``parse`` rejects (``KeyError``, ``TypeError``,
-    ``ValueError``, a line-less :class:`KGFormatError`), raises :class:`KGFormatError` naming the line.
+    A line that is not UTF-8 or not a JSON object, or a record ``parse`` rejects (``KeyError``,
+    ``TypeError``, ``ValueError``, a line-less :class:`KGFormatError`), raises
+    :class:`KGFormatError` naming the line.
     """
     out = []
-    for lineno, line in enumerate(_decode_lines(source), start=1):
+    for lineno, line in _decode_lines(source):
         if not line.strip():
             continue
         try:
@@ -378,7 +383,7 @@ def published(path: str | Path) -> Iterator[IO[str]]:
 
 
 def _tsv_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[str, ...]]:
-    for lineno, line in enumerate(_decode_lines(source), start=1):
+    for lineno, line in _decode_lines(source):
         line = line.rstrip("\n")
         if not line.strip():
             continue
@@ -392,7 +397,7 @@ def _tsv_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[str
 
 
 def _jsonl_row(obj: dict) -> tuple[str, ...]:
-    row = str(obj["h"]), str(obj["r"]), str(obj["t"])
+    row = json_field(obj, "h", str), json_field(obj, "r", str), json_field(obj, "t", str)
     # graph.tsv must reload to the same ids: its reader splits on tabs and
     # line breaks and strips each field
     for lab in row:
@@ -453,30 +458,33 @@ def load_questions(
     unresolved: dict[str, list[str]] = {}
 
     def parse(obj: dict) -> Question:
-        qid, text = str(obj["id"]), str(obj["question"])
+        qid, text = json_field(obj, "id", str), json_field(obj, "question", str)
         problems: list[str] = []
 
-        def resolve(labels: Iterable[str]) -> frozenset[int]:
+        def resolve(key: str) -> frozenset[int]:
             ids = []
-            for lab in labels:
-                eid = g.entity_id(str(lab))
+            for lab in json_field(obj, key, tuple[str, ...], ()):
+                eid = g.entity_id(lab)
                 if eid is None:
-                    problems.append(str(lab))
+                    problems.append(lab)
                 else:
                     ids.append(eid)
             return frozenset(ids)
 
-        query = resolve(obj.get("question_entities", []))
-        answers = resolve(obj.get("answer_entities", []))
+        query, answers = resolve("question_entities"), resolve("answer_entities")
         scope: frozenset[int] | None = None
-        if obj.get("scope") is not None:
+        items = json_field(obj, "scope", list | None, None)
+        if items is not None:
             tids = []
-            for h, r, t in obj["scope"]:
-                tid = g.resolve(str(h), str(r), str(t))
-                if tid is None:
-                    problems.append(f"{h}|{r}|{t}")
-                else:
+            for item in items:
+                h, r, t = item
+                tid = g.resolve(h, r, t)
+                if tid is not None:
                     tids.append(tid)
+                elif type(item) is list and all(type(lab) is str for lab in item):
+                    problems.append(f"{h}|{r}|{t}")
+                else:  # a triple that resolves holds three labels, so only a miss is checked
+                    raise KGFormatError(f"scope item {item!r} is not three labels")
             scope = frozenset(tids)
         if problems:
             unresolved[qid] = problems

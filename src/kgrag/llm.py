@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .config import json_field
 from .kg import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -165,8 +166,9 @@ class MockOracle:
 
 
 def _replay_entry(obj: dict) -> tuple[str, tuple[str, int, int]]:
-    digest, text, usage = obj["digest"], obj["text"], obj.get("usage", {})
-    return digest, (text, int(usage.get("prompt", 0)), int(usage.get("completion", 0)))
+    usage = json_field(obj, "usage", dict, {})
+    counts = json_field(usage, "prompt", int, 0), json_field(usage, "completion", int, 0)
+    return json_field(obj, "digest", str), (json_field(obj, "text", str), *counts)
 
 
 class ReplayStore:
@@ -319,12 +321,17 @@ class RemoteBackend:
             else:
                 raise TransportError(str(last_error), self.name, digest)
         try:
-            text = raw["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            choices = json_field(raw, "choices", tuple[dict, ...])
+            if not choices:
+                raise ValueError("choices is empty")
+            text = json_field(json_field(choices[0], "message", dict), "content", str)
+            usage = json_field(raw, "usage", dict | None, None) or {}
+            prompt_tokens = json_field(usage, "prompt_tokens", int, _whitespace_tokens(req.user_text))
+            completion_tokens = json_field(usage, "completion_tokens", int, _whitespace_tokens(text))
+        except KeyError as exc:
+            raise TransportError(f"malformed response: missing field {exc}", self.name, digest) from exc
+        except (TypeError, ValueError) as exc:
             raise TransportError(f"malformed response: {exc}", self.name, digest) from exc
-        usage = raw.get("usage", {})
-        prompt_tokens = int(usage.get("prompt_tokens", _whitespace_tokens(req.user_text)))
-        completion_tokens = int(usage.get("completion_tokens", _whitespace_tokens(text)))
         if self.store is not None:
             self.store.put(digest, text, prompt_tokens, completion_tokens)
         return CompletionResult(text, prompt_tokens, completion_tokens, self.name)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Literal
 
+from .config import json_field
 from .kg import (
     KGFormatError,
     KnowledgeGraph,
@@ -30,6 +31,7 @@ logger = logging.getLogger(__name__)
 PROV_SHORTEST = "shortest_path"
 PROV_QUERY = "query_neighborhood"
 PROV_ANSWER = "answer_neighborhood"
+PROVENANCE = Literal[PROV_SHORTEST, PROV_QUERY, PROV_ANSWER]
 
 DEFAULT_PATH_CAP = 256
 
@@ -228,21 +230,21 @@ def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
 
 def pool_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, CandidatePool]:
     pool = CandidatePool()
-    for entry in rec["paths"]:
+    for entry in json_field(rec, "paths", tuple[dict, ...]):
         tids = []
-        for h, r, t in entry["triples"]:
+        for h, r, t in json_field(entry, "triples", list):
             tid = g.resolve(h, r, t)
             if tid is None:
                 raise KGFormatError(f"pool triple not in graph: {h}|{r}|{t}")
             tids.append(tid)
         pool.append(
-            ReasoningPath(tuple(tids), tuple(entry["orientations"])),
-            entry["provenance"],
-            int(entry.get("class_size", 1)),
+            ReasoningPath(tuple(tids), json_field(entry, "orientations", tuple[str, ...])),
+            json_field(entry, "provenance", PROVENANCE),
+            json_field(entry, "class_size", int, 1),
         )
-    rep_label = rec.get("representative_answer")
-    pool.representative_answer = g.entity_id(rep_label) if rep_label else None
-    return str(rec["id"]), pool
+    rep = json_field(rec, "representative_answer", str | None, None)
+    pool.representative_answer = None if rep is None else g.entity_id(rep)
+    return json_field(rec, "id", str), pool
 
 
 write_pools = write_jsonl

@@ -212,16 +212,16 @@ def supervision_to_record(sup: RefinedSupervision, g: KnowledgeGraph) -> dict:
 
 def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
     positives: set[Triple] = set()
-    for h, r, t in rec["positive_triples"]:
+    for h, r, t in json_field(rec, "positive_triples", list):
         tid = g.resolve(h, r, t)
         if tid is None:
             raise KGFormatError(f"supervision triple not in graph: {h}|{r}|{t}")
         positives.add(g.triple(tid))
     return RefinedSupervision(
-        question_id=str(rec["question_id"]),
-        selected_indices=[int(i) for i in rec["selected_indices"]],
+        question_id=json_field(rec, "question_id", str),
+        selected_indices=list(json_field(rec, "selected_indices", tuple[int, ...])),
         positive_triples=positives,
-        refiner_tag=str(rec.get("refiner_tag", "unknown")),
+        refiner_tag=json_field(rec, "refiner_tag", str, "unknown"),
     )
 
 

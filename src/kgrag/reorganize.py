@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .config import json_field, read_json
-from .kg import BACKWARD, FORWARD, read_jsonl, write_jsonl
+from .kg import BACKWARD, FORWARD, KGFormatError, read_jsonl, write_jsonl
 from .llm import CompletionRequest
 from .refiner import render_chain
 from .retriever.subgraph import RetrievedSubgraph, RetrievedTriple
@@ -314,34 +314,34 @@ def chains_to_record(qid: str, chains: Sequence[EvidenceChain], source_labels: d
     return {"question_id": qid, "chains": out}
 
 
+# a chain record's list types and per-step columns, subscripted once (each subscript is a new object)
+_IDS, _LABELS = tuple[int, ...], tuple[str, ...]
+_COLUMNS = dict(
+    steps=tuple[tuple[str, str, str], ...], tids=_IDS, heads=_IDS, tails=_IDS, scores=tuple[float, ...]
+)
+
+
 def chains_from_record(rec: dict) -> tuple[str, list[EvidenceChain]]:
     chains = []
-    for c in rec["chains"]:
+    for c in json_field(rec, "chains", tuple[dict, ...]):
+        columns = [json_field(c, key, tp) for key, tp in _COLUMNS.items()]
+        if len({len(column) for column in columns}) > 1:
+            raise KGFormatError("steps, tids, heads, tails and scores differ in length")
         steps = tuple(
-            RetrievedTriple(
-                tid=int(tid),
-                head=int(h_id),
-                tail=int(t_id),
-                head_label=h,
-                relation=r,
-                tail_label=t,
-                score=float(score),
-            )
-            for (h, r, t), tid, h_id, t_id, score in zip(
-                c["steps"], c["tids"], c["heads"], c["tails"], c["scores"]
-            )
+            RetrievedTriple(tid, h_id, t_id, h, r, t, score)
+            for (h, r, t), tid, h_id, t_id, score in zip(*columns)
         )
         chains.append(
             EvidenceChain(
                 steps=steps,
-                orientations=tuple(c["orientations"]),
-                source=int(c["source_id"]),
-                targets=frozenset(int(t) for t in c["target_ids"]),
-                target_labels=tuple(c["targets"]),
-                group=c.get("group"),
+                orientations=json_field(c, "orientations", _LABELS),
+                source=json_field(c, "source_id", int),
+                targets=frozenset(json_field(c, "target_ids", _IDS)),
+                target_labels=json_field(c, "targets", _LABELS),
+                group=json_field(c, "group", int | None, None),
             )
         )
-    return str(rec["question_id"]), chains
+    return json_field(rec, "question_id", str), chains
 
 
 write_chains = write_jsonl

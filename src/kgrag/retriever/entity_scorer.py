@@ -60,6 +60,8 @@ class EntityScorer(Scorer):
     """Message-passing scorer with a sigmoid head per entity."""
 
     kind = "entity"
+    network = "mpnn"
+    ARCH = {"input_dim": int, "rel_dim": int, "hidden": int, "depth": int}
 
     def __init__(
         self,
@@ -73,65 +75,20 @@ class EntityScorer(Scorer):
         seed: int,
         rng: np.random.Generator | None = None,
     ):
-        super().__init__(encoder_tag, dde_depth, dde_slots, seed)
         self.input_dim = input_dim
         self.rel_dim = rel_dim
         self.hidden = hidden
         self.depth = depth
-        if rng is None:
-            return
-        self.params: list[np.ndarray] = []
-        in_dim = input_dim
-        for _ in range(depth):
-            msg_in = in_dim + rel_dim
-            upd_in = in_dim + 3 * hidden
-            for shape in ((msg_in, hidden), (hidden,), (msg_in, hidden), (hidden,)):
-                self.params.append(
-                    rng.normal(0.0, np.sqrt(1.0 / shape[0]), shape)
-                    if len(shape) == 2
-                    else np.zeros(shape)
-                )
-            self.params.append(rng.normal(0.0, np.sqrt(1.0 / upd_in), (upd_in, hidden)))
-            self.params.append(np.zeros(hidden))
-            in_dim = hidden
-        self.params.append(rng.normal(0.0, 0.01, (hidden, 1)))
-        self.params.append(np.zeros(1))
+        super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
 
-    def arch(self) -> dict:
-        return {
-            "type": "mpnn",
-            "input_dim": self.input_dim,
-            "rel_dim": self.rel_dim,
-            "hidden": self.hidden,
-            "depth": self.depth,
-        }
-
-    def named_params(self) -> list[tuple[str, np.ndarray]]:
-        names = []
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        out, in_dim, h = [], self.input_dim, self.hidden
         for layer in range(self.depth):
-            names += [f"{n}{layer}" for n in ("Wf", "bf", "Wb", "bb", "Wu", "bu")]
-        names += ["w_out", "b_out"]
-        return list(zip(names, self.params))
-
-    @classmethod
-    def from_payload(cls, payload: dict, weights: dict[str, np.ndarray]) -> "EntityScorer":
-        arch = payload["arch"]
-        model = cls(
-            input_dim=int(arch["input_dim"]),
-            rel_dim=int(arch["rel_dim"]),
-            hidden=int(arch["hidden"]),
-            depth=int(arch["depth"]),
-            encoder_tag=payload["encoder_tag"],
-            dde_depth=int(payload["dde_depth"]),
-            dde_slots=int(payload["dde_slots"]),
-            seed=int(payload["seed"]),
-        )
-        model.params = []
-        for layer in range(model.depth):
-            for n in ("Wf", "bf", "Wb", "bb", "Wu", "bu"):
-                model.params.append(weights[f"{n}{layer}"])
-        model.params += [weights["w_out"], weights["b_out"].reshape(-1)]
-        return model
+            message = (in_dim + self.rel_dim, h)  # [sender state | relation text] -> message
+            out += [(f"Wf{layer}", message), (f"bf{layer}", (h,)), (f"Wb{layer}", message)]
+            out += [(f"bb{layer}", (h,)), (f"Wu{layer}", (in_dim + 3 * h, h)), (f"bu{layer}", (h,))]
+            in_dim = h
+        return out + [("w_out", (in_dim, 1)), ("b_out", (1,))]
 
     # -- forward / backward ---------------------------------------------------
     # A message is linear in [sender state | relation text] before its tanh, so

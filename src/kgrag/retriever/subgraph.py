@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from ..config import json_field
 from ..kg import KGFormatError, KnowledgeGraph, published, read_jsonl, write_jsonl
 
 MODEL_FORMAT_VERSION = 2
@@ -82,28 +81,22 @@ def subgraph_to_record(qid: str, sub: RetrievedSubgraph) -> dict:
 
 def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, RetrievedSubgraph]:
     entries = []
-    # one column at a time, so that a parse error names the field it came from
-    tids, scores = [int(tid) for tid in rec["tids"]], [float(score) for score in rec["scores"]]
-    for tid, (h, r, t), score in zip(tids, rec["triples"], scores):
+    tids, scores = json_field(rec, "tids", tuple[int, ...]), json_field(rec, "scores", tuple[float, ...])
+    triples = json_field(rec, "triples", list)  # read last, so that an unpacking error names it
+    if not len(tids) == len(triples) == len(scores):
+        raise KGFormatError("tids, triples and scores differ in length")
+    for tid, (h, r, t), score in zip(tids, triples, scores):
         if not 0 <= tid < len(g.triples):
             raise KGFormatError(f"retrieved triple id {tid} not in graph")
         tr = g.triple(tid)
-        # the relation label is not checked: an entity-level record may merge "r1 | r2"
         ends = g.entity_label(tr.head), g.entity_label(tr.tail)
         if (h, t) != ends:
             raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
-        entries.append(
-            RetrievedTriple(
-                tid=tid,
-                head=tr.head,
-                tail=tr.tail,
-                head_label=h,
-                relation=r,
-                tail_label=t,
-                score=score,
-            )
-        )
-    return str(rec["id"]), RetrievedSubgraph(entries=entries, k=int(rec["k"]))
+        # the relation is not compared with the graph: an entity-level record may merge "r1 | r2"
+        if type(r) is not str:
+            raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not a label")
+        entries.append(RetrievedTriple(tid, tr.head, tr.tail, h, r, t, score))
+    return json_field(rec, "id", str), RetrievedSubgraph(entries=entries, k=json_field(rec, "k", int))
 
 
 write_subgraphs = write_jsonl
@@ -146,36 +139,30 @@ def save_model(model, path: str | Path) -> None:
 def load_model(path: str | Path, expected_encoder_tag: str | None = None):
     """The model :func:`save_model` wrote to ``path``: one JSON object on one line.
 
-    A file that is not that object, or a record missing a field or holding one
-    of the wrong type, raises :class:`KGFormatError`; a model of another format
-    version, kind or encoder raises :class:`ModelFormatError`.
+    A file that is not that object, a record missing a field or holding one of
+    the wrong type, and weights that do not match the architecture raise
+    :class:`KGFormatError`; a model of another format version, kind or encoder
+    raises :class:`ModelFormatError`.
     """
     from .entity_scorer import EntityScorer
     from .triple_scorer import TripleScorer
 
     def parse(payload: dict):
-        if payload.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported model format {payload.get('format_version')}")
-        if expected_encoder_tag is not None and payload["encoder_tag"] != expected_encoder_tag:
+        version = json_field(payload, "format_version", int)
+        if version != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported model format {version}")
+        tag = json_field(payload, "encoder_tag", str)
+        if expected_encoder_tag is not None and tag != expected_encoder_tag:
             raise ModelFormatError(
-                f"encoder tag mismatch: model has {payload['encoder_tag']!r}, "
-                f"expected {expected_encoder_tag!r}"
+                f"encoder tag mismatch: model has {tag!r}, expected {expected_encoder_tag!r}"
             )
-        kind = payload.get("kind")
+        kind = json_field(payload, "kind", str)
         scorer = {"triple": TripleScorer, "entity": EntityScorer}.get(kind)
         if scorer is None:
             raise ModelFormatError(f"unknown model kind {kind!r}")
-        if not isinstance(payload["weights"], dict):
-            raise TypeError("weights must be a JSON object")
-        weights = {
-            name: np.frombuffer(base64.b64decode(w["data"], validate=True), "<f8")
-            .reshape(w["shape"])
-            .copy()
-            for name, w in payload["weights"].items()
-        }
-        return scorer.from_payload(payload, weights)
+        return scorer.from_payload(payload)
 
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         models = read_jsonl(fh, parse)
     if len(models) != 1:
         raise KGFormatError(f"expected one model record, found {len(models)}")

@@ -10,13 +10,15 @@ bitwise-identical weights.
 
 from __future__ import annotations
 
+import base64
 import logging
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from ..kg import KnowledgeGraph, Question, Triple
+from ..config import json_field
+from ..kg import KGFormatError, KnowledgeGraph, Question, Triple
 from .features import (
     DEFAULT_DDE_DEPTH,
     DEFAULT_DDE_SLOTS,
@@ -85,23 +87,78 @@ def weighted_bce_from_logits(
 
 
 class Scorer:
-    """What both scorers share: metadata, flat parameter access, encoder checks.
+    """What both scorers share: metadata, parameters and their model file, encoder checks.
 
-    A subclass defines ``loss_and_grad`` and ``scores`` on its own input type,
-    and gives :func:`fit` two hooks: ``sample_inputs`` (a training sample's
-    inputs, the id of each score and the positive ids) and ``arch_kwargs``
-    (its constructor's architecture arguments).
+    A subclass names its parameters once, in ``layout()`` (name and shape, in ``params``
+    order), and its constructor's architecture arguments in ``ARCH`` (argument -> JSON type);
+    parameter initialisation, names, ``arch()`` and :meth:`from_payload` follow from them.
+    It defines ``loss_and_grad`` and ``scores`` on its own input type, and gives :func:`fit`
+    ``sample_inputs`` (a sample's inputs, the id of each score, the positive ids) and
+    ``arch_kwargs`` (its architecture arguments).
     """
 
     kind: str
+    network: str
+    ARCH: dict[str, Any]
     params: list[np.ndarray]
 
-    def __init__(self, encoder_tag: str, dde_depth: int, dde_slots: int, seed: int):
+    def __init__(
+        self, encoder_tag: str, dde_depth: int, dde_slots: int, seed: int, rng: np.random.Generator | None
+    ):
         self.encoder_tag = encoder_tag
         self.dde_depth = dde_depth
         self.dde_slots = dde_slots
         self.seed = seed
         self.epoch_losses: list[float] = []
+        if rng is not None:
+            self.init_params(rng)
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        """Matrices drawn in layout order with std ``sqrt(1/fan_in)``, biases zero; the output
+        weights start near zero so that untrained scores sit near 0.5."""
+        self.params = [
+            rng.normal(0.0, 0.01 if name == "w_out" else np.sqrt(1.0 / shape[0]), shape)
+            if len(shape) == 2
+            else np.zeros(shape)
+            for name, shape in self.layout()
+        ]
+
+    def named_params(self) -> list[tuple[str, np.ndarray]]:
+        return [(name, p) for (name, _), p in zip(self.layout(), self.params)]
+
+    def arch(self) -> dict:
+        return {"type": self.network, **{name: getattr(self, name) for name in self.ARCH}}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Scorer":
+        """The model in a ``model.json`` object; weights whose names or shapes differ from
+        the layout its ``arch`` gives raise :class:`KGFormatError` before any is decoded."""
+        arch = json_field(payload, "arch", dict)
+        json_field(arch, "type", Literal[cls.network])
+        model = cls(
+            **{name: json_field(arch, name, tp) for name, tp in cls.ARCH.items()},
+            encoder_tag=json_field(payload, "encoder_tag", str),
+            dde_depth=json_field(payload, "dde_depth", int),
+            dde_slots=json_field(payload, "dde_slots", int),
+            seed=json_field(payload, "seed", int),
+        )
+        weights, layout = json_field(payload, "weights", dict), dict(model.layout())
+        shapes = {
+            name: json_field(json_field(weights, name, dict), "shape", tuple[int, ...]) for name in weights
+        }
+        for name in sorted(shapes.keys() | layout.keys()):
+            if shapes.get(name) != layout.get(name):
+                raise KGFormatError(
+                    f"weight {name!r} has shape {shapes.get(name, 'none')} in the file"
+                    f" and {layout.get(name, 'none')} in the {cls.kind} scorer's layout"
+                )
+        model.params = [
+            np.frombuffer(base64.b64decode(json_field(weights[name], "data", str), validate=True), "<f8")
+            .reshape(shape)
+            .copy()
+            for name, shape in layout.items()
+        ]
+        return model
 
     def checked_encoder(self, encoder: TextEncoder | None) -> TextEncoder:
         """``encoder``, or one rebuilt from the model's tag; refuses a mismatch."""
@@ -128,6 +185,8 @@ class TripleScorer(Scorer):
     """MLP over a triple's input row (see :class:`QuestionFeatures`) with a sigmoid head."""
 
     kind = "triple"
+    network = "mlp"
+    ARCH = {"input_dim": int, "hidden": tuple[int, ...], "activation": Literal["tanh", "relu"]}
 
     def __init__(
         self,
@@ -140,55 +199,17 @@ class TripleScorer(Scorer):
         seed: int,
         rng: np.random.Generator | None = None,
     ):
-        super().__init__(encoder_tag, dde_depth, dde_slots, seed)
         self.input_dim = input_dim
         self.hidden = tuple(hidden)
         self.activation = activation
-        if rng is not None:
-            self.params: list[np.ndarray] = []
-            fan_in = input_dim
-            for width in self.hidden:
-                self.params.append(rng.normal(0.0, np.sqrt(1.0 / fan_in), (fan_in, width)))
-                self.params.append(np.zeros(width))
-                fan_in = width
-            # output weights start near zero so untrained scores sit near 0.5
-            self.params.append(rng.normal(0.0, 0.01, (fan_in, 1)))
-            self.params.append(np.zeros(1))
+        super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
 
-    # -- serialization hooks -------------------------------------------------
-
-    def arch(self) -> dict:
-        return {
-            "type": "mlp",
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-        }
-
-    def named_params(self) -> list[tuple[str, np.ndarray]]:
-        names = []
-        for i in range(len(self.hidden)):
-            names += [f"W{i}", f"b{i}"]
-        names += ["w_out", "b_out"]
-        return list(zip(names, self.params))
-
-    @classmethod
-    def from_payload(cls, payload: dict, weights: dict[str, np.ndarray]) -> "TripleScorer":
-        arch = payload["arch"]
-        model = cls(
-            input_dim=int(arch["input_dim"]),
-            hidden=tuple(arch["hidden"]),
-            activation=arch["activation"],
-            encoder_tag=payload["encoder_tag"],
-            dde_depth=int(payload["dde_depth"]),
-            dde_slots=int(payload["dde_slots"]),
-            seed=int(payload["seed"]),
-        )
-        model.params = []
-        for i in range(len(model.hidden)):
-            model.params += [weights[f"W{i}"], weights[f"b{i}"]]
-        model.params += [weights["w_out"], weights["b_out"].reshape(-1)]
-        return model
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        widths = (self.input_dim, *self.hidden)
+        out = []
+        for i, (fan_in, width) in enumerate(zip(widths, self.hidden)):
+            out += [(f"W{i}", (fan_in, width)), (f"b{i}", (width,))]
+        return out + [("w_out", (widths[-1], 1)), ("b_out", (1,))]
 
     # -- forward / backward --------------------------------------------------
     # The first layer is linear in [query | head | relation | tail | DDE], so it

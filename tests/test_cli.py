@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -421,10 +423,43 @@ def _drop_encoder_tag(text: str) -> str:
     return json.dumps(payload)
 
 
+def _edit_model(edit):
+    def corrupt(text: str) -> str:
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
+
+    return corrupt
+
+
+def _weight(*shape, value=0.5):
+    n = int(np.prod(shape))
+    return {"shape": list(shape), "data": base64.b64encode(np.full(n, value).astype("<f8").tobytes()).decode()}
+
+
 @pytest.mark.parametrize(
     "corrupt, shown",
-    [(lambda text: text[: len(text) // 2], "invalid JSON"), (_drop_encoder_tag, "missing field 'encoder_tag'")],
-    ids=["cut-in-half", "no-encoder_tag"],
+    [
+        (lambda text: text[: len(text) // 2], "invalid JSON"),
+        (_drop_encoder_tag, "missing field 'encoder_tag'"),
+        (_edit_model(lambda m: m["arch"].update(hidden="64")), "hidden has the wrong type: '64'"),
+        (_edit_model(lambda m: m.update(dde_depth=3.0)), "dde_depth has the wrong type: 3.0"),
+        (_edit_model(lambda m: m.update(seed="42")), "seed has the wrong type: '42'"),
+        (_edit_model(lambda m: m["arch"].update(hidden=[64])), "weight 'W1' has shape (64, 64) in the file and none in the triple scorer's layout"),
+        (_edit_model(lambda m: m["weights"].update(b_out=_weight(2))), "weight 'b_out' has shape (2,) in the file and (1,)"),
+        (_edit_model(lambda m: m["weights"].update(W9=_weight(1))), "weight 'W9' has shape (1,) in the file and none"),
+        (_edit_model(lambda m: m["arch"].update(input_dim=0.5)), "input_dim has the wrong type: 0.5"),
+        (_edit_model(lambda m: m.update(dde_slots=True)), "dde_slots has the wrong type: True"),
+        (_edit_model(lambda m: m["arch"].update(activation="sigmoid")), "activation must be 'tanh' or 'relu'"),
+        (_edit_model(lambda m: m["weights"].update(W1=_weight(3, 3))), "weight 'W1' has shape (3, 3) in the file and (64, 64)"),
+        (_edit_model(lambda m: m["weights"]["b_out"].update(_weight(2), shape=[1])), "field 'weights': cannot reshape array of size 2 into shape (1,)"),
+        (_edit_model(lambda m: m["weights"].pop("W1")), "weight 'W1' has shape none in the file and (64, 64)"),
+    ],
+    ids=[
+        "cut-in-half", "no-encoder_tag", "hidden-string", "dde_depth-float", "seed-string", "hidden-one-layer",
+        "b_out-two-values", "extra-weight", "input_dim-float", "dde_slots-true", "activation-sigmoid",
+        "W1-wrong-shape", "b_out-data-of-two", "no-W1",
+    ],
 )
 def test_unreadable_model_exits_missing(pipeline_dir, tmp_path, capsys, corrupt, shown):
     cfg_path = write_fixture_config(tmp_path)
@@ -437,6 +472,8 @@ def test_unreadable_model_exits_missing(pipeline_dir, tmp_path, capsys, corrupt,
     assert "model.json" in err
     assert shown in err
     assert "rerun `kgrag train`" in err
+    assert "line 1" in err
+    assert "Traceback" not in err
 
 
 def test_model_of_format_version_1_exits_config(pipeline_dir, tmp_path, capsys):
@@ -495,6 +532,10 @@ def _retrieved_tid_out_of_range(rec):
     rec["tids"][0] = 10**6
 
 
+def _retrieved_tid_plus_fraction(rec):
+    rec["tids"][0] += 0.9  # int() of it is the recorded triple, whose labels match
+
+
 def _pool_without_orientations(rec):
     del rec["paths"][0]["orientations"]
 
@@ -511,12 +552,28 @@ def _retrieved_labels_foreign(rec):
     rec["triples"][0][0], rec["triples"][0][2] = "Nowhere", "Nobody"
 
 
+def _set(*path_and_value):
+    """An edit that sets the value at a key path of the first record."""
+    *path, key, value = path_and_value
+
+    def edit(rec):
+        for step in path:
+            rec = rec[step]
+        rec[key] = value
+
+    return _edit_first_record(edit)
+
+
 def _first_line_twice(text: str) -> str:
     return text.splitlines(keepends=True)[0] + text
 
 
 def _first_line_dropped(text: str) -> str:
     return "".join(text.splitlines(keepends=True)[1:])
+
+
+def _cut_inside_a_character(text: str) -> str:
+    return text + '{"id": "\u00e9'.encode()[:-1].decode("utf-8", "surrogateescape")  # "é" without its last byte
 
 
 @pytest.mark.parametrize(
@@ -539,6 +596,26 @@ def _first_line_dropped(text: str) -> str:
         ("retrieval.jsonl", "answer --no-reorganize", "retrieve", _edit_first_record(_retrieved_labels_foreign)),
         ("answers.jsonl", "evaluate", "answer", _first_line_twice),
         ("answers.jsonl", "evaluate", "answer", _first_line_dropped),
+        ("answers.jsonl", "evaluate", "answer", _cut_inside_a_character),
+        # each of these was misread with exit 0, or ended in a traceback, before every
+        # artifact field was read as its JSON type
+        ("answers.jsonl", "evaluate", "answer", _set("answers", "mediterranean")),
+        ("answers.jsonl", "evaluate", "answer", _set("answers", [1, 2])),
+        ("retrieval.jsonl", "reorganize", "retrieve", _set("k", 8.7)),
+        ("retrieval.jsonl", "reorganize", "retrieve", _set("scores", 0, "0.5")),
+        ("retrieval.jsonl", "reorganize", "retrieve", _set("scores", 0, True)),
+        ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(_retrieved_tid_plus_fraction)),
+        ("retrieval.jsonl", "reorganize", "retrieve", _set("triples", 0, 1, 7)),
+        ("pool.jsonl", "refine", "candidates", _set("paths", 0, "class_size", 2.7)),
+        ("pool.jsonl", "refine", "candidates", _set("id", 7)),
+        ("pool.jsonl", "refine", "candidates", _set("paths", 0, "provenance", 5)),
+        ("supervision.jsonl", "train", "refine", _set("selected_indices", [0.9])),
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "targets", "abc")),
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "group", "x")),
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "source_id", 1.5)),
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "steps", 0, "abc")),
+        ("questions.jsonl", "candidates", "ingest", _set("question_entities", "abc")),
+        ("questions.jsonl", "candidates", "ingest", _set("scope", [["spain", "capital", 5]])),
     ],
     ids=[
         "pool-label",
@@ -558,6 +635,24 @@ def _first_line_dropped(text: str) -> str:
         "retrieval-foreign-label-flat",
         "answers-duplicate-id",
         "answers-missing-id",
+        "answers-cut-inside-a-character",
+        "answers-string",
+        "answers-ints",
+        "retrieval-k-float",
+        "retrieval-score-string",
+        "retrieval-score-true",
+        "retrieval-tid-float",
+        "retrieval-relation-int",
+        "pool-class_size-float",
+        "pool-id-int",
+        "pool-provenance-int",
+        "supervision-index-float",
+        "chains-targets-string",
+        "chains-group-string",
+        "chains-source_id-float",
+        "chains-step-string",
+        "questions-entities-string",
+        "questions-scope-label-int",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(
@@ -566,7 +661,7 @@ def test_stale_upstream_artifact_names_producing_stage(
     cfg_path = write_fixture_config(tmp_path)
     shutil.copytree(pipeline_dir / "out", tmp_path / "out")
     path = tmp_path / "out" / artifact
-    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8", errors="surrogateescape")
     rc = main([*stage.split(), "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == EXIT_MISSING

@@ -15,7 +15,7 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 import pytest
 
 from kgrag.cli import EXIT_CONFIG, main
-from kgrag.config import LLMSettings, PathSettings, PipelineConfig, TrainingSettings, load_config
+from kgrag.config import LLMSettings, PathSettings, PipelineConfig, TrainingSettings, json_field, load_config
 
 from conftest import DATA, write_fixture_config
 
@@ -237,3 +237,38 @@ def test_benchmark_config_loads_to_its_values(tmp_path, workload):
         llm=LLMSettings(backend="mock"),
     )
     _assert_json_typed(cfg)
+
+
+@pytest.mark.parametrize(
+    "value, tp, expected",
+    [
+        (["a", "r", "b"], tuple[str, str, str], ("a", "r", "b")),
+        ([1, "x", 2.5], tuple[int, str, float], (1, "x", 2.5)),
+        ([[1], "x"], list, [[1], "x"]),
+        ([1, 2], tuple[float, ...], (1.0, 2.0)),
+        ([["a", "r", "b"]], tuple[tuple[str, str, str], ...], (("a", "r", "b"),)),
+        (None, int | None, None),
+    ],
+)
+def test_json_field_reads_fixed_tuples_and_lists(value, tp, expected):
+    got = json_field({"k": value}, "k", tp)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "value, tp",
+    [
+        ([1, True], tuple[int, ...]),
+        ([1, 3.0], tuple[int, ...]),
+        (["a", "r"], tuple[str, str, str]),
+        (["a", "r", 5], tuple[str, str, str]),
+        ("abc", tuple[str, ...]),
+        ({"a": 1}, list),
+        ([["a", "r", "b"], "abc"], tuple[tuple[str, str, str], ...]),
+        ([0.5, "0.5"], tuple[float, ...]),
+        ([0.5, True], tuple[float, ...]),
+    ],
+)
+def test_json_field_rejects_items_of_another_type(value, tp):
+    with pytest.raises(TypeError, match="k has the wrong type"):
+        json_field({"k": value}, "k", tp)

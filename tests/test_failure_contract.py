@@ -1,0 +1,137 @@
+"""The failure contract: a damaged input makes the stage that reads it exit 0, 2, 3 or 4, never
+end in a traceback, and a value of another JSON type in a field the reader reads exits with
+the input's own code (2 for ingest inputs and the replay store, 3 for an upstream artifact).
+
+Each example damages one input of a finished fixture pipeline (trained for one epoch, so that
+``train`` stays cheap) in one of three ways: it cuts the file at a random byte, drops a key
+at any depth of one record, or gives one value at any depth another JSON type.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kgrag import llm
+from kgrag.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main
+
+from conftest import DATA, write_fixture_config
+
+# input -> the command that reads it, and its exit code for a value of the wrong type
+INPUTS = {
+    "kg.jsonl": (["ingest"], EXIT_CONFIG),
+    "questions-in.jsonl": (["ingest"], EXIT_CONFIG),
+    "out/questions.jsonl": (["candidates"], EXIT_MISSING),
+    "out/pool.jsonl": (["refine"], EXIT_MISSING),
+    "out/supervision.jsonl": (["train"], EXIT_MISSING),
+    "out/model.json": (["retrieve"], EXIT_MISSING),
+    "out/retrieval.jsonl": (["reorganize"], EXIT_MISSING),
+    "out/chains.jsonl": (["answer"], EXIT_MISSING),
+    "out/answers.jsonl": (["evaluate"], EXIT_MISSING),
+    "replay.jsonl": (["answer", "--llm", "replay"], EXIT_CONFIG),
+}
+# fields written for people and tools, which no stage reads back
+NOT_READ = {
+    "out/chains.jsonl": {"source", "relation_path"},
+    "out/answers.jsonl": {"raw_text", "prompt_sha256", "usage"},
+}
+# fields that hold null or a value of one type
+NULLABLE = {"scope": list, "representative_answer": str, "group": int}
+
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.5, 2.5) | st.text("ab1 ", max_size=4)
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A finished pipeline over a JSONL copy of the fixture graph, a replay store recorded
+    from the mock's answers, and the bytes of every file in it."""
+    root = tmp_path_factory.mktemp("contract")
+    with (DATA / "fixture_kg.tsv").open(encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+    rows.append(["madrid", "capital_of", "espa\u00f1a"])  # so that a cut can fall inside a character
+    lines = [json.dumps(dict(zip("hrt", row)), ensure_ascii=False) + "\n" for row in rows]
+    (root / "kg.jsonl").write_text("".join(lines), encoding="utf-8")
+    shutil.copy(DATA / "fixture_questions.jsonl", root / "questions-in.jsonl")
+    paths = {"kg": str(root / "kg.jsonl"), "questions": str(root / "questions-in.jsonl"),
+             "work_dir": str(root / "out"), "replay": str(root / "replay.jsonl")}
+    cfg = write_fixture_config(root, kg_format="jsonl", paths=paths, training={"epochs": 1})
+    store = llm.ReplayStore(root / "replay.jsonl")
+    complete = llm.MockOracle.complete
+
+    def recorded(self, req):
+        result = complete(self, req)
+        store.put(llm.request_digest(req), result.text, result.prompt_tokens, result.completion_tokens)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(llm.MockOracle, "complete", recorded)
+        for stage in ("ingest", "candidates", "refine", "train", "retrieve", "reorganize", "answer", "evaluate"):
+            assert main([stage, "--config", str(cfg)]) == EXIT_OK, stage
+    return root, cfg, {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _paths(value, path=()):
+    """The key path of every value below ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _corrupt(name: str, content: bytes, data) -> tuple[bytes, bool]:
+    """``content`` damaged one way drawn from ``data``, and whether a field the reader reads
+    now holds a value of another JSON type."""
+    how = data.draw(st.sampled_from(["cut", "drop", "retype"]), label="how")
+    if how == "cut":
+        return content[: data.draw(st.integers(0, len(content) - 1), label="cut at")], False
+    lines = content.decode("utf-8").splitlines()
+    line = data.draw(st.integers(0, len(lines) - 1), label="line")
+    record = json.loads(lines[line])
+    paths = [p for p in _paths(record) if how == "retype" or isinstance(p[-1], str)]
+    path = data.draw(st.sampled_from(paths), label="path")
+    parent = record
+    for step in path[:-1]:
+        parent = parent[step]
+    old = parent[path[-1]]
+    retyped = False
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        new = data.draw(_VALUES.filter(lambda v: type(v) is not type(old)), label="new value")
+        parent[path[-1]] = new
+        retyped = not (
+            (type(old) is float and type(new) is int)  # an integer where a number is read
+            or (path[-1] in NULLABLE and type(new) in (type(None), NULLABLE[path[-1]]))
+            or NOT_READ.get(name, set()) & set(path)
+        )
+    lines[line] = json.dumps(record, ensure_ascii=False)
+    return ("\n".join(lines) + "\n").encode("utf-8"), retyped
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(INPUTS)), data=st.data())
+def test_a_damaged_input_exits_with_a_documented_code(pipeline, name, data):
+    root, cfg, files = pipeline
+    for path, content in files.items():  # a stage that succeeds rewrites what it writes
+        path.write_bytes(content)
+    for stray in set(root.rglob("*")) - set(files):
+        if stray.is_file():
+            stray.unlink()
+    content, retyped = _corrupt(name, files[root / name], data)
+    (root / name).write_bytes(content)
+    command, wrong_type_exit = INPUTS[name]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([*command, "--config", str(cfg)])
+    assert "Traceback" not in err.getvalue()
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_MISSING, EXIT_BACKEND), err.getvalue()
+    if retyped:
+        assert rc == wrong_type_exit, err.getvalue()

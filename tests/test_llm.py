@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import threading
 import time
 
@@ -245,6 +246,41 @@ def test_remote_caches_to_replay_store(tmp_path):
     backend.complete(req)
     replay = ReplayBackend(ReplayStore(tmp_path / "cache.jsonl"))
     assert replay.complete(req).text == "cached"
+
+
+def test_remote_reads_a_null_usage_as_no_counts():
+    response = {**_ok_response("hi there"), "usage": None}
+    backend = RemoteBackend("http://x", "m", transport=lambda p: response)
+    result = backend.complete(CompletionRequest(system_text="s", user_text="one two three"))
+    assert (result.text, result.prompt_tokens, result.completion_tokens) == ("hi there", 3, 2)
+
+
+@pytest.mark.parametrize(
+    "edit, shown",
+    [
+        (lambda r: r["choices"][0]["message"].update(content=["hello"]), "content has the wrong type"),
+        (lambda r: r["choices"][0]["message"].update(content=None), "content has the wrong type"),
+        (lambda r: r["usage"].update(prompt_tokens="12"), "prompt_tokens has the wrong type: '12'"),
+        (lambda r: r["usage"].update(completion_tokens=4.0), "completion_tokens has the wrong type: 4.0"),
+        (lambda r: r.update(usage=[10, 4]), "usage has the wrong type"),
+        (lambda r: r.update(choices=[]), "choices is empty"),
+        (lambda r: r.update(choices={"message": {}}), "choices has the wrong type"),
+        (lambda r: r["choices"][0].pop("message"), "missing field 'message'"),
+        (lambda r: r.pop("choices"), "missing field 'choices'"),
+    ],
+    ids=[
+        "content-list", "content-null", "prompt_tokens-string", "completion_tokens-float", "usage-list",
+        "choices-empty", "choices-object", "no-message", "no-choices",
+    ],
+)
+def test_remote_malformed_response_is_a_transport_error_naming_the_field(tmp_path, edit, shown):
+    response = _ok_response()
+    edit(response)
+    store = ReplayStore(tmp_path / "cache.jsonl")
+    backend = RemoteBackend("http://x", "m", transport=lambda p: response, store=store)
+    with pytest.raises(TransportError, match=f"malformed response: .*{re.escape(shown)}"):
+        backend.complete(CompletionRequest(system_text="s", user_text="u"))
+    assert len(store) == 0
 
 
 def test_remote_bounded_concurrency():

@@ -21,6 +21,8 @@ from kgrag.retriever import (
     anchor_slots,
     compute_dde,
     entity_positives,
+    load_model,
+    save_model,
     score_entities,
     score_triples,
     train_entity_scorer,
@@ -238,3 +240,38 @@ def test_no_scatter_add_under_src():
         if pattern.search(line)
     ]
     assert not hits, hits
+
+
+def test_no_coercion_of_a_record_field_under_src():
+    """``config.json_field`` is the one typed-field reader: no ``int(rec["k"])`` or
+    ``str(obj.get("id"))`` under src/kgrag converts a value read from JSON instead."""
+    root = Path(__file__).resolve().parents[1] / "src" / "kgrag"
+    pattern = re.compile(r"\b(?:int|float|str|tuple|list|frozenset)\(\s*\w+(?:\[|\.get\()\s*[\"']")
+    hits = [
+        f"{path.relative_to(root)}:{lineno}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not hits, hits
+
+
+@pytest.mark.parametrize(
+    "scorer, arch",
+    [
+        (TripleScorer, {"input_dim": 7, "hidden": (), "activation": "tanh"}),
+        (TripleScorer, {"input_dim": 7, "hidden": (5,), "activation": "relu"}),
+        (TripleScorer, {"input_dim": 7, "hidden": (5, 3, 4), "activation": "tanh"}),
+        (EntityScorer, {"input_dim": 7, "rel_dim": 2, "hidden": 5, "depth": 1}),
+        (EntityScorer, {"input_dim": 7, "rel_dim": 3, "hidden": 4, "depth": 3}),
+    ],
+    ids=["mlp-linear", "mlp-1", "mlp-3", "mpnn-1", "mpnn-3"],
+)
+def test_layout_gives_the_parameters_and_the_model_file(tmp_path, scorer, arch):
+    model = scorer(**arch, encoder_tag="hashed-bow-2", dde_depth=1, dde_slots=1, seed=0, rng=np.random.default_rng(0))
+    assert [(name, p.shape) for name, p in model.named_params()] == model.layout()
+    assert len(model.params) == len(model.layout())
+    save_model(model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert type(loaded) is scorer and loaded.arch() == model.arch()
+    assert [p.tobytes() for p in loaded.params] == [p.tobytes() for p in model.params]
