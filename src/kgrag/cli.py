@@ -13,15 +13,22 @@ ingest cannot parse, such as an id or label that is not a JSON string, an
 unreadable demo, alias or experiment file, a remote backend without its
 environment, and a model that does not match the configured encoder), 3
 missing, stale or foreign upstream artifact (a field of the wrong JSON type, a
-``model.json`` that is not JSON, lacks a field or holds weights that do not
-match its architecture, a retrieved triple whose labels differ from
+``model.json`` that is not JSON, lacks a field, holds weights that do not
+match its architecture or an input width its encoder and distance encoding do
+not give, a ``graph.tsv`` changed after ingest, a ``graph.json`` compiled from
+another ``graph.tsv`` or holding columns of unequal length, an id out of range
+or a repeated label or triple, a retrieved triple whose labels differ from
 ``graph.tsv``, and an ``answers.jsonl`` that answers a question twice or not at
 all included), 4 LLM backend failure (a malformed remote response included).
+
+``ingest`` writes the graph twice: ``graph.tsv`` for people and tools, and
+``graph.json``, the compiled form every later stage loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import logging
 import sys
@@ -97,6 +104,10 @@ def _read(path: Path, producing_stage: str, reader, *args):
             raise UpstreamArtifactError(path, producing_stage, str(exc)) from exc
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _parallel_map(fn, items, workers: int):
     if workers <= 1:
         return [fn(item) for item in items]
@@ -108,7 +119,10 @@ def _parallel_map(fn, items, workers: int):
 
 
 def _load_inputs(cfg: PipelineConfig) -> tuple[kgmod.KnowledgeGraph, list[kgmod.Question]]:
-    g = _read(cfg.graph_artifact, "ingest", kgmod.load_kg)
+    """The graph compiled at ingest, checked against the ``graph.tsv`` written with it, and
+    the questions; a missing, changed or malformed pair exits 3."""
+    tsv_sha256 = _sha256(_require(cfg.graph_artifact, "ingest"))
+    g = _read(cfg.compiled_graph_artifact, "ingest", kgmod.load_kg, "compiled", tsv_sha256)
     questions, unresolved = _read(cfg.questions_artifact, "ingest", kgmod.load_questions, g)
     for qid, labels in unresolved.items():
         logger.warning("question %s still has unresolved labels: %s", qid, labels)
@@ -204,6 +218,8 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
     ]
     with kgmod.published(cfg.graph_artifact) as fh:
         kgmod.to_tsv(g, fh)
+    with kgmod.published(cfg.compiled_graph_artifact) as fh:
+        kgmod.to_compiled(g, fh, _sha256(cfg.graph_artifact))
     with kgmod.published(cfg.questions_artifact) as fh:
         kgmod.write_jsonl(fh, records)
     for qid, labels in unresolved.items():
@@ -438,6 +454,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building it costs more than a small stage
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgrag", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="enable debug logging")

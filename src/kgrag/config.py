@@ -180,6 +180,10 @@ class PipelineConfig:
         return self.artifact("graph.tsv")
 
     @property
+    def compiled_graph_artifact(self) -> Path:
+        return self.artifact("graph.json")
+
+    @property
     def questions_artifact(self) -> Path:
         return self.artifact("questions.jsonl")
 

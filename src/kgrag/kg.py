@@ -1,9 +1,10 @@
 """Immutable knowledge-graph storage with directional adjacency and question scoping.
 
 Entities and relations get dense integer ids in first-seen order; labels live
-in side tables. Triples are a set: duplicates are collapsed at load time (the
-collapse count is logged). A graph restricted to a question scope shares the
-parent's vocabulary and triple ids, so ids stay stable across views.
+in side tables, and triples are three id columns. Triples are a set: duplicates
+are collapsed at load time (the collapse count is logged). A graph restricted to
+a question scope shares the parent's vocabulary, columns and triple ids, so ids
+stay stable across views. Whole-graph structures are built only when used.
 The loading section owns the artifact format: :func:`read_jsonl`,
 :func:`write_jsonl` and :func:`published` are the only reader, writer and publisher.
 """
@@ -16,8 +17,9 @@ import os
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .config import json_field
 
@@ -40,6 +42,10 @@ class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
+
+
+# a Triple from a (head, relation, tail) tuple, at half the cost of calling Triple
+_triple = partial(tuple.__new__, Triple)
 
 
 @dataclass(frozen=True)
@@ -117,88 +123,124 @@ class Question:
     scope: frozenset[int] | None = None  # triple ids; None means the whole graph
 
 
-@dataclass
-class KnowledgeGraph:
-    """Triple store plus directional adjacency indices.
+class _Storage:
+    """The id columns of every stored triple, shared by a graph and all its views.
 
-    ``triples`` is the full id-indexed storage; ``triple_ids`` lists the ids
-    visible in this graph (a scoped view keeps the parent's storage and lists
-    a subset). Iteration order over visible triples is load order.
-    ``triple_index`` maps each stored triple to its id and is shared by views.
+    The whole-graph ``triples`` list and ``triple_index`` are built on first use;
+    a loader that already holds the index hands it over.
+    """
+
+    def __init__(self, head: Sequence[int], relation: Sequence[int], tail: Sequence[int]):
+        self.head, self.relation, self.tail = head, relation, tail
+
+    def __len__(self) -> int:
+        return len(self.head)
+
+    @cached_property
+    def triples(self) -> list[Triple]:
+        return list(map(_triple, zip(self.head, self.relation, self.tail)))
+
+    @cached_property
+    def triple_index(self) -> dict[tuple[int, int, int], int]:
+        return dict(zip(zip(self.head, self.relation, self.tail), range(len(self.head))))
+
+
+@dataclass(eq=False)
+class KnowledgeGraph:
+    """Triple store over id columns plus directional adjacency indices.
+
+    ``storage`` holds the head, relation and tail id of every stored triple;
+    ``triple_ids`` lists the ids visible in this graph (a scoped view shares the
+    parent's storage and lists a subset). Iteration order over visible triples is
+    load order. The whole-graph ``triples`` list and ``triple_index`` (each
+    stored ``(head, relation, tail)`` to its id) are shared by views and built on
+    first use; ``out_index``/``in_index`` cover this graph's own ids and are
+    built on first use too.
     """
 
     entities: list[str]
     relations: list[str]
-    triples: list[Triple]
+    storage: _Storage = field(repr=False)
     triple_ids: tuple[int, ...]
-    out_index: dict[int, list[int]]
-    in_index: dict[int, list[int]]
     entity_ids: dict[str, int] = field(repr=False)
     relation_ids: dict[str, int] = field(repr=False)
-    triple_index: dict[Triple, int] = field(repr=False)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_triples(
-        cls,
-        entities: list[str],
-        relations: list[str],
-        triples: list[Triple],
-        triple_index: dict[Triple, int],
-    ) -> "KnowledgeGraph":
-        """Graph over distinct ``triples``; ``triple_index`` maps each to its position."""
-        tids = tuple(range(len(triples)))
-        out_index, in_index = _build_indices(triples, tids)
+    def from_columns(cls, entities: list[str], relations: list[str], storage: _Storage) -> "KnowledgeGraph":
+        """Graph showing every triple of ``storage``, whose triples must be distinct."""
         return cls(
             entities=entities,
             relations=relations,
-            triples=triples,
-            triple_ids=tids,
-            out_index=out_index,
-            in_index=in_index,
+            storage=storage,
+            triple_ids=tuple(range(len(storage))),
             entity_ids={lab: i for i, lab in enumerate(entities)},
             relation_ids={lab: i for i, lab in enumerate(relations)},
-            triple_index=triple_index,
         )
 
     def restrict(self, scope: Iterable[int]) -> "KnowledgeGraph":
         """View of this graph limited to the given triple ids (shared vocabulary)."""
         tids = sorted(set(scope))
-        for tid in tids:
-            if tid < 0 or tid >= len(self.triples):
+        for tid in tids[:1] + tids[-1:]:  # sorted, so the ends bound every id
+            if tid < 0 or tid >= len(self.storage):
                 raise KeyError(f"scope references unknown triple id {tid}")
         if not self._shows_every_triple():
             visible = set(self.triple_ids)
             tids = [t for t in tids if t in visible]
-        tids = tuple(tids)
-        out_index, in_index = _build_indices(self.triples, tids)
         return KnowledgeGraph(
             entities=self.entities,
             relations=self.relations,
-            triples=self.triples,
-            triple_ids=tids,
-            out_index=out_index,
-            in_index=in_index,
+            storage=self.storage,
+            triple_ids=tuple(tids),
             entity_ids=self.entity_ids,
             relation_ids=self.relation_ids,
-            triple_index=self.triple_index,
         )
+
+    # -- lazy structures ---------------------------------------------------
+
+    @property
+    def triples(self) -> list[Triple]:
+        """Every stored triple, indexed by id (whole-graph, built on first use)."""
+        return self.storage.triples
+
+    @property
+    def triple_index(self) -> dict[tuple[int, int, int], int]:
+        return self.storage.triple_index
+
+    @cached_property
+    def _indices(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        return _build_indices(self.storage, self.triple_ids)
+
+    @property
+    def out_index(self) -> dict[int, list[int]]:
+        """Visible triple ids per head entity, in load order."""
+        return self._indices[0]
+
+    @property
+    def in_index(self) -> dict[int, list[int]]:
+        """Visible triple ids per tail entity, in load order."""
+        return self._indices[1]
 
     # -- lookups -----------------------------------------------------------
 
     def _shows_every_triple(self) -> bool:
-        return len(self.triple_ids) == len(self.triples)
+        return len(self.triple_ids) == len(self.storage)
 
     def __len__(self) -> int:
         return len(self.triple_ids)
 
+    def columns(self) -> tuple[list[int], list[int], list[int]]:
+        """The head, relation and tail ids of the visible triples, in ``triple_ids`` order."""
+        s, tids = self.storage, self.triple_ids
+        return [s.head[t] for t in tids], [s.relation[t] for t in tids], [s.tail[t] for t in tids]
+
     def iter_triples(self) -> Iterator[tuple[int, Triple]]:
-        for tid in self.triple_ids:
-            yield tid, self.triples[tid]
+        return zip(self.triple_ids, map(_triple, zip(*self.columns())))
 
     def triple(self, tid: int) -> Triple:
-        return self.triples[tid]
+        s = self.storage
+        return _triple((s.head[tid], s.relation[tid], s.tail[tid]))
 
     def has_entity(self, e: int) -> bool:
         return 0 <= e < len(self.entities)
@@ -252,21 +294,19 @@ class KnowledgeGraph:
 
         A self-loop appears once, as forward.
         """
-        return [
-            (tid, FORWARD if self.triples[tid].head == e else BACKWARD)
-            for tid in self.neighbors(e, "both")
-        ]
+        head = self.storage.head
+        return [(tid, FORWARD if head[tid] == e else BACKWARD) for tid in self.neighbors(e, "both")]
 
 
 def _build_indices(
-    triples: list[Triple], tids: Iterable[int]
+    storage: _Storage, tids: Iterable[int]
 ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    head, tail = storage.head, storage.tail
     out_index: dict[int, list[int]] = {}
     in_index: dict[int, list[int]] = {}
     for tid in tids:
-        tr = triples[tid]
-        out_index.setdefault(tr.head, []).append(tid)
-        in_index.setdefault(tr.tail, []).append(tid)
+        out_index.setdefault(head[tid], []).append(tid)
+        in_index.setdefault(tail[tid], []).append(tid)
     return out_index, in_index
 
 
@@ -275,12 +315,11 @@ def hop_distances(g: KnowledgeGraph, anchors: Iterable[int], direction: str = "b
 
     ``out`` follows edge direction, ``in`` runs against it and ``both`` ignores it.
     """
-    # (index, position in a Triple of the entity at the far end) pairs to follow
-    walks = {"out": ((g.out_index, 2),), "in": ((g.in_index, 0),)}
+    # (index, column of the entity at the far end) pairs to follow
+    walks = {"out": ((g.out_index, g.storage.tail),), "in": ((g.in_index, g.storage.head),)}
     walks["both"] = walks["out"] + walks["in"]
     if direction not in walks:
         raise ValueError(f"unknown direction {direction!r}")
-    triples = g.triples
     dist = dict.fromkeys(anchors, 0)
     queue = deque(dist)
     while queue:
@@ -288,7 +327,7 @@ def hop_distances(g: KnowledgeGraph, anchors: Iterable[int], direction: str = "b
         d = dist[u] + 1
         for index, far in walks[direction]:
             for tid in index.get(u, ()):
-                v = triples[tid][far]
+                v = far[tid]
                 if v not in dist:
                     dist[v] = d
                     queue.append(v)
@@ -390,7 +429,7 @@ def _tsv_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[str
         parts = line.split("\t")
         if len(parts) != 3:
             raise KGFormatError(f"expected 3 tab-separated fields, got {len(parts)}", lineno)
-        row = tuple(p.strip() for p in parts)
+        row = (parts[0].strip(), parts[1].strip(), parts[2].strip())
         if not all(row):
             raise KGFormatError("empty head, relation, or tail", lineno)
         yield row
@@ -408,41 +447,105 @@ def _jsonl_row(obj: dict) -> tuple[str, ...]:
     return row
 
 
-def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") -> KnowledgeGraph:
-    """Load a graph from TSV (``head<TAB>relation<TAB>tail``) or JSONL (``{h,r,t}``).
+COMPILED_FORMAT_VERSION = 1
+
+
+def load_kg(
+    source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv", tsv_sha256: str | None = None
+) -> KnowledgeGraph:
+    """Load a graph from TSV (``head<TAB>relation<TAB>tail``), JSONL (``{h,r,t}``) or the
+    ``compiled`` record :func:`to_compiled` writes.
 
     Ids are assigned in first-seen order; duplicate triples are collapsed and
     the collapse count logged. Malformed records raise :class:`KGFormatError`
     with the offending line number. An empty stream yields an empty graph.
+    A compiled record must name ``tsv_sha256`` as the digest of the TSV it was
+    compiled with; another digest, columns of unequal length, an id out of
+    range, or a repeated label or triple raise :class:`KGFormatError`.
     """
+    if format == "compiled":
+        if tsv_sha256 is None:
+            raise ValueError("a compiled graph is loaded against the sha256 of its graph.tsv")
+        graphs = read_jsonl(source, lambda rec: _compiled_graph(rec, tsv_sha256))
+        if len(graphs) != 1:
+            raise KGFormatError(f"expected one graph record, found {len(graphs)}")
+        return graphs[0]
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown triple format {format!r}")
 
     entity_ids: dict[str, int] = {}  # label -> id; insertion order is id order
     relation_ids: dict[str, int] = {}
-    triples: list[Triple] = []
-    triple_index: dict[Triple, int] = {}
+    head: list[int] = []
+    relation: list[int] = []
+    tail: list[int] = []
+    triple_index: dict[tuple[int, int, int], int] = {}
     duplicates = 0
     rows = _tsv_rows(source) if format == "tsv" else read_jsonl(source, _jsonl_row)
     for h_lab, r_lab, t_lab in rows:
-        h = entity_ids.setdefault(h_lab, len(entity_ids))
-        r = relation_ids.setdefault(r_lab, len(relation_ids))
-        tr = Triple(h, r, entity_ids.setdefault(t_lab, len(entity_ids)))
-        if tr in triple_index:
+        ids = (
+            entity_ids.setdefault(h_lab, len(entity_ids)),
+            relation_ids.setdefault(r_lab, len(relation_ids)),
+            entity_ids.setdefault(t_lab, len(entity_ids)),
+        )
+        if ids in triple_index:
             duplicates += 1
             continue
-        triple_index[tr] = len(triples)
-        triples.append(tr)
+        triple_index[ids] = len(head)
+        head.append(ids[0])
+        relation.append(ids[1])
+        tail.append(ids[2])
 
     if duplicates:
         logger.info("collapsed %d duplicate triples at load", duplicates)
-    return KnowledgeGraph.from_triples(list(entity_ids), list(relation_ids), triples, triple_index)
+    storage = _Storage(head, relation, tail)
+    storage.triple_index = triple_index
+    return KnowledgeGraph.from_columns(list(entity_ids), list(relation_ids), storage)
+
+
+def _compiled_graph(rec: dict, tsv_sha256: str) -> KnowledgeGraph:
+    version = json_field(rec, "format_version", int)
+    if version != COMPILED_FORMAT_VERSION:
+        raise KGFormatError(f"compiled graph format {version}, expected {COMPILED_FORMAT_VERSION}")
+    digest = json_field(rec, "graph_tsv_sha256", str)
+    if digest != tsv_sha256:
+        raise KGFormatError(f"compiled from a graph.tsv of sha256 {digest}, but graph.tsv has {tsv_sha256}")
+    labels = {key: list(json_field(rec, key, tuple[str, ...])) for key in ("entities", "relations")}
+    columns = {key: json_field(rec, key, tuple[int, ...]) for key in ("head", "relation", "tail")}
+    if len(set(map(len, columns.values()))) > 1:
+        raise KGFormatError("head, relation and tail differ in length")
+    for key, vocabulary in (("head", "entities"), ("relation", "relations"), ("tail", "entities")):
+        size = len(labels[vocabulary])
+        if columns[key] and not (0 <= min(columns[key]) and max(columns[key]) < size):
+            raise KGFormatError(f"{key} holds an id outside the {size} {vocabulary}")
+    storage = _Storage(columns["head"], columns["relation"], columns["tail"])
+    g = KnowledgeGraph.from_columns(labels["entities"], labels["relations"], storage)
+    if len(g.entity_ids) < len(g.entities) or len(g.relation_ids) < len(g.relations):
+        raise KGFormatError("a label repeats")
+    if len(g.triple_index) < len(g):  # finding a repeat builds the index
+        raise KGFormatError("a triple repeats")
+    return g
 
 
 def to_tsv(g: KnowledgeGraph, sink: IO[str]) -> None:
     """Write visible triples as TSV in load order; reloading reproduces ids."""
-    for _, tr in g.iter_triples():
-        sink.write("\t".join(g.labels(tr)) + "\n")
+    e, r, s = g.entities, g.relations, g.storage
+    sink.write("".join(f"{e[s.head[t]]}\t{r[s.relation[t]]}\t{e[s.tail[t]]}\n" for t in g.triple_ids))
+
+
+def to_compiled(g: KnowledgeGraph, sink: IO[str], tsv_sha256: str) -> None:
+    """Write the stored graph as the one record ``load_kg(..., "compiled", tsv_sha256)`` reads:
+    its labels, its id columns and the sha256 of the TSV written with it."""
+    s = g.storage
+    record = {
+        "format_version": COMPILED_FORMAT_VERSION,
+        "entities": g.entities,
+        "relations": g.relations,
+        "head": s.head,
+        "relation": s.relation,
+        "tail": s.tail,
+        "graph_tsv_sha256": tsv_sha256,
+    }
+    write_jsonl(sink, [record])
 
 
 def load_questions(
@@ -456,6 +559,9 @@ def load_questions(
     the returned mapping.
     """
     unresolved: dict[str, list[str]] = {}
+    # scope items resolve in one pass over the label maps and the triple index
+    entity, relation, triple = g.entity_ids.get, g.relation_ids.get, g.triple_index.get
+    visible = None if g._shows_every_triple() else set(g.triple_ids)
 
     def parse(obj: dict) -> Question:
         qid, text = json_field(obj, "id", str), json_field(obj, "question", str)
@@ -464,7 +570,7 @@ def load_questions(
         def resolve(key: str) -> frozenset[int]:
             ids = []
             for lab in json_field(obj, key, tuple[str, ...], ()):
-                eid = g.entity_id(lab)
+                eid = entity(lab)
                 if eid is None:
                     problems.append(lab)
                 else:
@@ -478,8 +584,8 @@ def load_questions(
             tids = []
             for item in items:
                 h, r, t = item
-                tid = g.resolve(h, r, t)
-                if tid is not None:
+                tid = triple((entity(h), relation(r), entity(t)))
+                if tid is not None and (visible is None or tid in visible):
                     tids.append(tid)
                 elif type(item) is list and all(type(lab) is str for lab in item):
                     problems.append(f"{h}|{r}|{t}")

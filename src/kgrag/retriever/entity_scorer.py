@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..kg import KnowledgeGraph, Question, Triple
-from .features import QuestionFeatures, TextEncoder, question_features
+from .features import QuestionFeatures, TextEncoder, dde_width, question_features
 from .triple_scorer import Scorer, TrainConfig, TrainSample, fit, weighted_bce_from_logits
 
 
@@ -80,6 +80,11 @@ class EntityScorer(Scorer):
         self.hidden = hidden
         self.depth = depth
         super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
+
+    def input_widths(self, text_dim: int) -> dict[str, int]:
+        """``input_dim`` is the width of :meth:`QuestionFeatures.entity_matrix`: query and entity
+        text and one DDE code per slot; ``rel_dim`` is the relation text's."""
+        return {"input_dim": 2 * text_dim + self.dde_slots * dde_width(self.dde_depth), "rel_dim": text_dim}
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         out, in_dim, h = [], self.input_dim, self.hidden
@@ -213,8 +218,9 @@ def entity_to_triple_scores(
     """
     p = dict(entity_scores) if not isinstance(entity_scores, dict) else entity_scores
     by_pair: dict[tuple[int, int], list[int]] = {}
-    for tid, tr in g.iter_triples():
-        by_pair.setdefault((tr.head, tr.tail), []).append(tid)
+    heads, _, tails = g.columns()
+    for tid, pair in zip(g.triple_ids, zip(heads, tails)):
+        by_pair.setdefault(pair, []).append(tid)
     scored: list[tuple[int, float]] = []
     merged_labels: dict[int, str] = {}
     for (h, t), tids in sorted(by_pair.items(), key=lambda kv: kv[1][0]):

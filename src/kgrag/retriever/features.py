@@ -69,6 +69,11 @@ def encode_text(text: str, dim: int = DEFAULT_TEXT_DIM) -> np.ndarray:
 # -- directional distances ----------------------------------------------------
 
 
+def dde_width(depth: int) -> int:
+    """Width of one anchor slot's DDE code: ``depth + 2`` forward and as many backward buckets."""
+    return 2 * (depth + 2)
+
+
 def compute_dde(
     g: KnowledgeGraph, anchors: set[int], depth: int = DEFAULT_DDE_DEPTH
 ) -> dict[int, np.ndarray]:
@@ -89,7 +94,7 @@ def compute_dde(
         for i, e in enumerate(entities):
             if e in dist:
                 buckets[i, col] = min(dist[e], depth)
-    codes = np.eye(depth + 2)[buckets].reshape(len(entities), 2 * (depth + 2))
+    codes = np.eye(depth + 2)[buckets].reshape(len(entities), dde_width(depth))
     return dict(zip(entities, codes))
 
 
@@ -187,10 +192,10 @@ def question_features(
 ) -> QuestionFeatures:
     """Build the feature bundle of question ``q`` over its working graph ``g``."""
     tids = list(g.triple_ids)
-    hrt = np.array([g.triple(t) for t in tids], dtype=np.intp).reshape(-1, 3)
-    entity_ids = np.unique(hrt[:, [0, 2]])
-    relation_ids = np.unique(hrt[:, 1])
-    width = 2 * (depth + 2)
+    heads, relations, tails = (np.array(column, dtype=np.intp) for column in g.columns())
+    entity_ids = np.unique(np.concatenate([heads, tails]))
+    relation_ids = np.unique(relations)
+    width = dde_width(depth)
     dde = np.zeros((len(entity_ids), slots, width))
     dde[:, :, [depth + 1, width - 1]] = 1.0  # an empty slot stays "unreachable"
     entities = entity_ids.tolist()
@@ -198,9 +203,9 @@ def question_features(
         if slot:
             codes = compute_dde(g, slot, depth)
             dde[:, s] = np.array([codes[e] for e in entities]).reshape(-1, width)
-    head = np.searchsorted(entity_ids, hrt[:, 0])
-    relation = np.searchsorted(relation_ids, hrt[:, 1])
-    tail = np.searchsorted(entity_ids, hrt[:, 2])
+    head = np.searchsorted(entity_ids, heads)
+    relation = np.searchsorted(relation_ids, relations)
+    tail = np.searchsorted(entity_ids, tails)
     return QuestionFeatures(
         tids=tids,
         entity_ids=entities,

@@ -86,7 +86,7 @@ def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, RetrievedSu
     if not len(tids) == len(triples) == len(scores):
         raise KGFormatError("tids, triples and scores differ in length")
     for tid, (h, r, t), score in zip(tids, triples, scores):
-        if not 0 <= tid < len(g.triples):
+        if not 0 <= tid < len(g.storage):
             raise KGFormatError(f"retrieved triple id {tid} not in graph")
         tr = g.triple(tid)
         ends = g.entity_label(tr.head), g.entity_label(tr.tail)

@@ -27,6 +27,7 @@ from .features import (
     QuestionFeatures,
     TextEncoder,
     TripleFeatureBuilder,
+    dde_width,
 )
 
 logger = logging.getLogger(__name__)
@@ -92,6 +93,8 @@ class Scorer:
     A subclass names its parameters once, in ``layout()`` (name and shape, in ``params``
     order), and its constructor's architecture arguments in ``ARCH`` (argument -> JSON type);
     parameter initialisation, names, ``arch()`` and :meth:`from_payload` follow from them.
+    ``input_widths(text_dim)`` gives the input widths its features have for this text
+    width, ``dde_depth`` and ``dde_slots``.
     It defines ``loss_and_grad`` and ``scores`` on its own input type, and gives :func:`fit`
     ``sample_inputs`` (a sample's inputs, the id of each score, the positive ids) and
     ``arch_kwargs`` (its architecture arguments).
@@ -131,8 +134,9 @@ class Scorer:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Scorer":
-        """The model in a ``model.json`` object; weights whose names or shapes differ from
-        the layout its ``arch`` gives raise :class:`KGFormatError` before any is decoded."""
+        """The model in a ``model.json`` object; an input width other than the encoder tag,
+        ``dde_depth`` and ``dde_slots`` imply, and weights whose names or shapes differ from
+        the layout its ``arch`` gives, raise :class:`KGFormatError` before any is decoded."""
         arch = json_field(payload, "arch", dict)
         json_field(arch, "type", Literal[cls.network])
         model = cls(
@@ -142,6 +146,18 @@ class Scorer:
             dde_slots=json_field(payload, "dde_slots", int),
             seed=json_field(payload, "seed", int),
         )
+        if model.dde_depth < 1 or model.dde_slots < 1:
+            raise KGFormatError(f"dde_depth {model.dde_depth} and dde_slots {model.dde_slots} must be >= 1")
+        try:
+            widths = model.input_widths(_encoder_from_tag(model.encoder_tag).dim)
+        except ValueError:  # another encoder: the file does not give its text width
+            widths = {}
+        for name, width in widths.items():
+            if getattr(model, name) != width:
+                raise KGFormatError(
+                    f"arch {name} is {getattr(model, name)}, but encoder {model.encoder_tag!r}, dde_depth"
+                    f" {model.dde_depth} and dde_slots {model.dde_slots} give features of width {width}"
+                )
         weights, layout = json_field(payload, "weights", dict), dict(model.layout())
         shapes = {
             name: json_field(json_field(weights, name, dict), "shape", tuple[int, ...]) for name in weights
@@ -203,6 +219,10 @@ class TripleScorer(Scorer):
         self.hidden = tuple(hidden)
         self.activation = activation
         super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
+
+    def input_widths(self, text_dim: int) -> dict[str, int]:
+        """``input_dim`` is :attr:`QuestionFeatures.triple_dim`: four texts and two DDE codes per slot."""
+        return {"input_dim": 4 * text_dim + 2 * self.dde_slots * dde_width(self.dde_depth)}
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         widths = (self.input_dim, *self.hidden)

@@ -58,6 +58,7 @@ def test_all_artifacts_written(pipeline_dir):
     out = pipeline_dir / "out"
     for name in (
         "graph.tsv",
+        "graph.json",
         "questions.jsonl",
         "pool.jsonl",
         "supervision.jsonl",
@@ -454,11 +455,20 @@ def _weight(*shape, value=0.5):
         (_edit_model(lambda m: m["weights"].update(W1=_weight(3, 3))), "weight 'W1' has shape (3, 3) in the file and (64, 64)"),
         (_edit_model(lambda m: m["weights"]["b_out"].update(_weight(2), shape=[1])), "field 'weights': cannot reshape array of size 2 into shape (1,)"),
         (_edit_model(lambda m: m["weights"].pop("W1")), "weight 'W1' has shape none in the file and (64, 64)"),
+        (
+            _edit_model(lambda m: m.update(dde_depth=2)),
+            "arch input_dim is 316, but encoder 'hashed-bow-64', dde_depth 2 and dde_slots 3 give features of width 304",
+        ),
+        (
+            _edit_model(lambda m: (m["arch"].update(input_dim=-1), m["weights"]["W0"].update(shape=[-1, 64]))),
+            "arch input_dim is -1, but encoder 'hashed-bow-64', dde_depth 3 and dde_slots 3 give features of width 316",
+        ),
+        (_edit_model(lambda m: m.update(dde_depth=0)), "dde_depth 0 and dde_slots 3 must be >= 1"),
     ],
     ids=[
         "cut-in-half", "no-encoder_tag", "hidden-string", "dde_depth-float", "seed-string", "hidden-one-layer",
         "b_out-two-values", "extra-weight", "input_dim-float", "dde_slots-true", "activation-sigmoid",
-        "W1-wrong-shape", "b_out-data-of-two", "no-W1",
+        "W1-wrong-shape", "b_out-data-of-two", "no-W1", "dde_depth-not-trained", "input_dim-forged", "dde_depth-zero",
     ],
 )
 def test_unreadable_model_exits_missing(pipeline_dir, tmp_path, capsys, corrupt, shown):
@@ -668,6 +678,54 @@ def test_stale_upstream_artifact_names_producing_stage(
     assert f"kgrag {producer}" in err
     assert artifact in err
     assert "line " in err
+    assert "Traceback" not in err
+
+
+def _edit_graph_tsv(out):
+    path = out / "graph.tsv"
+    path.write_text(path.read_text(encoding="utf-8").replace("spain", "espana", 1), encoding="utf-8")
+
+
+def _edit_compiled(edit):
+    def damage(out):
+        path = out / "graph.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        edit(record)
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, shown",
+    [
+        (_edit_graph_tsv, "but graph.tsv has"),
+        (lambda out: (out / "graph.json").unlink(), "missing artifact"),
+        (lambda out: (out / "graph.tsv").unlink(), "missing artifact"),
+        (_edit_compiled(lambda g: g["tail"].__setitem__(0, len(g["entities"]))), "tail holds an id outside the"),
+        (_edit_compiled(lambda g: g["entities"].__setitem__(1, g["entities"][0])), "a label repeats"),
+        (_edit_compiled(lambda g: g["relations"].append(g["relations"][0])), "a label repeats"),
+        (_edit_compiled(lambda g: [g[k].append(g[k][0]) for k in ("head", "relation", "tail")]), "a triple repeats"),
+        (_edit_compiled(lambda g: g["relation"].pop()), "head, relation and tail differ in length"),
+        (_edit_compiled(lambda g: g["head"].__setitem__(0, -1)), "head holds an id outside the"),
+        (_edit_compiled(lambda g: g.update(format_version=2)), "compiled graph format 2, expected 1"),
+        (lambda out: (out / "graph.json").write_text("", encoding="utf-8"), "expected one graph record, found 0"),
+    ],
+    ids=[
+        "graph.tsv-edited", "graph.json-deleted", "graph.tsv-deleted", "tail-id-of-entity-count",
+        "entity-label-repeats", "relation-label-repeats", "triple-repeats", "columns-of-unequal-length",
+        "head-id-negative", "format-version-2", "graph.json-empty",
+    ],
+)
+def test_a_stale_or_damaged_compiled_graph_exits_missing(pipeline_dir, tmp_path, capsys, damage, shown):
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    damage(tmp_path / "out")
+    rc = main(["candidates", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING
+    assert "kgrag ingest" in err
+    assert shown in err
     assert "Traceback" not in err
 
 

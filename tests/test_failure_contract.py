@@ -25,6 +25,7 @@ from conftest import DATA, write_fixture_config
 INPUTS = {
     "kg.jsonl": (["ingest"], EXIT_CONFIG),
     "questions-in.jsonl": (["ingest"], EXIT_CONFIG),
+    "out/graph.json": (["candidates"], EXIT_MISSING),
     "out/questions.jsonl": (["candidates"], EXIT_MISSING),
     "out/pool.jsonl": (["refine"], EXIT_MISSING),
     "out/supervision.jsonl": (["train"], EXIT_MISSING),

@@ -1,14 +1,20 @@
-"""The graph core: multi-source hop distances, ordered incidence and the label codec."""
+"""The graph core: multi-source hop distances, ordered incidence, the label codec and the
+graph compiled at ingest."""
 
+import contextlib
+import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgrag.cli import EXIT_OK, main
 from kgrag.kg import BACKWARD, FORWARD, hop_distances, load_kg
 
-from conftest import graph_from_lines
+from conftest import graph_from_lines, write_fixture_config
 from oracles import directed_distance, undirected_distance
 
 
@@ -90,3 +96,44 @@ def test_label_codec_on_random_views(data):
         assert view.resolve(*labels) == expected
     assert view.resolve("e0", "no-such-relation", "e0") is None
     assert view.resolve("no-such-entity", "rel0", "e0") is None
+
+
+# labels that survive the TSV round trip: no tab or line feed, nothing to strip at the ends
+_LABEL = st.text(st.sampled_from("a\u00e9\u6f22 \u2028"), min_size=1, max_size=3).map(lambda lab: f"x{lab}x")
+
+
+def _same_graph(compiled, tsv) -> None:
+    assert compiled.entities == tsv.entities
+    assert compiled.relations == tsv.relations
+    assert compiled.triples == tsv.triples
+    assert compiled.triple_index == tsv.triple_index
+    assert compiled.triple_ids == tsv.triple_ids
+    assert compiled.out_index == tsv.out_index
+    assert compiled.in_index == tsv.in_index
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_compiled_graph_loads_as_its_tsv(data):
+    rows = data.draw(st.lists(st.tuples(_LABEL, _LABEL, _LABEL), max_size=12))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []  # repeated rows
+    rows += [(h, r, h) for h, r, _ in rows[:2]]  # self-loops
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "kg.tsv").write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows), encoding="utf-8")
+        (tmp / "questions.jsonl").write_text("", encoding="utf-8")
+        cfg = write_fixture_config(tmp, paths={"kg": str(tmp / "kg.tsv"), "questions": str(tmp / "questions.jsonl")})
+        out = tmp / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+            first = (out / "graph.json").read_bytes()
+            assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+        assert (out / "graph.json").read_bytes() == first
+        tsv_bytes = (out / "graph.tsv").read_bytes()
+        tsv = load_kg(io.BytesIO(tsv_bytes), "tsv")
+        compiled = load_kg(io.BytesIO(first), "compiled", hashlib.sha256(tsv_bytes).hexdigest())
+    _same_graph(compiled, tsv)
+    for _ in range(3):
+        scope = data.draw(st.sets(st.sampled_from(range(len(tsv))))) if len(tsv) else set()
+        _same_graph(compiled.restrict(scope), tsv.restrict(scope))
+        assert list(compiled.restrict(scope).iter_triples()) == list(tsv.restrict(scope).iter_triples())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgrag.kg import Question, load_kg
+from kgrag.kg import KGFormatError, Question, load_kg
 from kgrag.retriever import (
     EntityScorer,
     HashedBowEncoder,
@@ -259,11 +259,12 @@ def test_no_coercion_of_a_record_field_under_src():
 @pytest.mark.parametrize(
     "scorer, arch",
     [
-        (TripleScorer, {"input_dim": 7, "hidden": (), "activation": "tanh"}),
-        (TripleScorer, {"input_dim": 7, "hidden": (5,), "activation": "relu"}),
-        (TripleScorer, {"input_dim": 7, "hidden": (5, 3, 4), "activation": "tanh"}),
-        (EntityScorer, {"input_dim": 7, "rel_dim": 2, "hidden": 5, "depth": 1}),
-        (EntityScorer, {"input_dim": 7, "rel_dim": 3, "hidden": 4, "depth": 3}),
+        # the input widths that a text width of 2, dde_depth 1 and dde_slots 1 give
+        (TripleScorer, {"input_dim": 20, "hidden": (), "activation": "tanh"}),
+        (TripleScorer, {"input_dim": 20, "hidden": (5,), "activation": "relu"}),
+        (TripleScorer, {"input_dim": 20, "hidden": (5, 3, 4), "activation": "tanh"}),
+        (EntityScorer, {"input_dim": 10, "rel_dim": 2, "hidden": 5, "depth": 1}),
+        (EntityScorer, {"input_dim": 10, "rel_dim": 2, "hidden": 4, "depth": 3}),
     ],
     ids=["mlp-linear", "mlp-1", "mlp-3", "mpnn-1", "mpnn-3"],
 )
@@ -275,3 +276,19 @@ def test_layout_gives_the_parameters_and_the_model_file(tmp_path, scorer, arch):
     loaded = load_model(tmp_path / "model.json")
     assert type(loaded) is scorer and loaded.arch() == model.arch()
     assert [p.tobytes() for p in loaded.params] == [p.tobytes() for p in model.params]
+
+
+@pytest.mark.parametrize(
+    "scorer, arch, shown",
+    [
+        (TripleScorer, {"input_dim": 21, "hidden": (5,), "activation": "tanh"}, "arch input_dim is 21"),
+        (EntityScorer, {"input_dim": 9, "rel_dim": 2, "hidden": 5, "depth": 1}, "arch input_dim is 9"),
+        (EntityScorer, {"input_dim": 10, "rel_dim": 3, "hidden": 5, "depth": 1}, "arch rel_dim is 3"),
+    ],
+    ids=["mlp-input_dim", "mpnn-input_dim", "mpnn-rel_dim"],
+)
+def test_a_model_whose_widths_its_features_cannot_have_is_refused(tmp_path, scorer, arch, shown):
+    model = scorer(**arch, encoder_tag="hashed-bow-2", dde_depth=1, dde_slots=1, seed=0, rng=np.random.default_rng(0))
+    save_model(model, tmp_path / "model.json")
+    with pytest.raises(KGFormatError, match=shown):
+        load_model(tmp_path / "model.json")

@@ -216,7 +216,7 @@ def test_model_load_rejects_encoder_tag_mismatch(tmp_path):
 def test_model_weights_round_trip_bit_exact(tmp_path):
     from kgrag.retriever import TripleScorer
 
-    model = TripleScorer(6, (3,), "tanh", "hashed-bow-1", 1, 1, 0, np.random.default_rng(0))
+    model = TripleScorer(16, (3,), "tanh", "hashed-bow-1", 1, 1, 0, np.random.default_rng(0))
     model.params[0][0, :] = [-0.0, 5e-324, -2.2250738585072014e-308]
     model.params[1][:] = [np.pi, -1e300, 1e-310]
     model.params[-1][:] = [-0.0]  # the 1-element output bias
