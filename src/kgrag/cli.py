@@ -4,22 +4,9 @@ Every stage reads and writes the documented JSONL artifacts under the
 configured work directory, so stages rerun independently and reproduce their
 outputs byte for byte given the same inputs and seeds.
 
-Every config value must hold its JSON type (``"top_k": 5``, not ``5.7``,
-``true`` or ``"5"``), and a key the config schema does not have, such as a
-misspelt ``"trainig"``, is a configuration error naming the key.
-
-Exit codes: 0 success, 2 configuration error (including an input file that
-ingest cannot parse, such as an id or label that is not a JSON string, an
-unreadable demo, alias or experiment file, a remote backend without its
-environment, and a model that does not match the configured encoder), 3
-missing, stale or foreign upstream artifact (a field of the wrong JSON type, a
-``model.json`` that is not JSON, lacks a field, holds weights that do not
-match its architecture or an input width its encoder and distance encoding do
-not give, a ``graph.tsv`` changed after ingest, a ``graph.json`` compiled from
-another ``graph.tsv`` or holding columns of unequal length, an id out of range
-or a repeated label or triple, a retrieved triple whose labels differ from
-``graph.tsv``, and an ``answers.jsonl`` that answers a question twice or not at
-all included), 4 LLM backend failure (a malformed remote response included).
+Exit codes: 0 success, 2 configuration error, 3 missing, stale or foreign
+upstream artifact (the message names the stage to rerun), 4 LLM backend
+failure. README.md lists the failures behind each code.
 
 ``ingest`` writes the graph twice: ``graph.tsv`` for people and tools, and
 ``graph.json``, the compiled form every later stage loads.
@@ -47,17 +34,15 @@ from .llm import (
     remote_from_env,
 )
 from .retriever import (
+    SCORERS,
     HashedBowEncoder,
     TrainConfig,
     TrainSample,
     entity_to_triple_scores,
+    fit,
     load_model,
     save_model,
-    score_entities,
-    score_triples,
     top_k,
-    train_entity_scorer,
-    train_triple_scorer,
 )
 from .retriever.subgraph import (
     ModelFormatError,
@@ -279,6 +264,10 @@ def _weak_supervision(
 
 def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
     g, questions = _load_inputs(cfg)
+    val_ids = set(cfg.validation_ids)
+    unknown = sorted(val_ids - {q.id for q in questions})
+    if unknown:
+        raise ConfigError([f"validation_ids: {qid!r} is not a question" for qid in unknown])
     if no_refine:
         positives = {q.id: _weak_supervision(g, q, cfg.path_cap) for q in questions}
     else:
@@ -286,23 +275,25 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
         positives = {qid: sup.positive_triples for qid, sup in supervision.items()}
 
     train_samples, val_samples = [], []
-    val_ids = set(cfg.validation_ids)
     for q in questions:
         pos = positives.get(q.id, set())
         if not pos:
             logger.warning("question %s has no positive triples; skipped for training", q.id)
             continue
-        sample = TrainSample(q, kgmod.working_graph(g, q), pos)
+        view = kgmod.working_graph(g, q)
+        outside = sorted(g.labels(tr) for tr in pos if view.triple_id_of(*tr) is None)
+        if outside:  # weak supervision comes from the view, so only refined supervision can
+            raise UpstreamArtifactError(
+                cfg.supervision_artifact, "refine",
+                f"question {q.id}: supervision triple {' '.join(outside[0])} is outside its scope",
+            )
+        sample = TrainSample(q, view, pos)
         (val_samples if q.id in val_ids else train_samples).append(sample)
     if not train_samples:
         raise ConfigError(["no trainable questions: every supervision set is empty"])
 
     tc = _train_config(cfg)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    if cfg.retrieval_level == "triple":
-        model = train_triple_scorer(train_samples, tc, val_samples or None, encoder)
-    else:
-        model = train_entity_scorer(train_samples, tc, val_samples or None, encoder)
+    model = fit(SCORERS[cfg.retrieval_level], train_samples, tc, val_samples or None)
     save_model(model, cfg.model_artifact)
     print(
         f"trained {cfg.retrieval_level} scorer on {len(train_samples)} questions "
@@ -313,21 +304,23 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
 
 def cmd_retrieve(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
-    encoder = HashedBowEncoder(cfg.text_dim)
     try:
-        model = load_model(_require(cfg.model_artifact, "train"), expected_encoder_tag=encoder.tag)
+        model = load_model(
+            _require(cfg.model_artifact, "train"),
+            expected_encoder_tag=HashedBowEncoder(cfg.text_dim).tag,
+            expected_kind=cfg.retrieval_level,
+        )
     except kgmod.KGFormatError as exc:
         raise UpstreamArtifactError(cfg.model_artifact, "train", str(exc)) from exc
-    k = cfg.top_k + (cfg.entity_k_bonus if cfg.retrieval_level == "entity" else 0)
+    # an entity scorer ranks triples by the scores of their ends, with parallel relations merged
+    by_entity = cfg.retrieval_level == "entity"
+    k = cfg.top_k + (cfg.entity_k_bonus if by_entity else 0)
 
     def run(q: kgmod.Question) -> dict:
         view = kgmod.working_graph(g, q)
-        if cfg.retrieval_level == "triple":
-            scored = score_triples(model, q, view, encoder)
-            merged: dict[int, str] = {}
-        else:
-            entity_scores = score_entities(model, q, view, encoder)
-            scored, merged = entity_to_triple_scores(entity_scores, view)
+        scored, merged = model.score(q, view), {}
+        if by_entity:
+            scored, merged = entity_to_triple_scores(scored, view)
         sub = (
             top_k(scored, k, g, relation_overrides=merged)
             if scored
@@ -503,6 +496,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out_dir)
+        problems = [
+            f"--{flag} must be >= {low}, got {value}"
+            for flag, low in (("workers", 1), ("limit", 0))
+            if (value := getattr(args, flag, None)) is not None and value < low
+        ]
+        if problems:
+            raise ConfigError(problems)
         cfg = load_config(args.config)
         if args.workers is not None:
             cfg.workers = args.workers

@@ -1,49 +1,30 @@
 """Trainable triple- and entity-level scorers plus top-K subgraph selection."""
 
-from .features import (
-    HashedBowEncoder,
-    TextEncoder,
-    TripleFeatureBuilder,
-    anchor_slots,
-    compute_dde,
-    encode_text,
-)
+from .features import HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
 from .subgraph import RetrievedSubgraph, RetrievedTriple, load_model, save_model, top_k
-from .triple_scorer import (
-    TrainConfig,
-    TrainSample,
-    TripleScorer,
-    score_triples,
-    train_triple_scorer,
-)
-from .entity_scorer import (
-    EntityScorer,
-    entity_positives,
-    entity_to_triple_scores,
-    score_entities,
-    train_entity_scorer,
-)
+from .triple_scorer import Scorer, TrainConfig, TrainSample, TripleScorer, fit
+from .entity_scorer import EntityScorer, entity_positives, entity_to_triple_scores
+
+SCORERS: dict[str, type[Scorer]] = {cls.kind: cls for cls in (TripleScorer, EntityScorer)}
+"""The scorer class of each retrieval level, the ``kind`` its model file records."""
 
 __all__ = [
     "HashedBowEncoder",
-    "TextEncoder",
     "TripleFeatureBuilder",
     "anchor_slots",
     "compute_dde",
-    "encode_text",
     "RetrievedSubgraph",
     "RetrievedTriple",
     "load_model",
     "save_model",
     "top_k",
+    "SCORERS",
+    "Scorer",
     "TrainConfig",
     "TrainSample",
     "TripleScorer",
-    "score_triples",
-    "train_triple_scorer",
+    "fit",
     "EntityScorer",
     "entity_positives",
     "entity_to_triple_scores",
-    "score_entities",
-    "train_entity_scorer",
 ]

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from ..kg import KnowledgeGraph, Question, Triple
-from .features import QuestionFeatures, TextEncoder, dde_width, question_features
-from .triple_scorer import Scorer, TrainConfig, TrainSample, fit, weighted_bce_from_logits
+from .features import HashedBowEncoder, QuestionFeatures, dde_width, question_features
+from .triple_scorer import Scorer, TrainConfig, weighted_bce_from_logits
 
 
 def entity_positives(positives: set[Triple]) -> set[int]:
@@ -44,7 +44,7 @@ class GraphTensors(QuestionFeatures):
 def prepare_graph_tensors(
     g: KnowledgeGraph,
     q: Question,
-    encoder: TextEncoder,
+    encoder: HashedBowEncoder,
     depth: int,
     slots: int,
 ) -> GraphTensors:
@@ -81,10 +81,15 @@ class EntityScorer(Scorer):
         self.depth = depth
         super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
 
-    def input_widths(self, text_dim: int) -> dict[str, int]:
+    @staticmethod
+    def input_widths(text_dim: int, dde_depth: int, dde_slots: int) -> dict[str, int]:
         """``input_dim`` is the width of :meth:`QuestionFeatures.entity_matrix`: query and entity
         text and one DDE code per slot; ``rel_dim`` is the relation text's."""
-        return {"input_dim": 2 * text_dim + self.dde_slots * dde_width(self.dde_depth), "rel_dim": text_dim}
+        return {"input_dim": 2 * text_dim + dde_slots * dde_width(dde_depth), "rel_dim": text_dim}
+
+    @staticmethod
+    def config_arch(config: TrainConfig) -> dict:
+        return {"hidden": config.gnn_hidden, "depth": config.gnn_depth}
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         out, in_dim, h = [], self.input_dim, self.hidden
@@ -161,49 +166,16 @@ class EntityScorer(Scorer):
                 grad_h = g_h + dzf_by_head @ Wf[:d].T + dzb_by_tail @ Wb[:d].T
         return loss, grads  # type: ignore[return-value]
 
-    # -- training hooks (see fit) ---------------------------------------------
+    # -- inputs ----------------------------------------------------------------
+
+    def inputs(self, g: KnowledgeGraph, q: Question) -> tuple[GraphTensors, list[int]]:
+        """The graph tensors and the entity id of each node row, ascending."""
+        gt = prepare_graph_tensors(g, q, self.encoder, self.dde_depth, self.dde_slots)
+        return gt, gt.entity_ids
 
     @staticmethod
-    def sample_inputs(
-        sample: TrainSample, config: TrainConfig, encoder: TextEncoder
-    ) -> tuple[GraphTensors, list[int], set[int]]:
-        """Graph tensors, the entity id of each node row, and the positive entity ids."""
-        question, graph, positives = sample
-        gt = prepare_graph_tensors(graph, question, encoder, config.dde_depth, config.dde_slots)
-        return gt, gt.entity_ids, entity_positives(positives)
-
-    @staticmethod
-    def arch_kwargs(gt: GraphTensors, config: TrainConfig, encoder: TextEncoder) -> dict:
-        return {
-            "input_dim": gt.X.shape[1],
-            "rel_dim": encoder.dim,
-            "hidden": config.gnn_hidden,
-            "depth": config.gnn_depth,
-        }
-
-
-def train_entity_scorer(
-    samples: Sequence[TrainSample],
-    config: TrainConfig = TrainConfig(),
-    val_samples: Sequence[TrainSample] | None = None,
-    encoder: TextEncoder | None = None,
-) -> EntityScorer:
-    """Train the entity scorer with :func:`fit` (same loop and checkpoint rule as triples)."""
-    return fit(EntityScorer, samples, config, val_samples, encoder)
-
-
-def score_entities(
-    model: EntityScorer,
-    q: Question,
-    g: KnowledgeGraph,
-    encoder: TextEncoder | None = None,
-) -> list[tuple[int, float]]:
-    """One score per entity incident to a visible triple, ascending entity id."""
-    encoder = model.checked_encoder(encoder)
-    gt = prepare_graph_tensors(g, q, encoder, model.dde_depth, model.dde_slots)
-    if not gt.entity_ids:
-        return []
-    return list(zip(gt.entity_ids, model.scores(gt).tolist()))
+    def positive_ids(g: KnowledgeGraph, positives: set[Triple]) -> set[int]:
+        return entity_positives(positives)
 
 
 def entity_to_triple_scores(

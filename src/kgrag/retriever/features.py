@@ -1,6 +1,6 @@
 """Query/triple text embeddings and directional distance encoding (DDE).
 
-The default text encoder is a hashed bag-of-tokens: stable across runs and
+The text encoder is a hashed bag-of-tokens: stable across runs and
 processes, no model weights involved. DDE records, for every entity of the
 question's working graph, the forward BFS hop distance (following edge
 direction) and the backward distance from an anchor set, each capped at the
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -20,50 +19,40 @@ from ..kg import KnowledgeGraph, Question, hop_distances
 
 _TOKEN = re.compile(r"\w+")
 
-DEFAULT_TEXT_DIM = 256
 DEFAULT_DDE_DEPTH = 3
 DEFAULT_DDE_SLOTS = 3
-
-
-class TextEncoder(Protocol):
-    tag: str
-
-    def __call__(self, text: str) -> np.ndarray: ...
-
-    @property
-    def dim(self) -> int: ...
 
 
 class HashedBowEncoder:
     """L2-normalized hashed bag-of-tokens into a fixed dimension."""
 
-    def __init__(self, dim: int = DEFAULT_TEXT_DIM):
-        self._dim = dim
+    def __init__(self, dim: int):
+        self.dim = dim
         self.tag = f"hashed-bow-{dim}"
         self._cache: dict[str, np.ndarray] = {}
 
-    @property
-    def dim(self) -> int:
-        return self._dim
+    @classmethod
+    def from_tag(cls, tag: str) -> "HashedBowEncoder":
+        """The encoder whose ``tag`` this is; any other tag raises ``ValueError``."""
+        match = re.fullmatch(r"hashed-bow-([1-9][0-9]*)", tag)
+        if match is None:
+            raise ValueError(f"unknown encoder {tag!r}")
+        return cls(int(match[1]))
 
     def __call__(self, text: str) -> np.ndarray:
+        """The text's embedding; empty text gives the zero vector."""
         hit = self._cache.get(text)
         if hit is not None:
             return hit
-        vec = np.zeros(self._dim, dtype=np.float64)
+        vec = np.zeros(self.dim, dtype=np.float64)
         for token in _TOKEN.findall(text.lower()):
             digest = hashlib.md5(token.encode("utf-8")).digest()
-            vec[int.from_bytes(digest[:8], "big") % self._dim] += 1.0
+            vec[int.from_bytes(digest[:8], "big") % self.dim] += 1.0
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
         self._cache[text] = vec
         return vec
-
-
-def encode_text(text: str, dim: int = DEFAULT_TEXT_DIM) -> np.ndarray:
-    """One-off hashed bag-of-tokens embedding (empty text gives the zero vector)."""
-    return HashedBowEncoder(dim)(text)
 
 
 # -- directional distances ----------------------------------------------------
@@ -119,7 +108,7 @@ def anchor_slots(anchors: set[int], slots: int = DEFAULT_DDE_SLOTS) -> list[set[
 # -- the per-question bundle --------------------------------------------------
 
 
-def _text_rows(encoder: TextEncoder, labels: list[str]) -> np.ndarray:
+def _text_rows(encoder: HashedBowEncoder, labels: list[str]) -> np.ndarray:
     return np.stack([encoder(label) for label in labels]) if labels else np.zeros((0, encoder.dim))
 
 
@@ -186,7 +175,7 @@ class QuestionFeatures:
 def question_features(
     g: KnowledgeGraph,
     q: Question,
-    encoder: TextEncoder,
+    encoder: HashedBowEncoder,
     depth: int = DEFAULT_DDE_DEPTH,
     slots: int = DEFAULT_DDE_SLOTS,
 ) -> QuestionFeatures:
@@ -229,11 +218,11 @@ class TripleFeatureBuilder:
         self,
         g: KnowledgeGraph,
         q: Question,
-        encoder: TextEncoder | None = None,
+        encoder: HashedBowEncoder,
         depth: int = DEFAULT_DDE_DEPTH,
         slots: int = DEFAULT_DDE_SLOTS,
     ):
-        self.features = question_features(g, q, encoder or HashedBowEncoder(), depth, slots)
+        self.features = question_features(g, q, encoder, depth, slots)
 
     @property
     def dim(self) -> int:

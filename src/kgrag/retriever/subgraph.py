@@ -136,16 +136,17 @@ def save_model(model, path: str | Path) -> None:
         json.dump(payload, fh, sort_keys=True)
 
 
-def load_model(path: str | Path, expected_encoder_tag: str | None = None):
+def load_model(
+    path: str | Path, expected_encoder_tag: str | None = None, expected_kind: str | None = None
+):
     """The model :func:`save_model` wrote to ``path``: one JSON object on one line.
 
     A file that is not that object, a record missing a field or holding one of
     the wrong type, and weights that do not match the architecture raise
-    :class:`KGFormatError`; a model of another format version, kind or encoder
-    raises :class:`ModelFormatError`.
+    :class:`KGFormatError`; a model of another format version, an unknown kind,
+    or an encoder or kind other than the expected one raises :class:`ModelFormatError`.
     """
-    from .entity_scorer import EntityScorer
-    from .triple_scorer import TripleScorer
+    from . import SCORERS
 
     def parse(payload: dict):
         version = json_field(payload, "format_version", int)
@@ -157,10 +158,11 @@ def load_model(path: str | Path, expected_encoder_tag: str | None = None):
                 f"encoder tag mismatch: model has {tag!r}, expected {expected_encoder_tag!r}"
             )
         kind = json_field(payload, "kind", str)
-        scorer = {"triple": TripleScorer, "entity": EntityScorer}.get(kind)
-        if scorer is None:
+        if kind not in SCORERS:
             raise ModelFormatError(f"unknown model kind {kind!r}")
-        return scorer.from_payload(payload)
+        if expected_kind is not None and kind != expected_kind:
+            raise ModelFormatError(f"model kind mismatch: model has {kind!r}, expected {expected_kind!r}")
+        return SCORERS[kind].from_payload(payload)
 
     with Path(path).open("rb") as fh:
         models = read_jsonl(fh, parse)

@@ -22,10 +22,8 @@ from ..kg import KGFormatError, KnowledgeGraph, Question, Triple
 from .features import (
     DEFAULT_DDE_DEPTH,
     DEFAULT_DDE_SLOTS,
-    DEFAULT_TEXT_DIM,
     HashedBowEncoder,
     QuestionFeatures,
-    TextEncoder,
     TripleFeatureBuilder,
     dde_width,
 )
@@ -40,7 +38,7 @@ class TrainConfig:
     learning_rate: float = 0.05
     hidden: tuple[int, ...] = (256, 256)
     activation: str = "tanh"
-    text_dim: int = DEFAULT_TEXT_DIM
+    text_dim: int = 256
     dde_depth: int = DEFAULT_DDE_DEPTH
     dde_slots: int = DEFAULT_DDE_SLOTS
     pos_weight_cap: float = 100.0
@@ -88,16 +86,16 @@ def weighted_bce_from_logits(
 
 
 class Scorer:
-    """What both scorers share: metadata, parameters and their model file, encoder checks.
+    """What both scorers share: metadata, the text encoder, parameters and their model file.
 
     A subclass names its parameters once, in ``layout()`` (name and shape, in ``params``
     order), and its constructor's architecture arguments in ``ARCH`` (argument -> JSON type);
     parameter initialisation, names, ``arch()`` and :meth:`from_payload` follow from them.
-    ``input_widths(text_dim)`` gives the input widths its features have for this text
-    width, ``dde_depth`` and ``dde_slots``.
-    It defines ``loss_and_grad`` and ``scores`` on its own input type, and gives :func:`fit`
-    ``sample_inputs`` (a sample's inputs, the id of each score, the positive ids) and
-    ``arch_kwargs`` (its architecture arguments).
+    ``input_widths(text_dim, dde_depth, dde_slots)`` gives the widths of the inputs it
+    builds, and ``config_arch(config)`` its other architecture arguments. ``inputs(g, q)``
+    builds a question's inputs and the id of each score, and ``positive_ids(g, positives)``
+    the ids a sample's positive triples make positive; ``loss_and_grad`` and ``scores``
+    run on those inputs.
     """
 
     kind: str
@@ -109,6 +107,7 @@ class Scorer:
         self, encoder_tag: str, dde_depth: int, dde_slots: int, seed: int, rng: np.random.Generator | None
     ):
         self.encoder_tag = encoder_tag
+        self.encoder = HashedBowEncoder.from_tag(encoder_tag)
         self.dde_depth = dde_depth
         self.dde_slots = dde_slots
         self.seed = seed
@@ -141,18 +140,15 @@ class Scorer:
         json_field(arch, "type", Literal[cls.network])
         model = cls(
             **{name: json_field(arch, name, tp) for name, tp in cls.ARCH.items()},
-            encoder_tag=json_field(payload, "encoder_tag", str),
             dde_depth=json_field(payload, "dde_depth", int),
             dde_slots=json_field(payload, "dde_slots", int),
             seed=json_field(payload, "seed", int),
+            # read last, so that the error of an unknown encoder names this field
+            encoder_tag=json_field(payload, "encoder_tag", str),
         )
         if model.dde_depth < 1 or model.dde_slots < 1:
             raise KGFormatError(f"dde_depth {model.dde_depth} and dde_slots {model.dde_slots} must be >= 1")
-        try:
-            widths = model.input_widths(_encoder_from_tag(model.encoder_tag).dim)
-        except ValueError:  # another encoder: the file does not give its text width
-            widths = {}
-        for name, width in widths.items():
+        for name, width in cls.input_widths(model.encoder.dim, model.dde_depth, model.dde_slots).items():
             if getattr(model, name) != width:
                 raise KGFormatError(
                     f"arch {name} is {getattr(model, name)}, but encoder {model.encoder_tag!r}, dde_depth"
@@ -176,14 +172,12 @@ class Scorer:
         ]
         return model
 
-    def checked_encoder(self, encoder: TextEncoder | None) -> TextEncoder:
-        """``encoder``, or one rebuilt from the model's tag; refuses a mismatch."""
-        encoder = encoder or _encoder_from_tag(self.encoder_tag)
-        if encoder.tag != self.encoder_tag:
-            raise ValueError(
-                f"encoder mismatch: model trained with {self.encoder_tag!r}, got {encoder.tag!r}"
-            )
-        return encoder
+    def score(self, q: Question, g: KnowledgeGraph) -> list[tuple[int, float]]:
+        """One score per id that :meth:`inputs` gives for ``q`` over its working graph ``g``."""
+        inputs, ids = self.inputs(g, q)
+        if not ids:
+            return []
+        return list(zip(ids, self.scores(inputs).tolist()))
 
     # -- flat parameter access (used by gradient checks) ----------------------
 
@@ -220,9 +214,14 @@ class TripleScorer(Scorer):
         self.activation = activation
         super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
 
-    def input_widths(self, text_dim: int) -> dict[str, int]:
+    @staticmethod
+    def input_widths(text_dim: int, dde_depth: int, dde_slots: int) -> dict[str, int]:
         """``input_dim`` is :attr:`QuestionFeatures.triple_dim`: four texts and two DDE codes per slot."""
-        return {"input_dim": 4 * text_dim + 2 * self.dde_slots * dde_width(self.dde_depth)}
+        return {"input_dim": 4 * text_dim + 2 * dde_slots * dde_width(dde_depth)}
+
+    @staticmethod
+    def config_arch(config: TrainConfig) -> dict:
+        return {"hidden": config.hidden, "activation": config.activation}
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         widths = (self.input_dim, *self.hidden)
@@ -297,21 +296,16 @@ class TripleScorer(Scorer):
         grads[0], grads[1] = self._first_layer_grad(f, grad)
         return loss, grads
 
-    # -- training hooks (see fit) ---------------------------------------------
+    # -- inputs ---------------------------------------------------------------
+
+    def inputs(self, g: KnowledgeGraph, q: Question) -> tuple[QuestionFeatures, list[int]]:
+        """The feature bundle and the visible triple ids it scores, in triple-id order."""
+        tids, f = TripleFeatureBuilder(g, q, self.encoder, self.dde_depth, self.dde_slots).matrix()
+        return f, tids
 
     @staticmethod
-    def sample_inputs(
-        sample: TrainSample, config: TrainConfig, encoder: TextEncoder
-    ) -> tuple[QuestionFeatures, list[int], set[int]]:
-        """Feature bundle, the triple id of each score, and the positive triple ids."""
-        question, graph, positives = sample
-        builder = TripleFeatureBuilder(graph, question, encoder, config.dde_depth, config.dde_slots)
-        tids, f = builder.matrix()
-        return f, tids, {t for t in tids if graph.triple(t) in positives}
-
-    @staticmethod
-    def arch_kwargs(f: QuestionFeatures, config: TrainConfig, encoder: TextEncoder) -> dict:
-        return {"input_dim": f.triple_dim, "hidden": config.hidden, "activation": config.activation}
+    def positive_ids(g: KnowledgeGraph, positives: set[Triple]) -> set[int]:
+        return {t for t in g.triple_ids if g.triple(t) in positives}
 
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
@@ -328,17 +322,15 @@ class _Prepared:
     positives: set[int]
 
 
-def _prepare(
-    scorer: type[Scorer], sample: TrainSample, config: TrainConfig, encoder: TextEncoder
-) -> _Prepared:
-    inputs, ids, positives = scorer.sample_inputs(sample, config, encoder)
+def _prepare(model: Scorer, sample: TrainSample, pos_weight_cap: float) -> _Prepared:
+    question, graph, positive_triples = sample
+    inputs, ids = model.inputs(graph, question)
+    positives = model.positive_ids(graph, positive_triples)
     y = np.array([1.0 if i in positives else 0.0 for i in ids])
     n_pos = int(y.sum())
     if n_pos == 0:
-        raise ValueError(
-            f"question {sample.question.id}: no positive {scorer.kind} ids in working graph"
-        )
-    pos_weight = float(min(config.pos_weight_cap, max(1.0, (len(ids) - n_pos) / n_pos)))
+        raise ValueError(f"question {question.id}: no positive {model.kind} ids in working graph")
+    pos_weight = float(min(pos_weight_cap, max(1.0, (len(ids) - n_pos) / n_pos)))
     return _Prepared(inputs, ids, y, pos_weight, positives)
 
 
@@ -363,26 +355,26 @@ def fit(
     samples: Sequence[TrainSample],
     config: TrainConfig,
     val_samples: Sequence[TrainSample] | None = None,
-    encoder: TextEncoder | None = None,
 ) -> Scorer:
     """Train a ``scorer`` class; returns the best-validation or final model.
 
-    With a validation split, the checkpoint with the highest validation
-    recall@k is returned (earliest epoch on ties); otherwise the final epoch.
+    The model's widths and text encoder follow from ``config.text_dim``, ``dde_depth``
+    and ``dde_slots``. With a validation split, the checkpoint with the highest
+    validation recall@k is returned (earliest epoch on ties); otherwise the final epoch.
     """
     if not samples:
         raise ValueError("no training samples")
-    encoder = encoder or HashedBowEncoder(config.text_dim)
-    prepared = [_prepare(scorer, s, config, encoder) for s in samples]
-    val_prepared = [_prepare(scorer, s, config, encoder) for s in val_samples or ()]
     model = scorer(
-        **scorer.arch_kwargs(prepared[0].inputs, config, encoder),
-        encoder_tag=encoder.tag,
+        **scorer.input_widths(config.text_dim, config.dde_depth, config.dde_slots),
+        **scorer.config_arch(config),
+        encoder_tag=HashedBowEncoder(config.text_dim).tag,
         dde_depth=config.dde_depth,
         dde_slots=config.dde_slots,
         seed=config.seed,
         rng=np.random.default_rng(config.seed),
     )
+    prepared = [_prepare(model, s, config.pos_weight_cap) for s in samples]
+    val_prepared = [_prepare(model, s, config.pos_weight_cap) for s in val_samples or ()]
 
     best_recall = -1.0
     best_params: list[np.ndarray] | None = None
@@ -404,34 +396,3 @@ def fit(
         model.params = best_params
         logger.info("selected checkpoint with validation recall %.4f", best_recall)
     return model
-
-
-def train_triple_scorer(
-    samples: Sequence[TrainSample],
-    config: TrainConfig = TrainConfig(),
-    val_samples: Sequence[TrainSample] | None = None,
-    encoder: TextEncoder | None = None,
-) -> TripleScorer:
-    """Train the triple classifier with :func:`fit`."""
-    return fit(TripleScorer, samples, config, val_samples, encoder)
-
-
-def score_triples(
-    model: TripleScorer,
-    q: Question,
-    g: KnowledgeGraph,
-    encoder: TextEncoder | None = None,
-) -> list[tuple[int, float]]:
-    """One score per visible triple, in triple-id order."""
-    encoder = model.checked_encoder(encoder)
-    builder = TripleFeatureBuilder(g, q, encoder, model.dde_depth, model.dde_slots)
-    tids, f = builder.matrix()
-    if not tids:
-        return []
-    return list(zip(tids, model.scores(f).tolist()))
-
-
-def _encoder_from_tag(tag: str) -> TextEncoder:
-    if tag.startswith("hashed-bow-"):
-        return HashedBowEncoder(int(tag.rsplit("-", 1)[1]))
-    raise ValueError(f"cannot rebuild encoder from tag {tag!r}; pass one explicitly")

@@ -24,13 +24,7 @@ from kgrag.pool import (
 )
 from kgrag.kg import ReasoningPath
 from kgrag.reorganize import EvidenceChain, expand_chains, merge_multi_entity
-from kgrag.retriever import (
-    HashedBowEncoder,
-    TrainConfig,
-    score_triples,
-    train_entity_scorer,
-    train_triple_scorer,
-)
+from kgrag.retriever import EntityScorer, TrainConfig, TripleScorer, fit
 from kgrag.retriever.entity_scorer import entity_positives, prepare_graph_tensors
 from kgrag.retriever.features import TripleFeatureBuilder
 from kgrag.retriever.subgraph import RetrievedSubgraph, RetrievedTriple
@@ -351,10 +345,9 @@ def test_criterion_08_scorer_training():
     corpus = separable_corpus(n_questions=1, n_triples=12, seed=81)
     sample = corpus[0][0]
     cfg_small = TrainConfig(seed=42, epochs=0, hidden=(8, 8), text_dim=16)
-    encoder = HashedBowEncoder(cfg_small.text_dim)
-    triple_model = train_triple_scorer([sample], cfg_small, encoder=encoder)
+    triple_model = fit(TripleScorer, [sample], cfg_small)
     builder = TripleFeatureBuilder(
-        sample.graph, sample.question, encoder, cfg_small.dde_depth, cfg_small.dde_slots
+        sample.graph, sample.question, triple_model.encoder, cfg_small.dde_depth, cfg_small.dde_slots
     )
     tids, X = builder.matrix()
     y = np.array([1.0 if sample.graph.triple(t) in sample.positives else 0.0 for t in tids])
@@ -365,9 +358,9 @@ def test_criterion_08_scorer_training():
     # gradient check, entity scorer
     star = star_graph_entity_sample()
     gcfg = TrainConfig(seed=42, epochs=0, text_dim=16, gnn_hidden=8, gnn_depth=2)
-    entity_model = train_entity_scorer([star], gcfg, encoder=HashedBowEncoder(16))
+    entity_model = fit(EntityScorer, [star], gcfg)
     gt = prepare_graph_tensors(
-        star.graph, star.question, HashedBowEncoder(16), gcfg.dde_depth, gcfg.dde_slots
+        star.graph, star.question, entity_model.encoder, gcfg.dde_depth, gcfg.dde_slots
     )
     y_ent = np.array(
         [1.0 if e in entity_positives(star.positives) else 0.0 for e in gt.entity_ids]
@@ -380,23 +373,22 @@ def test_criterion_08_scorer_training():
     cfg = TrainConfig(seed=42, epochs=60, learning_rate=0.05, hidden=(64, 64), text_dim=64)
     assert cfg.epochs <= 200
     corpus = [s for s, _ in separable_corpus(n_questions=50, n_triples=100, n_pos=5, seed=0)]
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_triple_scorer(corpus[:40], cfg, encoder=encoder)
+    model = fit(TripleScorer, corpus[:40], cfg)
     total = 0.0
     for question, graph, positives in corpus[40:]:
-        scored = score_triples(model, question, graph, encoder)
+        scored = model.score(question, graph)
         pos_tids = {tid for tid, tr in graph.iter_triples() if tr in positives}
         total += recall_at_k(scored, pos_tids, 5)
     assert total / 10 == 1.0
 
     # bitwise determinism, both scorers
     cfg_det = TrainConfig(seed=42, epochs=8, hidden=(16, 16), text_dim=32)
-    t1 = train_triple_scorer(corpus[:4], cfg_det)
-    t2 = train_triple_scorer(corpus[:4], cfg_det)
+    t1 = fit(TripleScorer, corpus[:4], cfg_det)
+    t2 = fit(TripleScorer, corpus[:4], cfg_det)
     assert all(np.array_equal(a, b) for a, b in zip(t1.params, t2.params))
     gcfg_det = TrainConfig(seed=42, epochs=8, text_dim=16, gnn_hidden=8, gnn_depth=2)
-    e1 = train_entity_scorer([star], gcfg_det)
-    e2 = train_entity_scorer([star], gcfg_det)
+    e1 = fit(EntityScorer, [star], gcfg_det)
+    e2 = fit(EntityScorer, [star], gcfg_det)
     assert all(np.array_equal(a, b) for a, b in zip(e1.params, e2.params))
 
 
@@ -408,12 +400,11 @@ def test_criterion_09_supervision_quality_proxy():
     corpus = separable_corpus(n_questions=50, n_triples=100, n_pos=5, n_decoys=5, seed=90)
     held_out = [s for s, _ in corpus[40:]]
     cfg = TrainConfig(seed=42, epochs=60, learning_rate=0.05, hidden=(64, 64), text_dim=64)
-    encoder = HashedBowEncoder(cfg.text_dim)
 
     def heldout_recall(model):
         total = 0.0
         for question, graph, positives in held_out:
-            scored = score_triples(model, question, graph, encoder)
+            scored = model.score(question, graph)
             pos_tids = {tid for tid, tr in graph.iter_triples() if tr in positives}
             total += recall_at_k(scored, pos_tids, 5)
         return total / len(held_out)
@@ -424,10 +415,8 @@ def test_criterion_09_supervision_quality_proxy():
         corrupted = [
             s._replace(positives=s.positives | decoys) for s, decoys in corpus[:n_train]
         ]
-        refined_recall = heldout_recall(train_triple_scorer(refined, cfg, encoder=encoder))
-        corrupted_recall = heldout_recall(
-            train_triple_scorer(corrupted, cfg, encoder=encoder)
-        )
+        refined_recall = heldout_recall(fit(TripleScorer, refined, cfg))
+        corrupted_recall = heldout_recall(fit(TripleScorer, corrupted, cfg))
         assert refined_recall >= corrupted_recall, (fraction, refined_recall, corrupted_recall)
 
 

@@ -808,3 +808,59 @@ def test_jsonl_ingest_reloads_losslessly_or_exits_config(rows):
             assert reloaded.entities == original.entities
             assert reloaded.relations == original.relations
             assert reloaded.triples == original.triples
+
+
+@pytest.mark.parametrize("trained, retrieved", [("triple", "entity"), ("entity", "triple")])
+def test_retrieve_refuses_model_of_the_other_kind(pipeline_dir, tmp_path, capsys, trained, retrieved):
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    cfg_path = write_fixture_config(tmp_path, retrieval_level=trained, training={"epochs": 2})
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    write_fixture_config(tmp_path, retrieval_level=retrieved, training={"epochs": 2})
+    rc = main(["retrieve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert repr(trained) in err and repr(retrieved) in err
+    assert "rerun `kgrag train`" in err
+
+
+@pytest.mark.parametrize("keep_inside", [False, True], ids=["only-outside", "one-outside"])
+def test_supervision_outside_the_question_scope_exits_missing(pipeline_dir, tmp_path, capsys, keep_inside):
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    cfg_path = write_fixture_config(tmp_path)
+    supervision = tmp_path / "out" / "supervision.jsonl"
+    records = [json.loads(line) for line in supervision.read_text().splitlines()]
+    for rec in records:
+        if rec["question_id"] == "q06":  # scoped to four uses_currency triples
+            outside = ["spain", "capital", "madrid"]
+            rec["positive_triples"] = rec["positive_triples"] + [outside] if keep_inside else [outside]
+    supervision.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    rc = main(["train", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING
+    assert "q06" in err and "spain capital madrid" in err
+    assert "rerun `kgrag refine`" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["candidates", "--workers", "0"], "--workers"), (["retrieve", "--workers", "-4"], "--workers"),
+     (["refine", "--limit", "-3"], "--limit")],
+    ids=["workers-0", "workers-negative", "limit-negative"],
+)
+def test_a_flag_below_its_bound_exits_config(pipeline_dir, tmp_path, capsys, argv, flag):
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    cfg_path = write_fixture_config(tmp_path)
+    before = (tmp_path / "out" / "supervision.jsonl").read_bytes()
+    rc = main([*argv, "--config", str(cfg_path)])
+    assert rc == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert (tmp_path / "out" / "supervision.jsonl").read_bytes() == before
+
+
+def test_an_unknown_validation_id_exits_config(pipeline_dir, tmp_path, capsys):
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    cfg_path = write_fixture_config(tmp_path, validation_ids=["q01", "q99"])
+    rc = main(["train", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "validation_ids" in err and "'q99'" in err and "'q01'" not in err

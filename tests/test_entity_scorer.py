@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from kgrag.retriever import (
-    HashedBowEncoder,
+    EntityScorer,
     TrainConfig,
     TrainSample,
     entity_positives,
     entity_to_triple_scores,
+    fit,
     load_model,
     save_model,
-    score_entities,
-    train_entity_scorer,
 )
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
 
@@ -35,9 +34,8 @@ def test_entity_positives_from_triples():
 
 def test_star_graph_training_reaches_full_recall():
     sample = star_graph_entity_sample()
-    encoder = HashedBowEncoder(GNN_CFG.text_dim)
-    model = train_entity_scorer([sample], GNN_CFG, encoder=encoder)
-    scored = score_entities(model, sample.question, sample.graph, encoder)
+    model = fit(EntityScorer, [sample], GNN_CFG)
+    scored = model.score(sample.question, sample.graph)
     positives = entity_positives(sample.positives)
     ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0]))[: len(positives)]
     assert {e for e, _ in ranked} == positives
@@ -47,15 +45,14 @@ def test_entity_training_rejects_zero_positives():
     g = graph_from_lines("A r B")
     q = make_question(g, ["A"], [], text="empty")
     with pytest.raises(ValueError, match="no positive"):
-        train_entity_scorer([TrainSample(q, g, set())], GNN_CFG)
+        fit(EntityScorer, [TrainSample(q, g, set())], GNN_CFG)
 
 
 def test_entity_gradient_matches_central_differences():
     sample = star_graph_entity_sample()
     cfg = TrainConfig(seed=42, epochs=0, text_dim=16, gnn_hidden=8, gnn_depth=2)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_entity_scorer([sample], cfg, encoder=encoder)
-    gt = prepare_graph_tensors(sample.graph, sample.question, encoder, cfg.dde_depth, cfg.dde_slots)
+    model = fit(EntityScorer, [sample], cfg)
+    gt = prepare_graph_tensors(sample.graph, sample.question, model.encoder, cfg.dde_depth, cfg.dde_slots)
     positives = entity_positives(sample.positives)
     y = np.array([1.0 if e in positives else 0.0 for e in gt.entity_ids])
     _, grads = model.loss_and_grad(gt, y, pos_weight=3.0)
@@ -81,8 +78,8 @@ def test_entity_gradient_matches_central_differences():
 def test_entity_training_bitwise_deterministic():
     sample = star_graph_entity_sample()
     cfg = TrainConfig(seed=42, epochs=8, text_dim=16, gnn_hidden=8, gnn_depth=2)
-    m1 = train_entity_scorer([sample], cfg)
-    m2 = train_entity_scorer([sample], cfg)
+    m1 = fit(EntityScorer, [sample], cfg)
+    m2 = fit(EntityScorer, [sample], cfg)
     for p1, p2 in zip(m1.params, m2.params):
         assert np.array_equal(p1, p2)
 
@@ -90,10 +87,9 @@ def test_entity_training_bitwise_deterministic():
 def test_entity_scores_in_range_and_deterministic():
     sample = star_graph_entity_sample()
     cfg = TrainConfig(seed=42, epochs=5, text_dim=16, gnn_hidden=8, gnn_depth=2)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_entity_scorer([sample], cfg, encoder=encoder)
-    s1 = score_entities(model, sample.question, sample.graph, encoder)
-    s2 = score_entities(model, sample.question, sample.graph, encoder)
+    model = fit(EntityScorer, [sample], cfg)
+    s1 = model.score(sample.question, sample.graph)
+    s2 = model.score(sample.question, sample.graph)
     assert s1 == s2
     assert all(0.0 < s < 1.0 for _, s in s1)
 
@@ -125,20 +121,16 @@ def test_entity_to_triple_scores_self_loop_doubles():
 def test_entity_model_save_load_round_trip(tmp_path):
     sample = star_graph_entity_sample()
     cfg = TrainConfig(seed=42, epochs=3, text_dim=16, gnn_hidden=8, gnn_depth=2)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_entity_scorer([sample], cfg, encoder=encoder)
+    model = fit(EntityScorer, [sample], cfg)
     path = tmp_path / "entity.json"
     save_model(model, path)
-    loaded = load_model(path, expected_encoder_tag=encoder.tag)
-    assert score_entities(loaded, sample.question, sample.graph, encoder) == score_entities(
-        model, sample.question, sample.graph, encoder
-    )
+    loaded = load_model(path, expected_encoder_tag=model.encoder_tag)
+    assert loaded.score(sample.question, sample.graph) == model.score(sample.question, sample.graph)
 
 
 def test_entity_scorer_empty_graph():
     sample = star_graph_entity_sample()
     cfg = TrainConfig(seed=42, epochs=1, text_dim=16, gnn_hidden=8, gnn_depth=2)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_entity_scorer([sample], cfg, encoder=encoder)
+    model = fit(EntityScorer, [sample], cfg)
     empty = sample.graph.restrict([])
-    assert score_entities(model, sample.question, empty, encoder) == []
+    assert model.score(sample.question, empty) == []

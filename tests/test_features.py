@@ -3,13 +3,7 @@ import io
 import numpy as np
 
 from kgrag.kg import load_kg
-from kgrag.retriever import (
-    HashedBowEncoder,
-    TripleFeatureBuilder,
-    anchor_slots,
-    compute_dde,
-    encode_text,
-)
+from kgrag.retriever import HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
 from kgrag.retriever.features import question_features
 
 from conftest import graph_from_lines, make_question
@@ -22,6 +16,10 @@ def decode(code: np.ndarray, depth: int):
     fwd = int(np.argmax(code[:width]))
     bwd = int(np.argmax(code[width:]))
     return fwd, bwd
+
+
+def encode_text(text: str) -> np.ndarray:
+    return HashedBowEncoder(256)(text)
 
 
 def test_encode_text_deterministic():

@@ -21,12 +21,9 @@ from kgrag.retriever import (
     anchor_slots,
     compute_dde,
     entity_positives,
+    fit,
     load_model,
     save_model,
-    score_entities,
-    score_triples,
-    train_entity_scorer,
-    train_triple_scorer,
 )
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
 from kgrag.retriever.triple_scorer import recall_at_k
@@ -40,28 +37,28 @@ from oracles import (
 from synth import separable_corpus
 
 
-def triple_recall(model, samples, encoder, k):
+def triple_recall(model, samples, k):
     total = 0.0
     for question, graph, positives in samples:
         pos_tids = {tid for tid, tr in graph.iter_triples() if tr in positives}
-        total += recall_at_k(score_triples(model, question, graph, encoder), pos_tids, k)
+        total += recall_at_k(model.score(question, graph), pos_tids, k)
     return total / len(samples)
 
 
-def entity_recall(model, samples, encoder, k):
+def entity_recall(model, samples, k):
     total = 0.0
     for question, graph, positives in samples:
-        scored = score_entities(model, question, graph, encoder)
+        scored = model.score(question, graph)
         total += recall_at_k(scored, entity_positives(positives), k)
     return total / len(samples)
 
 
 @pytest.mark.parametrize(
-    "train, recall",
-    [(train_triple_scorer, triple_recall), (train_entity_scorer, entity_recall)],
+    "scorer, recall",
+    [(TripleScorer, triple_recall), (EntityScorer, entity_recall)],
     ids=["triple", "entity"],
 )
-def test_checkpoint_is_earliest_epoch_with_best_validation_recall(train, recall):
+def test_checkpoint_is_earliest_epoch_with_best_validation_recall(scorer, recall):
     # training supervision is corrupted with decoys, so validation recall moves
     corpus = separable_corpus(n_questions=6, n_triples=30, n_pos=4, n_decoys=3, seed=0)
     train_samples = [TrainSample(s.question, s.graph, s.positives | d) for s, d in corpus[:4]]
@@ -70,13 +67,12 @@ def test_checkpoint_is_earliest_epoch_with_best_validation_recall(train, recall)
         seed=0, epochs=8, learning_rate=1.0, hidden=(8, 8), text_dim=16,
         recall_k=2, gnn_hidden=8, gnn_depth=2,
     )
-    encoder = HashedBowEncoder(cfg.text_dim)
-    selected = train(train_samples, cfg, val_samples=val_samples, encoder=encoder)
+    selected = fit(scorer, train_samples, cfg, val_samples=val_samples)
 
     per_epoch = []
     for epochs in range(1, cfg.epochs + 1):
-        model = train(train_samples, replace(cfg, epochs=epochs), encoder=encoder)
-        per_epoch.append((recall(model, val_samples, encoder, cfg.recall_k), model))
+        model = fit(scorer, train_samples, replace(cfg, epochs=epochs))
+        per_epoch.append((recall(model, val_samples, cfg.recall_k), model))
     best = max(r for r, _ in per_epoch)
     earliest = next(i for i, (r, _) in enumerate(per_epoch) if r == best)
     # selection must matter here: the best recall is reached more than once,
@@ -292,3 +288,23 @@ def test_a_model_whose_widths_its_features_cannot_have_is_refused(tmp_path, scor
     save_model(model, tmp_path / "model.json")
     with pytest.raises(KGFormatError, match=shown):
         load_model(tmp_path / "model.json")
+
+
+@pytest.mark.parametrize("scorer", [TripleScorer, EntityScorer], ids=["triple", "entity"])
+@pytest.mark.parametrize("text_dim, dde_depth, dde_slots", [(2, 1, 1), (16, 3, 3), (7, 2, 4)])
+def test_fit_gives_the_widths_and_encoder_of_the_features_it_builds(scorer, text_dim, dde_depth, dde_slots):
+    (sample, _), = separable_corpus(n_questions=1, n_triples=12, seed=3)
+    cfg = TrainConfig(
+        seed=0, epochs=0, hidden=(4,), text_dim=text_dim, dde_depth=dde_depth, dde_slots=dde_slots,
+        gnn_hidden=4, gnn_depth=1,
+    )
+    model = fit(scorer, [sample], cfg)
+    assert model.encoder_tag == model.encoder.tag == HashedBowEncoder(text_dim).tag
+    inputs, ids = model.inputs(sample.graph, sample.question)
+    assert np.array_equal(inputs.query, HashedBowEncoder(text_dim)(sample.question.text))
+    if scorer is TripleScorer:
+        built = {"input_dim": triple_matrix(inputs).shape[1]}
+    else:
+        built = {"input_dim": inputs.X.shape[1], "rel_dim": inputs.relation_text.shape[1]}
+    assert {name: getattr(model, name) for name in built} == built
+    assert len(model.scores(inputs)) == len(ids)

@@ -8,11 +8,11 @@ from kgrag.retriever import (
     TrainConfig,
     TrainSample,
     TripleFeatureBuilder,
+    TripleScorer,
+    fit,
     load_model,
     save_model,
-    score_triples,
     top_k,
-    train_triple_scorer,
 )
 from kgrag.retriever.subgraph import ModelFormatError
 from kgrag.retriever.triple_scorer import recall_at_k
@@ -33,10 +33,10 @@ def corpus_samples(**kwargs):
     return [sample for sample, _ in separable_corpus(**kwargs)]
 
 
-def held_out_recall(model, samples, encoder, k=5):
+def held_out_recall(model, samples, k=5):
     total = 0.0
     for question, graph, positives in samples:
-        scored = score_triples(model, question, graph, encoder)
+        scored = model.score(question, graph)
         pos_tids = {tid for tid, tr in graph.iter_triples() if tr in positives}
         total += recall_at_k(scored, pos_tids, k)
     return total / len(samples)
@@ -44,18 +44,16 @@ def held_out_recall(model, samples, encoder, k=5):
 
 def test_training_reaches_perfect_heldout_recall():
     samples = corpus_samples(n_questions=50, seed=0)
-    encoder = HashedBowEncoder(FAST.text_dim)
-    model = train_triple_scorer(samples[:40], FAST, encoder=encoder)
-    assert held_out_recall(model, samples[40:], encoder) == 1.0
+    model = fit(TripleScorer, samples[:40], FAST)
+    assert held_out_recall(model, samples[40:]) == 1.0
 
 
 def test_zero_epochs_scores_near_half():
     samples = corpus_samples(n_questions=2, seed=1)
     cfg = TrainConfig(seed=42, epochs=0, hidden=(32, 32), text_dim=32)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_triple_scorer(samples, cfg, encoder=encoder)
+    model = fit(TripleScorer, samples, cfg)
     question, graph, _ = samples[0]
-    scores = np.array([s for _, s in score_triples(model, question, graph, encoder)])
+    scores = np.array([s for _, s in model.score(question, graph)])
     assert np.all(np.abs(scores - 0.5) < 0.05)
 
 
@@ -63,18 +61,15 @@ def test_training_rejects_zero_positive_sample():
     g = graph_from_lines("A r1 B")
     q = make_question(g, ["A"], [], text="no positives")
     with pytest.raises(ValueError, match="no positive"):
-        train_triple_scorer([TrainSample(q, g, set())], FAST)
+        fit(TripleScorer, [TrainSample(q, g, set())], FAST)
 
 
 def test_gradient_matches_central_differences():
     samples = corpus_samples(n_questions=1, n_triples=12, seed=3)
     cfg = TrainConfig(seed=42, epochs=0, hidden=(8, 8), text_dim=16)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_triple_scorer(samples, cfg, encoder=encoder)
+    model = fit(TripleScorer, samples, cfg)
     question, graph, positives = samples[0]
-    from kgrag.retriever.features import TripleFeatureBuilder
-
-    builder = TripleFeatureBuilder(graph, question, encoder, cfg.dde_depth, cfg.dde_slots)
+    builder = TripleFeatureBuilder(graph, question, model.encoder, cfg.dde_depth, cfg.dde_slots)
     tids, X = builder.matrix()
     y = np.array([1.0 if graph.triple(t) in positives else 0.0 for t in tids])
     _, grads = model.loss_and_grad(X, y, pos_weight=2.0)
@@ -101,15 +96,15 @@ def test_gradient_matches_central_differences():
 def test_training_bitwise_deterministic():
     samples = corpus_samples(n_questions=4, seed=5)
     cfg = TrainConfig(seed=42, epochs=10, hidden=(16, 16), text_dim=32)
-    m1 = train_triple_scorer(samples, cfg)
-    m2 = train_triple_scorer(samples, cfg)
+    m1 = fit(TripleScorer, samples, cfg)
+    m2 = fit(TripleScorer, samples, cfg)
     for p1, p2 in zip(m1.params, m2.params):
         assert np.array_equal(p1, p2)
 
 
 def test_epoch_loss_mostly_non_increasing():
     samples = corpus_samples(n_questions=10, seed=7)
-    model = train_triple_scorer(samples, FAST)
+    model = fit(TripleScorer, samples, FAST)
     losses = model.epoch_losses[5:]
     increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-12)
     assert increases <= 1
@@ -118,11 +113,10 @@ def test_epoch_loss_mostly_non_increasing():
 def test_score_triples_deterministic_and_in_range():
     samples = corpus_samples(n_questions=2, seed=9)
     cfg = TrainConfig(seed=42, epochs=5, hidden=(16, 16), text_dim=32)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_triple_scorer(samples, cfg, encoder=encoder)
+    model = fit(TripleScorer, samples, cfg)
     question, graph, _ = samples[0]
-    s1 = score_triples(model, question, graph, encoder)
-    s2 = score_triples(model, question, graph, encoder)
+    s1 = model.score(question, graph)
+    s2 = model.score(question, graph)
     assert s1 == s2
     assert all(0.0 < score < 1.0 for _, score in s1)
 
@@ -130,17 +124,16 @@ def test_score_triples_deterministic_and_in_range():
 def test_score_triples_empty_view():
     samples = corpus_samples(n_questions=1, seed=11)
     cfg = TrainConfig(seed=42, epochs=1, hidden=(8, 8), text_dim=16)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_triple_scorer(samples, cfg, encoder=encoder)
+    model = fit(TripleScorer, samples, cfg)
     question, graph, _ = samples[0]
     empty = graph.restrict([])
-    assert score_triples(model, question, empty, encoder) == []
+    assert model.score(question, empty) == []
 
 
 def test_score_triples_dimension_mismatch():
     samples = corpus_samples(n_questions=1, seed=13)
     cfg = TrainConfig(seed=42, epochs=1, hidden=(8, 8), text_dim=16)
-    model = train_triple_scorer(samples, cfg, encoder=HashedBowEncoder(16))
+    model = fit(TripleScorer, samples, cfg)
     question, graph, _ = samples[0]
     _, bundle = TripleFeatureBuilder(graph, question, HashedBowEncoder(5)).matrix()
     with pytest.raises(ValueError, match="mismatch"):
@@ -150,9 +143,8 @@ def test_score_triples_dimension_mismatch():
 def test_validation_checkpoint_selection():
     samples = corpus_samples(n_questions=12, seed=15)
     cfg = TrainConfig(seed=42, epochs=25, hidden=(32, 32), text_dim=32, recall_k=5)
-    model = train_triple_scorer(samples[:9], cfg, val_samples=samples[9:])
-    encoder = HashedBowEncoder(cfg.text_dim)
-    assert held_out_recall(model, samples[9:], encoder) == 1.0
+    model = fit(TripleScorer, samples[:9], cfg, val_samples=samples[9:])
+    assert held_out_recall(model, samples[9:]) == 1.0
 
 
 def test_top_k_selects_and_breaks_ties_by_id():
@@ -191,22 +183,19 @@ def test_top_k_monotone_in_k():
 def test_model_save_load_round_trip(tmp_path):
     samples = corpus_samples(n_questions=2, seed=17)
     cfg = TrainConfig(seed=42, epochs=3, hidden=(16, 16), text_dim=32)
-    encoder = HashedBowEncoder(cfg.text_dim)
-    model = train_triple_scorer(samples, cfg, encoder=encoder)
+    model = fit(TripleScorer, samples, cfg)
     path = tmp_path / "model.json"
     save_model(model, path)
-    loaded = load_model(path, expected_encoder_tag=encoder.tag)
+    loaded = load_model(path, expected_encoder_tag=model.encoder_tag)
     question, graph, _ = samples[0]
-    assert score_triples(loaded, question, graph, encoder) == score_triples(
-        model, question, graph, encoder
-    )
+    assert loaded.score(question, graph) == model.score(question, graph)
     assert loaded.seed == 42
 
 
 def test_model_load_rejects_encoder_tag_mismatch(tmp_path):
     samples = corpus_samples(n_questions=1, seed=19)
     cfg = TrainConfig(seed=42, epochs=1, hidden=(8, 8), text_dim=16)
-    model = train_triple_scorer(samples, cfg, encoder=HashedBowEncoder(16))
+    model = fit(TripleScorer, samples, cfg)
     path = tmp_path / "model.json"
     save_model(model, path)
     with pytest.raises(ModelFormatError, match="encoder tag"):
@@ -214,8 +203,6 @@ def test_model_load_rejects_encoder_tag_mismatch(tmp_path):
 
 
 def test_model_weights_round_trip_bit_exact(tmp_path):
-    from kgrag.retriever import TripleScorer
-
     model = TripleScorer(16, (3,), "tanh", "hashed-bow-1", 1, 1, 0, np.random.default_rng(0))
     model.params[0][0, :] = [-0.0, 5e-324, -2.2250738585072014e-308]
     model.params[1][:] = [np.pi, -1e300, 1e-310]
