@@ -15,6 +15,7 @@ failure. README.md lists the failures behind each code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import logging
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from . import kg as kgmod
 from . import metrics, pool as poolmod, reorganize, refiner as refinemod
-from .config import ConfigError, PipelineConfig, json_field, load_config, read_json
+from .config import ConfigError, LLMSettings, PipelineConfig, json_field, load_config, read_json
 from .llm import (
     CompletionError,
     CompletionRequest,
@@ -44,13 +45,7 @@ from .retriever import (
     save_model,
     top_k,
 )
-from .retriever.subgraph import (
-    ModelFormatError,
-    RetrievedSubgraph,
-    read_subgraphs,
-    subgraph_to_record,
-    write_subgraphs,
-)
+from .retriever.subgraph import ModelFormatError, read_subgraphs, subgraph_to_record, write_subgraphs
 from .simulate import estimate_recovery_rounds, load_experiment, write_summary_json, write_trials_csv
 
 logger = logging.getLogger(__name__)
@@ -105,12 +100,10 @@ def _parallel_map(fn, items, workers: int):
 
 def _load_inputs(cfg: PipelineConfig) -> tuple[kgmod.KnowledgeGraph, list[kgmod.Question]]:
     """The graph compiled at ingest, checked against the ``graph.tsv`` written with it, and
-    the questions; a missing, changed or malformed pair exits 3."""
+    the questions, whose labels must all be in it; a missing, changed or malformed pair exits 3."""
     tsv_sha256 = _sha256(_require(cfg.graph_artifact, "ingest"))
     g = _read(cfg.compiled_graph_artifact, "ingest", kgmod.load_kg, "compiled", tsv_sha256)
-    questions, unresolved = _read(cfg.questions_artifact, "ingest", kgmod.load_questions, g)
-    for qid, labels in unresolved.items():
-        logger.warning("question %s still has unresolved labels: %s", qid, labels)
+    questions, _ = _read(cfg.questions_artifact, "ingest", kgmod.load_questions, g, True)
     return g, questions
 
 
@@ -123,23 +116,13 @@ def _answers_by_question_text(questions: list[kgmod.Question], g) -> dict[str, s
 class _SamplingClient:
     """Applies the configured temperature/seed/max_tokens to every request."""
 
-    def __init__(self, inner, temperature: float, seed: int, max_tokens: int):
+    def __init__(self, inner, llm: LLMSettings):
         self._inner = inner
-        self._temperature = temperature
-        self._seed = seed
-        self._max_tokens = max_tokens
+        self._sampling = {"temperature": llm.temperature, "seed": llm.seed, "max_tokens": llm.max_tokens}
         self.tag = inner.tag
 
     def complete(self, req: CompletionRequest):
-        return self._inner.complete(
-            CompletionRequest(
-                system_text=req.system_text,
-                user_text=req.user_text,
-                temperature=self._temperature,
-                seed=self._seed,
-                max_tokens=self._max_tokens,
-            )
-        )
+        return self._inner.complete(dataclasses.replace(req, **self._sampling))
 
 
 def _make_client(cfg: PipelineConfig, backend: str, questions, g):
@@ -159,7 +142,7 @@ def _make_client(cfg: PipelineConfig, backend: str, questions, g):
                 inner = remote_from_env(store=store, max_inflight=cfg.llm.max_inflight)
             except ValueError as exc:
                 raise ConfigError([str(exc)]) from exc
-    return _SamplingClient(inner, cfg.llm.temperature, cfg.llm.seed, cfg.llm.max_tokens)
+    return _SamplingClient(inner, cfg.llm)
 
 
 def _train_config(cfg: PipelineConfig) -> TrainConfig:
@@ -230,7 +213,7 @@ def cmd_candidates(cfg: PipelineConfig) -> int:
 
 def cmd_refine(cfg: PipelineConfig, limit: int | None = None, backend: str | None = None) -> int:
     g, questions = _load_inputs(cfg)
-    pools = _read(cfg.pool_artifact, "candidates", poolmod.read_pools, g)
+    pools = _read(cfg.pool_artifact, "candidates", poolmod.read_pools, g, [q.id for q in questions])
     client = _make_client(cfg, backend or cfg.llm.backend, questions, g)
     demos = (
         refinemod.load_refine_demos(cfg.paths.refine_demos) if cfg.paths.refine_demos else ()
@@ -238,12 +221,12 @@ def cmd_refine(cfg: PipelineConfig, limit: int | None = None, backend: str | Non
     selected = questions[:limit] if limit is not None else questions
 
     def run(q: kgmod.Question) -> dict | None:
-        pool = pools.get(q.id)
-        if pool is None or len(pool) == 0:
+        pool = pools[q.id]
+        if len(pool) == 0:
             logger.warning("question %s has no candidates; skipping refinement", q.id)
             return None
         sup = refinemod.refine(q, pool, g, client, demos=demos, limit=cfg.pool_limit)
-        return refinemod.supervision_to_record(sup, g)
+        return refinemod.supervision_to_record(q.id, sup, g)
 
     records = [rec for rec in _parallel_map(run, selected, cfg.workers) if rec is not None]
     with kgmod.published(cfg.supervision_artifact) as fh:
@@ -264,19 +247,21 @@ def _weak_supervision(
 
 def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
     g, questions = _load_inputs(cfg)
+    ids = [q.id for q in questions]
     val_ids = set(cfg.validation_ids)
-    unknown = sorted(val_ids - {q.id for q in questions})
+    unknown = sorted(val_ids - set(ids))
     if unknown:
         raise ConfigError([f"validation_ids: {qid!r} is not a question" for qid in unknown])
     if no_refine:
         positives = {q.id: _weak_supervision(g, q, cfg.path_cap) for q in questions}
     else:
-        supervision = _read(cfg.supervision_artifact, "refine", refinemod.read_supervision, g)
-        positives = {qid: sup.positive_triples for qid, sup in supervision.items()}
+        supervision = _read(cfg.supervision_artifact, "refine", refinemod.read_supervision, g, ids)
+        positives = dict.fromkeys(ids, frozenset())
+        positives.update((qid, sup.positive_triples) for qid, sup in supervision.items())
 
     train_samples, val_samples = [], []
     for q in questions:
-        pos = positives.get(q.id, set())
+        pos = positives[q.id]
         if not pos:
             logger.warning("question %s has no positive triples; skipped for training", q.id)
             continue
@@ -321,12 +306,7 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
         scored, merged = model.score(q, view), {}
         if by_entity:
             scored, merged = entity_to_triple_scores(scored, view)
-        sub = (
-            top_k(scored, k, g, relation_overrides=merged)
-            if scored
-            else RetrievedSubgraph(entries=[], k=k)
-        )
-        return subgraph_to_record(q.id, sub)
+        return subgraph_to_record(q.id, top_k(scored, k, g, relation_overrides=merged))
 
     records = _parallel_map(run, questions, cfg.workers)
     with kgmod.published(cfg.retrieval_artifact) as fh:
@@ -337,17 +317,13 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
 
 def cmd_reorganize(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
-    subgraphs = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g)
-    labels = {e: g.entity_label(e) for e in range(len(g.entities))}
+    subgraphs = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g, [q.id for q in questions])
 
     def run(q: kgmod.Question) -> dict:
-        sub = subgraphs.get(q.id)
-        if sub is None:
-            return reorganize.chains_to_record(q.id, [], labels)
-        chains = reorganize.expand_chains(sub, set(q.query_entities), cfg.chain_length_limit)
+        chains = reorganize.expand_chains(subgraphs[q.id], set(q.query_entities), cfg.chain_length_limit)
         chains = reorganize.merge_multi_answer(chains)
         chains = reorganize.merge_multi_entity(chains, set(q.query_entities))
-        return reorganize.chains_to_record(q.id, chains, labels)
+        return reorganize.chains_to_record(q.id, chains)
 
     records = _parallel_map(run, questions, cfg.workers)
     with kgmod.published(cfg.chains_artifact) as fh:
@@ -362,21 +338,16 @@ def cmd_answer(
     g, questions = _load_inputs(cfg)
     client = _make_client(cfg, llm or cfg.llm.backend, questions, g)
     demos = reorganize.load_qa_demos(cfg.paths.qa_demos) if cfg.paths.qa_demos else ()
+    ids = [q.id for q in questions]
     if no_reorganize:
-        subgraphs = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g)
+        evidence = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g, ids)
+        build_prompt = reorganize.build_flat_qa_prompt
     else:
-        chains_by_q = _read(cfg.chains_artifact, "reorganize", reorganize.read_chains)
+        evidence = _read(cfg.chains_artifact, "reorganize", reorganize.read_chains, ids)
+        build_prompt = reorganize.build_qa_prompt
 
     def run(q: kgmod.Question) -> dict:
-        if no_reorganize:
-            sub = subgraphs.get(q.id) or RetrievedSubgraph(entries=[], k=cfg.top_k)
-            request = reorganize.build_flat_qa_prompt(
-                q.text, sub, demos, cfg.llm.include_explanations
-            )
-        else:
-            request = reorganize.build_qa_prompt(
-                q.text, chains_by_q.get(q.id, []), demos, cfg.llm.include_explanations
-            )
+        request = build_prompt(q.text, evidence[q.id], demos, cfg.llm.include_explanations)
         result = client.complete(request)
         return {
             "id": q.id,
@@ -396,23 +367,11 @@ def cmd_answer(
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
     gold = {q.id: {g.entity_label(a) for a in q.answer_entities} for q in questions}
-    answered: set[str] = set()
-
-    def prediction(rec: dict) -> metrics.Prediction:
-        qid = json_field(rec, "id", str)
-        if qid not in gold:
-            raise ValueError(f"question {qid!r} is not in {cfg.questions_artifact.name}")
-        if qid in answered:
-            raise ValueError(f"question {qid!r} is answered twice")
-        answered.add(qid)
-        return metrics.Prediction(qid, json_field(rec, "answers", tuple[str, ...]))
-
-    preds = _read(cfg.answers_artifact, "answer", kgmod.read_jsonl, prediction)
-    unanswered = [q.id for q in questions if q.id not in answered]
-    if unanswered:
-        raise UpstreamArtifactError(
-            cfg.answers_artifact, "answer", f"no line answers question {unanswered[0]!r}"
-        )
+    answers = _read(
+        cfg.answers_artifact, "answer", kgmod.read_by_question,
+        lambda rec: json_field(rec, "answers", tuple[str, ...]), "id", gold,
+    )
+    preds = [metrics.Prediction(qid, predicted) for qid, predicted in answers.items()]
     aliases = None
     if cfg.paths.aliases:
         aliases = read_json(

@@ -6,7 +6,8 @@ are collapsed at load time (the collapse count is logged). A graph restricted to
 a question scope shares the parent's vocabulary, columns and triple ids, so ids
 stay stable across views. Whole-graph structures are built only when used.
 The loading section owns the artifact format: :func:`read_jsonl`,
-:func:`write_jsonl` and :func:`published` are the only reader, writer and publisher.
+:func:`write_jsonl` and :func:`published` are the only reader, writer and publisher,
+and :func:`read_by_question` the only reader of a per-question artifact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import IO, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .config import json_field
 
@@ -396,6 +397,30 @@ def read_jsonl(source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[dic
     return out
 
 
+def read_by_question(
+    source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[dict], T], key: str,
+    ids: Collection[str], every: bool = True,
+) -> dict[str, T]:
+    """``parse(record)`` by the question id each record holds as the string ``key``, in line order.
+    An id not in ``ids``, an id given twice and, with ``every``, a question of ``ids`` with no
+    record raise :class:`KGFormatError`, as do the lines :func:`read_jsonl` refuses."""
+    known, out = set(ids), {}
+
+    def keyed(rec: dict) -> None:
+        qid = json_field(rec, key, str)
+        if qid not in known:
+            raise KGFormatError(f"question {qid!r} is not in questions.jsonl")
+        if qid in out:
+            raise KGFormatError(f"a second record for question {qid!r}")
+        out[qid] = parse(rec)
+
+    read_jsonl(source, keyed)
+    for qid in ids if every else ():
+        if qid not in out:
+            raise KGFormatError(f"no line holds question {qid!r}")
+    return out
+
+
 def write_jsonl(sink: IO[str], records: Iterable[dict]) -> None:
     """One sorted-key JSON object per line, non-ASCII text unescaped."""
     for rec in records:
@@ -549,22 +574,28 @@ def to_compiled(g: KnowledgeGraph, sink: IO[str], tsv_sha256: str) -> None:
 
 
 def load_questions(
-    source: IO[bytes] | IO[str] | Iterable[str], g: KnowledgeGraph
+    source: IO[bytes] | IO[str] | Iterable[str], g: KnowledgeGraph, strict: bool = False
 ) -> tuple[list[Question], dict[str, list[str]]]:
     """Load question records and resolve entity labels against the vocabulary.
 
     Records are JSONL objects ``{id, question, question_entities,
     answer_entities, scope?}`` where scope is a list of ``[h, r, t]`` label
-    triples. Unresolvable labels are dropped and reported per question id in
-    the returned mapping.
+    triples. A repeated id raises :class:`KGFormatError`. Unresolvable labels
+    are dropped and reported per question id in the returned mapping, or with
+    ``strict`` raise :class:`KGFormatError`.
     """
     unresolved: dict[str, list[str]] = {}
     # scope items resolve in one pass over the label maps and the triple index
     entity, relation, triple = g.entity_ids.get, g.relation_ids.get, g.triple_index.get
     visible = None if g._shows_every_triple() else set(g.triple_ids)
+    seen: set[str] = set()
 
     def parse(obj: dict) -> Question:
-        qid, text = json_field(obj, "id", str), json_field(obj, "question", str)
+        qid = json_field(obj, "id", str)
+        if qid in seen:
+            raise ValueError(f"question {qid!r} repeats")
+        seen.add(qid)
+        text = json_field(obj, "question", str)
         problems: list[str] = []
 
         def resolve(key: str) -> frozenset[int]:
@@ -592,9 +623,10 @@ def load_questions(
                 else:  # a triple that resolves holds three labels, so only a miss is checked
                     raise KGFormatError(f"scope item {item!r} is not three labels")
             scope = frozenset(tids)
+        if problems and strict:
+            raise KGFormatError(f"question {qid!r}: labels not in the graph: {problems}")
         if problems:
             unresolved[qid] = problems
-            logger.warning("question %s: unresolved labels %s", qid, problems)
         return Question(qid, text, query, answers, scope)
 
     return read_jsonl(source, parse), unresolved

@@ -195,7 +195,8 @@ class ReplayStore:
                 except ValueError:
                     logger.warning("replay store %s: dropping a torn last line", self.path)
                     data, self._tail = data[:cut], (cut, b"")
-            self._entries = dict(read_jsonl(io.BytesIO(data), _replay_entry))
+            for digest, entry in read_jsonl(io.BytesIO(data), _replay_entry):
+                self._entries.setdefault(digest, entry)  # a digest recorded twice keeps its first, as put
 
     def __len__(self) -> int:
         return len(self._entries)

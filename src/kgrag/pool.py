@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Literal
+from typing import IO, Collection, Iterable, Literal
 
 from .config import json_field
 from .kg import (
@@ -21,7 +21,7 @@ from .kg import (
     Question,
     ReasoningPath,
     hop_distances,
-    read_jsonl,
+    read_by_question,
     step_exit,
     write_jsonl,
 )
@@ -228,7 +228,7 @@ def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
     }
 
 
-def pool_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, CandidatePool]:
+def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
     pool = CandidatePool()
     for entry in json_field(rec, "paths", tuple[dict, ...]):
         tids = []
@@ -244,11 +244,11 @@ def pool_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, CandidatePool]:
         )
     rep = json_field(rec, "representative_answer", str | None, None)
     pool.representative_answer = None if rep is None else g.entity_id(rep)
-    return json_field(rec, "id", str), pool
+    return pool
 
 
 write_pools = write_jsonl
 
 
-def read_pools(source: IO[str], g: KnowledgeGraph) -> dict[str, CandidatePool]:
-    return dict(read_jsonl(source, lambda rec: pool_from_record(rec, g)))
+def read_pools(source: IO[str], g: KnowledgeGraph, ids: Collection[str]) -> dict[str, CandidatePool]:
+    return read_by_question(source, lambda rec: pool_from_record(rec, g), "id", ids)

@@ -12,11 +12,11 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Collection, Sequence
 
 from .config import json_field, read_json
 from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question, ReasoningPath, Triple
-from .kg import read_jsonl, write_jsonl
+from .kg import read_by_question, write_jsonl
 from .llm import CompletionRequest
 from .pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, CandidatePool
 
@@ -50,7 +50,6 @@ class RefineDemo:
 
 @dataclass
 class RefinedSupervision:
-    question_id: str
     selected_indices: list[int]  # 0-based pool positions
     positive_triples: set[Triple]
     refiner_tag: str
@@ -191,7 +190,6 @@ def refine(
     for i in selected:
         positives.update(pool.paths[i].triples(g))
     return RefinedSupervision(
-        question_id=q.id,
         selected_indices=selected,
         positive_triples=positives,
         refiner_tag=getattr(client, "tag", "unknown"),
@@ -201,9 +199,9 @@ def refine(
 # -- supervision cache --------------------------------------------------------
 
 
-def supervision_to_record(sup: RefinedSupervision, g: KnowledgeGraph) -> dict:
+def supervision_to_record(qid: str, sup: RefinedSupervision, g: KnowledgeGraph) -> dict:
     return {
-        "question_id": sup.question_id,
+        "question_id": qid,
         "selected_indices": sup.selected_indices,
         "positive_triples": sorted(g.labels(tr) for tr in sup.positive_triples),
         "refiner_tag": sup.refiner_tag,
@@ -218,7 +216,6 @@ def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
             raise KGFormatError(f"supervision triple not in graph: {h}|{r}|{t}")
         positives.add(g.triple(tid))
     return RefinedSupervision(
-        question_id=json_field(rec, "question_id", str),
         selected_indices=list(json_field(rec, "selected_indices", tuple[int, ...])),
         positive_triples=positives,
         refiner_tag=json_field(rec, "refiner_tag", str, "unknown"),
@@ -228,9 +225,13 @@ def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
 write_supervision = write_jsonl
 
 
-def read_supervision(source: IO[str], g: KnowledgeGraph) -> dict[str, RefinedSupervision]:
-    sups = read_jsonl(source, lambda rec: supervision_from_record(rec, g))
-    return {sup.question_id: sup for sup in sups}
+def read_supervision(
+    source: IO[str], g: KnowledgeGraph, ids: Collection[str]
+) -> dict[str, RefinedSupervision]:
+    """One record at most per question: refine skips questions without candidates or past ``--limit``."""
+    return read_by_question(
+        source, lambda rec: supervision_from_record(rec, g), "question_id", ids, every=False
+    )
 
 
 def load_refine_demos(path: str | Path) -> list[RefineDemo]:

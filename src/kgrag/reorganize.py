@@ -14,10 +14,10 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Collection, Sequence
 
 from .config import json_field, read_json
-from .kg import BACKWARD, FORWARD, KGFormatError, read_jsonl, write_jsonl
+from .kg import BACKWARD, FORWARD, KGFormatError, read_by_question, write_jsonl
 from .llm import CompletionRequest
 from .refiner import render_chain
 from .retriever.subgraph import RetrievedSubgraph, RetrievedTriple
@@ -46,6 +46,10 @@ class EvidenceChain:
 
     def anchor(self) -> RetrievedTriple:
         return self.steps[0]
+
+    def source_label(self) -> str:
+        anchor = self.anchor()
+        return anchor.head_label if self.orientations[0] == FORWARD else anchor.tail_label
 
     def tid_sequence(self) -> tuple[int, ...]:
         return tuple(step.tid for step in self.steps)
@@ -223,7 +227,7 @@ def merge_multi_entity(
 
 
 def render_evidence_line(chain: EvidenceChain) -> str:
-    labels = [chain.anchor().head_label if chain.orientations[0] == FORWARD else chain.anchor().tail_label]
+    labels = [chain.source_label()]
     markers = []
     for step, orient in zip(chain.steps, chain.orientations):
         markers.append(step.relation if orient == FORWARD else step.relation + "⁻")
@@ -291,7 +295,7 @@ def build_flat_qa_prompt(
 # -- serialization ---------------------------------------------------------------
 
 
-def chains_to_record(qid: str, chains: Sequence[EvidenceChain], source_labels: dict[int, str]) -> dict:
+def chains_to_record(qid: str, chains: Sequence[EvidenceChain]) -> dict:
     out = []
     for chain in chains:
         out.append(
@@ -302,7 +306,7 @@ def chains_to_record(qid: str, chains: Sequence[EvidenceChain], source_labels: d
                 "tails": [s.tail for s in chain.steps],
                 "scores": [s.score for s in chain.steps],
                 "orientations": list(chain.orientations),
-                "source": source_labels.get(chain.source, str(chain.source)),
+                "source": chain.source_label(),
                 "source_id": chain.source,
                 # aligned pairwise: target_labels[i] names target_ids[i]
                 "targets": list(chain.target_labels),
@@ -321,7 +325,7 @@ _COLUMNS = dict(
 )
 
 
-def chains_from_record(rec: dict) -> tuple[str, list[EvidenceChain]]:
+def chains_from_record(rec: dict) -> list[EvidenceChain]:
     chains = []
     for c in json_field(rec, "chains", tuple[dict, ...]):
         columns = [json_field(c, key, tp) for key, tp in _COLUMNS.items()]
@@ -341,14 +345,14 @@ def chains_from_record(rec: dict) -> tuple[str, list[EvidenceChain]]:
                 group=json_field(c, "group", int | None, None),
             )
         )
-    return json_field(rec, "question_id", str), chains
+    return chains
 
 
 write_chains = write_jsonl
 
 
-def read_chains(source: IO[str]) -> dict[str, list[EvidenceChain]]:
-    return dict(read_jsonl(source, chains_from_record))
+def read_chains(source: IO[str], ids: Collection[str]) -> dict[str, list[EvidenceChain]]:
+    return read_by_question(source, chains_from_record, "question_id", ids)
 
 
 def load_qa_demos(path: str | Path) -> list[QADemo]:

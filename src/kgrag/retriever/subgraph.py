@@ -6,10 +6,10 @@ import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 from ..config import json_field
-from ..kg import KGFormatError, KnowledgeGraph, published, read_jsonl, write_jsonl
+from ..kg import KGFormatError, KnowledgeGraph, published, read_by_question, read_jsonl, write_jsonl
 
 MODEL_FORMAT_VERSION = 2
 
@@ -79,7 +79,7 @@ def subgraph_to_record(qid: str, sub: RetrievedSubgraph) -> dict:
     }
 
 
-def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, RetrievedSubgraph]:
+def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> RetrievedSubgraph:
     entries = []
     tids, scores = json_field(rec, "tids", tuple[int, ...]), json_field(rec, "scores", tuple[float, ...])
     triples = json_field(rec, "triples", list)  # read last, so that an unpacking error names it
@@ -96,14 +96,14 @@ def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> tuple[str, RetrievedSu
         if type(r) is not str:
             raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not a label")
         entries.append(RetrievedTriple(tid, tr.head, tr.tail, h, r, t, score))
-    return json_field(rec, "id", str), RetrievedSubgraph(entries=entries, k=json_field(rec, "k", int))
+    return RetrievedSubgraph(entries=entries, k=json_field(rec, "k", int))
 
 
 write_subgraphs = write_jsonl
 
 
-def read_subgraphs(source, g: KnowledgeGraph) -> dict[str, RetrievedSubgraph]:
-    return dict(read_jsonl(source, lambda rec: subgraph_from_record(rec, g)))
+def read_subgraphs(source, g: KnowledgeGraph, ids: Collection[str]) -> dict[str, RetrievedSubgraph]:
+    return read_by_question(source, lambda rec: subgraph_from_record(rec, g), "id", ids)
 
 
 # -- model files ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrag.kg import KGFormatError, load_kg, published, read_jsonl, write_jsonl
+from kgrag.kg import KGFormatError, load_kg, published, read_by_question, read_jsonl, write_jsonl
 from kgrag.retriever.subgraph import read_subgraphs
 
 # non-ASCII text, including characters other line splitters treat as breaks
@@ -54,7 +55,7 @@ def test_retrieval_record_error_names_the_field(field, value):
     g = load_kg(["a\tr\tb\n"])
     record = {"id": "q", "k": 1, "tids": [0], "triples": [["a", "r", "b"]], "scores": [1.0], field: value}
     with pytest.raises(KGFormatError, match=f"line 1: field '{field}'"):
-        read_subgraphs([json.dumps(record)], g)
+        read_subgraphs([json.dumps(record)], g, ["q"])
 
 
 def test_read_jsonl_keeps_the_line_of_a_numbered_error():
@@ -64,6 +65,42 @@ def test_read_jsonl_keeps_the_line_of_a_numbered_error():
     with pytest.raises(KGFormatError) as err:
         read_jsonl(['{"a": 1}'], parse)
     assert err.value.line == 7
+
+
+@pytest.mark.parametrize(
+    "lines, shown",
+    [
+        (['{"id": "q2"}', '{"id": "q1"}', '{"id": "q2"}'], "line 3: a second record for question 'q2'"),
+        (['{"id": "q1"}', '{"id": "q3"}'], "line 2: question 'q3' is not in questions.jsonl"),
+        (['{"id": "q2"}'], "no line holds question 'q1'"),
+        (['{"id": 1}'], "line 1: field 'id'"),
+        (['{"question_id": "q1"}'], "line 1: missing field 'id'"),
+    ],
+    ids=["repeated", "unknown", "missing", "id-int", "no-id"],
+)
+def test_read_by_question_refuses_a_record_of_no_question_or_of_the_same_one(lines, shown):
+    with pytest.raises(KGFormatError, match=re.escape(shown)):
+        read_by_question(lines, dict, "id", ["q1", "q2"])
+
+
+def test_read_by_question_keeps_line_order_and_may_allow_a_missing_record():
+    lines = ['{"id": "q2", "v": 2}', "", '{"id": "q1", "v": 1}']
+    value = lambda rec: rec["v"]  # noqa: E731
+    assert list(read_by_question(lines, value, "id", ["q1", "q2"]).items()) == [("q2", 2), ("q1", 1)]
+    assert read_by_question(lines[:1], value, "id", ["q1", "q2"], every=False) == {"q2": 2}
+
+
+def test_no_dict_of_read_jsonl_under_src():
+    """``kg.read_by_question`` is the one reader of a per-question artifact: no stage keys the
+    records of ``read_jsonl`` itself, where a repeated id would silently win."""
+    root = Path(__file__).resolve().parents[1] / "src" / "kgrag"
+    hits = [
+        f"{path.relative_to(root)}:{lineno}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "dict(read_jsonl(" in line
+    ]
+    assert not hits, hits
 
 
 def test_published_creates_parent_directories(tmp_path):

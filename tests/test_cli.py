@@ -22,7 +22,7 @@ from kgrag.cli import (
 )
 from kgrag.kg import load_kg
 
-from conftest import write_fixture_config
+from conftest import DATA, write_fixture_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # a child interpreter that imports this checkout's kgrag
@@ -282,12 +282,12 @@ def test_answer_from_replay_cache(pipeline_dir, tmp_path):
     from kgrag.llm import CompletionRequest, ReplayStore, request_digest
     from kgrag.reorganize import build_qa_prompt, read_chains
 
-    with (pipeline_dir / "out" / "chains.jsonl").open() as fh:
-        chains_by_q = read_chains(fh)
     questions = [
         json.loads(line)
         for line in (pipeline_dir / "out" / "questions.jsonl").read_text().splitlines()
     ]
+    with (pipeline_dir / "out" / "chains.jsonl").open() as fh:
+        chains_by_q = read_chains(fh, [q["id"] for q in questions])
     store = ReplayStore(tmp_path / "replay.jsonl")
     for q in questions:
         built = build_qa_prompt(q["question"], chains_by_q.get(q["id"], []))
@@ -626,6 +626,21 @@ def _cut_inside_a_character(text: str) -> str:
         ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "steps", 0, "abc")),
         ("questions.jsonl", "candidates", "ingest", _set("question_entities", "abc")),
         ("questions.jsonl", "candidates", "ingest", _set("scope", [["spain", "capital", 5]])),
+        # each of these exited 0 before every per-question artifact was read by question id
+        ("pool.jsonl", "refine", "candidates", _first_line_twice),
+        ("pool.jsonl", "refine", "candidates", _set("id", "no-such-question")),
+        ("pool.jsonl", "refine", "candidates", _first_line_dropped),
+        ("retrieval.jsonl", "reorganize", "retrieve", _first_line_twice),
+        ("retrieval.jsonl", "reorganize", "retrieve", _set("id", "no-such-question")),
+        ("retrieval.jsonl", "reorganize", "retrieve", _first_line_dropped),
+        ("retrieval.jsonl", "answer --no-reorganize", "retrieve", _first_line_dropped),
+        ("chains.jsonl", "answer", "reorganize", _first_line_twice),
+        ("chains.jsonl", "answer", "reorganize", _set("question_id", "no-such-question")),
+        ("chains.jsonl", "answer", "reorganize", _first_line_dropped),
+        ("supervision.jsonl", "train", "refine", _first_line_twice),
+        ("supervision.jsonl", "train", "refine", _set("question_id", "no-such-question")),
+        ("questions.jsonl", "candidates", "ingest", _first_line_twice),
+        ("questions.jsonl", "candidates", "ingest", _set("answer_entities", ["Nowhere"])),
     ],
     ids=[
         "pool-label",
@@ -663,6 +678,20 @@ def _cut_inside_a_character(text: str) -> str:
         "chains-step-string",
         "questions-entities-string",
         "questions-scope-label-int",
+        "pool-duplicate-id",
+        "pool-foreign-id",
+        "pool-missing-id",
+        "retrieval-duplicate-id",
+        "retrieval-foreign-id",
+        "retrieval-missing-id",
+        "retrieval-missing-id-flat",
+        "chains-duplicate-id",
+        "chains-foreign-id",
+        "chains-missing-id",
+        "supervision-duplicate-id",
+        "supervision-foreign-id",
+        "questions-duplicate-id",
+        "questions-unresolved-label",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(
@@ -864,3 +893,29 @@ def test_an_unknown_validation_id_exits_config(pipeline_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
     assert "validation_ids" in err and "'q99'" in err and "'q01'" not in err
+
+
+def _questions_input(tmp_path, edit) -> Path:
+    """A config whose input questions are the fixture's, with ``edit`` applied to their lines."""
+    path = tmp_path / "questions-in.jsonl"
+    path.write_text(edit((DATA / "fixture_questions.jsonl").read_text(encoding="utf-8")), encoding="utf-8")
+    return write_fixture_config(tmp_path, paths={"questions": str(path)})
+
+
+def test_ingest_refuses_a_repeated_question_id(tmp_path, capsys):
+    cfg_path = _questions_input(tmp_path, _first_line_twice)
+    rc = main(["ingest", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "line 2: field 'id': question 'q01' repeats" in err
+    assert not (tmp_path / "out" / "questions.jsonl").exists()
+
+
+def test_ingest_reports_each_unresolved_question_once(tmp_path, capsys, caplog):
+    cfg_path = _questions_input(tmp_path, _set("answer_entities", ["Nowhere"]))
+    assert main(["ingest", "--config", str(cfg_path)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err == "warning: question q01: unresolved labels ['Nowhere']\n"
+    assert [rec.getMessage() for rec in caplog.records] == []
+    # ingest writes the resolved labels only, so the next stage reads a questions.jsonl it accepts
+    assert main(["candidates", "--config", str(cfg_path)]) == EXIT_OK

@@ -4,7 +4,8 @@ the input's own code (2 for ingest inputs and the replay store, 3 for an upstrea
 
 Each example damages one input of a finished fixture pipeline (trained for one epoch, so that
 ``train`` stays cheap) in one of three ways: it cuts the file at a random byte, drops a key
-at any depth of one record, or gives one value at any depth another JSON type.
+at any depth of one record, or gives one value at any depth another JSON type. A cut that
+drops a whole record of an artifact with one record per question exits 3.
 """
 
 import contextlib
@@ -40,6 +41,8 @@ NOT_READ = {
     "out/chains.jsonl": {"source", "relation_path"},
     "out/answers.jsonl": {"raw_text", "prompt_sha256", "usage"},
 }
+# artifacts that hold exactly one record per question, so that a record cut away exits 3
+ONE_PER_QUESTION = {"out/pool.jsonl", "out/retrieval.jsonl", "out/chains.jsonl", "out/answers.jsonl"}
 # fields that hold null or a value of one type
 NULLABLE = {"scope": list, "representative_answer": str, "group": int}
 
@@ -136,3 +139,5 @@ def test_a_damaged_input_exits_with_a_documented_code(pipeline, name, data):
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_MISSING, EXIT_BACKEND), err.getvalue()
     if retyped:
         assert rc == wrong_type_exit, err.getvalue()
+    if name in ONE_PER_QUESTION and len(content.splitlines()) < len(files[root / name].splitlines()):
+        assert rc == EXIT_MISSING, err.getvalue()

@@ -135,6 +135,16 @@ def test_replay_round_trip(tmp_path):
     assert result.token_usage == {"prompt": 3, "completion": 2}
 
 
+def test_replay_store_serves_the_first_response_of_a_digest_recorded_twice(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    first, second = ReplayStore(path), ReplayStore(path)  # two processes that both missed
+    first.put("d1", "one", 1, 1)
+    second.put("d1", "two", 1, 1)
+    reloaded = ReplayStore(path)
+    assert len(reloaded) == 1
+    assert reloaded.get("d1") == first.get("d1") == ("one", 1, 1)
+
+
 def test_replay_store_drops_a_torn_last_line(tmp_path, caplog):
     path = tmp_path / "replay.jsonl"
     whole = '{"digest": "d1", "text": "one", "usage": {"prompt": 1, "completion": 2}}\n'

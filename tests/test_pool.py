@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,9 +15,9 @@ from kgrag.pool import (
     build_pool,
     merge_answers,
     merge_relation_chains,
-    pool_from_record,
     pool_to_record,
     query_neighborhood,
+    read_pools,
     shortest_paths,
 )
 from kgrag.kg import ReasoningPath
@@ -289,7 +290,7 @@ def test_pool_serialization_round_trip():
     q = make_question(g, ["A"], ["C"], qid="qx")
     pool = build_pool(g, q)
     record = pool_to_record(q.id, pool, g)
-    qid, loaded = pool_from_record(record, g)
+    ((qid, loaded),) = read_pools([json.dumps(record)], g, ["qx"]).items()
     assert qid == "qx"
     assert [p.key() for p in loaded.paths] == [p.key() for p in pool.paths]
     assert loaded.provenance == pool.provenance

@@ -225,16 +225,15 @@ def test_supervision_cache_round_trip():
     g, q, pool = _pool_fixture()
     mock = MockOracle({q.text: {"C"}})
     sup = refine(q, pool, g, mock)
-    record = supervision_to_record(sup, g)
+    record = supervision_to_record(q.id, sup, g)
     loaded = supervision_from_record(record, g)
-    assert loaded.question_id == sup.question_id
     assert loaded.positive_triples == sup.positive_triples
     assert loaded.selected_indices == sup.selected_indices
     assert loaded.refiner_tag == "mock"
 
     sink = io.StringIO()
     write_supervision(sink, [record])
-    cache = read_supervision(io.StringIO(sink.getvalue()), g)
+    cache = read_supervision(io.StringIO(sink.getvalue()), g, [q.id])
     assert cache[q.id].positive_triples == sup.positive_triples
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from kgrag.reorganize import (
     expand_chains,
     merge_multi_answer,
     merge_multi_entity,
+    read_chains,
     render_evidence_line,
     split_source,
     QADemo,
@@ -371,9 +373,8 @@ def test_chains_serialization_keeps_label_alignment_when_orders_differ():
     # other way; the round trip must not cross the pairs
     g, sub = subgraph_from_lines(["Q r1 zebra", "Q r1 apple"])
     chains = merge_multi_answer(expand_chains(sub, {g.entity_ids["Q"]}, max_len=1))
-    labels = {e: g.entity_label(e) for e in range(len(g.entities))}
-    record = chains_to_record("qy", chains, labels)
-    _, loaded = chains_from_record(record)
+    record = chains_to_record("qy", chains)
+    loaded = chains_from_record(record)
     for orig, back in zip(chains, loaded):
         assert dict(zip(sorted(orig.targets), orig.target_labels)) == dict(
             zip(sorted(back.targets), back.target_labels)
@@ -383,9 +384,8 @@ def test_chains_serialization_keeps_label_alignment_when_orders_differ():
 def test_chains_serialization_round_trip():
     g, sub = subgraph_from_lines(["Q r1 A1", "Q r1 A2", "B r2 Q"])
     chains = merge_multi_answer(expand_chains(sub, {g.entity_ids["Q"]}, max_len=2))
-    labels = {e: g.entity_label(e) for e in range(len(g.entities))}
-    record = chains_to_record("qz", chains, labels)
-    qid, loaded = chains_from_record(record)
+    record = chains_to_record("qz", chains)
+    ((qid, loaded),) = read_chains([json.dumps(record)], ["qz"]).items()
     assert qid == "qz"
     assert [chain_shape(c) for c in loaded] == [chain_shape(c) for c in chains]
     assert [c.targets for c in loaded] == [c.targets for c in chains]
