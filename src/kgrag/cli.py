@@ -274,6 +274,8 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
             )
         sample = TrainSample(q, view, pos)
         (val_samples if q.id in val_ids else train_samples).append(sample)
+    if val_samples and not train_samples:
+        raise ConfigError(["no trainable questions: validation_ids leaves no question to train on"])
     if not train_samples:
         raise ConfigError(["no trainable questions: every supervision set is empty"])
 

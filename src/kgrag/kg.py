@@ -580,9 +580,10 @@ def load_questions(
 
     Records are JSONL objects ``{id, question, question_entities,
     answer_entities, scope?}`` where scope is a list of ``[h, r, t]`` label
-    triples. A repeated id raises :class:`KGFormatError`. Unresolvable labels
-    are dropped and reported per question id in the returned mapping, or with
-    ``strict`` raise :class:`KGFormatError`.
+    triples. A repeated id, and answer labels none of which resolves, raise
+    :class:`KGFormatError`. Other unresolvable labels are dropped and reported
+    per question id in the returned mapping, or with ``strict`` raise
+    :class:`KGFormatError`.
     """
     unresolved: dict[str, list[str]] = {}
     # scope items resolve in one pass over the label maps and the triple index
@@ -625,6 +626,8 @@ def load_questions(
             scope = frozenset(tids)
         if problems and strict:
             raise KGFormatError(f"question {qid!r}: labels not in the graph: {problems}")
+        if not answers and json_field(obj, "answer_entities", tuple[str, ...], ()):
+            raise KGFormatError(f"question {qid!r}: no answer label is in the graph")
         if problems:
             unresolved[qid] = problems
         return Question(qid, text, query, answers, scope)

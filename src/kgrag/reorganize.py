@@ -11,7 +11,6 @@ are ordered by the retriever score of their anchor triple.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Collection, Sequence
@@ -19,10 +18,8 @@ from typing import IO, Collection, Sequence
 from .config import json_field, read_json
 from .kg import BACKWARD, FORWARD, KGFormatError, read_by_question, write_jsonl
 from .llm import CompletionRequest
-from .refiner import render_chain
+from .refiner import INVERSE_MARK, render_chain
 from .retriever.subgraph import RetrievedSubgraph, RetrievedTriple
-
-logger = logging.getLogger(__name__)
 
 QA_SYSTEM = "Answer the question using only the provided evidence."
 NO_EVIDENCE_MARKER = "(no evidence retrieved)"
@@ -30,39 +27,28 @@ NO_EVIDENCE_MARKER = "(no evidence retrieved)"
 
 @dataclass(frozen=True)
 class EvidenceChain:
-    """Steps in traversal order from the query anchor toward the targets."""
+    """Steps from the query anchor toward the targets, each traversed in ``orientation``.
+
+    ``targets`` are the ``(entity id, label)`` pairs the chain ends at, in ascending id.
+    """
 
     steps: tuple[RetrievedTriple, ...]
-    orientations: tuple[str, ...]
-    source: int
-    targets: frozenset[int]
-    target_labels: tuple[str, ...]
+    orientation: str  # FORWARD or BACKWARD
+    targets: tuple[tuple[int, str], ...]
     group: int | None = None  # multi-entity merge block, when any
-
-    def relation_path(self) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (step.relation, orient) for step, orient in zip(self.steps, self.orientations)
-        )
 
     def anchor(self) -> RetrievedTriple:
         return self.steps[0]
 
+    @property
+    def source(self) -> int:
+        return self.steps[0].head if self.orientation == FORWARD else self.steps[0].tail
+
     def source_label(self) -> str:
-        anchor = self.anchor()
-        return anchor.head_label if self.orientations[0] == FORWARD else anchor.tail_label
+        return self.steps[0].head_label if self.orientation == FORWARD else self.steps[0].tail_label
 
     def tid_sequence(self) -> tuple[int, ...]:
         return tuple(step.tid for step in self.steps)
-
-    def validate(self) -> None:
-        cur = self.source
-        for step, orient in zip(self.steps, self.orientations):
-            entry = step.head if orient == FORWARD else step.tail
-            if entry != cur:
-                raise ValueError(f"broken chain connectivity at triple {step.tid}")
-            cur = step.tail if orient == FORWARD else step.head
-        if not self.targets:
-            raise ValueError("chain has no targets")
 
 
 def split_source(
@@ -72,11 +58,6 @@ def split_source(
     src = [e for e in sub.entries if e.head in query_entities or e.tail in query_entities]
     tgt = [e for e in sub.entries if not (e.head in query_entities or e.tail in query_entities)]
     return src, tgt
-
-
-def _single_target(chain_steps: Sequence[RetrievedTriple], orients: Sequence[str]) -> tuple[int, str]:
-    last, orient = chain_steps[-1], orients[-1]
-    return (last.tail, last.tail_label) if orient == FORWARD else (last.head, last.head_label)
 
 
 def expand_chains(
@@ -104,7 +85,6 @@ def expand_chains(
     chains: list[EvidenceChain] = []
 
     def grow(anchor: RetrievedTriple, orient: str) -> None:
-        source = anchor.head if orient == FORWARD else anchor.tail
         index = by_head if orient == FORWARD else by_tail
         stack: list[tuple[tuple[RetrievedTriple, ...], frozenset[int], int]] = [
             ((anchor,), frozenset([anchor.tid]), anchor.tail if orient == FORWARD else anchor.head)
@@ -117,17 +97,9 @@ def expand_chains(
                 else [e for e in index.get(frontier, ()) if e.tid not in used]
             )
             if not extensions:
-                orients = tuple(orient for _ in steps)
-                target, label = _single_target(steps, orients)
-                chains.append(
-                    EvidenceChain(
-                        steps=steps,
-                        orientations=orients,
-                        source=source,
-                        targets=frozenset([target]),
-                        target_labels=(label,),
-                    )
-                )
+                last = steps[-1]
+                label = last.tail_label if orient == FORWARD else last.head_label
+                chains.append(EvidenceChain(steps, orient, ((frontier, label),)))
                 continue
             for ext in reversed(extensions):
                 nxt = ext.tail if orient == FORWARD else ext.head
@@ -144,33 +116,22 @@ def expand_chains(
 
 
 def merge_multi_answer(chains: Sequence[EvidenceChain]) -> list[EvidenceChain]:
-    """Collapse chains sharing (source, relation path) into one multi-target chain.
+    """Collapse chains sharing (source, orientation, relations) into one multi-target chain.
 
     The representative keeps the lexicographically smallest triple-id
     sequence; targets are the union over the group. Idempotent.
     """
     groups: dict[tuple, list[EvidenceChain]] = {}
-    order: list[tuple] = []
     for chain in chains:
-        key = (chain.source, chain.relation_path())
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(chain)
-
-    merged = []
-    for key in order:
-        members = groups[key]
-        rep = min(members, key=lambda c: c.tid_sequence())
-        targets = frozenset().union(*(c.targets for c in members))
-        label_by_target = {}
-        for member in members:
-            # target_labels are aligned with sorted(targets) by construction
-            for target, label in zip(sorted(member.targets), member.target_labels):
-                label_by_target[target] = label
-        labels = tuple(label_by_target[t] for t in sorted(targets))
-        merged.append(replace(rep, targets=targets, target_labels=labels))
-    return merged
+        key = (chain.source, chain.orientation, tuple(step.relation for step in chain.steps))
+        groups.setdefault(key, []).append(chain)
+    return [
+        replace(
+            min(members, key=EvidenceChain.tid_sequence),
+            targets=tuple(sorted(set().union(*(c.targets for c in members)))),
+        )
+        for members in groups.values()
+    ]
 
 
 def merge_multi_entity(
@@ -187,53 +148,43 @@ def merge_multi_entity(
     chains = list(chains)
     if len(query_entities) <= 1 or len(chains) < 2:
         return chains
+    sources = [chain.source for chain in chains]
     used = [False] * len(chains)
-    blocks: list[list[EvidenceChain]] = []
+    grouped: list[EvidenceChain] = []
+    group = 0
     for i, chain in enumerate(chains):
         if used[i]:
             continue
         members = [i]
         inter = set(chain.targets)
-        sources = {chain.source}
+        block_sources = {sources[i]}
         for j in range(i + 1, len(chains)):
-            if used[j] or chains[j].source in sources:
+            if used[j] or sources[j] in block_sources or inter.isdisjoint(chains[j].targets):
                 continue
-            if inter & chains[j].targets:
-                members.append(j)
-                inter &= set(chains[j].targets)
-                sources.add(chains[j].source)
+            members.append(j)
+            inter.intersection_update(chains[j].targets)
+            block_sources.add(sources[j])
         if len(members) < 2:
             continue
-        block_id = len(blocks)
-        block = []
+        targets = tuple(sorted(inter))
         for m in members:
             used[m] = True
-            member = chains[m]
-            labels = tuple(
-                lab
-                for t, lab in zip(sorted(member.targets), member.target_labels)
-                if t in inter
-            )
-            block.append(
-                replace(member, targets=frozenset(inter), target_labels=labels, group=block_id)
-            )
-        blocks.append(block)
-    grouped = [c for block in blocks for c in block]
-    rest = [chains[i] for i in range(len(chains)) if not used[i]]
-    return grouped + rest
+            grouped.append(replace(chains[m], targets=targets, group=group))
+        group += 1
+    return grouped + [chains[i] for i in range(len(chains)) if not used[i]]
 
 
 # -- prompt assembly -----------------------------------------------------------
 
 
 def render_evidence_line(chain: EvidenceChain) -> str:
-    labels = [chain.source_label()]
-    markers = []
-    for step, orient in zip(chain.steps, chain.orientations):
-        markers.append(step.relation if orient == FORWARD else step.relation + "⁻")
-        labels.append(step.tail_label if orient == FORWARD else step.head_label)
+    forward = chain.orientation == FORWARD
+    labels, markers = [chain.source_label()], []
+    for step in chain.steps:
+        labels.append(step.tail_label if forward else step.head_label)
+        markers.append(step.relation if forward else step.relation + INVERSE_MARK)
     if len(chain.targets) > 1:
-        labels[-1] = "{" + ", ".join(sorted(chain.target_labels)) + "}"
+        labels[-1] = "{" + ", ".join(sorted(label for _, label in chain.targets)) + "}"
     return render_chain(labels, markers)
 
 
@@ -261,15 +212,8 @@ def build_qa_prompt(
     include_explanations: bool = True,
 ) -> CompletionRequest:
     """Evidence-chain prompt asking for a JSON string list of answers."""
-    blocks = [_qa_demo_block(d, include_explanations) for d in demos]
-    lines = [f"Question: {question_text}", "Evidence:"]
-    if chains:
-        lines += [f"- {render_evidence_line(c)}" for c in chains]
-    else:
-        lines.append(NO_EVIDENCE_MARKER)
-    lines.append("Return the answers as a JSON list of strings.")
-    blocks.append("\n".join(lines))
-    return CompletionRequest(system_text=QA_SYSTEM, user_text="\n\n".join(blocks))
+    evidence = [render_evidence_line(c) for c in chains]
+    return _qa_request(question_text, "Evidence:", evidence, demos, include_explanations)
 
 
 def build_flat_qa_prompt(
@@ -279,16 +223,18 @@ def build_flat_qa_prompt(
     include_explanations: bool = True,
 ) -> CompletionRequest:
     """Unorganized variant: retrieved triples listed flat in score order."""
+    facts = [render_chain([e.head_label, e.tail_label], [e.relation]) for e in sub.entries]
+    return _qa_request(question_text, "Facts:", facts, demos, include_explanations)
+
+
+def _qa_request(
+    question_text: str, heading: str, lines: list[str], demos: Sequence[QADemo], include_explanations: bool
+) -> CompletionRequest:
     blocks = [_qa_demo_block(d, include_explanations) for d in demos]
-    lines = [f"Question: {question_text}", "Facts:"]
-    if sub.entries:
-        lines += [
-            f"- {render_chain([e.head_label, e.tail_label], [e.relation])}" for e in sub.entries
-        ]
-    else:
-        lines.append(NO_EVIDENCE_MARKER)
-    lines.append("Return the answers as a JSON list of strings.")
-    blocks.append("\n".join(lines))
+    body = [f"Question: {question_text}", heading]
+    body += [f"- {line}" for line in lines] or [NO_EVIDENCE_MARKER]
+    body.append("Return the answers as a JSON list of strings.")
+    blocks.append("\n".join(body))
     return CompletionRequest(system_text=QA_SYSTEM, user_text="\n\n".join(blocks))
 
 
@@ -298,20 +244,21 @@ def build_flat_qa_prompt(
 def chains_to_record(qid: str, chains: Sequence[EvidenceChain]) -> dict:
     out = []
     for chain in chains:
+        steps, orient = chain.steps, chain.orientation
         out.append(
             {
-                "steps": [[s.head_label, s.relation, s.tail_label] for s in chain.steps],
-                "tids": [s.tid for s in chain.steps],
-                "heads": [s.head for s in chain.steps],
-                "tails": [s.tail for s in chain.steps],
-                "scores": [s.score for s in chain.steps],
-                "orientations": list(chain.orientations),
+                "steps": [[s.head_label, s.relation, s.tail_label] for s in steps],
+                "tids": [s.tid for s in steps],
+                "heads": [s.head for s in steps],
+                "tails": [s.tail for s in steps],
+                "scores": [s.score for s in steps],
+                "orientations": [orient] * len(steps),
                 "source": chain.source_label(),
                 "source_id": chain.source,
-                # aligned pairwise: target_labels[i] names target_ids[i]
-                "targets": list(chain.target_labels),
-                "target_ids": sorted(chain.targets),
-                "relation_path": [[r, o] for r, o in chain.relation_path()],
+                # aligned pairwise: targets[i] names target_ids[i]
+                "targets": [label for _, label in chain.targets],
+                "target_ids": [t for t, _ in chain.targets],
+                "relation_path": [[s.relation, orient] for s in steps],
                 "group": chain.group,
             }
         )
@@ -326,25 +273,32 @@ _COLUMNS = dict(
 
 
 def chains_from_record(rec: dict) -> list[EvidenceChain]:
+    """The chains of a ``chains.jsonl`` record; one that :class:`EvidenceChain` cannot hold (no
+    steps, orientations other than one flag per step, unpaired targets, a ``source_id`` other
+    than the anchor's entry) raises :class:`KGFormatError`."""
     chains = []
     for c in json_field(rec, "chains", tuple[dict, ...]):
         columns = [json_field(c, key, tp) for key, tp in _COLUMNS.items()]
         if len({len(column) for column in columns}) > 1:
             raise KGFormatError("steps, tids, heads, tails and scores differ in length")
+        if not columns[0]:
+            raise KGFormatError("a chain with no steps")
+        orientations = json_field(c, "orientations", _LABELS)
+        if len(orientations) != len(columns[0]) or set(orientations) not in ({FORWARD}, {BACKWARD}):
+            raise KGFormatError(f"orientations must repeat 'f' or 'b' once per step: {list(orientations)}")
+        ids, labels = json_field(c, "target_ids", _IDS), json_field(c, "targets", _LABELS)
+        if len(ids) != len(labels):
+            raise KGFormatError(f"{len(ids)} target_ids but {len(labels)} targets")
         steps = tuple(
             RetrievedTriple(tid, h_id, t_id, h, r, t, score)
             for (h, r, t), tid, h_id, t_id, score in zip(*columns)
         )
-        chains.append(
-            EvidenceChain(
-                steps=steps,
-                orientations=json_field(c, "orientations", _LABELS),
-                source=json_field(c, "source_id", int),
-                targets=frozenset(json_field(c, "target_ids", _IDS)),
-                target_labels=json_field(c, "targets", _LABELS),
-                group=json_field(c, "group", int | None, None),
-            )
-        )
+        group = json_field(c, "group", int | None, None)
+        chain = EvidenceChain(steps, orientations[0], tuple(zip(ids, labels)), group)
+        source = json_field(c, "source_id", int)
+        if source != chain.source:
+            raise KGFormatError(f"source_id {source} is not the anchor's entry {chain.source}")
+        chains.append(chain)
     return chains
 
 

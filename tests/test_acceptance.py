@@ -252,7 +252,7 @@ def test_criterion_06_chain_expansion_oracle():
         sub = RetrievedSubgraph(entries=entries, k=len(entries))
         for max_len in (1, 2, None):
             got = {
-                (c.source, c.tid_sequence(), c.orientations)
+                (c.source, c.tid_sequence(), (c.orientation,) * len(c.steps))
                 for c in expand_chains(sub, queries, max_len)
             }
             expected = (
@@ -292,10 +292,8 @@ def test_criterion_07_multi_entity_merge_law():
                             score=0.0,
                         ),
                     ),
-                    orientations=("f",),
-                    source=source,
-                    targets=targets,
-                    target_labels=tuple(labels[t] for t in sorted(targets)),
+                    orientation="f",
+                    targets=tuple((t, labels[t]) for t in sorted(targets)),
                 )
             )
         merged = merge_multi_entity(chains, set(range(6)))

@@ -103,6 +103,18 @@ def test_no_dict_of_read_jsonl_under_src():
     assert not hits, hits
 
 
+def test_inverse_mark_only_in_refiner_constant():
+    """``refiner.INVERSE_MARK`` is the one spelling of the inverse-relation mark under src/kgrag."""
+    root = Path(__file__).resolve().parents[1] / "src" / "kgrag"
+    hits = [
+        f"{path.relative_to(root)}:{lineno}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "\u207b" in line and (path.name, line) != ("refiner.py", 'INVERSE_MARK = "\u207b"')
+    ]
+    assert not hits, hits
+
+
 def test_published_creates_parent_directories(tmp_path):
     path = tmp_path / "a" / "b" / "report.json"
     with published(path) as sink:

@@ -562,6 +562,26 @@ def _retrieved_labels_foreign(rec):
     rec["triples"][0][0], rec["triples"][0][2] = "Nowhere", "Nobody"
 
 
+def _chain_target_id_unpaired(rec):
+    rec["chains"][0]["target_ids"].append(99)
+
+
+def _chain_target_unpaired(rec):
+    rec["chains"][0]["targets"].append("spain")
+
+
+def _chain_source_id_foreign(rec):
+    rec["chains"][0]["source_id"] += 1
+
+
+def _chain_turning(rec):
+    next(c for c in rec["chains"] if len(c["tids"]) == 2)["orientations"] = ["f", "b"]
+
+
+def _chain_without_steps(rec):
+    rec["chains"][0].update(steps=[], tids=[], heads=[], tails=[], scores=[], orientations=[])
+
+
 def _set(*path_and_value):
     """An edit that sets the value at a key path of the first record."""
     *path, key, value = path_and_value
@@ -641,6 +661,14 @@ def _cut_inside_a_character(text: str) -> str:
         ("supervision.jsonl", "train", "refine", _set("question_id", "no-such-question")),
         ("questions.jsonl", "candidates", "ingest", _first_line_twice),
         ("questions.jsonl", "candidates", "ingest", _set("answer_entities", ["Nowhere"])),
+        # each of these exited 0, or ended in a traceback, before a chain was read as one that
+        # runs one way from its anchor
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "orientations", 0, "x")),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_target_id_unpaired)),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_target_unpaired)),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_source_id_foreign)),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_turning)),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_without_steps)),
     ],
     ids=[
         "pool-label",
@@ -692,6 +720,12 @@ def _cut_inside_a_character(text: str) -> str:
         "supervision-foreign-id",
         "questions-duplicate-id",
         "questions-unresolved-label",
+        "chains-orientation-x",
+        "chains-target-id-unpaired",
+        "chains-target-unpaired",
+        "chains-foreign-source-id",
+        "chains-turning",
+        "chains-no-steps",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(
@@ -895,6 +929,17 @@ def test_an_unknown_validation_id_exits_config(pipeline_dir, tmp_path, capsys):
     assert "validation_ids" in err and "'q99'" in err and "'q01'" not in err
 
 
+def test_validation_ids_of_every_question_exit_config_naming_the_cause(pipeline_dir, tmp_path, capsys):
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    ids = [json.loads(line)["id"] for line in (tmp_path / "out" / "questions.jsonl").read_text().splitlines()]
+    cfg_path = write_fixture_config(tmp_path, validation_ids=ids)
+    rc = main(["train", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "validation_ids leaves no question to train on" in err
+    assert "every supervision set is empty" not in err
+
+
 def _questions_input(tmp_path, edit) -> Path:
     """A config whose input questions are the fixture's, with ``edit`` applied to their lines."""
     path = tmp_path / "questions-in.jsonl"
@@ -912,10 +957,26 @@ def test_ingest_refuses_a_repeated_question_id(tmp_path, capsys):
 
 
 def test_ingest_reports_each_unresolved_question_once(tmp_path, capsys, caplog):
-    cfg_path = _questions_input(tmp_path, _set("answer_entities", ["Nowhere"]))
+    cfg_path = _questions_input(tmp_path, _set("answer_entities", ["madrid", "Nowhere"]))
     assert main(["ingest", "--config", str(cfg_path)]) == EXIT_OK
     err = capsys.readouterr().err
     assert err == "warning: question q01: unresolved labels ['Nowhere']\n"
     assert [rec.getMessage() for rec in caplog.records] == []
     # ingest writes the resolved labels only, so the next stage reads a questions.jsonl it accepts
     assert main(["candidates", "--config", str(cfg_path)]) == EXIT_OK
+
+
+def test_ingest_refuses_a_question_whose_answers_are_all_unresolved(tmp_path, capsys):
+    cfg_path = _questions_input(tmp_path, _set("answer_entities", ["Nowhere"]))
+    rc = main(["ingest", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "line 1" in err and "question 'q01': no answer label is in the graph" in err
+    assert not (tmp_path / "out" / "questions.jsonl").exists()
+
+
+def test_ingest_keeps_a_question_given_no_answers(tmp_path, capsys):
+    cfg_path = _questions_input(tmp_path, _set("answer_entities", []))
+    assert main(["ingest", "--config", str(cfg_path)]) == EXIT_OK
+    first = json.loads((tmp_path / "out" / "questions.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert first["id"] == "q01" and first["answer_entities"] == []

@@ -3,9 +3,9 @@ end in a traceback, and a value of another JSON type in a field the reader reads
 the input's own code (2 for ingest inputs and the replay store, 3 for an upstream artifact).
 
 Each example damages one input of a finished fixture pipeline (trained for one epoch, so that
-``train`` stays cheap) in one of three ways: it cuts the file at a random byte, drops a key
-at any depth of one record, or gives one value at any depth another JSON type. A cut that
-drops a whole record of an artifact with one record per question exits 3.
+``train`` stays cheap) in one of four ways: it cuts the file at a random byte, or, at any depth
+of one record, drops a key, gives one value another JSON type or empties a non-empty list. A
+cut that drops a whole record of an artifact with one record per question exits 3.
 """
 
 import contextlib
@@ -14,7 +14,7 @@ import json
 import shutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kgrag import llm
@@ -83,23 +83,29 @@ def pipeline(tmp_path_factory):
 
 
 def _paths(value, path=()):
-    """The key path of every value below ``value``."""
+    """The key path of every value below ``value``, with the value."""
     items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
     for key, child in items:
-        yield path + (key,)
+        yield path + (key,), child
         yield from _paths(child, path + (key,))
 
 
 def _corrupt(name: str, content: bytes, data) -> tuple[bytes, bool]:
     """``content`` damaged one way drawn from ``data``, and whether a field the reader reads
     now holds a value of another JSON type."""
-    how = data.draw(st.sampled_from(["cut", "drop", "retype"]), label="how")
+    how = data.draw(st.sampled_from(["cut", "drop", "retype", "empty"]), label="how")
     if how == "cut":
         return content[: data.draw(st.integers(0, len(content) - 1), label="cut at")], False
     lines = content.decode("utf-8").splitlines()
     line = data.draw(st.integers(0, len(lines) - 1), label="line")
     record = json.loads(lines[line])
-    paths = [p for p in _paths(record) if how == "retype" or isinstance(p[-1], str)]
+    paths = [
+        p for p, value in _paths(record)
+        if how == "retype"
+        or (how == "drop" and isinstance(p[-1], str))
+        or (how == "empty" and type(value) is list and value)
+    ]
+    assume(paths)  # a record may hold no list to empty
     path = data.draw(st.sampled_from(paths), label="path")
     parent = record
     for step in path[:-1]:
@@ -108,6 +114,8 @@ def _corrupt(name: str, content: bytes, data) -> tuple[bytes, bool]:
     retyped = False
     if how == "drop":
         del parent[path[-1]]
+    elif how == "empty":
+        parent[path[-1]] = []
     else:
         new = data.draw(_VALUES.filter(lambda v: type(v) is not type(old)), label="new value")
         parent[path[-1]] = new
