@@ -37,7 +37,6 @@ from .llm import (
 from .retriever import (
     SCORERS,
     HashedBowEncoder,
-    TrainConfig,
     TrainSample,
     entity_to_triple_scores,
     fit,
@@ -56,32 +55,46 @@ EXIT_MISSING = 3
 EXIT_BACKEND = 4
 
 
-class UpstreamArtifactError(Exception):
-    """An upstream artifact that is absent, or that does not parse against the graph."""
+OUTPUTS = {
+    "ingest": ("graph.tsv", "graph.json", "questions.jsonl"),
+    "candidates": ("pool.jsonl",),
+    "refine": ("supervision.jsonl",),
+    "train": ("model.json",),
+    "retrieve": ("retrieval.jsonl",),
+    "reorganize": ("chains.jsonl",),
+    "answer": ("answers.jsonl",),
+    "evaluate": ("report.json", "per_question.csv"),
+}
+"""The work-directory files each stage writes, in pipeline order."""
+PRODUCER = {name: stage for stage, names in OUTPUTS.items() for name in names}
 
-    def __init__(self, path: Path, producing_stage: str, problem: str | None = None):
-        self.path = path
-        self.producing_stage = producing_stage
+
+class UpstreamArtifactError(Exception):
+    """The work-directory file ``name`` is absent, or does not parse against the graph."""
+
+    def __init__(self, cfg: PipelineConfig, name: str, problem: str | None = None):
+        path, stage = cfg.artifact(name), PRODUCER[name]
         super().__init__(
-            f"missing artifact {path}; run `kgrag {producing_stage}` first"
+            f"missing artifact {path}; run `kgrag {stage}` first"
             if problem is None
-            else f"stale or foreign artifact {path}: {problem}; rerun `kgrag {producing_stage}`"
+            else f"stale or foreign artifact {path}: {problem}; rerun `kgrag {stage}`"
         )
 
 
-def _require(path: Path, producing_stage: str) -> Path:
+def _require(cfg: PipelineConfig, name: str) -> Path:
+    path = cfg.artifact(name)
     if not path.exists():
-        raise UpstreamArtifactError(path, producing_stage)
+        raise UpstreamArtifactError(cfg, name)
     return path
 
 
-def _read(path: Path, producing_stage: str, reader, *args):
-    """``reader(fh, *args)`` over an upstream artifact; exit 3 names the stage to rerun."""
-    with _require(path, producing_stage).open("rb") as fh:
+def _read(cfg: PipelineConfig, name: str, reader, *args):
+    """``reader(fh, *args)`` over the upstream file ``name``; exit 3 names the stage to rerun."""
+    with _require(cfg, name).open("rb") as fh:
         try:
             return reader(fh, *args)
         except kgmod.KGFormatError as exc:
-            raise UpstreamArtifactError(path, producing_stage, str(exc)) from exc
+            raise UpstreamArtifactError(cfg, name, str(exc)) from exc
 
 
 def _sha256(path: Path) -> str:
@@ -101,9 +114,9 @@ def _parallel_map(fn, items, workers: int):
 def _load_inputs(cfg: PipelineConfig) -> tuple[kgmod.KnowledgeGraph, list[kgmod.Question]]:
     """The graph compiled at ingest, checked against the ``graph.tsv`` written with it, and
     the questions, whose labels must all be in it; a missing, changed or malformed pair exits 3."""
-    tsv_sha256 = _sha256(_require(cfg.graph_artifact, "ingest"))
-    g = _read(cfg.compiled_graph_artifact, "ingest", kgmod.load_kg, "compiled", tsv_sha256)
-    questions, _ = _read(cfg.questions_artifact, "ingest", kgmod.load_questions, g, True)
+    tsv_sha256 = _sha256(_require(cfg, "graph.tsv"))
+    g = _read(cfg, "graph.json", kgmod.load_kg, "compiled", tsv_sha256)
+    questions, _ = _read(cfg, "questions.jsonl", kgmod.load_questions, g, True)
     return g, questions
 
 
@@ -145,14 +158,6 @@ def _make_client(cfg: PipelineConfig, backend: str, questions, g):
     return _SamplingClient(inner, cfg.llm)
 
 
-def _train_config(cfg: PipelineConfig) -> TrainConfig:
-    recall_k = cfg.top_k if cfg.training.recall_k is None else cfg.training.recall_k
-    return TrainConfig(
-        **{**vars(cfg.training), "recall_k": recall_k},
-        seed=cfg.seed, text_dim=cfg.text_dim, dde_depth=cfg.dde_depth, dde_slots=cfg.dde_slots,
-    )
-
-
 # -- stages --------------------------------------------------------------------
 
 
@@ -184,11 +189,11 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
         }
         for q in questions
     ]
-    with kgmod.published(cfg.graph_artifact) as fh:
+    with kgmod.published(cfg.artifact("graph.tsv")) as fh:
         kgmod.to_tsv(g, fh)
-    with kgmod.published(cfg.compiled_graph_artifact) as fh:
-        kgmod.to_compiled(g, fh, _sha256(cfg.graph_artifact))
-    with kgmod.published(cfg.questions_artifact) as fh:
+    with kgmod.published(cfg.artifact("graph.json")) as fh:
+        kgmod.to_compiled(g, fh, _sha256(cfg.artifact("graph.tsv")))
+    with kgmod.published(cfg.artifact("questions.jsonl")) as fh:
         kgmod.write_jsonl(fh, records)
     for qid, labels in unresolved.items():
         print(f"warning: question {qid}: unresolved labels {labels}", file=sys.stderr)
@@ -205,16 +210,16 @@ def cmd_candidates(cfg: PipelineConfig) -> int:
         return poolmod.pool_to_record(q.id, built, g)
 
     records = _parallel_map(build, questions, cfg.workers)
-    with kgmod.published(cfg.pool_artifact) as fh:
+    with kgmod.published(cfg.artifact("pool.jsonl")) as fh:
         poolmod.write_pools(fh, records)
-    print(f"candidate pools for {len(records)} questions -> {cfg.pool_artifact}")
+    print(f"candidate pools for {len(records)} questions -> {cfg.artifact('pool.jsonl')}")
     return EXIT_OK
 
 
-def cmd_refine(cfg: PipelineConfig, limit: int | None = None, backend: str | None = None) -> int:
+def cmd_refine(cfg: PipelineConfig, limit: int | None = None, llm: str | None = None) -> int:
     g, questions = _load_inputs(cfg)
-    pools = _read(cfg.pool_artifact, "candidates", poolmod.read_pools, g, [q.id for q in questions])
-    client = _make_client(cfg, backend or cfg.llm.backend, questions, g)
+    pools = _read(cfg, "pool.jsonl", poolmod.read_pools, g, [q.id for q in questions])
+    client = _make_client(cfg, llm or cfg.llm.backend, questions, g)
     demos = (
         refinemod.load_refine_demos(cfg.paths.refine_demos) if cfg.paths.refine_demos else ()
     )
@@ -229,9 +234,9 @@ def cmd_refine(cfg: PipelineConfig, limit: int | None = None, backend: str | Non
         return refinemod.supervision_to_record(q.id, sup, g)
 
     records = [rec for rec in _parallel_map(run, selected, cfg.workers) if rec is not None]
-    with kgmod.published(cfg.supervision_artifact) as fh:
+    with kgmod.published(cfg.artifact("supervision.jsonl")) as fh:
         refinemod.write_supervision(fh, records)
-    print(f"refined supervision for {len(records)} questions -> {cfg.supervision_artifact}")
+    print(f"refined supervision for {len(records)} questions -> {cfg.artifact('supervision.jsonl')}")
     return EXIT_OK
 
 
@@ -255,7 +260,7 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
     if no_refine:
         positives = {q.id: _weak_supervision(g, q, cfg.path_cap) for q in questions}
     else:
-        supervision = _read(cfg.supervision_artifact, "refine", refinemod.read_supervision, g, ids)
+        supervision = _read(cfg, "supervision.jsonl", refinemod.read_supervision, g, ids)
         positives = dict.fromkeys(ids, frozenset())
         positives.update((qid, sup.positive_triples) for qid, sup in supervision.items())
 
@@ -269,7 +274,7 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
         outside = sorted(g.labels(tr) for tr in pos if view.triple_id_of(*tr) is None)
         if outside:  # weak supervision comes from the view, so only refined supervision can
             raise UpstreamArtifactError(
-                cfg.supervision_artifact, "refine",
+                cfg, "supervision.jsonl",
                 f"question {q.id}: supervision triple {' '.join(outside[0])} is outside its scope",
             )
         sample = TrainSample(q, view, pos)
@@ -279,12 +284,11 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
     if not train_samples:
         raise ConfigError(["no trainable questions: every supervision set is empty"])
 
-    tc = _train_config(cfg)
-    model = fit(SCORERS[cfg.retrieval_level], train_samples, tc, val_samples or None)
-    save_model(model, cfg.model_artifact)
+    model = fit(SCORERS[cfg.retrieval_level], train_samples, cfg, val_samples or None)
+    save_model(model, cfg.artifact("model.json"))
     print(
         f"trained {cfg.retrieval_level} scorer on {len(train_samples)} questions "
-        f"({tc.epochs} epochs) -> {cfg.model_artifact}"
+        f"({cfg.training.epochs} epochs) -> {cfg.artifact('model.json')}"
     )
     return EXIT_OK
 
@@ -293,12 +297,12 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
     try:
         model = load_model(
-            _require(cfg.model_artifact, "train"),
+            _require(cfg, "model.json"),
             expected_encoder_tag=HashedBowEncoder(cfg.text_dim).tag,
             expected_kind=cfg.retrieval_level,
         )
     except kgmod.KGFormatError as exc:
-        raise UpstreamArtifactError(cfg.model_artifact, "train", str(exc)) from exc
+        raise UpstreamArtifactError(cfg, "model.json", str(exc)) from exc
     # an entity scorer ranks triples by the scores of their ends, with parallel relations merged
     by_entity = cfg.retrieval_level == "entity"
     k = cfg.top_k + (cfg.entity_k_bonus if by_entity else 0)
@@ -311,15 +315,15 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
         return subgraph_to_record(q.id, top_k(scored, k, g, relation_overrides=merged))
 
     records = _parallel_map(run, questions, cfg.workers)
-    with kgmod.published(cfg.retrieval_artifact) as fh:
+    with kgmod.published(cfg.artifact("retrieval.jsonl")) as fh:
         write_subgraphs(fh, records)
-    print(f"retrieved top-{k} triples for {len(records)} questions -> {cfg.retrieval_artifact}")
+    print(f"retrieved top-{k} triples for {len(records)} questions -> {cfg.artifact('retrieval.jsonl')}")
     return EXIT_OK
 
 
 def cmd_reorganize(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
-    subgraphs = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g, [q.id for q in questions])
+    subgraphs = _read(cfg, "retrieval.jsonl", read_subgraphs, g, [q.id for q in questions])
 
     def run(q: kgmod.Question) -> dict:
         chains = reorganize.expand_chains(subgraphs[q.id], set(q.query_entities), cfg.chain_length_limit)
@@ -328,9 +332,9 @@ def cmd_reorganize(cfg: PipelineConfig) -> int:
         return reorganize.chains_to_record(q.id, chains)
 
     records = _parallel_map(run, questions, cfg.workers)
-    with kgmod.published(cfg.chains_artifact) as fh:
+    with kgmod.published(cfg.artifact("chains.jsonl")) as fh:
         reorganize.write_chains(fh, records)
-    print(f"evidence chains for {len(records)} questions -> {cfg.chains_artifact}")
+    print(f"evidence chains for {len(records)} questions -> {cfg.artifact('chains.jsonl')}")
     return EXIT_OK
 
 
@@ -342,10 +346,10 @@ def cmd_answer(
     demos = reorganize.load_qa_demos(cfg.paths.qa_demos) if cfg.paths.qa_demos else ()
     ids = [q.id for q in questions]
     if no_reorganize:
-        evidence = _read(cfg.retrieval_artifact, "retrieve", read_subgraphs, g, ids)
+        evidence = _read(cfg, "retrieval.jsonl", read_subgraphs, g, ids)
         build_prompt = reorganize.build_flat_qa_prompt
     else:
-        evidence = _read(cfg.chains_artifact, "reorganize", reorganize.read_chains, ids)
+        evidence = _read(cfg, "chains.jsonl", reorganize.read_chains, g, ids)
         build_prompt = reorganize.build_qa_prompt
 
     def run(q: kgmod.Question) -> dict:
@@ -360,9 +364,9 @@ def cmd_answer(
         }
 
     records = _parallel_map(run, questions, cfg.workers)
-    with kgmod.published(cfg.answers_artifact) as fh:
+    with kgmod.published(cfg.artifact("answers.jsonl")) as fh:
         kgmod.write_jsonl(fh, records)
-    print(f"answers for {len(records)} questions -> {cfg.answers_artifact}")
+    print(f"answers for {len(records)} questions -> {cfg.artifact('answers.jsonl')}")
     return EXIT_OK
 
 
@@ -370,7 +374,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     g, questions = _load_inputs(cfg)
     gold = {q.id: {g.entity_label(a) for a in q.answer_entities} for q in questions}
     answers = _read(
-        cfg.answers_artifact, "answer", kgmod.read_by_question,
+        cfg, "answers.jsonl", kgmod.read_by_question,
         lambda rec: json_field(rec, "answers", tuple[str, ...]), "id", gold,
     )
     preds = [metrics.Prediction(qid, predicted) for qid, predicted in answers.items()]
@@ -380,12 +384,12 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             cfg.paths.aliases, "paths.aliases", lambda raw: {k: json_field(raw, k, str) for k in raw}
         )
     report = metrics.evaluate(preds, gold, aliases)
-    with kgmod.published(cfg.report_artifact) as json_fh:
-        with kgmod.published(cfg.per_question_artifact) as csv_fh:
+    with kgmod.published(cfg.artifact("report.json")) as json_fh:
+        with kgmod.published(cfg.artifact("per_question.csv")) as csv_fh:
             metrics.write_report(report, json_fh, csv_fh)
     print(
         f"macro_f1={report.macro_f1:.4f} micro_f1={report.micro_f1:.4f} "
-        f"hit={report.hit:.4f} hit@1={report.hit_at_1:.4f} -> {cfg.report_artifact}"
+        f"hit={report.hit:.4f} hit@1={report.hit_at_1:.4f} -> {cfg.artifact('report.json')}"
     )
     return EXIT_OK
 
@@ -407,40 +411,44 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+STAGES = {
+    "ingest": (cmd_ingest, "validate and normalize the graph and question files"),
+    "candidates": (cmd_candidates, "build candidate reasoning-path pools"),
+    "refine": (cmd_refine, "select supervision chains with the configured model"),
+    "train": (cmd_train, "train the retriever on cached supervision"),
+    "retrieve": (cmd_retrieve, "score triples and keep the top K per question"),
+    "reorganize": (cmd_reorganize, "expand and merge retrieved triples into evidence chains"),
+    "answer": (cmd_answer, "ask the configured model with evidence prompts"),
+    "evaluate": (cmd_evaluate, "score answers against gold and write the report"),
+}
+"""Each stage's command, called with the config and its own flags by name, and its help."""
+PER_QUESTION = ("candidates", "refine", "retrieve", "reorganize", "answer")  # the stages with --workers
+
 
 @functools.cache  # one parser per process: building it costs more than a small stage
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgrag", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def stage(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    stage = {}
+    for name, (_, help_text) in STAGES.items():
+        p = stage[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="pipeline config JSON")
-        p.add_argument("--workers", type=int, default=None, help="per-question parallelism")
-        return p
-
-    stage("ingest", "validate and normalize the graph and question files")
-    stage("candidates", "build candidate reasoning-path pools")
-    p = stage("refine", "select supervision chains with the configured model")
-    p.add_argument("--limit", type=int, default=None, help="refine only the first N questions")
-    p.add_argument("--llm", choices=["mock", "replay", "remote"], default=None)
-    p = stage("train", "train the retriever on cached supervision")
-    p.add_argument(
+        if name in PER_QUESTION:
+            p.add_argument("--workers", type=int, default=None, help="per-question parallelism")
+    stage["refine"].add_argument("--limit", type=int, default=None, help="refine only the first N questions")
+    for name in ("refine", "answer"):
+        stage[name].add_argument("--llm", choices=["mock", "replay", "remote"], default=None)
+    stage["train"].add_argument(
         "--no-refine",
         action="store_true",
         help="train on weak shortest-path supervision instead of the refined cache",
     )
-    stage("retrieve", "score triples and keep the top K per question")
-    stage("reorganize", "expand and merge retrieved triples into evidence chains")
-    p = stage("answer", "ask the configured model with evidence prompts")
-    p.add_argument("--llm", choices=["mock", "replay", "remote"], default=None)
-    p.add_argument(
+    stage["answer"].add_argument(
         "--no-reorganize",
         action="store_true",
         help="prompt with the flat retrieved triple list instead of chains",
     )
-    stage("evaluate", "score answers against gold and write the report")
 
     p = sub.add_parser("simulate", help="run the subset-search recovery experiment")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -449,47 +457,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
+        level=logging.DEBUG if args.pop("verbose") else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    command = args.pop("command")
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out_dir)
+        if command == "simulate":
+            return cmd_simulate(args["config"], args["out_dir"])
         problems = [
             f"--{flag} must be >= {low}, got {value}"
             for flag, low in (("workers", 1), ("limit", 0))
-            if (value := getattr(args, flag, None)) is not None and value < low
+            if (value := args.get(flag)) is not None and value < low
         ]
         if problems:
             raise ConfigError(problems)
-        cfg = load_config(args.config)
-        if args.workers is not None:
-            cfg.workers = args.workers
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "candidates":
-            return cmd_candidates(cfg)
-        if args.command == "refine":
-            return cmd_refine(cfg, limit=args.limit, backend=args.llm)
-        if args.command == "train":
-            return cmd_train(cfg, no_refine=args.no_refine)
-        if args.command == "retrieve":
-            return cmd_retrieve(cfg)
-        if args.command == "reorganize":
-            return cmd_reorganize(cfg)
-        if args.command == "answer":
-            return cmd_answer(cfg, llm=args.llm, no_reorganize=args.no_reorganize)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        cfg = load_config(args.pop("config"))
+        workers = args.pop("workers", None)
+        if workers is not None:
+            cfg.workers = workers
+        return STAGES[command][0](cfg, **args)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelFormatError as exc:
-        print(f"model error: {exc}; rerun `kgrag train` with this config", file=sys.stderr)
+        print(f"model error: {exc}; rerun `kgrag {PRODUCER['model.json']}` with this config", file=sys.stderr)
         return EXIT_CONFIG
     except UpstreamArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,54 +170,9 @@ class PipelineConfig:
     training: TrainingSettings = field(default_factory=TrainingSettings)
     llm: LLMSettings = field(default_factory=LLMSettings)
 
-    # -- derived artifact paths ---------------------------------------------
-
     def artifact(self, name: str) -> Path:
+        """The work-directory file ``name``."""
         return Path(self.paths.work_dir) / name
-
-    @property
-    def graph_artifact(self) -> Path:
-        return self.artifact("graph.tsv")
-
-    @property
-    def compiled_graph_artifact(self) -> Path:
-        return self.artifact("graph.json")
-
-    @property
-    def questions_artifact(self) -> Path:
-        return self.artifact("questions.jsonl")
-
-    @property
-    def pool_artifact(self) -> Path:
-        return self.artifact("pool.jsonl")
-
-    @property
-    def supervision_artifact(self) -> Path:
-        return self.artifact("supervision.jsonl")
-
-    @property
-    def model_artifact(self) -> Path:
-        return self.artifact("model.json")
-
-    @property
-    def retrieval_artifact(self) -> Path:
-        return self.artifact("retrieval.jsonl")
-
-    @property
-    def chains_artifact(self) -> Path:
-        return self.artifact("chains.jsonl")
-
-    @property
-    def answers_artifact(self) -> Path:
-        return self.artifact("answers.jsonl")
-
-    @property
-    def report_artifact(self) -> Path:
-        return self.artifact("report.json")
-
-    @property
-    def per_question_artifact(self) -> Path:
-        return self.artifact("per_question.csv")
 
 
 _type_hints = functools.cache(get_type_hints)  # one evaluation per schema class

@@ -99,11 +99,14 @@ class ReasoningPath:
         return [g.triple(tid) for tid in self.triple_ids]
 
     def validate(self, g: "KnowledgeGraph") -> None:
+        """Raise :class:`KGFormatError` naming the first step that does not start where the
+        previous one ends."""
         cur = self.source(g)
         for tid, orient in zip(self.triple_ids, self.orientations):
             tr = g.triple(tid)
             if step_entry(tr, orient) != cur:
-                raise ValueError(f"broken connectivity at triple {tid}")
+                step, at = " ".join(g.labels(tr)), g.entity_label(cur)
+                raise KGFormatError(f"path broken: step {step} ({orient}) does not start at {at}")
             cur = step_exit(tr, orient)
 
 

@@ -237,8 +237,10 @@ def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
             if tid is None:
                 raise KGFormatError(f"pool triple not in graph: {h}|{r}|{t}")
             tids.append(tid)
+        path = ReasoningPath(tuple(tids), json_field(entry, "orientations", tuple[str, ...]))
+        path.validate(g)
         pool.append(
-            ReasoningPath(tuple(tids), json_field(entry, "orientations", tuple[str, ...])),
+            path,
             json_field(entry, "provenance", PROVENANCE),
             json_field(entry, "class_size", int, 1),
         )

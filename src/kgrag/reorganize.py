@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import IO, Collection, Sequence
 
 from .config import json_field, read_json
-from .kg import BACKWARD, FORWARD, KGFormatError, read_by_question, write_jsonl
+from .kg import BACKWARD, FORWARD, KGFormatError, KnowledgeGraph, read_by_question, write_jsonl
 from .llm import CompletionRequest
 from .refiner import INVERSE_MARK, render_chain
-from .retriever.subgraph import RetrievedSubgraph, RetrievedTriple
+from .retriever.subgraph import RetrievedSubgraph, RetrievedTriple, read_step
 
 QA_SYSTEM = "Answer the question using only the provided evidence."
 NO_EVIDENCE_MARKER = "(no evidence retrieved)"
@@ -272,10 +272,12 @@ _COLUMNS = dict(
 )
 
 
-def chains_from_record(rec: dict) -> list[EvidenceChain]:
-    """The chains of a ``chains.jsonl`` record; one that :class:`EvidenceChain` cannot hold (no
-    steps, orientations other than one flag per step, unpaired targets, a ``source_id`` other
-    than the anchor's entry) raises :class:`KGFormatError`."""
+def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
+    """The chains of a ``chains.jsonl`` record, each step read against ``g`` as a retrieved
+    triple; a step :func:`read_step` refuses, ``heads`` or ``tails`` other than its ends, and a
+    chain :class:`EvidenceChain` cannot hold (no steps, orientations other than one flag per
+    step, unpaired targets, a ``source_id`` other than the anchor's entry) raise
+    :class:`KGFormatError`."""
     chains = []
     for c in json_field(rec, "chains", tuple[dict, ...]):
         columns = [json_field(c, key, tp) for key, tp in _COLUMNS.items()]
@@ -289,12 +291,16 @@ def chains_from_record(rec: dict) -> list[EvidenceChain]:
         ids, labels = json_field(c, "target_ids", _IDS), json_field(c, "targets", _LABELS)
         if len(ids) != len(labels):
             raise KGFormatError(f"{len(ids)} target_ids but {len(labels)} targets")
-        steps = tuple(
-            RetrievedTriple(tid, h_id, t_id, h, r, t, score)
-            for (h, r, t), tid, h_id, t_id, score in zip(*columns)
-        )
+        steps = []
+        for triple, tid, h_id, t_id, score in zip(*columns):
+            step = read_step(g, tid, triple, score)
+            if (h_id, t_id) != (step.head, step.tail):
+                raise KGFormatError(
+                    f"triple {tid} joins entities {step.head} to {step.tail}, not {h_id} to {t_id}"
+                )
+            steps.append(step)
         group = json_field(c, "group", int | None, None)
-        chain = EvidenceChain(steps, orientations[0], tuple(zip(ids, labels)), group)
+        chain = EvidenceChain(tuple(steps), orientations[0], tuple(zip(ids, labels)), group)
         source = json_field(c, "source_id", int)
         if source != chain.source:
             raise KGFormatError(f"source_id {source} is not the anchor's entry {chain.source}")
@@ -305,8 +311,8 @@ def chains_from_record(rec: dict) -> list[EvidenceChain]:
 write_chains = write_jsonl
 
 
-def read_chains(source: IO[str], ids: Collection[str]) -> dict[str, list[EvidenceChain]]:
-    return read_by_question(source, chains_from_record, "question_id", ids)
+def read_chains(source: IO[str], g: KnowledgeGraph, ids: Collection[str]) -> dict[str, list[EvidenceChain]]:
+    return read_by_question(source, lambda rec: chains_from_record(rec, g), "question_id", ids)
 
 
 def load_qa_demos(path: str | Path) -> list[QADemo]:

@@ -2,7 +2,7 @@
 
 from .features import HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
 from .subgraph import RetrievedSubgraph, RetrievedTriple, load_model, save_model, top_k
-from .triple_scorer import Scorer, TrainConfig, TrainSample, TripleScorer, fit
+from .triple_scorer import Scorer, TrainSample, TripleScorer, fit
 from .entity_scorer import EntityScorer, entity_positives, entity_to_triple_scores
 
 SCORERS: dict[str, type[Scorer]] = {cls.kind: cls for cls in (TripleScorer, EntityScorer)}
@@ -20,7 +20,6 @@ __all__ = [
     "top_k",
     "SCORERS",
     "Scorer",
-    "TrainConfig",
     "TrainSample",
     "TripleScorer",
     "fit",

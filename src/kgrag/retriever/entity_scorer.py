@@ -14,9 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ..config import PipelineConfig
 from ..kg import KnowledgeGraph, Question, Triple
 from .features import HashedBowEncoder, QuestionFeatures, dde_width, question_features
-from .triple_scorer import Scorer, TrainConfig, weighted_bce_from_logits
+from .triple_scorer import Scorer, weighted_bce_from_logits
 
 
 def entity_positives(positives: set[Triple]) -> set[int]:
@@ -88,8 +89,8 @@ class EntityScorer(Scorer):
         return {"input_dim": 2 * text_dim + dde_slots * dde_width(dde_depth), "rel_dim": text_dim}
 
     @staticmethod
-    def config_arch(config: TrainConfig) -> dict:
-        return {"hidden": config.gnn_hidden, "depth": config.gnn_depth}
+    def config_arch(cfg: PipelineConfig) -> dict:
+        return {"hidden": cfg.training.gnn_hidden, "depth": cfg.training.gnn_depth}
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         out, in_dim, h = [], self.input_dim, self.hidden

@@ -79,23 +79,29 @@ def subgraph_to_record(qid: str, sub: RetrievedSubgraph) -> dict:
     }
 
 
+def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTriple:
+    """The retrieved triple ``tid`` of ``g`` that a record gives as ``labels`` ``[head, relation,
+    tail]``; an id outside the graph, ends other than the graph's and a relation that is not a
+    label raise :class:`KGFormatError`."""
+    h, r, t = labels
+    if not 0 <= tid < len(g.storage):
+        raise KGFormatError(f"retrieved triple id {tid} not in graph")
+    tr = g.triple(tid)
+    ends = g.entity_label(tr.head), g.entity_label(tr.tail)
+    if (h, t) != ends:
+        raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
+    # the relation is not compared with the graph: an entity-level record may merge "r1 | r2"
+    if type(r) is not str:
+        raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not a label")
+    return RetrievedTriple(tid, tr.head, tr.tail, h, r, t, score)
+
+
 def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> RetrievedSubgraph:
-    entries = []
     tids, scores = json_field(rec, "tids", tuple[int, ...]), json_field(rec, "scores", tuple[float, ...])
     triples = json_field(rec, "triples", list)  # read last, so that an unpacking error names it
     if not len(tids) == len(triples) == len(scores):
         raise KGFormatError("tids, triples and scores differ in length")
-    for tid, (h, r, t), score in zip(tids, triples, scores):
-        if not 0 <= tid < len(g.storage):
-            raise KGFormatError(f"retrieved triple id {tid} not in graph")
-        tr = g.triple(tid)
-        ends = g.entity_label(tr.head), g.entity_label(tr.tail)
-        if (h, t) != ends:
-            raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
-        # the relation is not compared with the graph: an entity-level record may merge "r1 | r2"
-        if type(r) is not str:
-            raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not a label")
-        entries.append(RetrievedTriple(tid, tr.head, tr.tail, h, r, t, score))
+    entries = [read_step(g, tid, labels, score) for tid, labels, score in zip(tids, triples, scores)]
     return RetrievedSubgraph(entries=entries, k=json_field(rec, "k", int))
 
 

@@ -17,34 +17,11 @@ from typing import Any, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from ..config import json_field
+from ..config import PipelineConfig, json_field
 from ..kg import KGFormatError, KnowledgeGraph, Question, Triple
-from .features import (
-    DEFAULT_DDE_DEPTH,
-    DEFAULT_DDE_SLOTS,
-    HashedBowEncoder,
-    QuestionFeatures,
-    TripleFeatureBuilder,
-    dde_width,
-)
+from .features import HashedBowEncoder, QuestionFeatures, TripleFeatureBuilder, dde_width
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    seed: int = 42
-    epochs: int = 80
-    learning_rate: float = 0.05
-    hidden: tuple[int, ...] = (256, 256)
-    activation: str = "tanh"
-    text_dim: int = 256
-    dde_depth: int = DEFAULT_DDE_DEPTH
-    dde_slots: int = DEFAULT_DDE_SLOTS
-    pos_weight_cap: float = 100.0
-    recall_k: int = 5  # used for validation checkpoint selection
-    gnn_hidden: int = 64
-    gnn_depth: int = 3
 
 
 class TrainSample(NamedTuple):
@@ -92,7 +69,7 @@ class Scorer:
     order), and its constructor's architecture arguments in ``ARCH`` (argument -> JSON type);
     parameter initialisation, names, ``arch()`` and :meth:`from_payload` follow from them.
     ``input_widths(text_dim, dde_depth, dde_slots)`` gives the widths of the inputs it
-    builds, and ``config_arch(config)`` its other architecture arguments. ``inputs(g, q)``
+    builds, and ``config_arch(cfg)`` its other architecture arguments. ``inputs(g, q)``
     builds a question's inputs and the id of each score, and ``positive_ids(g, positives)``
     the ids a sample's positive triples make positive; ``loss_and_grad`` and ``scores``
     run on those inputs.
@@ -220,8 +197,8 @@ class TripleScorer(Scorer):
         return {"input_dim": 4 * text_dim + 2 * dde_slots * dde_width(dde_depth)}
 
     @staticmethod
-    def config_arch(config: TrainConfig) -> dict:
-        return {"hidden": config.hidden, "activation": config.activation}
+    def config_arch(cfg: PipelineConfig) -> dict:
+        return {"hidden": cfg.training.hidden, "activation": cfg.training.activation}
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         widths = (self.input_dim, *self.hidden)
@@ -353,42 +330,45 @@ def _validation_recall(model: Scorer, prepared: Sequence[_Prepared], k: int) -> 
 def fit(
     scorer: type[Scorer],
     samples: Sequence[TrainSample],
-    config: TrainConfig,
+    cfg: PipelineConfig,
     val_samples: Sequence[TrainSample] | None = None,
 ) -> Scorer:
-    """Train a ``scorer`` class; returns the best-validation or final model.
+    """Train a ``scorer`` class with ``cfg.training``; returns the best-validation or final model.
 
-    The model's widths and text encoder follow from ``config.text_dim``, ``dde_depth``
-    and ``dde_slots``. With a validation split, the checkpoint with the highest
-    validation recall@k is returned (earliest epoch on ties); otherwise the final epoch.
+    The model's widths and text encoder follow from ``cfg.text_dim``, ``dde_depth`` and
+    ``dde_slots``. With a validation split, the checkpoint with the highest validation
+    recall@k (``training.recall_k``, or ``top_k`` when that is None) is returned, the
+    earliest epoch on ties; otherwise the final epoch.
     """
     if not samples:
         raise ValueError("no training samples")
+    training = cfg.training
     model = scorer(
-        **scorer.input_widths(config.text_dim, config.dde_depth, config.dde_slots),
-        **scorer.config_arch(config),
-        encoder_tag=HashedBowEncoder(config.text_dim).tag,
-        dde_depth=config.dde_depth,
-        dde_slots=config.dde_slots,
-        seed=config.seed,
-        rng=np.random.default_rng(config.seed),
+        **scorer.input_widths(cfg.text_dim, cfg.dde_depth, cfg.dde_slots),
+        **scorer.config_arch(cfg),
+        encoder_tag=HashedBowEncoder(cfg.text_dim).tag,
+        dde_depth=cfg.dde_depth,
+        dde_slots=cfg.dde_slots,
+        seed=cfg.seed,
+        rng=np.random.default_rng(cfg.seed),
     )
-    prepared = [_prepare(model, s, config.pos_weight_cap) for s in samples]
-    val_prepared = [_prepare(model, s, config.pos_weight_cap) for s in val_samples or ()]
+    prepared = [_prepare(model, s, training.pos_weight_cap) for s in samples]
+    val_prepared = [_prepare(model, s, training.pos_weight_cap) for s in val_samples or ()]
+    recall_k = cfg.top_k if training.recall_k is None else training.recall_k
 
     best_recall = -1.0
     best_params: list[np.ndarray] | None = None
-    for epoch in range(config.epochs):
+    for epoch in range(training.epochs):
         losses = []
         for sample in prepared:
             loss, grads = model.loss_and_grad(sample.inputs, sample.y, sample.pos_weight)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}")
-            sgd_step(model.params, grads, config.learning_rate)
+            sgd_step(model.params, grads, training.learning_rate)
             losses.append(loss)
         model.epoch_losses.append(float(np.mean(losses)))
         if val_prepared:
-            recall = _validation_recall(model, val_prepared, config.recall_k)
+            recall = _validation_recall(model, val_prepared, recall_k)
             if recall > best_recall:
                 best_recall = recall
                 best_params = [p.copy() for p in model.params]

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from kgrag.config import PipelineConfig, TrainingSettings
 from kgrag.kg import load_kg
 from kgrag.metrics import Prediction, evaluate
 from kgrag.pool import (
@@ -24,7 +25,7 @@ from kgrag.pool import (
 )
 from kgrag.kg import ReasoningPath
 from kgrag.reorganize import EvidenceChain, expand_chains, merge_multi_entity
-from kgrag.retriever import EntityScorer, TrainConfig, TripleScorer, fit
+from kgrag.retriever import EntityScorer, TripleScorer, fit
 from kgrag.retriever.entity_scorer import entity_positives, prepare_graph_tensors
 from kgrag.retriever.features import TripleFeatureBuilder
 from kgrag.retriever.subgraph import RetrievedSubgraph, RetrievedTriple
@@ -342,7 +343,7 @@ def test_criterion_08_scorer_training():
     # gradient check, triple scorer
     corpus = separable_corpus(n_questions=1, n_triples=12, seed=81)
     sample = corpus[0][0]
-    cfg_small = TrainConfig(seed=42, epochs=0, hidden=(8, 8), text_dim=16)
+    cfg_small = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=0, hidden=(8, 8)))
     triple_model = fit(TripleScorer, [sample], cfg_small)
     builder = TripleFeatureBuilder(
         sample.graph, sample.question, triple_model.encoder, cfg_small.dde_depth, cfg_small.dde_slots
@@ -355,7 +356,9 @@ def test_criterion_08_scorer_training():
 
     # gradient check, entity scorer
     star = star_graph_entity_sample()
-    gcfg = TrainConfig(seed=42, epochs=0, text_dim=16, gnn_hidden=8, gnn_depth=2)
+    gcfg = PipelineConfig(
+        seed=42, text_dim=16, training=TrainingSettings(epochs=0, gnn_hidden=8, gnn_depth=2)
+    )
     entity_model = fit(EntityScorer, [star], gcfg)
     gt = prepare_graph_tensors(
         star.graph, star.question, entity_model.encoder, gcfg.dde_depth, gcfg.dde_slots
@@ -368,8 +371,10 @@ def test_criterion_08_scorer_training():
     )
 
     # held-out recall on the separable corpus (50 questions, 100 triples, 5 positives)
-    cfg = TrainConfig(seed=42, epochs=60, learning_rate=0.05, hidden=(64, 64), text_dim=64)
-    assert cfg.epochs <= 200
+    cfg = PipelineConfig(
+        seed=42, text_dim=64, training=TrainingSettings(epochs=60, learning_rate=0.05, hidden=(64, 64))
+    )
+    assert cfg.training.epochs <= 200
     corpus = [s for s, _ in separable_corpus(n_questions=50, n_triples=100, n_pos=5, seed=0)]
     model = fit(TripleScorer, corpus[:40], cfg)
     total = 0.0
@@ -380,11 +385,13 @@ def test_criterion_08_scorer_training():
     assert total / 10 == 1.0
 
     # bitwise determinism, both scorers
-    cfg_det = TrainConfig(seed=42, epochs=8, hidden=(16, 16), text_dim=32)
+    cfg_det = PipelineConfig(seed=42, text_dim=32, training=TrainingSettings(epochs=8, hidden=(16, 16)))
     t1 = fit(TripleScorer, corpus[:4], cfg_det)
     t2 = fit(TripleScorer, corpus[:4], cfg_det)
     assert all(np.array_equal(a, b) for a, b in zip(t1.params, t2.params))
-    gcfg_det = TrainConfig(seed=42, epochs=8, text_dim=16, gnn_hidden=8, gnn_depth=2)
+    gcfg_det = PipelineConfig(
+        seed=42, text_dim=16, training=TrainingSettings(epochs=8, gnn_hidden=8, gnn_depth=2)
+    )
     e1 = fit(EntityScorer, [star], gcfg_det)
     e2 = fit(EntityScorer, [star], gcfg_det)
     assert all(np.array_equal(a, b) for a, b in zip(e1.params, e2.params))
@@ -397,7 +404,9 @@ def test_criterion_08_scorer_training():
 def test_criterion_09_supervision_quality_proxy():
     corpus = separable_corpus(n_questions=50, n_triples=100, n_pos=5, n_decoys=5, seed=90)
     held_out = [s for s, _ in corpus[40:]]
-    cfg = TrainConfig(seed=42, epochs=60, learning_rate=0.05, hidden=(64, 64), text_dim=64)
+    cfg = PipelineConfig(
+        seed=42, text_dim=64, training=TrainingSettings(epochs=60, learning_rate=0.05, hidden=(64, 64))
+    )
 
     def heldout_recall(model):
         total = 0.0

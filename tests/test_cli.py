@@ -2,6 +2,7 @@ import base64
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from kgrag.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
     EXIT_OK,
+    OUTPUTS,
+    STAGES,
     main,
 )
 from kgrag.kg import load_kg
@@ -52,6 +55,27 @@ def test_full_pipeline_metrics(pipeline_dir):
     assert report["hit"] == 1.0
     assert report["hit_at_1"] >= 10 / 12
     assert (pipeline_dir / "out" / "per_question.csv").exists()
+
+
+def test_each_stage_writes_exactly_its_outputs(tmp_path):
+    assert tuple(OUTPUTS) == tuple(STAGES) == ALL_STAGES
+    cfg_path = write_fixture_config(tmp_path, training={"epochs": 1})
+    out = tmp_path / "out"
+    for stage in ALL_STAGES:
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        assert main([stage, "--config", str(cfg_path)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir() if p.name not in before) == sorted(OUTPUTS[stage]), stage
+        assert {name: (out / name).read_bytes() for name in before} == before, stage
+
+
+def test_readme_work_directory_table_is_the_stage_outputs():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"### Work-directory artifacts\n[^#]*?\| File \| Producer \| Record \|\n\|.*\n((?:\|.*\n)+)", readme)
+    documented: dict[str, tuple[str, ...]] = {}
+    for row in table.group(1).splitlines():
+        files, producer = (cell.strip() for cell in row.split("|")[1:3])
+        documented[producer] = documented.get(producer, ()) + tuple(re.findall(r"`([^`]+)`", files))
+    assert list(documented.items()) == list(OUTPUTS.items())
 
 
 def test_all_artifacts_written(pipeline_dir):
@@ -286,8 +310,10 @@ def test_answer_from_replay_cache(pipeline_dir, tmp_path):
         json.loads(line)
         for line in (pipeline_dir / "out" / "questions.jsonl").read_text().splitlines()
     ]
+    with (pipeline_dir / "out" / "graph.tsv").open() as fh:
+        g = load_kg(fh, "tsv")
     with (pipeline_dir / "out" / "chains.jsonl").open() as fh:
-        chains_by_q = read_chains(fh, [q["id"] for q in questions])
+        chains_by_q = read_chains(fh, g, [q["id"] for q in questions])
     store = ReplayStore(tmp_path / "replay.jsonl")
     for q in questions:
         built = build_qa_prompt(q["question"], chains_by_q.get(q["id"], []))
@@ -525,6 +551,17 @@ def _edit_first_record(edit):
     return corrupt
 
 
+def _edit_record(qid, edit):
+    """An edit of the record of question ``qid``."""
+
+    def corrupt(text: str) -> str:
+        records = [json.loads(line) for line in text.splitlines()]
+        edit(next(rec for rec in records if qid in (rec.get("id"), rec.get("question_id"))))
+        return "".join(json.dumps(rec) + "\n" for rec in records)
+
+    return corrupt
+
+
 def _unknown_pool_label(rec):
     rec["paths"][0]["triples"][0][0] = "no-such-entity"
 
@@ -580,6 +617,20 @@ def _chain_turning(rec):
 
 def _chain_without_steps(rec):
     rec["chains"][0].update(steps=[], tids=[], heads=[], tails=[], scores=[], orientations=[])
+
+
+def _chain_step_not_in_graph(rec):
+    rec["chains"][0]["tids"][0] = 10**6
+    rec["chains"][0]["steps"][0][2] = "spain"
+
+
+def _chain_tail_foreign(rec):
+    rec["chains"][0]["tails"][0] = rec["chains"][1]["tails"][0]
+
+
+def _pool_path_turned(rec):
+    # alice -founded-> acme_corp -logo_color-> red, its second step read backward from red
+    next(path for path in rec["paths"] if len(path["triples"]) == 2)["orientations"][1] = "b"
 
 
 def _set(*path_and_value):
@@ -669,6 +720,11 @@ def _cut_inside_a_character(text: str) -> str:
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_source_id_foreign)),
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_turning)),
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_without_steps)),
+        # each of these exited 0 before chain steps were read against the graph and pool paths
+        # were checked to connect
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_step_not_in_graph)),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_tail_foreign)),
+        ("pool.jsonl", "refine", "candidates", _edit_record("q08", _pool_path_turned)),
     ],
     ids=[
         "pool-label",
@@ -726,6 +782,9 @@ def _cut_inside_a_character(text: str) -> str:
         "chains-foreign-source-id",
         "chains-turning",
         "chains-no-steps",
+        "chains-step-not-in-graph",
+        "chains-tail-foreign",
+        "pool-path-turned",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from kgrag.config import PipelineConfig, TrainingSettings
 from kgrag.retriever import (
     EntityScorer,
-    TrainConfig,
     TrainSample,
     entity_positives,
     entity_to_triple_scores,
@@ -16,13 +16,10 @@ from kgrag.retriever.entity_scorer import prepare_graph_tensors
 from conftest import graph_from_lines, make_question
 from synth import star_graph_entity_sample
 
-GNN_CFG = TrainConfig(
+GNN_CFG = PipelineConfig(
     seed=42,
-    epochs=40,
-    learning_rate=0.05,
     text_dim=32,
-    gnn_hidden=16,
-    gnn_depth=3,
+    training=TrainingSettings(epochs=40, learning_rate=0.05, gnn_hidden=16, gnn_depth=3),
 )
 
 
@@ -50,7 +47,7 @@ def test_entity_training_rejects_zero_positives():
 
 def test_entity_gradient_matches_central_differences():
     sample = star_graph_entity_sample()
-    cfg = TrainConfig(seed=42, epochs=0, text_dim=16, gnn_hidden=8, gnn_depth=2)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=0, gnn_hidden=8, gnn_depth=2))
     model = fit(EntityScorer, [sample], cfg)
     gt = prepare_graph_tensors(sample.graph, sample.question, model.encoder, cfg.dde_depth, cfg.dde_slots)
     positives = entity_positives(sample.positives)
@@ -77,7 +74,7 @@ def test_entity_gradient_matches_central_differences():
 
 def test_entity_training_bitwise_deterministic():
     sample = star_graph_entity_sample()
-    cfg = TrainConfig(seed=42, epochs=8, text_dim=16, gnn_hidden=8, gnn_depth=2)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=8, gnn_hidden=8, gnn_depth=2))
     m1 = fit(EntityScorer, [sample], cfg)
     m2 = fit(EntityScorer, [sample], cfg)
     for p1, p2 in zip(m1.params, m2.params):
@@ -86,7 +83,7 @@ def test_entity_training_bitwise_deterministic():
 
 def test_entity_scores_in_range_and_deterministic():
     sample = star_graph_entity_sample()
-    cfg = TrainConfig(seed=42, epochs=5, text_dim=16, gnn_hidden=8, gnn_depth=2)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=5, gnn_hidden=8, gnn_depth=2))
     model = fit(EntityScorer, [sample], cfg)
     s1 = model.score(sample.question, sample.graph)
     s2 = model.score(sample.question, sample.graph)
@@ -120,7 +117,7 @@ def test_entity_to_triple_scores_self_loop_doubles():
 
 def test_entity_model_save_load_round_trip(tmp_path):
     sample = star_graph_entity_sample()
-    cfg = TrainConfig(seed=42, epochs=3, text_dim=16, gnn_hidden=8, gnn_depth=2)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=3, gnn_hidden=8, gnn_depth=2))
     model = fit(EntityScorer, [sample], cfg)
     path = tmp_path / "entity.json"
     save_model(model, path)
@@ -130,7 +127,7 @@ def test_entity_model_save_load_round_trip(tmp_path):
 
 def test_entity_scorer_empty_graph():
     sample = star_graph_entity_sample()
-    cfg = TrainConfig(seed=42, epochs=1, text_dim=16, gnn_hidden=8, gnn_depth=2)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=1, gnn_hidden=8, gnn_depth=2))
     model = fit(EntityScorer, [sample], cfg)
     empty = sample.graph.restrict([])
     assert model.score(sample.question, empty) == []

@@ -339,7 +339,7 @@ def test_chains_serialization_keeps_label_alignment_when_orders_differ():
     g, sub = subgraph_from_lines(["Q r1 zebra", "Q r1 apple"])
     chains = merge_multi_answer(expand_chains(sub, {g.entity_ids["Q"]}, max_len=1))
     record = chains_to_record("qy", chains)
-    loaded = chains_from_record(record)
+    loaded = chains_from_record(record, g)
     for orig, back in zip(chains, loaded):
         assert dict(orig.targets) == dict(back.targets)
 
@@ -359,6 +359,6 @@ def test_chains_serialization_round_trip(rows, scores, queries, max_len):
     chains = merge_multi_entity(merge_multi_answer(expand_chains(sub, query_ids, max_len)), query_ids)
     sink = io.StringIO()
     write_chains(sink, [chains_to_record("qz", chains)])
-    loaded = read_chains(io.StringIO(sink.getvalue()), ["qz"])["qz"]
+    loaded = read_chains(io.StringIO(sink.getvalue()), g, ["qz"])["qz"]
     assert loaded == chains
     assert [render_evidence_line(c) for c in loaded] == [render_evidence_line(c) for c in chains]

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kgrag.config import PipelineConfig, TrainingSettings
 from kgrag.kg import KGFormatError, Question, load_kg
 from kgrag.retriever import (
     EntityScorer,
     HashedBowEncoder,
-    TrainConfig,
     TrainSample,
     TripleFeatureBuilder,
     TripleScorer,
@@ -63,21 +63,23 @@ def test_checkpoint_is_earliest_epoch_with_best_validation_recall(scorer, recall
     corpus = separable_corpus(n_questions=6, n_triples=30, n_pos=4, n_decoys=3, seed=0)
     train_samples = [TrainSample(s.question, s.graph, s.positives | d) for s, d in corpus[:4]]
     val_samples = [s for s, _ in corpus[4:]]
-    cfg = TrainConfig(
-        seed=0, epochs=8, learning_rate=1.0, hidden=(8, 8), text_dim=16,
-        recall_k=2, gnn_hidden=8, gnn_depth=2,
+    cfg = PipelineConfig(
+        seed=0, text_dim=16,
+        training=TrainingSettings(
+            epochs=8, learning_rate=1.0, hidden=(8, 8), recall_k=2, gnn_hidden=8, gnn_depth=2
+        ),
     )
     selected = fit(scorer, train_samples, cfg, val_samples=val_samples)
 
     per_epoch = []
-    for epochs in range(1, cfg.epochs + 1):
-        model = fit(scorer, train_samples, replace(cfg, epochs=epochs))
-        per_epoch.append((recall(model, val_samples, cfg.recall_k), model))
+    for epochs in range(1, cfg.training.epochs + 1):
+        model = fit(scorer, train_samples, replace(cfg, training=replace(cfg.training, epochs=epochs)))
+        per_epoch.append((recall(model, val_samples, cfg.training.recall_k), model))
     best = max(r for r, _ in per_epoch)
     earliest = next(i for i, (r, _) in enumerate(per_epoch) if r == best)
     # selection must matter here: the best recall is reached more than once,
     # and the earliest epoch that reaches it is not the last one
-    assert earliest < cfg.epochs - 1
+    assert earliest < cfg.training.epochs - 1
     assert sum(1 for r, _ in per_epoch if r == best) > 1
     for got, want in zip(selected.params, per_epoch[earliest][1].params):
         assert np.array_equal(got, want)
@@ -294,9 +296,9 @@ def test_a_model_whose_widths_its_features_cannot_have_is_refused(tmp_path, scor
 @pytest.mark.parametrize("text_dim, dde_depth, dde_slots", [(2, 1, 1), (16, 3, 3), (7, 2, 4)])
 def test_fit_gives_the_widths_and_encoder_of_the_features_it_builds(scorer, text_dim, dde_depth, dde_slots):
     (sample, _), = separable_corpus(n_questions=1, n_triples=12, seed=3)
-    cfg = TrainConfig(
-        seed=0, epochs=0, hidden=(4,), text_dim=text_dim, dde_depth=dde_depth, dde_slots=dde_slots,
-        gnn_hidden=4, gnn_depth=1,
+    cfg = PipelineConfig(
+        seed=0, text_dim=text_dim, dde_depth=dde_depth, dde_slots=dde_slots,
+        training=TrainingSettings(epochs=0, hidden=(4,), gnn_hidden=4, gnn_depth=1),
     )
     model = fit(scorer, [sample], cfg)
     assert model.encoder_tag == model.encoder.tag == HashedBowEncoder(text_dim).tag

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from kgrag.config import PipelineConfig, TrainingSettings
 from kgrag.retriever import (
     HashedBowEncoder,
-    TrainConfig,
     TrainSample,
     TripleFeatureBuilder,
     TripleScorer,
@@ -20,12 +20,10 @@ from kgrag.retriever.triple_scorer import recall_at_k
 from conftest import graph_from_lines, make_question
 from synth import separable_corpus
 
-FAST = TrainConfig(
+FAST = PipelineConfig(
     seed=42,
-    epochs=60,
-    learning_rate=0.05,
-    hidden=(64, 64),
     text_dim=64,
+    training=TrainingSettings(epochs=60, learning_rate=0.05, hidden=(64, 64)),
 )
 
 
@@ -50,7 +48,7 @@ def test_training_reaches_perfect_heldout_recall():
 
 def test_zero_epochs_scores_near_half():
     samples = corpus_samples(n_questions=2, seed=1)
-    cfg = TrainConfig(seed=42, epochs=0, hidden=(32, 32), text_dim=32)
+    cfg = PipelineConfig(seed=42, text_dim=32, training=TrainingSettings(epochs=0, hidden=(32, 32)))
     model = fit(TripleScorer, samples, cfg)
     question, graph, _ = samples[0]
     scores = np.array([s for _, s in model.score(question, graph)])
@@ -66,7 +64,7 @@ def test_training_rejects_zero_positive_sample():
 
 def test_gradient_matches_central_differences():
     samples = corpus_samples(n_questions=1, n_triples=12, seed=3)
-    cfg = TrainConfig(seed=42, epochs=0, hidden=(8, 8), text_dim=16)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=0, hidden=(8, 8)))
     model = fit(TripleScorer, samples, cfg)
     question, graph, positives = samples[0]
     builder = TripleFeatureBuilder(graph, question, model.encoder, cfg.dde_depth, cfg.dde_slots)
@@ -95,7 +93,7 @@ def test_gradient_matches_central_differences():
 
 def test_training_bitwise_deterministic():
     samples = corpus_samples(n_questions=4, seed=5)
-    cfg = TrainConfig(seed=42, epochs=10, hidden=(16, 16), text_dim=32)
+    cfg = PipelineConfig(seed=42, text_dim=32, training=TrainingSettings(epochs=10, hidden=(16, 16)))
     m1 = fit(TripleScorer, samples, cfg)
     m2 = fit(TripleScorer, samples, cfg)
     for p1, p2 in zip(m1.params, m2.params):
@@ -112,7 +110,7 @@ def test_epoch_loss_mostly_non_increasing():
 
 def test_score_triples_deterministic_and_in_range():
     samples = corpus_samples(n_questions=2, seed=9)
-    cfg = TrainConfig(seed=42, epochs=5, hidden=(16, 16), text_dim=32)
+    cfg = PipelineConfig(seed=42, text_dim=32, training=TrainingSettings(epochs=5, hidden=(16, 16)))
     model = fit(TripleScorer, samples, cfg)
     question, graph, _ = samples[0]
     s1 = model.score(question, graph)
@@ -123,7 +121,7 @@ def test_score_triples_deterministic_and_in_range():
 
 def test_score_triples_empty_view():
     samples = corpus_samples(n_questions=1, seed=11)
-    cfg = TrainConfig(seed=42, epochs=1, hidden=(8, 8), text_dim=16)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=1, hidden=(8, 8)))
     model = fit(TripleScorer, samples, cfg)
     question, graph, _ = samples[0]
     empty = graph.restrict([])
@@ -132,7 +130,7 @@ def test_score_triples_empty_view():
 
 def test_score_triples_dimension_mismatch():
     samples = corpus_samples(n_questions=1, seed=13)
-    cfg = TrainConfig(seed=42, epochs=1, hidden=(8, 8), text_dim=16)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=1, hidden=(8, 8)))
     model = fit(TripleScorer, samples, cfg)
     question, graph, _ = samples[0]
     _, bundle = TripleFeatureBuilder(graph, question, HashedBowEncoder(5)).matrix()
@@ -142,7 +140,9 @@ def test_score_triples_dimension_mismatch():
 
 def test_validation_checkpoint_selection():
     samples = corpus_samples(n_questions=12, seed=15)
-    cfg = TrainConfig(seed=42, epochs=25, hidden=(32, 32), text_dim=32, recall_k=5)
+    cfg = PipelineConfig(
+        seed=42, text_dim=32, training=TrainingSettings(epochs=25, hidden=(32, 32), recall_k=5)
+    )
     model = fit(TripleScorer, samples[:9], cfg, val_samples=samples[9:])
     assert held_out_recall(model, samples[9:]) == 1.0
 
@@ -182,7 +182,7 @@ def test_top_k_monotone_in_k():
 
 def test_model_save_load_round_trip(tmp_path):
     samples = corpus_samples(n_questions=2, seed=17)
-    cfg = TrainConfig(seed=42, epochs=3, hidden=(16, 16), text_dim=32)
+    cfg = PipelineConfig(seed=42, text_dim=32, training=TrainingSettings(epochs=3, hidden=(16, 16)))
     model = fit(TripleScorer, samples, cfg)
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -194,7 +194,7 @@ def test_model_save_load_round_trip(tmp_path):
 
 def test_model_load_rejects_encoder_tag_mismatch(tmp_path):
     samples = corpus_samples(n_questions=1, seed=19)
-    cfg = TrainConfig(seed=42, epochs=1, hidden=(8, 8), text_dim=16)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=1, hidden=(8, 8)))
     model = fit(TripleScorer, samples, cfg)
     path = tmp_path / "model.json"
     save_model(model, path)
