@@ -43,7 +43,6 @@ class CandidatePool:
     paths: list[ReasoningPath] = field(default_factory=list)
     provenance: list[str] = field(default_factory=list)
     class_sizes: list[int] = field(default_factory=list)
-    representative_answer: int | None = None
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -149,11 +148,9 @@ def merge_answers(pool: CandidatePool, q: Question, g: KnowledgeGraph) -> Candid
         if prov == PROV_SHORTEST:
             counts[path.terminal(g)] = counts.get(path.terminal(g), 0) + 1
     if not counts:
-        return CandidatePool(
-            list(pool.paths), list(pool.provenance), list(pool.class_sizes), None
-        )
+        return CandidatePool(list(pool.paths), list(pool.provenance), list(pool.class_sizes))
     best = max(counts, key=lambda e: (counts[e], -e))
-    merged = CandidatePool(representative_answer=best)
+    merged = CandidatePool()
     for path, prov, size in pool.entries():
         if prov == PROV_SHORTEST and path.terminal(g) != best:
             continue
@@ -176,7 +173,7 @@ def merge_relation_chains(pool: CandidatePool, g: KnowledgeGraph) -> CandidatePo
             order.append(key)
         groups[key].append(i)
 
-    merged = CandidatePool(representative_answer=pool.representative_answer)
+    merged = CandidatePool()
     for key in order:
         members = groups[key]
         rep = min(members, key=lambda i: pool.paths[i].triple_ids)
@@ -220,12 +217,7 @@ def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
                 "class_size": size,
             }
         )
-    rep = pool.representative_answer
-    return {
-        "id": qid,
-        "paths": paths,
-        "representative_answer": g.entity_label(rep) if rep is not None else None,
-    }
+    return {"id": qid, "paths": paths}
 
 
 def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
@@ -242,10 +234,8 @@ def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
         pool.append(
             path,
             json_field(entry, "provenance", PROVENANCE),
-            json_field(entry, "class_size", int, 1),
+            json_field(entry, "class_size", int),
         )
-    rep = json_field(rec, "representative_answer", str | None, None)
-    pool.representative_answer = None if rep is None else g.entity_id(rep)
     return pool
 
 

@@ -50,7 +50,6 @@ class RefineDemo:
 
 @dataclass
 class RefinedSupervision:
-    selected_indices: list[int]  # 0-based pool positions
     positive_triples: set[Triple]
     refiner_tag: str
 
@@ -189,11 +188,7 @@ def refine(
     positives: set[Triple] = set()
     for i in selected:
         positives.update(pool.paths[i].triples(g))
-    return RefinedSupervision(
-        selected_indices=selected,
-        positive_triples=positives,
-        refiner_tag=getattr(client, "tag", "unknown"),
-    )
+    return RefinedSupervision(positive_triples=positives, refiner_tag=getattr(client, "tag", "unknown"))
 
 
 # -- supervision cache --------------------------------------------------------
@@ -202,7 +197,6 @@ def refine(
 def supervision_to_record(qid: str, sup: RefinedSupervision, g: KnowledgeGraph) -> dict:
     return {
         "question_id": qid,
-        "selected_indices": sup.selected_indices,
         "positive_triples": sorted(g.labels(tr) for tr in sup.positive_triples),
         "refiner_tag": sup.refiner_tag,
     }
@@ -215,11 +209,7 @@ def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
         if tid is None:
             raise KGFormatError(f"supervision triple not in graph: {h}|{r}|{t}")
         positives.add(g.triple(tid))
-    return RefinedSupervision(
-        selected_indices=list(json_field(rec, "selected_indices", tuple[int, ...])),
-        positive_triples=positives,
-        refiner_tag=json_field(rec, "refiner_tag", str, "unknown"),
-    )
+    return RefinedSupervision(positives, json_field(rec, "refiner_tag", str))
 
 
 write_supervision = write_jsonl

@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Collection, Sequence
+from typing import IO, Collection, Literal, Sequence
 
 from .config import json_field, read_json
 from .kg import BACKWARD, FORWARD, KGFormatError, KnowledgeGraph, read_by_question, write_jsonl
 from .llm import CompletionRequest
 from .refiner import INVERSE_MARK, render_chain
-from .retriever.subgraph import RetrievedSubgraph, RetrievedTriple, read_step
+from .retriever.subgraph import RetrievedTriple, steps_from_record, steps_to_record
 
 QA_SYSTEM = "Answer the question using only the provided evidence."
 NO_EVIDENCE_MARKER = "(no evidence retrieved)"
@@ -52,16 +52,16 @@ class EvidenceChain:
 
 
 def split_source(
-    sub: RetrievedSubgraph, query_entities: set[int]
+    sub: Sequence[RetrievedTriple], query_entities: set[int]
 ) -> tuple[list[RetrievedTriple], list[RetrievedTriple]]:
     """Query-anchored triples (head or tail in the query set) vs the rest."""
-    src = [e for e in sub.entries if e.head in query_entities or e.tail in query_entities]
-    tgt = [e for e in sub.entries if not (e.head in query_entities or e.tail in query_entities)]
+    src = [e for e in sub if e.head in query_entities or e.tail in query_entities]
+    tgt = [e for e in sub if not (e.head in query_entities or e.tail in query_entities)]
     return src, tgt
 
 
 def expand_chains(
-    sub: RetrievedSubgraph,
+    sub: Sequence[RetrievedTriple],
     query_entities: set[int],
     max_len: int | None = 2,
 ) -> list[EvidenceChain]:
@@ -218,12 +218,12 @@ def build_qa_prompt(
 
 def build_flat_qa_prompt(
     question_text: str,
-    sub: RetrievedSubgraph,
+    sub: Sequence[RetrievedTriple],
     demos: Sequence[QADemo] = (),
     include_explanations: bool = True,
 ) -> CompletionRequest:
     """Unorganized variant: retrieved triples listed flat in score order."""
-    facts = [render_chain([e.head_label, e.tail_label], [e.relation]) for e in sub.entries]
+    facts = [render_chain([e.head_label, e.tail_label], [e.relation]) for e in sub]
     return _qa_request(question_text, "Facts:", facts, demos, include_explanations)
 
 
@@ -242,69 +242,36 @@ def _qa_request(
 
 
 def chains_to_record(qid: str, chains: Sequence[EvidenceChain]) -> dict:
-    out = []
-    for chain in chains:
-        steps, orient = chain.steps, chain.orientation
-        out.append(
+    return {
+        "question_id": qid,
+        "chains": [
             {
-                "steps": [[s.head_label, s.relation, s.tail_label] for s in steps],
-                "tids": [s.tid for s in steps],
-                "heads": [s.head for s in steps],
-                "tails": [s.tail for s in steps],
-                "scores": [s.score for s in steps],
-                "orientations": [orient] * len(steps),
-                "source": chain.source_label(),
-                "source_id": chain.source,
-                # aligned pairwise: targets[i] names target_ids[i]
+                **steps_to_record(chain.steps),
+                "orientation": chain.orientation,
                 "targets": [label for _, label in chain.targets],
-                "target_ids": [t for t, _ in chain.targets],
-                "relation_path": [[s.relation, orient] for s in steps],
                 "group": chain.group,
             }
-        )
-    return {"question_id": qid, "chains": out}
-
-
-# a chain record's list types and per-step columns, subscripted once (each subscript is a new object)
-_IDS, _LABELS = tuple[int, ...], tuple[str, ...]
-_COLUMNS = dict(
-    steps=tuple[tuple[str, str, str], ...], tids=_IDS, heads=_IDS, tails=_IDS, scores=tuple[float, ...]
-)
+            for chain in chains
+        ],
+    }
 
 
 def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
-    """The chains of a ``chains.jsonl`` record, each step read against ``g`` as a retrieved
-    triple; a step :func:`read_step` refuses, ``heads`` or ``tails`` other than its ends, and a
-    chain :class:`EvidenceChain` cannot hold (no steps, orientations other than one flag per
-    step, unpaired targets, a ``source_id`` other than the anchor's entry) raise
-    :class:`KGFormatError`."""
+    """The chains of a ``chains.jsonl`` record, their steps read as a retrieval record's; a
+    chain with no steps or a target label not in ``g`` raises :class:`KGFormatError`."""
     chains = []
     for c in json_field(rec, "chains", tuple[dict, ...]):
-        columns = [json_field(c, key, tp) for key, tp in _COLUMNS.items()]
-        if len({len(column) for column in columns}) > 1:
-            raise KGFormatError("steps, tids, heads, tails and scores differ in length")
-        if not columns[0]:
+        steps = steps_from_record(c, g)
+        if not steps:
             raise KGFormatError("a chain with no steps")
-        orientations = json_field(c, "orientations", _LABELS)
-        if len(orientations) != len(columns[0]) or set(orientations) not in ({FORWARD}, {BACKWARD}):
-            raise KGFormatError(f"orientations must repeat 'f' or 'b' once per step: {list(orientations)}")
-        ids, labels = json_field(c, "target_ids", _IDS), json_field(c, "targets", _LABELS)
-        if len(ids) != len(labels):
-            raise KGFormatError(f"{len(ids)} target_ids but {len(labels)} targets")
-        steps = []
-        for triple, tid, h_id, t_id, score in zip(*columns):
-            step = read_step(g, tid, triple, score)
-            if (h_id, t_id) != (step.head, step.tail):
-                raise KGFormatError(
-                    f"triple {tid} joins entities {step.head} to {step.tail}, not {h_id} to {t_id}"
-                )
-            steps.append(step)
-        group = json_field(c, "group", int | None, None)
-        chain = EvidenceChain(tuple(steps), orientations[0], tuple(zip(ids, labels)), group)
-        source = json_field(c, "source_id", int)
-        if source != chain.source:
-            raise KGFormatError(f"source_id {source} is not the anchor's entry {chain.source}")
-        chains.append(chain)
+        targets = []
+        for label in json_field(c, "targets", tuple[str, ...]):
+            target = g.entity_id(label)
+            if target is None:
+                raise KGFormatError(f"chain target {label!r} not in graph")
+            targets.append((target, label))
+        orientation = json_field(c, "orientation", Literal[FORWARD, BACKWARD])
+        chains.append(EvidenceChain(steps, orientation, tuple(targets), json_field(c, "group", int | None)))
     return chains
 
 

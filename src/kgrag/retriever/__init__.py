@@ -1,7 +1,7 @@
 """Trainable triple- and entity-level scorers plus top-K subgraph selection."""
 
 from .features import HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
-from .subgraph import RetrievedSubgraph, RetrievedTriple, load_model, save_model, top_k
+from .subgraph import RetrievedTriple, load_model, save_model, top_k
 from .triple_scorer import Scorer, TrainSample, TripleScorer, fit
 from .entity_scorer import EntityScorer, entity_positives, entity_to_triple_scores
 
@@ -13,7 +13,6 @@ __all__ = [
     "TripleFeatureBuilder",
     "anchor_slots",
     "compute_dde",
-    "RetrievedSubgraph",
     "RetrievedTriple",
     "load_model",
     "save_model",

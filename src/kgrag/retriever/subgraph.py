@@ -1,4 +1,4 @@
-"""Top-K subgraph selection and scorer serialization."""
+"""Top-K subgraph selection, the step columns of retrieval and chain records, and scorer serialization."""
 
 from __future__ import annotations
 
@@ -27,27 +27,13 @@ class RetrievedTriple:
     score: float
 
 
-@dataclass
-class RetrievedSubgraph:
-    """Triples ordered by descending score (ties by ascending triple id)."""
-
-    entries: list[RetrievedTriple]
-    k: int
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def triple_ids(self) -> list[int]:
-        return [e.tid for e in self.entries]
-
-
 def top_k(
     scored: Sequence[tuple[int, float]],
     k: int,
     g: KnowledgeGraph,
     relation_overrides: dict[int, str] | None = None,
-) -> RetrievedSubgraph:
-    """The k highest-scoring triples; ties break toward the smaller triple id."""
+) -> tuple[RetrievedTriple, ...]:
+    """The k highest-scoring triples, by descending score; ties break toward the smaller triple id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
@@ -66,17 +52,21 @@ def top_k(
                 score=float(score),
             )
         )
-    return RetrievedSubgraph(entries=entries, k=k)
+    return tuple(entries)
 
 
-def subgraph_to_record(qid: str, sub: RetrievedSubgraph) -> dict:
+def steps_to_record(steps: Sequence[RetrievedTriple]) -> dict:
+    """The step columns a retrieval record and an evidence chain share: ``tids``, ``triples``
+    (``[head, relation, tail]`` labels) and ``scores``, one entry per step."""
     return {
-        "id": qid,
-        "k": sub.k,
-        "tids": [e.tid for e in sub.entries],
-        "triples": [[e.head_label, e.relation, e.tail_label] for e in sub.entries],
-        "scores": [e.score for e in sub.entries],
+        "tids": [s.tid for s in steps],
+        "triples": [[s.head_label, s.relation, s.tail_label] for s in steps],
+        "scores": [s.score for s in steps],
     }
+
+
+def subgraph_to_record(qid: str, sub: Sequence[RetrievedTriple]) -> dict:
+    return {"id": qid, **steps_to_record(sub)}
 
 
 def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTriple:
@@ -96,20 +86,21 @@ def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTri
     return RetrievedTriple(tid, tr.head, tr.tail, h, r, t, score)
 
 
-def subgraph_from_record(rec: dict, g: KnowledgeGraph) -> RetrievedSubgraph:
+def steps_from_record(rec: dict, g: KnowledgeGraph) -> tuple[RetrievedTriple, ...]:
+    """The steps :func:`steps_to_record` wrote into ``rec``, each read by :func:`read_step`;
+    columns of unequal length raise :class:`KGFormatError`."""
     tids, scores = json_field(rec, "tids", tuple[int, ...]), json_field(rec, "scores", tuple[float, ...])
     triples = json_field(rec, "triples", list)  # read last, so that an unpacking error names it
     if not len(tids) == len(triples) == len(scores):
         raise KGFormatError("tids, triples and scores differ in length")
-    entries = [read_step(g, tid, labels, score) for tid, labels, score in zip(tids, triples, scores)]
-    return RetrievedSubgraph(entries=entries, k=json_field(rec, "k", int))
+    return tuple(read_step(g, tid, labels, score) for tid, labels, score in zip(tids, triples, scores))
 
 
 write_subgraphs = write_jsonl
 
 
-def read_subgraphs(source, g: KnowledgeGraph, ids: Collection[str]) -> dict[str, RetrievedSubgraph]:
-    return read_by_question(source, lambda rec: subgraph_from_record(rec, g), "id", ids)
+def read_subgraphs(source, g: KnowledgeGraph, ids: Collection[str]) -> dict[str, tuple[RetrievedTriple, ...]]:
+    return read_by_question(source, lambda rec: steps_from_record(rec, g), "id", ids)
 
 
 # -- model files ---------------------------------------------------------------

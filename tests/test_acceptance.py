@@ -28,7 +28,7 @@ from kgrag.reorganize import EvidenceChain, expand_chains, merge_multi_entity
 from kgrag.retriever import EntityScorer, TripleScorer, fit
 from kgrag.retriever.entity_scorer import entity_positives, prepare_graph_tensors
 from kgrag.retriever.features import TripleFeatureBuilder
-from kgrag.retriever.subgraph import RetrievedSubgraph, RetrievedTriple
+from kgrag.retriever.subgraph import RetrievedTriple
 from kgrag.retriever.triple_scorer import recall_at_k
 from kgrag.simulate import (
     OracleInstance,
@@ -250,7 +250,7 @@ def test_criterion_06_chain_expansion_oracle():
             )
             for tid, tr in g.iter_triples()
         ]
-        sub = RetrievedSubgraph(entries=entries, k=len(entries))
+        sub = tuple(entries)
         for max_len in (1, 2, None):
             got = {
                 (c.source, c.tid_sequence(), (c.orientation,) * len(c.steps))

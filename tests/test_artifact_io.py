@@ -49,11 +49,11 @@ def test_read_jsonl_skips_blank_lines_and_names_line_and_field():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("tids", ["z"]), ("scores", ["s"]), ("triples", [["a", "r"]]), ("k", "k")],
+    [("tids", ["z"]), ("scores", ["s"]), ("triples", [["a", "r"]]), ("id", 5)],
 )
 def test_retrieval_record_error_names_the_field(field, value):
     g = load_kg(["a\tr\tb\n"])
-    record = {"id": "q", "k": 1, "tids": [0], "triples": [["a", "r", "b"]], "scores": [1.0], field: value}
+    record = {"id": "q", "tids": [0], "triples": [["a", "r", "b"]], "scores": [1.0], field: value}
     with pytest.raises(KGFormatError, match=f"line 1: field '{field}'"):
         read_subgraphs([json.dumps(record)], g, ["q"])
 

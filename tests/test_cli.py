@@ -248,7 +248,7 @@ def test_entity_level_pipeline_runs(tmp_path):
     assert 0.0 <= report["hit"] <= 1.0
     # entity-level K bonus applies
     retrieval = [json.loads(l) for l in (out / "retrieval.jsonl").read_text().splitlines()]
-    assert all(rec["k"] == 8 for rec in retrieval)
+    assert max(len(rec["tids"]) for rec in retrieval) == 8  # top_k 4 plus the bonus 4
 
 
 def test_pipeline_with_demo_files(tmp_path):
@@ -599,33 +599,33 @@ def _retrieved_labels_foreign(rec):
     rec["triples"][0][0], rec["triples"][0][2] = "Nowhere", "Nobody"
 
 
-def _chain_target_id_unpaired(rec):
-    rec["chains"][0]["target_ids"].append(99)
-
-
-def _chain_target_unpaired(rec):
-    rec["chains"][0]["targets"].append("spain")
-
-
-def _chain_source_id_foreign(rec):
-    rec["chains"][0]["source_id"] += 1
+def _chain_target_not_in_graph(rec):
+    rec["chains"][0]["targets"].append("Nowhere")
 
 
 def _chain_turning(rec):
-    next(c for c in rec["chains"] if len(c["tids"]) == 2)["orientations"] = ["f", "b"]
+    # a chain's one orientation cannot name a flag per step
+    next(c for c in rec["chains"] if len(c["tids"]) == 2)["orientation"] = ["f", "b"]
 
 
 def _chain_without_steps(rec):
-    rec["chains"][0].update(steps=[], tids=[], heads=[], tails=[], scores=[], orientations=[])
+    rec["chains"][0].update(triples=[], tids=[], scores=[])
 
 
 def _chain_step_not_in_graph(rec):
     rec["chains"][0]["tids"][0] = 10**6
-    rec["chains"][0]["steps"][0][2] = "spain"
+    rec["chains"][0]["triples"][0][2] = "spain"
 
 
 def _chain_tail_foreign(rec):
-    rec["chains"][0]["tails"][0] = rec["chains"][1]["tails"][0]
+    rec["chains"][0]["triples"][0][2] = rec["chains"][1]["triples"][0][2]
+
+
+def _chains_of_the_parent_format(rec):
+    # the earlier format named a chain's triples `steps` and repeated its orientation per step
+    for chain in rec["chains"]:
+        chain["steps"] = chain.pop("triples")
+        chain["orientations"] = [chain.pop("orientation")] * len(chain["tids"])
 
 
 def _pool_path_turned(rec):
@@ -667,7 +667,6 @@ def _cut_inside_a_character(text: str) -> str:
         ("chains.jsonl", "answer", "reorganize", lambda text: text[: len(text) // 2]),
         ("pool.jsonl", "refine", "candidates", _edit_first_record(_pool_without_orientations)),
         ("pool.jsonl", "refine", "candidates", _edit_first_record(_pool_orientation_x)),
-        ("supervision.jsonl", "train", "refine", _edit_first_record(lambda rec: rec.pop("selected_indices"))),
         ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(lambda rec: rec.pop("scores"))),
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(lambda rec: rec["chains"][0].pop("tids"))),
         ("answers.jsonl", "evaluate", "answer", _edit_first_record(lambda rec: rec.pop("answers"))),
@@ -682,7 +681,6 @@ def _cut_inside_a_character(text: str) -> str:
         # artifact field was read as its JSON type
         ("answers.jsonl", "evaluate", "answer", _set("answers", "mediterranean")),
         ("answers.jsonl", "evaluate", "answer", _set("answers", [1, 2])),
-        ("retrieval.jsonl", "reorganize", "retrieve", _set("k", 8.7)),
         ("retrieval.jsonl", "reorganize", "retrieve", _set("scores", 0, "0.5")),
         ("retrieval.jsonl", "reorganize", "retrieve", _set("scores", 0, True)),
         ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(_retrieved_tid_plus_fraction)),
@@ -690,11 +688,9 @@ def _cut_inside_a_character(text: str) -> str:
         ("pool.jsonl", "refine", "candidates", _set("paths", 0, "class_size", 2.7)),
         ("pool.jsonl", "refine", "candidates", _set("id", 7)),
         ("pool.jsonl", "refine", "candidates", _set("paths", 0, "provenance", 5)),
-        ("supervision.jsonl", "train", "refine", _set("selected_indices", [0.9])),
         ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "targets", "abc")),
         ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "group", "x")),
-        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "source_id", 1.5)),
-        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "steps", 0, "abc")),
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "triples", 0, "abc")),
         ("questions.jsonl", "candidates", "ingest", _set("question_entities", "abc")),
         ("questions.jsonl", "candidates", "ingest", _set("scope", [["spain", "capital", 5]])),
         # each of these exited 0 before every per-question artifact was read by question id
@@ -714,10 +710,7 @@ def _cut_inside_a_character(text: str) -> str:
         ("questions.jsonl", "candidates", "ingest", _set("answer_entities", ["Nowhere"])),
         # each of these exited 0, or ended in a traceback, before a chain was read as one that
         # runs one way from its anchor
-        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "orientations", 0, "x")),
-        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_target_id_unpaired)),
-        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_target_unpaired)),
-        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_source_id_foreign)),
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "orientation", "x")),
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_turning)),
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_without_steps)),
         # each of these exited 0 before chain steps were read against the graph and pool paths
@@ -725,6 +718,10 @@ def _cut_inside_a_character(text: str) -> str:
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_step_not_in_graph)),
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_tail_foreign)),
         ("pool.jsonl", "refine", "candidates", _edit_record("q08", _pool_path_turned)),
+        # a chain's target labels are read against the graph, and a chain of the earlier format
+        # (`steps`, and `orientations` with a flag per step) is not read
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_target_not_in_graph)),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chains_of_the_parent_format)),
     ],
     ids=[
         "pool-label",
@@ -734,7 +731,6 @@ def _cut_inside_a_character(text: str) -> str:
         "truncated-chains",
         "pool-no-orientations",
         "pool-orientation-x",
-        "supervision-no-selected-indices",
         "retrieval-no-scores",
         "chains-no-tids",
         "answers-no-answers",
@@ -747,7 +743,6 @@ def _cut_inside_a_character(text: str) -> str:
         "answers-cut-inside-a-character",
         "answers-string",
         "answers-ints",
-        "retrieval-k-float",
         "retrieval-score-string",
         "retrieval-score-true",
         "retrieval-tid-float",
@@ -755,10 +750,8 @@ def _cut_inside_a_character(text: str) -> str:
         "pool-class_size-float",
         "pool-id-int",
         "pool-provenance-int",
-        "supervision-index-float",
         "chains-targets-string",
         "chains-group-string",
-        "chains-source_id-float",
         "chains-step-string",
         "questions-entities-string",
         "questions-scope-label-int",
@@ -777,14 +770,13 @@ def _cut_inside_a_character(text: str) -> str:
         "questions-duplicate-id",
         "questions-unresolved-label",
         "chains-orientation-x",
-        "chains-target-id-unpaired",
-        "chains-target-unpaired",
-        "chains-foreign-source-id",
         "chains-turning",
         "chains-no-steps",
         "chains-step-not-in-graph",
         "chains-tail-foreign",
         "pool-path-turned",
+        "chains-target-not-in-graph",
+        "chains-parent-format",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(

@@ -38,13 +38,13 @@ INPUTS = {
 }
 # fields written for people and tools, which no stage reads back
 NOT_READ = {
-    "out/chains.jsonl": {"source", "relation_path"},
+    "out/chains.jsonl": set(),
     "out/answers.jsonl": {"raw_text", "prompt_sha256", "usage"},
 }
 # artifacts that hold exactly one record per question, so that a record cut away exits 3
 ONE_PER_QUESTION = {"out/pool.jsonl", "out/retrieval.jsonl", "out/chains.jsonl", "out/answers.jsonl"}
 # fields that hold null or a value of one type
-NULLABLE = {"scope": list, "representative_answer": str, "group": int}
+NULLABLE = {"scope": list, "group": int}
 
 _SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.5, 2.5) | st.text("ab1 ", max_size=4)
 _VALUES = st.recursive(

@@ -14,7 +14,7 @@ from pathlib import Path
 from kgrag.kg import load_kg, load_questions, working_graph
 from kgrag.pool import PROV_ANSWER, PROV_SHORTEST, build_pool
 from kgrag.reorganize import expand_chains, merge_multi_answer, merge_multi_entity
-from kgrag.retriever.subgraph import RetrievedSubgraph, RetrievedTriple
+from kgrag.retriever.subgraph import RetrievedTriple
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,7 +36,8 @@ def test_fixture_q09_pool_after_merging():
     assert len(pool) == 3
     assert pool.provenance == [PROV_SHORTEST, PROV_ANSWER, PROV_ANSWER]
     assert sorted(pool.class_sizes) == [1, 2, 3]
-    assert g.entity_label(pool.representative_answer) == "mediterranean"
+    # the one kept shortest-path entry ends at the representative answer
+    assert g.entity_label(pool.paths[0].terminal(view)) == "mediterranean"
 
 
 def test_fixture_all_pools_validate():
@@ -66,7 +67,7 @@ def test_fixture_merges_never_grow_chain_count():
             )
             for tid, tr in view.iter_triples()
         ]
-        sub = RetrievedSubgraph(entries=entries, k=len(entries))
+        sub = tuple(entries)
         raw = expand_chains(sub, set(q.query_entities), max_len=2)
         merged = merge_multi_answer(raw)
         final = merge_multi_entity(merged, set(q.query_entities))

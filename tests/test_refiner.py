@@ -135,7 +135,6 @@ def test_refine_with_mock_extracts_answer_paths():
     expected_indices = [
         i for i, p in enumerate(pool.paths) if p.terminal(g) == g.entity_ids["C"]
     ]
-    assert sup.selected_indices == expected_indices
     expected_triples = set()
     for i in expected_indices:
         expected_triples.update(pool.paths[i].triples(g))
@@ -148,7 +147,6 @@ def test_refine_falls_back_to_shortest_paths_on_garbage():
     client = ScriptedClient("I cannot help with that")
     sup = refine(q, pool, g, client)
     sp = [i for i, prov in enumerate(pool.provenance) if prov == PROV_SHORTEST]
-    assert sup.selected_indices == sp
     weak = set()
     for i in sp:
         weak.update(pool.paths[i].triples(g))
@@ -194,7 +192,6 @@ def test_extraction_matches_selection_union(data):
     for i in indices:
         expected.update(pool.paths[i].triples(g))
     assert sup.positive_triples == expected
-    assert sup.selected_indices == sorted(set(indices), key=indices.index)
 
 
 def test_pool_limit_truncation_maps_back_to_pool_positions():
@@ -207,7 +204,7 @@ def test_pool_limit_truncation_maps_back_to_pool_positions():
     client = ScriptedClient("1")  # first prompted candidate
     sup = refine(q, pool, g, client, limit=2)
     # provenance priority puts the shortest-path entry first in the prompt
-    assert sup.selected_indices == [2]
+    assert sup.positive_triples == set(pool.paths[2].triples(g))
 
 
 def test_pool_truncation_is_logged_once_per_question(caplog):
@@ -228,7 +225,6 @@ def test_supervision_cache_round_trip():
     record = supervision_to_record(q.id, sup, g)
     loaded = supervision_from_record(record, g)
     assert loaded.positive_triples == sup.positive_triples
-    assert loaded.selected_indices == sup.selected_indices
     assert loaded.refiner_tag == "mock"
 
     sink = io.StringIO()

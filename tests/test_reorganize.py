@@ -21,7 +21,7 @@ from kgrag.reorganize import (
     write_chains,
     QADemo,
 )
-from kgrag.retriever.subgraph import RetrievedSubgraph, RetrievedTriple
+from kgrag.retriever.subgraph import RetrievedTriple
 
 from conftest import graph_from_lines
 from oracles import enumerate_chains
@@ -54,7 +54,7 @@ def subgraph_from_lines(lines, scores=None):
                 score=(scores or {}).get(tid, 0.0),
             )
         )
-    return g, RetrievedSubgraph(entries=entries, k=len(entries))
+    return g, tuple(entries)
 
 
 def chain_shape(chain: EvidenceChain):
@@ -167,7 +167,7 @@ def test_expand_chains_matches_oracle_on_random_subgraphs():
             )
             for tid, tr in g.iter_triples()
         ]
-        sub = RetrievedSubgraph(entries=entries, k=len(entries))
+        sub = tuple(entries)
         queries = {int(rng.integers(0, len(g.entities)))}
         for max_len in (1, 2, None):
             got = {chain_shape(c) for c in expand_chains(sub, queries, max_len)}

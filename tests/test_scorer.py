@@ -151,16 +151,14 @@ def test_top_k_selects_and_breaks_ties_by_id():
     g = graph_from_lines("A r1 B", "A r2 C", "A r3 D")
     scored = [(0, 0.5), (1, 0.9), (2, 0.5)]
     sub = top_k(scored, 2, g)
-    assert sub.triple_ids() == [1, 0]
-    assert [e.score for e in sub.entries] == sorted(
-        [e.score for e in sub.entries], reverse=True
-    )
+    assert [e.tid for e in sub] == [1, 0]
+    assert [e.score for e in sub] == sorted([e.score for e in sub], reverse=True)
 
 
 def test_top_k_k_at_least_n_returns_all():
     g = graph_from_lines("A r1 B", "A r2 C")
     sub = top_k([(0, 0.1), (1, 0.2)], 10, g)
-    assert sub.triple_ids() == [1, 0]
+    assert [e.tid for e in sub] == [1, 0]
 
 
 def test_top_k_rejects_zero_k():
@@ -175,7 +173,7 @@ def test_top_k_monotone_in_k():
     scored = [(tid, float(rng.choice([0.1, 0.5, 0.9]))) for tid in range(12)]
     previous: set[int] = set()
     for k in range(1, 13):
-        current = set(top_k(scored, k, g).triple_ids())
+        current = {e.tid for e in top_k(scored, k, g)}
         assert previous <= current
         previous = current
 
