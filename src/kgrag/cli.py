@@ -101,11 +101,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # map preserves input order
+def _per_question(cfg: PipelineConfig, stage: str, questions, run, write, what: str) -> int:
+    """``run(q)`` for each question, in question order on ``cfg.workers`` threads; the records
+    that are not None go through ``write`` to the stage's one output, and a line reports them."""
+    if cfg.workers <= 1:
+        results = map(run, questions)
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(run, questions))  # map keeps question order
+    records = [rec for rec in results if rec is not None]
+    (name,) = OUTPUTS[stage]
+    with kgmod.published(cfg.artifact(name)) as fh:
+        write(fh, records)
+    print(f"{what} for {len(records)} questions -> {cfg.artifact(name)}")
+    return EXIT_OK
 
 
 # -- shared loading ------------------------------------------------------------
@@ -209,11 +218,7 @@ def cmd_candidates(cfg: PipelineConfig) -> int:
         built = poolmod.build_pool(view, q, cfg.path_cap)
         return poolmod.pool_to_record(q.id, built, g)
 
-    records = _parallel_map(build, questions, cfg.workers)
-    with kgmod.published(cfg.artifact("pool.jsonl")) as fh:
-        poolmod.write_pools(fh, records)
-    print(f"candidate pools for {len(records)} questions -> {cfg.artifact('pool.jsonl')}")
-    return EXIT_OK
+    return _per_question(cfg, "candidates", questions, build, poolmod.write_pools, "candidate pools")
 
 
 def cmd_refine(cfg: PipelineConfig, limit: int | None = None, llm: str | None = None) -> int:
@@ -223,7 +228,7 @@ def cmd_refine(cfg: PipelineConfig, limit: int | None = None, llm: str | None = 
     demos = (
         refinemod.load_refine_demos(cfg.paths.refine_demos) if cfg.paths.refine_demos else ()
     )
-    selected = questions[:limit] if limit is not None else questions
+    selected = questions[:limit]  # all of them when limit is None
 
     def run(q: kgmod.Question) -> dict | None:
         pool = pools[q.id]
@@ -233,11 +238,7 @@ def cmd_refine(cfg: PipelineConfig, limit: int | None = None, llm: str | None = 
         sup = refinemod.refine(q, pool, g, client, demos=demos, limit=cfg.pool_limit)
         return refinemod.supervision_to_record(q.id, sup, g)
 
-    records = [rec for rec in _parallel_map(run, selected, cfg.workers) if rec is not None]
-    with kgmod.published(cfg.artifact("supervision.jsonl")) as fh:
-        refinemod.write_supervision(fh, records)
-    print(f"refined supervision for {len(records)} questions -> {cfg.artifact('supervision.jsonl')}")
-    return EXIT_OK
+    return _per_question(cfg, "refine", selected, run, refinemod.write_supervision, "refined supervision")
 
 
 def _weak_supervision(
@@ -314,11 +315,7 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
             scored, merged = entity_to_triple_scores(scored, view)
         return subgraph_to_record(q.id, top_k(scored, k, g, relation_overrides=merged))
 
-    records = _parallel_map(run, questions, cfg.workers)
-    with kgmod.published(cfg.artifact("retrieval.jsonl")) as fh:
-        write_subgraphs(fh, records)
-    print(f"retrieved top-{k} triples for {len(records)} questions -> {cfg.artifact('retrieval.jsonl')}")
-    return EXIT_OK
+    return _per_question(cfg, "retrieve", questions, run, write_subgraphs, f"retrieved top-{k} triples")
 
 
 def cmd_reorganize(cfg: PipelineConfig) -> int:
@@ -331,11 +328,7 @@ def cmd_reorganize(cfg: PipelineConfig) -> int:
         chains = reorganize.merge_multi_entity(chains, set(q.query_entities))
         return reorganize.chains_to_record(q.id, chains)
 
-    records = _parallel_map(run, questions, cfg.workers)
-    with kgmod.published(cfg.artifact("chains.jsonl")) as fh:
-        reorganize.write_chains(fh, records)
-    print(f"evidence chains for {len(records)} questions -> {cfg.artifact('chains.jsonl')}")
-    return EXIT_OK
+    return _per_question(cfg, "reorganize", questions, run, reorganize.write_chains, "evidence chains")
 
 
 def cmd_answer(
@@ -363,11 +356,7 @@ def cmd_answer(
             "usage": result.token_usage,
         }
 
-    records = _parallel_map(run, questions, cfg.workers)
-    with kgmod.published(cfg.artifact("answers.jsonl")) as fh:
-        kgmod.write_jsonl(fh, records)
-    print(f"answers for {len(records)} questions -> {cfg.artifact('answers.jsonl')}")
-    return EXIT_OK
+    return _per_question(cfg, "answer", questions, run, kgmod.write_jsonl, "answers")
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:

@@ -170,10 +170,8 @@ def refine(
     """Prompt, complete, parse; fall back to shortest-path candidates if needed.
 
     When the model refuses or selects nothing, every shortest-path pool entry
-    is selected instead.
+    is selected instead. An empty pool raises :class:`RefineError` before any request.
     """
-    if len(pool) == 0:
-        raise RefineError(f"question {q.id}: empty candidate pool")
     order = candidate_order(pool, limit)
     request = build_refine_prompt(q, pool, g, demos, order)
     result = client.complete(request)

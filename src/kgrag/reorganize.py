@@ -258,7 +258,8 @@ def chains_to_record(qid: str, chains: Sequence[EvidenceChain]) -> dict:
 
 def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
     """The chains of a ``chains.jsonl`` record, their steps read as a retrieval record's; a
-    chain with no steps or a target label not in ``g`` raises :class:`KGFormatError`."""
+    chain with no steps, a target label not in ``g``, or targets that are not distinct and in
+    ascending entity id raises :class:`KGFormatError`."""
     chains = []
     for c in json_field(rec, "chains", tuple[dict, ...]):
         steps = steps_from_record(c, g)
@@ -269,6 +270,8 @@ def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
             target = g.entity_id(label)
             if target is None:
                 raise KGFormatError(f"chain target {label!r} not in graph")
+            if targets and target <= targets[-1][0]:
+                raise KGFormatError(f"chain target {label!r} repeats or is out of ascending entity id order")
             targets.append((target, label))
         orientation = json_field(c, "orientation", Literal[FORWARD, BACKWARD])
         chains.append(EvidenceChain(steps, orientation, tuple(targets), json_field(c, "group", int | None)))

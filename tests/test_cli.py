@@ -20,6 +20,7 @@ from kgrag.cli import (
     EXIT_MISSING,
     EXIT_OK,
     OUTPUTS,
+    PER_QUESTION,
     STAGES,
     main,
 )
@@ -223,15 +224,42 @@ def test_train_no_refine_uses_weak_supervision(tmp_path):
     assert (out / "model.json").exists()
 
 
-def test_workers_flag_preserves_output_bytes(pipeline_dir, tmp_path):
+@pytest.mark.parametrize("stage", PER_QUESTION)
+def test_workers_flag_preserves_output_bytes(pipeline_dir, tmp_path, stage):
     cfg_path = write_fixture_config(tmp_path)
     cfg = json.loads(cfg_path.read_text())
     cfg["paths"]["work_dir"] = str(pipeline_dir / "out")
     cfg_path.write_text(json.dumps(cfg))
-    path = pipeline_dir / "out" / "retrieval.jsonl"
+    (name,) = OUTPUTS[stage]
+    path = pipeline_dir / "out" / name
     before = path.read_bytes()
-    assert main(["retrieve", "--config", str(cfg_path), "--workers", "4"]) == EXIT_OK
+    assert main([stage, "--config", str(cfg_path), "--workers", "4"]) == EXIT_OK
     assert path.read_bytes() == before
+
+
+def test_each_stage_prints_its_summary_line(tmp_path, capsys):
+    cfg_path = write_fixture_config(tmp_path)
+    out = tmp_path / "out"
+    expected = {
+        "ingest": f"ingested 44 triples, 12 questions -> {out}",
+        "candidates": f"candidate pools for 12 questions -> {out / 'pool.jsonl'}",
+        "refine": f"refined supervision for 12 questions -> {out / 'supervision.jsonl'}",
+        "train": f"trained triple scorer on 12 questions (400 epochs) -> {out / 'model.json'}",
+        "retrieve": f"retrieved top-8 triples for 12 questions -> {out / 'retrieval.jsonl'}",
+        "reorganize": f"evidence chains for 12 questions -> {out / 'chains.jsonl'}",
+        "answer": f"answers for 12 questions -> {out / 'answers.jsonl'}",
+    }
+    for stage, line in expected.items():
+        assert main([stage, "--config", str(cfg_path)]) == EXIT_OK
+        assert capsys.readouterr().out == line + "\n", stage
+    assert main(["evaluate", "--config", str(cfg_path)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert capsys.readouterr().out == (
+        f"macro_f1={report['macro_f1']:.4f} micro_f1={report['micro_f1']:.4f} "
+        f"hit={report['hit']:.4f} hit@1={report['hit_at_1']:.4f} -> {out / 'report.json'}\n"
+    )
+    assert main(["refine", "--config", str(cfg_path), "--limit", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == f"refined supervision for 3 questions -> {out / 'supervision.jsonl'}\n"
 
 
 def test_entity_level_pipeline_runs(tmp_path):
@@ -722,6 +750,10 @@ def _cut_inside_a_character(text: str) -> str:
         # (`steps`, and `orientations` with a flag per step) is not read
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_target_not_in_graph)),
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chains_of_the_parent_format)),
+        # each of these exited 0 before a chain's targets were read as distinct and in
+        # ascending entity id (madrid is entity 1, spain entity 0)
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "targets", ["madrid", "madrid"])),
+        ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "targets", ["madrid", "spain"])),
     ],
     ids=[
         "pool-label",
@@ -777,6 +809,8 @@ def _cut_inside_a_character(text: str) -> str:
         "pool-path-turned",
         "chains-target-not-in-graph",
         "chains-parent-format",
+        "chains-targets-repeated",
+        "chains-targets-descending",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(

@@ -97,8 +97,10 @@ def test_build_refine_prompt_deterministic_bytes():
 
 def test_build_refine_prompt_rejects_empty_pool():
     g, q, _ = _pool_fixture()
-    with pytest.raises(RefineError):
+    with pytest.raises(RefineError, match="question .*: empty candidate pool"):
         build_refine_prompt(q, CandidatePool(), g)
+    with pytest.raises(RefineError, match="question .*: empty candidate pool"):  # refine's check is this one
+        refine(q, CandidatePool(), g, ScriptedClient("1"))
 
 
 def test_candidate_order_truncates_by_provenance_priority():
