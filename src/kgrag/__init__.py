@@ -6,61 +6,4 @@ entity scorers, evidence-chain reorganization, evaluation metrics, and a
 simulator for subset-search recovery over a hidden oracle set.
 """
 
-from .kg import (
-    BACKWARD,
-    FORWARD,
-    KGFormatError,
-    KnowledgeGraph,
-    Question,
-    ReasoningPath,
-    Triple,
-    load_kg,
-    load_questions,
-    to_tsv,
-    working_graph,
-)
-from .pool import (
-    CandidatePool,
-    answer_neighborhood,
-    build_pool,
-    merge_answers,
-    merge_relation_chains,
-    query_neighborhood,
-    shortest_paths,
-)
-from .llm import (
-    CompletionRequest,
-    CompletionResult,
-    MockOracle,
-    RemoteBackend,
-    ReplayBackend,
-    ReplayStore,
-)
-from .refiner import (
-    RefinedSupervision,
-    build_refine_prompt,
-    parse_selection,
-    refine,
-    textualize_path,
-)
-from .reorganize import (
-    EvidenceChain,
-    build_qa_prompt,
-    expand_chains,
-    merge_multi_answer,
-    merge_multi_entity,
-    split_source,
-)
-from .metrics import EvalReport, Prediction, evaluate, extract_answers
-from .simulate import (
-    OracleInstance,
-    SearchConfig,
-    SearchTrace,
-    estimate_recovery_rounds,
-    hypergeometric_tail,
-    reward_coverage,
-    reward_draw,
-    run_subset_search,
-)
-
 __version__ = "0.1.0"

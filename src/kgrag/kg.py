@@ -130,8 +130,7 @@ class Question:
 class _Storage:
     """The id columns of every stored triple, shared by a graph and all its views.
 
-    The whole-graph ``triples`` list and ``triple_index`` are built on first use;
-    a loader that already holds the index hands it over.
+    ``triple_index`` is built on first use; a loader that already holds it hands it over.
     """
 
     def __init__(self, head: Sequence[int], relation: Sequence[int], tail: Sequence[int]):
@@ -139,10 +138,6 @@ class _Storage:
 
     def __len__(self) -> int:
         return len(self.head)
-
-    @cached_property
-    def triples(self) -> list[Triple]:
-        return list(map(_triple, zip(self.head, self.relation, self.tail)))
 
     @cached_property
     def triple_index(self) -> dict[tuple[int, int, int], int]:
@@ -156,10 +151,10 @@ class KnowledgeGraph:
     ``storage`` holds the head, relation and tail id of every stored triple;
     ``triple_ids`` lists the ids visible in this graph (a scoped view shares the
     parent's storage and lists a subset). Iteration order over visible triples is
-    load order. The whole-graph ``triples`` list and ``triple_index`` (each
-    stored ``(head, relation, tail)`` to its id) are shared by views and built on
-    first use; ``out_index``/``in_index`` cover this graph's own ids and are
-    built on first use too.
+    load order. The whole-graph ``triple_index`` (each stored ``(head, relation,
+    tail)`` to its id) is shared by views and built on first use;
+    ``out_index``/``in_index`` cover this graph's own ids and are built on
+    first use too.
     """
 
     entities: list[str]
@@ -202,11 +197,6 @@ class KnowledgeGraph:
         )
 
     # -- lazy structures ---------------------------------------------------
-
-    @property
-    def triples(self) -> list[Triple]:
-        """Every stored triple, indexed by id (whole-graph, built on first use)."""
-        return self.storage.triples
 
     @property
     def triple_index(self) -> dict[tuple[int, int, int], int]:

@@ -10,8 +10,7 @@ paths of one representative answer, then collapse paths that share the same
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import IO, Collection, Iterable, Literal
 
 from .config import json_field
@@ -26,8 +25,6 @@ from .kg import (
     write_jsonl,
 )
 
-logger = logging.getLogger(__name__)
-
 PROV_SHORTEST = "shortest_path"
 PROV_QUERY = "query_neighborhood"
 PROV_ANSWER = "answer_neighborhood"
@@ -36,24 +33,8 @@ PROVENANCE = Literal[PROV_SHORTEST, PROV_QUERY, PROV_ANSWER]
 DEFAULT_PATH_CAP = 256
 
 
-@dataclass
-class CandidatePool:
-    """Parallel lists: one path, provenance tag, and merged-class size per entry."""
-
-    paths: list[ReasoningPath] = field(default_factory=list)
-    provenance: list[str] = field(default_factory=list)
-    class_sizes: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def append(self, path: ReasoningPath, prov: str, size: int = 1) -> None:
-        self.paths.append(path)
-        self.provenance.append(prov)
-        self.class_sizes.append(size)
-
-    def entries(self) -> Iterable[tuple[ReasoningPath, str, int]]:
-        return zip(self.paths, self.provenance, self.class_sizes)
+CandidatePool = list[tuple[ReasoningPath, str]]
+"""A question's candidate paths, each with its provenance."""
 
 
 # -- shortest paths ---------------------------------------------------------
@@ -143,43 +124,25 @@ def merge_answers(pool: CandidatePool, q: Question, g: KnowledgeGraph) -> Candid
     the pool; ties break toward the smallest entity id. Neighborhood entries
     are untouched. With no shortest-path entries the pool is returned as is.
     """
-    counts: dict[int, int] = {}
-    for path, prov, _ in pool.entries():
-        if prov == PROV_SHORTEST:
-            counts[path.terminal(g)] = counts.get(path.terminal(g), 0) + 1
+    counts = Counter(path.terminal(g) for path, prov in pool if prov == PROV_SHORTEST)
     if not counts:
-        return CandidatePool(list(pool.paths), list(pool.provenance), list(pool.class_sizes))
+        return list(pool)
     best = max(counts, key=lambda e: (counts[e], -e))
-    merged = CandidatePool()
-    for path, prov, size in pool.entries():
-        if prov == PROV_SHORTEST and path.terminal(g) != best:
-            continue
-        merged.append(path, prov, size)
-    return merged
+    return [(path, prov) for path, prov in pool if prov != PROV_SHORTEST or path.terminal(g) == best]
 
 
 def merge_relation_chains(pool: CandidatePool, g: KnowledgeGraph) -> CandidatePool:
     """Collapse paths sharing (provenance, source entity, relation path).
 
-    Each class keeps its lexicographically smallest triple-id sequence as the
-    representative; the class size accumulates. Idempotent.
+    Each class keeps its lexicographically smallest triple-id sequence, in the
+    order the classes first appear. Idempotent.
     """
-    groups: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
-    for i, (path, prov, _) in enumerate(pool.entries()):
+    classes: dict[tuple, tuple[ReasoningPath, str]] = {}
+    for path, prov in pool:
         key = (prov, path.source(g), path.relation_path(g))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-
-    merged = CandidatePool()
-    for key in order:
-        members = groups[key]
-        rep = min(members, key=lambda i: pool.paths[i].triple_ids)
-        size = sum(pool.class_sizes[i] for i in members)
-        merged.append(pool.paths[rep], pool.provenance[rep], size)
-    return merged
+        if key not in classes or path.triple_ids < classes[key][0].triple_ids:
+            classes[key] = (path, prov)
+    return list(classes.values())
 
 
 def build_pool(
@@ -191,14 +154,14 @@ def build_pool(
         (query_neighborhood(g, q), PROV_QUERY),
         (answer_neighborhood(g, q), PROV_ANSWER),
     )
-    pool = CandidatePool()
+    pool: CandidatePool = []
     seen: set[tuple] = set()
     for paths, prov in facets:
         for path in paths:
             if path.key() in seen:
                 continue
             seen.add(path.key())
-            pool.append(path, prov, 1)
+            pool.append((path, prov))
     pool = merge_answers(pool, q, g)
     return merge_relation_chains(pool, g)
 
@@ -207,21 +170,19 @@ def build_pool(
 
 
 def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
-    paths = []
-    for path, prov, size in pool.entries():
-        paths.append(
-            {
-                "triples": [g.labels(tr) for tr in path.triples(g)],
-                "orientations": list(path.orientations),
-                "provenance": prov,
-                "class_size": size,
-            }
-        )
+    paths = [
+        {
+            "triples": [g.labels(tr) for tr in path.triples(g)],
+            "orientations": list(path.orientations),
+            "provenance": prov,
+        }
+        for path, prov in pool
+    ]
     return {"id": qid, "paths": paths}
 
 
 def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
-    pool = CandidatePool()
+    pool: CandidatePool = []
     for entry in json_field(rec, "paths", tuple[dict, ...]):
         tids = []
         for h, r, t in json_field(entry, "triples", list):
@@ -231,11 +192,7 @@ def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
             tids.append(tid)
         path = ReasoningPath(tuple(tids), json_field(entry, "orientations", tuple[str, ...]))
         path.validate(g)
-        pool.append(
-            path,
-            json_field(entry, "provenance", PROVENANCE),
-            json_field(entry, "class_size", int),
-        )
+        pool.append((path, json_field(entry, "provenance", PROVENANCE)))
     return pool
 
 

@@ -85,7 +85,7 @@ def candidate_order(pool: CandidatePool, limit: int = DEFAULT_POOL_LIMIT) -> lis
     Pools built by ``build_pool`` are already grouped shortest-path first, so
     the stable sort is a no-op there and truncation keeps the head.
     """
-    order = sorted(range(len(pool)), key=lambda i: _PROVENANCE_RANK[pool.provenance[i]])
+    order = sorted(range(len(pool)), key=lambda i: _PROVENANCE_RANK[pool[i][1]])
     if limit and len(order) > limit:
         logger.warning("candidate pool %d exceeds limit %d; truncating", len(order), limit)
         order = order[:limit]
@@ -116,7 +116,7 @@ def build_refine_prompt(
     blocks = [_demo_block(d) for d in demos]
     lines = [f"Question: {q.text}", "Candidate evidence chains:"]
     for rank, idx in enumerate(order, start=1):
-        lines.append(f"{rank}. {textualize_path(pool.paths[idx], g)}")
+        lines.append(f"{rank}. {textualize_path(pool[idx][0], g)}")
     lines.append(
         "Select the chains that together give sufficient and logically coherent "
         "evidence for answering the question. Reply with the chosen numbers as a "
@@ -182,10 +182,10 @@ def refine(
         picks = []
     selected = [order[p - 1] for p in picks]
     if not selected:
-        selected = [i for i, prov in enumerate(pool.provenance) if prov == PROV_SHORTEST]
+        selected = [i for i, (_, prov) in enumerate(pool) if prov == PROV_SHORTEST]
     positives: set[Triple] = set()
     for i in selected:
-        positives.update(pool.paths[i].triples(g))
+        positives.update(pool[i][0].triples(g))
     return RefinedSupervision(positive_triples=positives, refiner_tag=getattr(client, "tag", "unknown"))
 
 

@@ -35,7 +35,6 @@ class EvidenceChain:
     steps: tuple[RetrievedTriple, ...]
     orientation: str  # FORWARD or BACKWARD
     targets: tuple[tuple[int, str], ...]
-    group: int | None = None  # multi-entity merge block, when any
 
     def anchor(self) -> RetrievedTriple:
         return self.steps[0]
@@ -142,8 +141,8 @@ def merge_multi_entity(
     Active only for multi-entity questions. Greedy in output order: a block
     gathers later chains whose source is new to the block and whose targets
     intersect the block's running intersection; every member's targets become
-    that intersection. Blocks come first in the output, each member tagged
-    with a block id; ungrouped chains follow in their original order.
+    that intersection. Blocks come first in the output; ungrouped chains
+    follow in their original order.
     """
     chains = list(chains)
     if len(query_entities) <= 1 or len(chains) < 2:
@@ -151,7 +150,6 @@ def merge_multi_entity(
     sources = [chain.source for chain in chains]
     used = [False] * len(chains)
     grouped: list[EvidenceChain] = []
-    group = 0
     for i, chain in enumerate(chains):
         if used[i]:
             continue
@@ -169,8 +167,7 @@ def merge_multi_entity(
         targets = tuple(sorted(inter))
         for m in members:
             used[m] = True
-            grouped.append(replace(chains[m], targets=targets, group=group))
-        group += 1
+            grouped.append(replace(chains[m], targets=targets))
     return grouped + [chains[i] for i in range(len(chains)) if not used[i]]
 
 
@@ -178,13 +175,12 @@ def merge_multi_entity(
 
 
 def render_evidence_line(chain: EvidenceChain) -> str:
+    """The chain from its source to its targets: the one label, or ``{a, b}`` sorted by label."""
     forward = chain.orientation == FORWARD
-    labels, markers = [chain.source_label()], []
-    for step in chain.steps:
-        labels.append(step.tail_label if forward else step.head_label)
-        markers.append(step.relation if forward else step.relation + INVERSE_MARK)
-    if len(chain.targets) > 1:
-        labels[-1] = "{" + ", ".join(sorted(label for _, label in chain.targets)) + "}"
+    labels = [chain.source_label()] + [s.tail_label if forward else s.head_label for s in chain.steps[:-1]]
+    ends = sorted(label for _, label in chain.targets)
+    labels.append(ends[0] if len(ends) == 1 else "{" + ", ".join(ends) + "}")
+    markers = [s.relation if forward else s.relation + INVERSE_MARK for s in chain.steps]
     return render_chain(labels, markers)
 
 
@@ -249,7 +245,6 @@ def chains_to_record(qid: str, chains: Sequence[EvidenceChain]) -> dict:
                 **steps_to_record(chain.steps),
                 "orientation": chain.orientation,
                 "targets": [label for _, label in chain.targets],
-                "group": chain.group,
             }
             for chain in chains
         ],
@@ -258,8 +253,8 @@ def chains_to_record(qid: str, chains: Sequence[EvidenceChain]) -> dict:
 
 def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
     """The chains of a ``chains.jsonl`` record, their steps read as a retrieval record's; a
-    chain with no steps, a target label not in ``g``, or targets that are not distinct and in
-    ascending entity id raises :class:`KGFormatError`."""
+    chain with no steps or no targets, a target label not in ``g``, or targets that are not
+    distinct and in ascending entity id raises :class:`KGFormatError`."""
     chains = []
     for c in json_field(rec, "chains", tuple[dict, ...]):
         steps = steps_from_record(c, g)
@@ -273,8 +268,10 @@ def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
             if targets and target <= targets[-1][0]:
                 raise KGFormatError(f"chain target {label!r} repeats or is out of ascending entity id order")
             targets.append((target, label))
+        if not targets:
+            raise KGFormatError("a chain with no targets")
         orientation = json_field(c, "orientation", Literal[FORWARD, BACKWARD])
-        chains.append(EvidenceChain(steps, orientation, tuple(targets), json_field(c, "group", int | None)))
+        chains.append(EvidenceChain(steps, orientation, tuple(targets)))
     return chains
 
 

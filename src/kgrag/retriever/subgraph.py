@@ -71,8 +71,10 @@ def subgraph_to_record(qid: str, sub: Sequence[RetrievedTriple]) -> dict:
 
 def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTriple:
     """The retrieved triple ``tid`` of ``g`` that a record gives as ``labels`` ``[head, relation,
-    tail]``; an id outside the graph, ends other than the graph's and a relation that is not a
-    label raise :class:`KGFormatError`."""
+    tail]``. The relation is ``tid``'s own label or, as an entity scorer merges parallel triples,
+    that label and then the labels of other triples joining the same ends, each after ``" | "``.
+    An id outside the graph, ends other than the graph's and any other relation raise
+    :class:`KGFormatError`."""
     h, r, t = labels
     if not 0 <= tid < len(g.storage):
         raise KGFormatError(f"retrieved triple id {tid} not in graph")
@@ -80,9 +82,10 @@ def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTri
     ends = g.entity_label(tr.head), g.entity_label(tr.tail)
     if (h, t) != ends:
         raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
-    # the relation is not compared with the graph: an entity-level record may merge "r1 | r2"
-    if type(r) is not str:
-        raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not a label")
+    own = g.relation_label(tr.relation)
+    merged = r[len(own) + 3 :].split(" | ") if type(r) is str and r.startswith(own + " | ") else ()
+    if r != own and not (merged and all(g.resolve(h, name, t) is not None for name in merged)):
+        raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not {own!r} or its merge with parallel ones")
     return RetrievedTriple(tid, tr.head, tr.tail, h, r, t, score)
 
 

@@ -136,6 +136,32 @@ def count_relation_classes(
     return len({(prov, src, rels) for prov, src, rels in paths})
 
 
+def multi_entity_blocks(merged: list, chains: list) -> list[list[int]] | None:
+    """A split of ``merged`` into blocks and the untouched chains of ``chains``, or None.
+
+    A block is a run of two or more chains with pairwise-distinct sources whose
+    targets are the intersection of their input targets; after the blocks come
+    the input chains no block took, unchanged and in input order. Returns the
+    positions of each block. Chains are matched to inputs by their triple ids.
+    """
+    inputs = {c.tid_sequence(): c for c in chains}
+
+    def is_block(run: list) -> bool:
+        common = set.intersection(*(set(inputs[c.tid_sequence()].targets) for c in run))
+        return len({c.source for c in run}) == len(run) and all(set(c.targets) == common for c in run)
+
+    def split(lo: int) -> list[list[int]] | None:
+        taken = {c.tid_sequence() for c in merged[:lo]}
+        if merged[lo:] == [c for c in chains if c.tid_sequence() not in taken]:
+            return []
+        for hi in range(lo + 2, len(merged) + 1):
+            if is_block(merged[lo:hi]) and (rest := split(hi)) is not None:
+                return [list(range(lo, hi))] + rest
+        return None
+
+    return split(0)
+
+
 def all_subsets(items: list[int], max_size: int | None = None):
     upper = len(items) if max_size is None else max_size
     for size in range(0, upper + 1):

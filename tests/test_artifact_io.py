@@ -58,6 +58,30 @@ def test_retrieval_record_error_names_the_field(field, value):
         read_subgraphs([json.dumps(record)], g, ["q"])
 
 
+@pytest.mark.parametrize(
+    "relation, accepted",
+    [
+        ("r", True),
+        ("r | s", True),  # an entity scorer merges the parallel triple a s b into triple 0
+        ("r | s | r", True),
+        ("s", False),  # another triple's own label
+        ("s | r", False),  # the merge names triple 0's own label first
+        ("r | t", False),  # a t b is not a triple
+        ("r | ", False),
+        ("invented", False),
+    ],
+)
+def test_retrieved_relation_is_the_triples_own_label_or_its_merge(relation, accepted):
+    g = load_kg(["a\tr\tb\n", "a\ts\tb\n", "b\tt\ta\n"])
+    record = {"id": "q", "tids": [0], "triples": [["a", relation, "b"]], "scores": [1.0]}
+    if accepted:
+        ((step,),) = read_subgraphs([json.dumps(record)], g, ["q"]).values()
+        assert step.relation == relation
+    else:
+        with pytest.raises(KGFormatError, match=f"line 1: retrieved triple 0 has relation {relation!r}"):
+            read_subgraphs([json.dumps(record)], g, ["q"])
+
+
 def test_read_jsonl_keeps_the_line_of_a_numbered_error():
     def parse(rec):
         raise KGFormatError("nested", line=7)

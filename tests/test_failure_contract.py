@@ -44,7 +44,7 @@ NOT_READ = {
 # artifacts that hold exactly one record per question, so that a record cut away exits 3
 ONE_PER_QUESTION = {"out/pool.jsonl", "out/retrieval.jsonl", "out/chains.jsonl", "out/answers.jsonl"}
 # fields that hold null or a value of one type
-NULLABLE = {"scope": list, "group": int}
+NULLABLE = {"scope": list}
 
 _SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.5, 2.5) | st.text("ab1 ", max_size=4)
 _VALUES = st.recursive(

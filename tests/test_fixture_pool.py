@@ -34,10 +34,9 @@ def test_fixture_q09_pool_after_merging():
     view = working_graph(g, q)
     pool = build_pool(view, q)
     assert len(pool) == 3
-    assert pool.provenance == [PROV_SHORTEST, PROV_ANSWER, PROV_ANSWER]
-    assert sorted(pool.class_sizes) == [1, 2, 3]
+    assert [prov for _, prov in pool] == [PROV_SHORTEST, PROV_ANSWER, PROV_ANSWER]
     # the one kept shortest-path entry ends at the representative answer
-    assert g.entity_label(pool.paths[0].terminal(view)) == "mediterranean"
+    assert g.entity_label(pool[0][0].terminal(view)) == "mediterranean"
 
 
 def test_fixture_all_pools_validate():
@@ -46,7 +45,7 @@ def test_fixture_all_pools_validate():
         view = working_graph(g, q)
         pool = build_pool(view, q)
         assert len(pool) > 0
-        for path in pool.paths:
+        for path, _ in pool:
             path.validate(g)
 
 

@@ -24,7 +24,7 @@ def _random_view(data):
     entity = st.integers(0, n_entities - 1)
     rows = data.draw(st.lists(st.tuples(entity, st.integers(0, 2), entity), min_size=1, max_size=30))
     g = load_kg(io.StringIO("\n".join(f"e{h}\trel{r}\te{t}" for h, r, t in rows)), "tsv")
-    scope = data.draw(st.none() | st.sets(st.sampled_from(range(len(g.triples)))))
+    scope = data.draw(st.none() | st.sets(st.sampled_from(range(len(g.storage)))))
     return g, (g if scope is None else g.restrict(scope))
 
 
@@ -57,7 +57,7 @@ def test_steps_match_brute_force_scan(data):
     for e in range(len(g.entities)):
         expected = []
         for tid in sorted(view.triple_ids):
-            tr = g.triples[tid]
+            tr = g.triple(tid)
             if tr.head == e:
                 expected.append((tid, FORWARD))
             elif tr.tail == e:
@@ -87,7 +87,8 @@ def test_triple_id_of_on_a_scoped_view():
 def test_label_codec_on_random_views(data):
     g, view = _random_view(data)
     visible = set(view.triple_ids)
-    for tid, tr in enumerate(g.triples):
+    for tid in range(len(g.storage)):
+        tr = g.triple(tid)
         labels = g.labels(tr)
         assert labels == [g.entity_label(tr.head), g.relation_label(tr.relation), g.entity_label(tr.tail)]
         assert g.resolve(*labels) == tid
@@ -105,7 +106,7 @@ _LABEL = st.text(st.sampled_from("a\u00e9\u6f22 \u2028"), min_size=1, max_size=3
 def _same_graph(compiled, tsv) -> None:
     assert compiled.entities == tsv.entities
     assert compiled.relations == tsv.relations
-    assert compiled.triples == tsv.triples
+    assert [compiled.triple(t) for t in range(len(compiled.storage))] == [tsv.triple(t) for t in range(len(tsv.storage))]
     assert compiled.triple_index == tsv.triple_index
     assert compiled.triple_ids == tsv.triple_ids
     assert compiled.out_index == tsv.out_index

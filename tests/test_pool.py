@@ -10,7 +10,6 @@ from kgrag.pool import (
     PROV_ANSWER,
     PROV_QUERY,
     PROV_SHORTEST,
-    CandidatePool,
     answer_neighborhood,
     build_pool,
     merge_answers,
@@ -130,19 +129,16 @@ def test_answer_neighborhood_three_incident():
 
 
 def _pool_for(g, q, cap=256):
-    pool = CandidatePool()
-    for path in shortest_paths(g, q.query_entities, q.answer_entities, cap):
-        pool.append(path, PROV_SHORTEST)
-    for path in query_neighborhood(g, q):
-        pool.append(path, PROV_QUERY)
-    for path in answer_neighborhood(g, q):
-        pool.append(path, PROV_ANSWER)
-    return pool
+    return [
+        *((path, PROV_SHORTEST) for path in shortest_paths(g, q.query_entities, q.answer_entities, cap)),
+        *((path, PROV_QUERY) for path in query_neighborhood(g, q)),
+        *((path, PROV_ANSWER) for path in answer_neighborhood(g, q)),
+    ]
 
 
 def _shortest_path_terminals(pool, g):
     """The answers the kept shortest-path entries end at: the representative alone."""
-    return {p.terminal(g) for p, prov, _ in pool.entries() if prov == PROV_SHORTEST}
+    return {p.terminal(g) for p, prov in pool if prov == PROV_SHORTEST}
 
 
 def test_merge_answers_keeps_best_connected():
@@ -155,7 +151,7 @@ def test_merge_answers_keeps_best_connected():
     assert _shortest_path_terminals(merged, g) == {x}
     # count paths per answer by brute force
     counts = {}
-    for p, prov, _ in pool.entries():
+    for p, prov in pool:
         if prov == PROV_SHORTEST:
             counts[p.terminal(g)] = counts.get(p.terminal(g), 0) + 1
     assert counts[x] == 3 and max(counts.values()) == 3
@@ -183,39 +179,28 @@ def test_merge_answers_neighborhood_untouched():
     q = make_question(g, ["Q"], ["X", "Y"])
     pool = _pool_for(g, q)
     merged = merge_answers(pool, q, g)
-    assert sum(1 for _, prov, _ in merged.entries() if prov == PROV_ANSWER) == sum(
-        1 for _, prov, _ in pool.entries() if prov == PROV_ANSWER
-    )
+    assert [e for e in merged if e[1] == PROV_ANSWER] == [e for e in pool if e[1] == PROV_ANSWER]
 
 
 def test_merge_relation_chains_collapses_same_relation_sequence():
     g = graph_from_lines("A r1 B", "B r2 C", "A r1 D", "D r2 E")
-    pool = CandidatePool()
-    pool.append(ReasoningPath((0, 1), ("f", "f")), PROV_SHORTEST)
-    pool.append(ReasoningPath((2, 3), ("f", "f")), PROV_SHORTEST)
+    pool = [(ReasoningPath((2, 3), ("f", "f")), PROV_SHORTEST), (ReasoningPath((0, 1), ("f", "f")), PROV_SHORTEST)]
     merged = merge_relation_chains(pool, g)
     assert len(merged) == 1
-    assert merged.paths[0].triple_ids == (0, 1)  # lexicographically smallest
-    assert merged.class_sizes[0] == 2
+    assert merged[0][0].triple_ids == (0, 1)  # lexicographically smallest
 
 
 def test_merge_relation_chains_sequence_order_matters():
     g = graph_from_lines("A r1 B", "B r2 C", "A r2 X", "X r1 Y")
-    pool = CandidatePool()
-    pool.append(ReasoningPath((0, 1), ("f", "f")), PROV_SHORTEST)
-    pool.append(ReasoningPath((2, 3), ("f", "f")), PROV_SHORTEST)
+    pool = [(ReasoningPath((0, 1), ("f", "f")), PROV_SHORTEST), (ReasoningPath((2, 3), ("f", "f")), PROV_SHORTEST)]
     merged = merge_relation_chains(pool, g)
     assert len(merged) == 2
 
 
 def test_merge_relation_chains_singletons_unchanged():
     g = graph_from_lines("A r1 B", "B r2 C")
-    pool = CandidatePool()
-    pool.append(ReasoningPath((0,), ("f",)), PROV_QUERY)
-    pool.append(ReasoningPath((1,), ("f",)), PROV_QUERY)
-    merged = merge_relation_chains(pool, g)
-    assert [p.triple_ids for p in merged.paths] == [(0,), (1,)]
-    assert merged.class_sizes == [1, 1]
+    pool = [(ReasoningPath((0,), ("f",)), PROV_QUERY), (ReasoningPath((1,), ("f",)), PROV_QUERY)]
+    assert merge_relation_chains(pool, g) == pool
 
 
 def test_merges_are_idempotent():
@@ -224,11 +209,9 @@ def test_merges_are_idempotent():
     pool = _pool_for(g, q)
     once = merge_answers(pool, q, g)
     twice = merge_answers(once, q, g)
-    assert [p.key() for p in once.paths] == [p.key() for p in twice.paths]
+    assert once == twice
     m_once = merge_relation_chains(once, g)
-    m_twice = merge_relation_chains(m_once, g)
-    assert [p.key() for p in m_once.paths] == [p.key() for p in m_twice.paths]
-    assert m_once.class_sizes == m_twice.class_sizes
+    assert merge_relation_chains(m_once, g) == m_once
 
 
 def test_build_pool_minimal_dedup_case():
@@ -238,7 +221,7 @@ def test_build_pool_minimal_dedup_case():
     q = make_question(g, ["A"], ["B"])
     pool = build_pool(g, q)
     assert len(pool) == 4
-    provs = list(pool.provenance)
+    provs = [prov for _, prov in pool]
     assert provs.count(PROV_SHORTEST) == 2
     assert provs.count(PROV_ANSWER) == 2
 
@@ -248,7 +231,7 @@ def test_build_pool_no_answers_gives_query_only():
     q = make_question(g, ["A"], [])
     pool = build_pool(g, q)
     assert len(pool) > 0
-    assert set(pool.provenance) == {PROV_QUERY}
+    assert {prov for _, prov in pool} == {PROV_QUERY}
 
 
 def test_build_pool_empty_graph():
@@ -270,7 +253,7 @@ def test_build_pool_soundness_random():
             [g.entity_label(int(rng.choice(ids)))],
         )
         pool = build_pool(g, q)
-        for path in pool.paths:
+        for path, _ in pool:
             path.validate(g)
 
 
@@ -280,9 +263,7 @@ def test_compression_count_matches_brute_force_grouping():
     q = make_question(g, [g.entity_label(0)], [g.entity_label(1)])
     pool = _pool_for(g, q)
     merged = merge_relation_chains(pool, g)
-    classes = {
-        (prov, p.source(g), p.relation_path(g)) for p, prov, _ in pool.entries()
-    }
+    classes = {(prov, p.source(g), p.relation_path(g)) for p, prov in pool}
     assert len(merged) == len(classes)
 
 
@@ -293,9 +274,7 @@ def test_pool_serialization_round_trip():
     record = pool_to_record(q.id, pool, g)
     ((qid, loaded),) = read_pools([json.dumps(record)], g, ["qx"]).items()
     assert qid == "qx"
-    assert [p.key() for p in loaded.paths] == [p.key() for p in pool.paths]
-    assert loaded.provenance == pool.provenance
-    assert loaded.class_sizes == pool.class_sizes
+    assert loaded == pool
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,9 +285,9 @@ def test_merge_relation_chains_size_never_grows(data):
     for i in range(n):
         rows.append(f"s\trel{data.draw(st.integers(0, 2))}\tm{i}")
     g = load_kg(io.StringIO("\n".join(rows)), "tsv")
-    pool = CandidatePool()
-    for tid, _ in g.iter_triples():
-        pool.append(ReasoningPath((tid,), ("f",)), PROV_SHORTEST)
+    pool = [(ReasoningPath((tid,), ("f",)), PROV_SHORTEST) for tid, _ in g.iter_triples()]
     merged = merge_relation_chains(pool, g)
     assert len(merged) <= len(pool)
-    assert sum(merged.class_sizes) == len(pool)
+    assert set(merged) <= set(pool)
+    classes = [(prov, p.source(g), p.relation_path(g)) for p, prov in merged]
+    assert sorted(classes) == sorted({(prov, p.source(g), p.relation_path(g)) for p, prov in pool})

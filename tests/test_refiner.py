@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kgrag.kg import ReasoningPath, Triple
 from kgrag.llm import CompletionResult, MockOracle
-from kgrag.pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, CandidatePool, build_pool
+from kgrag.pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, build_pool
 from kgrag.refiner import (
     RefineDemo,
     RefineError,
@@ -98,17 +98,13 @@ def test_build_refine_prompt_deterministic_bytes():
 def test_build_refine_prompt_rejects_empty_pool():
     g, q, _ = _pool_fixture()
     with pytest.raises(RefineError, match="question .*: empty candidate pool"):
-        build_refine_prompt(q, CandidatePool(), g)
+        build_refine_prompt(q, [], g)
     with pytest.raises(RefineError, match="question .*: empty candidate pool"):  # refine's check is this one
-        refine(q, CandidatePool(), g, ScriptedClient("1"))
+        refine(q, [], g, ScriptedClient("1"))
 
 
 def test_candidate_order_truncates_by_provenance_priority():
-    pool = CandidatePool()
-    g = graph_from_lines("A r1 B", "A r2 C", "A r3 D")
-    pool.append(ReasoningPath((0,), ("f",)), PROV_ANSWER)
-    pool.append(ReasoningPath((1,), ("f",)), PROV_SHORTEST)
-    pool.append(ReasoningPath((2,), ("f",)), PROV_QUERY)
+    pool = [(ReasoningPath((tid,), ("f",)), prov) for tid, prov in enumerate([PROV_ANSWER, PROV_SHORTEST, PROV_QUERY])]
     assert candidate_order(pool, limit=2) == [1, 2]
 
 
@@ -134,12 +130,10 @@ def test_refine_with_mock_extracts_answer_paths():
     mock = MockOracle({q.text: {"C"}})
     sup = refine(q, pool, g, mock)
     # mock keeps exactly the chains ending at C
-    expected_indices = [
-        i for i, p in enumerate(pool.paths) if p.terminal(g) == g.entity_ids["C"]
-    ]
     expected_triples = set()
-    for i in expected_indices:
-        expected_triples.update(pool.paths[i].triples(g))
+    for p, _ in pool:
+        if p.terminal(g) == g.entity_ids["C"]:
+            expected_triples.update(p.triples(g))
     assert sup.positive_triples == expected_triples
     assert sup.refiner_tag == "mock"
 
@@ -148,10 +142,10 @@ def test_refine_falls_back_to_shortest_paths_on_garbage():
     g, q, pool = _pool_fixture()
     client = ScriptedClient("I cannot help with that")
     sup = refine(q, pool, g, client)
-    sp = [i for i, prov in enumerate(pool.provenance) if prov == PROV_SHORTEST]
     weak = set()
-    for i in sp:
-        weak.update(pool.paths[i].triples(g))
+    for p, prov in pool:
+        if prov == PROV_SHORTEST:
+            weak.update(p.triples(g))
     assert sup.positive_triples == weak
 
 
@@ -159,7 +153,7 @@ def test_refine_empty_pool_errors_before_llm_call():
     g, q, _ = _pool_fixture()
     client = ScriptedClient("1")
     with pytest.raises(RefineError):
-        refine(q, CandidatePool(), g, client)
+        refine(q, [], g, client)
     assert client.requests == []
 
 
@@ -175,7 +169,7 @@ def test_refine_containment_property():
     mock = MockOracle({q.text: {"C"}})
     sup = refine(q, pool, g, mock)
     all_triples = set()
-    for p in pool.paths:
+    for p, _ in pool:
         all_triples.update(p.triples(g))
     assert sup.positive_triples <= all_triples
 
@@ -192,29 +186,24 @@ def test_extraction_matches_selection_union(data):
     sup = refine(q, pool, g, client)
     expected = set()
     for i in indices:
-        expected.update(pool.paths[i].triples(g))
+        expected.update(pool[i][0].triples(g))
     assert sup.positive_triples == expected
 
 
 def test_pool_limit_truncation_maps_back_to_pool_positions():
     g = graph_from_lines("Q r1 A", "Q r2 B", "Q r3 C")
     q = make_question(g, ["Q"], ["C"], text="limited")
-    pool = CandidatePool()
-    pool.append(ReasoningPath((0,), ("f",)), PROV_QUERY)
-    pool.append(ReasoningPath((1,), ("f",)), PROV_QUERY)
-    pool.append(ReasoningPath((2,), ("f",)), PROV_SHORTEST)
+    pool = [(ReasoningPath((tid,), ("f",)), prov) for tid, prov in enumerate([PROV_QUERY, PROV_QUERY, PROV_SHORTEST])]
     client = ScriptedClient("1")  # first prompted candidate
     sup = refine(q, pool, g, client, limit=2)
     # provenance priority puts the shortest-path entry first in the prompt
-    assert sup.positive_triples == set(pool.paths[2].triples(g))
+    assert sup.positive_triples == set(pool[2][0].triples(g))
 
 
 def test_pool_truncation_is_logged_once_per_question(caplog):
     g = graph_from_lines("Q r1 A", "Q r2 B", "Q r3 C")
     q = make_question(g, ["Q"], ["C"], text="limited")
-    pool = CandidatePool()
-    for tid in range(3):
-        pool.append(ReasoningPath((tid,), ("f",)), PROV_QUERY)
+    pool = [(ReasoningPath((tid,), ("f",)), PROV_QUERY) for tid in range(3)]
     with caplog.at_level(logging.WARNING, logger="kgrag.refiner"):
         refine(q, pool, g, ScriptedClient("1"), limit=2)
     assert [r.getMessage() for r in caplog.records] == ["candidate pool 3 exceeds limit 2; truncating"]

@@ -24,7 +24,7 @@ from kgrag.reorganize import (
 from kgrag.retriever.subgraph import RetrievedTriple
 
 from conftest import graph_from_lines
-from oracles import enumerate_chains
+from oracles import enumerate_chains, multi_entity_blocks
 
 
 def entry(tid, head, tail, labels, relation="r", score=0.0):
@@ -206,7 +206,6 @@ def test_merge_multi_entity_intersects_targets():
     c1 = EvidenceChain(steps=(entry(0, 0, 2, labels),), orientation="f", targets=((2, "X"), (3, "Y")))
     c2 = EvidenceChain(steps=(entry(1, 1, 3, labels),), orientation="f", targets=((3, "Y"), (4, "Z")))
     merged = merge_multi_entity([c1, c2], {0, 1})
-    assert [c.group for c in merged] == [0, 0]
     assert all(c.targets == ((3, "Y"),) for c in merged)
 
 
@@ -214,9 +213,7 @@ def test_merge_multi_entity_disjoint_targets_unchanged():
     labels = {0: "Q1", 1: "Q2", 2: "X", 3: "Y"}
     c1 = EvidenceChain(steps=(entry(0, 0, 2, labels),), orientation="f", targets=((2, "X"),))
     c2 = EvidenceChain(steps=(entry(1, 1, 3, labels),), orientation="f", targets=((3, "Y"),))
-    merged = merge_multi_entity([c1, c2], {0, 1})
-    assert [c.group for c in merged] == [None, None]
-    assert [chain_shape(c) for c in merged] == [chain_shape(c1), chain_shape(c2)]
+    assert merge_multi_entity([c1, c2], {0, 1}) == [c1, c2]
 
 
 def test_merge_multi_entity_three_sources_one_block():
@@ -230,7 +227,6 @@ def test_merge_multi_entity_three_sources_one_block():
         for i in range(3)
     ]
     merged = merge_multi_entity(chains, {0, 1, 2})
-    assert [c.group for c in merged] == [0, 0, 0]
     assert all(c.targets == ((3, "W"),) for c in merged)
 
 
@@ -260,19 +256,8 @@ def test_merge_multi_entity_properties(data):
         chains.append(chain)
         originals.append(targets)
     merged = merge_multi_entity(chains, set(range(6)))
-    # grouped members are contiguous and share the intersection of originals
-    by_group: dict[int, list[int]] = {}
-    for pos, chain in enumerate(merged):
-        if chain.group is not None:
-            by_group.setdefault(chain.group, []).append(pos)
-    original_by_tid = {c.tid_sequence()[0]: set(c.targets) for c in chains}
-    for positions in by_group.values():
-        assert positions == list(range(positions[0], positions[-1] + 1))
-        members = [merged[p] for p in positions]
-        expected = set.intersection(*(original_by_tid[m.tid_sequence()[0]] for m in members))
-        for m in members:
-            assert set(m.targets) == expected
-        assert len({m.source for m in members}) == len(members)
+    # contiguous blocks sharing the intersection of their targets, then the untouched chains
+    assert multi_entity_blocks(merged, chains) is not None
     # merging never invents or loses chains
     assert sorted(c.tid_sequence() for c in merged) == sorted(c.tid_sequence() for c in chains)
 
@@ -283,6 +268,17 @@ def test_render_evidence_line_multi_target_braces():
         steps=(entry(0, 0, 1, labels, relation="r1"),), orientation="f", targets=((1, "A1"), (2, "A2"))
     )
     assert render_evidence_line(chain) == "Q → [r1] → {A1, A2}"
+
+
+def test_render_evidence_line_ends_at_its_one_target():
+    # a multi-entity merge can leave a chain one target that is not its last step's end
+    labels = {0: "Q", 1: "M", 2: "A"}
+    chain = EvidenceChain(
+        steps=(entry(0, 0, 1, labels, relation="r1"), entry(1, 1, 2, labels, relation="r2")),
+        orientation="f",
+        targets=((3, "B"),),
+    )
+    assert render_evidence_line(chain) == "Q → [r1] → M → [r2] → B"
 
 
 def test_render_evidence_line_backward_marker():
