@@ -38,6 +38,7 @@ from .retriever import (
     SCORERS,
     HashedBowEncoder,
     TrainSample,
+    ViewTables,
     entity_to_triple_scores,
     fit,
     load_model,
@@ -307,12 +308,16 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
     # an entity scorer ranks triples by the scores of their ends, with parallel relations merged
     by_entity = cfg.retrieval_level == "entity"
     k = cfg.top_k + (cfg.entity_k_bonus if by_entity else 0)
+    # every unscoped question's view is g itself, so they share one set of tables
+    shared = ViewTables(g, model.encoder) if any(q.scope is None for q in questions) else None
 
     def run(q: kgmod.Question) -> dict:
         view = kgmod.working_graph(g, q)
-        scored, merged = model.score(q, view), {}
+        # a scoped view's own tables are built inside scoring, unless merging needs them too
+        tables = shared if view is g else ViewTables(view, model.encoder) if by_entity else None
+        scored, merged = model.score(q, view, tables), {}
         if by_entity:
-            scored, merged = entity_to_triple_scores(scored, view)
+            scored, merged = entity_to_triple_scores(scored, tables)
         return subgraph_to_record(q.id, top_k(scored, k, g, relation_overrides=merged))
 
     return _per_question(cfg, "retrieve", questions, run, write_subgraphs, f"retrieved top-{k} triples")

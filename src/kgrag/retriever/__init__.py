@@ -1,6 +1,6 @@
 """Trainable triple- and entity-level scorers plus top-K subgraph selection."""
 
-from .features import HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
+from .features import HashedBowEncoder, TripleFeatureBuilder, ViewTables, anchor_slots, compute_dde
 from .subgraph import RetrievedTriple, load_model, save_model, top_k
 from .triple_scorer import Scorer, TrainSample, TripleScorer, fit
 from .entity_scorer import EntityScorer, entity_positives, entity_to_triple_scores
@@ -11,6 +11,7 @@ SCORERS: dict[str, type[Scorer]] = {cls.kind: cls for cls in (TripleScorer, Enti
 __all__ = [
     "HashedBowEncoder",
     "TripleFeatureBuilder",
+    "ViewTables",
     "anchor_slots",
     "compute_dde",
     "RetrievedTriple",

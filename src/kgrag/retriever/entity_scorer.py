@@ -16,7 +16,7 @@ import numpy as np
 
 from ..config import PipelineConfig
 from ..kg import KnowledgeGraph, Question, Triple
-from .features import HashedBowEncoder, QuestionFeatures, dde_width, question_features
+from .features import HashedBowEncoder, QuestionFeatures, ViewTables, dde_width, question_features
 from .triple_scorer import Scorer, weighted_bce_from_logits
 
 
@@ -31,15 +31,11 @@ def entity_positives(positives: set[Triple]) -> set[int]:
 
 @dataclass
 class GraphTensors(QuestionFeatures):
-    """A question's feature bundle plus the per-node arrays the network runs on.
+    """A question's feature bundle plus its node rows ``[entity text | DDE]``; the query row,
+    which every node shares, is projected once. Node rows are the view's entities, and the
+    view's :attr:`~ViewTables.messages` are the edges."""
 
-    Node rows are the bundle's entities, and each triple is an edge from its
-    head to its tail.
-    """
-
-    X: np.ndarray  # (V, F) node features
-    degree: np.ndarray  # (V,) message count per node
-    scale: np.ndarray  # (V,) log(1+deg) / mean(log(1+deg))
+    X: np.ndarray  # (V, F) node features after the query
 
 
 def prepare_graph_tensors(
@@ -48,13 +44,11 @@ def prepare_graph_tensors(
     encoder: HashedBowEncoder,
     depth: int,
     slots: int,
+    tables: ViewTables | None = None,
 ) -> GraphTensors:
-    f = question_features(g, q, encoder, depth, slots)
-    recipients = np.concatenate([f.tail, f.head])
-    degree = np.bincount(recipients, minlength=len(f.entity_ids)).astype(np.float64)
-    log_deg = np.log1p(degree)
-    norm = float(log_deg.mean()) if len(log_deg) and log_deg.mean() > 0 else 1.0
-    return GraphTensors(**vars(f), X=f.entity_matrix(), degree=degree, scale=log_deg / norm)
+    f = question_features(g, q, encoder, depth, slots, tables)
+    n, slots, width = f.dde.shape
+    return GraphTensors(**vars(f), X=np.hstack([f.view.entity_text, f.dde.reshape(n, slots * width)]))
 
 
 class EntityScorer(Scorer):
@@ -84,8 +78,8 @@ class EntityScorer(Scorer):
 
     @staticmethod
     def input_widths(text_dim: int, dde_depth: int, dde_slots: int) -> dict[str, int]:
-        """``input_dim`` is the width of :meth:`QuestionFeatures.entity_matrix`: query and entity
-        text and one DDE code per slot; ``rel_dim`` is the relation text's."""
+        """``input_dim`` is the width of a node's first-layer input ``[query | entity text | DDE]``,
+        one DDE code per slot; ``rel_dim`` is the relation text's."""
         return {"input_dim": 2 * text_dim + dde_slots * dde_width(dde_depth), "rel_dim": text_dim}
 
     @staticmethod
@@ -103,30 +97,34 @@ class EntityScorer(Scorer):
 
     # -- forward / backward ---------------------------------------------------
     # A message is linear in [sender state | relation text] before its tanh, so
-    # each table is projected once and gathered per edge (see QuestionFeatures).
+    # each table is projected once, for both directions side by side, and the
+    # view's 2E messages gather their rows (see Messages). A layer's input is a
+    # row ``b`` every node shares (the query at layer 0, empty after it) and
+    # the node rows ``h``; ``b`` is projected once and broadcast.
 
-    def _forward(self, gt: GraphTensors) -> tuple[np.ndarray, list]:
-        h = gt.X
-        caches = []
-        denom = np.clip(gt.degree, 1.0, None)[:, None]
+    def _forward(self, gt: GraphTensors, caches: list | None = None) -> np.ndarray:
+        """The logits; each layer's inputs and outputs are appended to ``caches`` when it is given."""
+        m, rel_text, H = gt.view.messages, gt.view.relation_text, self.hidden
+        b, h = gt.query, gt.X
         for layer in range(self.depth):
             Wf, bf, Wb, bb, Wu, bu = self.params[6 * layer : 6 * layer + 6]
-            d = h.shape[1]
-            mf = np.tanh((h @ Wf[:d])[gt.head] + (gt.relation_text @ Wf[d:])[gt.relation] + bf)
-            mb = np.tanh((h @ Wb[:d])[gt.tail] + (gt.relation_text @ Wb[d:])[gt.relation] + bb)
-            total = gt.by_tail.sum(mf) + gt.by_head.sum(mb)  # forward messages reach the tail
-            mean = total / denom
-            amp = mean * gt.scale[:, None]
-            u_in = np.concatenate([h, mean, total, amp], axis=1)
-            h_out = np.tanh(u_in @ Wu + bu)
-            caches.append((h, mf, mb, u_in, h_out))
-            h = h_out
+            n, d = len(b), len(b) + h.shape[1]
+            W_sent = np.hstack([Wf[:d], Wb[:d]])
+            msg = (h @ W_sent[n:] + b @ W_sent[:n]).reshape(-1, H)[m.sender]
+            msg += (rel_text @ np.hstack([Wf[d:], Wb[d:]]) + np.concatenate([bf, bb])).reshape(-1, H)[m.relation]
+            np.tanh(msg, out=msg)
+            total = m.by_recipient.sum(msg)
+            mean = total / m.denom
+            u_in = np.concatenate([h, mean, total, mean * m.scale], axis=1)
+            h_out = np.tanh(u_in @ Wu[n:] + (b @ Wu[:n] + bu))
+            if caches is not None:
+                caches.append((b, h, W_sent, msg, u_in, h_out))
+            b, h = b[:0], h_out
         w_out, b_out = self.params[-2], self.params[-1]
-        logits = (h @ w_out).ravel() + b_out[0]
-        return logits, caches
+        return (h @ w_out).ravel() + b_out[0]
 
     def logits(self, gt: GraphTensors) -> np.ndarray:
-        return self._forward(gt)[0]
+        return self._forward(gt)
 
     def scores(self, gt: GraphTensors) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-self.logits(gt)))
@@ -134,45 +132,53 @@ class EntityScorer(Scorer):
     def loss_and_grad(
         self, gt: GraphTensors, y: np.ndarray, pos_weight: float
     ) -> tuple[float, list[np.ndarray]]:
-        logits, caches = self._forward(gt)
-        loss, dz = weighted_bce_from_logits(logits, y, pos_weight)
+        caches: list = []
+        loss, dz = weighted_bce_from_logits(self._forward(gt, caches), y, pos_weight)
         grads: list[np.ndarray | None] = [None] * len(self.params)
         h_last = caches[-1][-1]
         w_out = self.params[-2]
         grads[-2] = h_last.T @ dz[:, None]
         grads[-1] = np.array([dz.sum()])
         grad_h = dz[:, None] @ w_out.T.reshape(1, -1)
-        denom = np.clip(gt.degree, 1.0, None)[:, None]
-        rel_t = gt.relation_text.T
+        m, rel_t, H = gt.view.messages, gt.view.relation_text.T, self.hidden
+
+        def shared_rows(b: np.ndarray, h: np.ndarray, grad: np.ndarray) -> np.ndarray:
+            """The gradient of ``W`` in ``h @ W[n:] + b @ W[:n]``, ``b`` broadcast over the rows."""
+            return np.vstack([np.outer(b, grad.sum(axis=0)), h.T @ grad])
+
         for layer in reversed(range(self.depth)):
-            Wf, bf, Wb, bb, Wu, bu = self.params[6 * layer : 6 * layer + 6]
-            h_in, mf, mb, u_in, h_out = caches[layer]
+            Wu = self.params[6 * layer + 4]
+            b, h_in, W_sent, msg, u_in, h_out = caches[layer]
+            n, d_h = len(b), h_in.shape[1]
             dzu = grad_h * (1.0 - h_out * h_out)
             base = 6 * layer
-            grads[base + 4] = u_in.T @ dzu
+            grads[base + 4] = shared_rows(b, u_in, dzu)
             grads[base + 5] = dzu.sum(axis=0)
-            grad_u_in = dzu @ Wu.T
-            d = h_in.shape[1]
-            splits = [d, d + self.hidden, d + 2 * self.hidden]
-            g_h, g_mean, g_total, g_amp = np.split(grad_u_in, splits, axis=1)
-            g_sum_all = g_total + (g_mean + g_amp * gt.scale[:, None]) / denom
-            dzf = g_sum_all[gt.tail] * (1.0 - mf * mf)
-            dzb = g_sum_all[gt.head] * (1.0 - mb * mb)
-            dzf_by_head, dzb_by_tail = gt.by_head.sum(dzf), gt.by_tail.sum(dzb)
-            grads[base + 0] = np.vstack([h_in.T @ dzf_by_head, rel_t @ gt.by_relation.sum(dzf)])
-            grads[base + 1] = dzf.sum(axis=0)
-            grads[base + 2] = np.vstack([h_in.T @ dzb_by_tail, rel_t @ gt.by_relation.sum(dzb)])
-            grads[base + 3] = dzb.sum(axis=0)
+            g_mean, g_total, g_amp = np.split(dzu @ Wu[n + d_h :].T, 3, axis=1)
+            g_sum_all = g_total + (g_mean + g_amp * m.scale) / m.denom
+            dmsg = g_sum_all[m.recipient]
+            msg *= msg  # tanh' = 1 - msg², in place: the cache is not read again
+            np.subtract(1.0, msg, out=msg)
+            dmsg *= msg
+            d_sent = m.by_sender.sum(dmsg).reshape(-1, 2 * H)  # [forward | backward] per entity
+            d_rel = m.by_relation.sum(dmsg).reshape(-1, 2 * H)
+            g_sent, g_rel, g_bias = shared_rows(b, h_in, d_sent), rel_t @ d_rel, d_rel.sum(axis=0)
+            grads[base + 0] = np.vstack([g_sent[:, :H], g_rel[:, :H]])
+            grads[base + 1] = g_bias[:H]
+            grads[base + 2] = np.vstack([g_sent[:, H:], g_rel[:, H:]])
+            grads[base + 3] = g_bias[H:]
             if layer:  # the input features take no gradient
-                grad_h = g_h + dzf_by_head @ Wf[:d].T + dzb_by_tail @ Wb[:d].T
+                grad_h = dzu @ Wu[:d_h].T + d_sent @ W_sent.T
         return loss, grads  # type: ignore[return-value]
 
     # -- inputs ----------------------------------------------------------------
 
-    def inputs(self, g: KnowledgeGraph, q: Question) -> tuple[GraphTensors, list[int]]:
+    def inputs(
+        self, g: KnowledgeGraph, q: Question, tables: ViewTables | None = None
+    ) -> tuple[GraphTensors, list[int]]:
         """The graph tensors and the entity id of each node row, ascending."""
-        gt = prepare_graph_tensors(g, q, self.encoder, self.dde_depth, self.dde_slots)
-        return gt, gt.entity_ids
+        gt = prepare_graph_tensors(g, q, self.encoder, self.dde_depth, self.dde_slots, tables)
+        return gt, gt.view.entity_ids
 
     @staticmethod
     def positive_ids(g: KnowledgeGraph, positives: set[Triple]) -> set[int]:
@@ -181,27 +187,17 @@ class EntityScorer(Scorer):
 
 def entity_to_triple_scores(
     entity_scores: Sequence[tuple[int, float]] | dict[int, float],
-    g: KnowledgeGraph,
+    tables: ViewTables,
 ) -> tuple[list[tuple[int, float]], dict[int, str]]:
-    """Triple scores ``s(h,r,t) = p(h) + p(t)`` with parallel relations merged.
+    """Triple scores ``s(h,r,t) = p(h) + p(t)`` over the view ``tables`` describe, with
+    parallel relations merged.
 
     Triples sharing head and tail collapse to the smallest triple id; their
-    relation labels join with " | ". Returns (scored representative triples in
-    triple-id order, merged relation label per representative).
+    relation labels join with " | " in load order. An entity with no score
+    counts 0. Returns (scored representative triples in triple-id order, merged
+    relation label per representative).
     """
     p = dict(entity_scores) if not isinstance(entity_scores, dict) else entity_scores
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    heads, _, tails = g.columns()
-    for tid, pair in zip(g.triple_ids, zip(heads, tails)):
-        by_pair.setdefault(pair, []).append(tid)
-    scored: list[tuple[int, float]] = []
-    merged_labels: dict[int, str] = {}
-    for (h, t), tids in sorted(by_pair.items(), key=lambda kv: kv[1][0]):
-        rep = tids[0]
-        score = p.get(h, 0.0) + p.get(t, 0.0)
-        scored.append((rep, score))
-        if len(tids) > 1:
-            merged_labels[rep] = " | ".join(
-                g.relation_label(g.triple(tid).relation) for tid in tids
-            )
-    return scored, merged_labels
+    scores = np.array([p.get(e, 0.0) for e in tables.entity_ids], dtype=np.float64)
+    reps = tables.parallel
+    return list(zip(reps.tids, (scores[reps.head] + scores[reps.tail]).tolist())), dict(reps.merged)

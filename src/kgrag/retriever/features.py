@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,12 +79,10 @@ def compute_dde(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     entities = sorted(g.out_index.keys() | g.in_index.keys())
-    buckets = np.full((len(entities), 2), depth + 1, dtype=np.intp)
+    buckets = np.empty((len(entities), 2), dtype=np.intp)
     for col, direction in enumerate(("out", "in")):
         dist = hop_distances(g, anchors, direction)
-        for i, e in enumerate(entities):
-            if e in dist:
-                buckets[i, col] = min(dist[e], depth)
+        buckets[:, col] = [min(dist[e], depth) if e in dist else depth + 1 for e in entities]
     codes = np.eye(depth + 2)[buckets].reshape(len(entities), dde_width(depth))
     return dict(zip(entities, codes))
 
@@ -105,7 +105,7 @@ def anchor_slots(anchors: set[int], slots: int = DEFAULT_DDE_SLOTS) -> list[set[
     return pooled
 
 
-# -- the per-question bundle --------------------------------------------------
+# -- the per-view tables and the per-question bundle ---------------------------
 
 
 def _text_rows(encoder: HashedBowEncoder, labels: list[str]) -> np.ndarray:
@@ -115,47 +115,115 @@ def _text_rows(encoder: HashedBowEncoder, labels: list[str]) -> np.ndarray:
 class Segments:
     """Rows grouped by an integer key, for sums over each group.
 
-    One stable argsort puts the rows in key order, so each group's sum is one
-    ``np.add.reduceat`` slice and adds its rows in their original order.
+    ``np.bincount`` adds its weights in input order, so each group's sum adds
+    its rows in row order, one after another, and its bits do not depend on
+    which thread sums them. The flat index of a row width is built on its
+    first sum and kept.
     """
 
     def __init__(self, keys: np.ndarray, size: int):
+        self.keys = keys
         self.size = size  # number of keys; a key no row has sums to zero
-        self.order = np.argsort(keys, kind="stable")
-        ordered = keys[self.order]
-        self.starts = np.flatnonzero(np.diff(ordered, prepend=-1))  # keys are >= 0
-        self.keys = ordered[self.starts]
+        self._flat: dict[int, np.ndarray] = {}
 
     def sum(self, rows: np.ndarray) -> np.ndarray:
-        """``out[k] = rows[keys == k].sum(axis=0)`` for every key ``k < size``."""
-        out = np.zeros((self.size,) + rows.shape[1:])
-        out[self.keys] = np.add.reduceat(rows[self.order], self.starts, axis=0)
-        return out
+        """``out[k] = rows[keys == k].sum(axis=0)`` for every key ``k < size``, added left to right."""
+        width = rows.shape[1]
+        if not len(rows):
+            return np.zeros((self.size, width))
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = self._flat[width] = (self.keys[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(flat, weights=rows.ravel(), minlength=self.size * width).reshape(self.size, width)
+
+
+class Messages:
+    """A view's triples as ``2E`` directed messages for message passing.
+
+    Message ``i < E`` runs forward along triple row ``i``, head to tail, and
+    message ``E + i`` backward, tail to head. A message reads row ``sender[i]``
+    of a per-entity projection stacked as ``[forward; backward]`` per entity
+    (row ``2v`` is entity ``v``'s forward projection, ``2v + 1`` its backward
+    one), row ``relation[i]`` of a per-relation projection stacked the same
+    way, and is summed into entity row ``recipient[i]``.
+    """
+
+    def __init__(self, view: ViewTables):
+        n_entities = len(view.entity_ids)
+        self.sender = np.concatenate([2 * view.head, 2 * view.tail + 1])
+        self.relation = np.concatenate([2 * view.relation, 2 * view.relation + 1])
+        self.recipient = np.concatenate([view.tail, view.head])
+        self.by_sender = Segments(self.sender, 2 * n_entities)
+        self.by_relation = Segments(self.relation, 2 * len(view.relation_labels))
+        self.by_recipient = Segments(self.recipient, n_entities)
+        degree = np.bincount(self.recipient, minlength=n_entities).astype(np.float64)
+        log_deg = np.log1p(degree)
+        norm = float(log_deg.mean()) if len(log_deg) and log_deg.mean() > 0 else 1.0
+        self.denom = np.clip(degree, 1.0, None)[:, None]  # (V, 1) message count, at least 1
+        self.scale = (log_deg / norm)[:, None]  # (V, 1) log(1+deg) / mean(log(1+deg))
+
+
+class ParallelTriples(NamedTuple):
+    """One representative per (head, tail) pair of a view: its first triple."""
+
+    tids: list[int]  # representative triple ids, ascending
+    head: np.ndarray  # local entity row of each representative's head
+    tail: np.ndarray
+    merged: dict[int, str]  # representative id -> its group's relation labels joined by " | ", in load order
+
+
+class ViewTables:
+    """The part of a question's features that depends on its working graph only.
+
+    Triples are local rows in load order; entities and relations are local
+    rows in ascending id order, and ``head``/``relation``/``tail`` index them.
+    Every question over one view can share one instance; :attr:`messages`
+    and :attr:`parallel` are built on first use.
+    """
+
+    def __init__(self, g: KnowledgeGraph, encoder: HashedBowEncoder):
+        self.tids = list(g.triple_ids)  # visible triple ids
+        heads, relations, tails = (np.array(column, dtype=np.intp) for column in g.columns())
+        entity_ids = np.unique(np.concatenate([heads, tails]))
+        relation_ids = np.unique(relations)
+        self.entity_ids: list[int] = entity_ids.tolist()  # the view's entities, ascending
+        self.relation_labels = [g.relation_label(r) for r in relation_ids.tolist()]
+        self.head = np.searchsorted(entity_ids, heads)  # (E,) local entity row per triple
+        self.relation = np.searchsorted(relation_ids, relations)  # (E,) local relation row per triple
+        self.tail = np.searchsorted(entity_ids, tails)
+        self.entity_text = _text_rows(encoder, [g.entity_label(e) for e in self.entity_ids])  # (V, T)
+        self.relation_text = _text_rows(encoder, self.relation_labels)  # (R, T)
+
+    @cached_property
+    def messages(self) -> Messages:
+        return Messages(self)
+
+    @cached_property
+    def parallel(self) -> ParallelTriples:
+        pair = self.head * len(self.entity_ids) + self.tail
+        _, first, group, size = np.unique(pair, return_index=True, return_inverse=True, return_counts=True)
+        reps = np.sort(first)
+        merged: dict[int, list[str]] = {}
+        for row in np.flatnonzero(size[group] > 1).tolist():
+            rep = self.tids[first[group[row]]]
+            merged.setdefault(rep, []).append(self.relation_labels[self.relation[row]])
+        return ParallelTriples(
+            [self.tids[row] for row in reps.tolist()], self.head[reps], self.tail[reps],
+            {rep: " | ".join(labels) for rep, labels in merged.items()},
+        )
 
 
 @dataclass
 class QuestionFeatures:
-    """Everything both scorers read for one question, over its working graph only.
+    """Everything both scorers read for one question: its view's tables, its query row and its DDE.
 
-    Triples are local rows in load order; entities and relations are local
-    rows in ascending id order, and ``head``/``relation``/``tail`` index them.
     The scorers never build a row per triple: they project the entity and
-    relation tables once and gather the projections by these indices, and the
-    ``by_*`` groupings sum per-triple gradients back onto the tables.
+    relation tables once and gather the projections by the view's indices.
     """
 
-    tids: list[int]  # visible triple ids
-    entity_ids: list[int]  # the view's entities, ascending
-    head: np.ndarray  # (E,) local entity row per triple
-    relation: np.ndarray  # (E,) local relation row per triple
-    tail: np.ndarray  # (E,) local entity row per triple
+    view: ViewTables
     query: np.ndarray  # (T,) query text
-    entity_text: np.ndarray  # (V, T)
-    relation_text: np.ndarray  # (R, T)
     dde: np.ndarray  # (V, slots, 2 * (depth + 2)) one-hot [forward | backward] per slot
-    by_head: Segments
-    by_relation: Segments
-    by_tail: Segments
 
     @property
     def triple_dim(self) -> int:
@@ -164,13 +232,6 @@ class QuestionFeatures:
         _, slots, width = self.dde.shape
         return 4 * len(self.query) + 2 * slots * width
 
-    def entity_matrix(self) -> np.ndarray:
-        """Rows ``[query | entity text | DDE]``, one per entity in ``entity_ids``."""
-        n, slots, width = self.dde.shape
-        return np.hstack(
-            [np.tile(self.query, (n, 1)), self.entity_text, self.dde.reshape(n, slots * width)]
-        )
-
 
 def question_features(
     g: KnowledgeGraph,
@@ -178,37 +239,19 @@ def question_features(
     encoder: HashedBowEncoder,
     depth: int = DEFAULT_DDE_DEPTH,
     slots: int = DEFAULT_DDE_SLOTS,
+    tables: ViewTables | None = None,
 ) -> QuestionFeatures:
-    """Build the feature bundle of question ``q`` over its working graph ``g``."""
-    tids = list(g.triple_ids)
-    heads, relations, tails = (np.array(column, dtype=np.intp) for column in g.columns())
-    entity_ids = np.unique(np.concatenate([heads, tails]))
-    relation_ids = np.unique(relations)
+    """The feature bundle of question ``q`` over its working graph ``g``; ``tables``, when
+    given, are ``g``'s, built with ``encoder``, and are shared instead of built anew."""
+    view = ViewTables(g, encoder) if tables is None else tables
     width = dde_width(depth)
-    dde = np.zeros((len(entity_ids), slots, width))
+    dde = np.zeros((len(view.entity_ids), slots, width))
     dde[:, :, [depth + 1, width - 1]] = 1.0  # an empty slot stays "unreachable"
-    entities = entity_ids.tolist()
     for s, slot in enumerate(anchor_slots(set(q.query_entities), slots)):
         if slot:
             codes = compute_dde(g, slot, depth)
-            dde[:, s] = np.array([codes[e] for e in entities]).reshape(-1, width)
-    head = np.searchsorted(entity_ids, heads)
-    relation = np.searchsorted(relation_ids, relations)
-    tail = np.searchsorted(entity_ids, tails)
-    return QuestionFeatures(
-        tids=tids,
-        entity_ids=entities,
-        head=head,
-        relation=relation,
-        tail=tail,
-        query=encoder(q.text),
-        entity_text=_text_rows(encoder, [g.entity_label(e) for e in entities]),
-        relation_text=_text_rows(encoder, [g.relation_label(r) for r in relation_ids.tolist()]),
-        dde=dde,
-        by_head=Segments(head, len(entities)),
-        by_relation=Segments(relation, len(relation_ids)),
-        by_tail=Segments(tail, len(entities)),
-    )
+            dde[:, s] = np.array([codes[e] for e in view.entity_ids]).reshape(-1, width)
+    return QuestionFeatures(view=view, query=encoder(q.text), dde=dde)
 
 
 class TripleFeatureBuilder:
@@ -221,8 +264,9 @@ class TripleFeatureBuilder:
         encoder: HashedBowEncoder,
         depth: int = DEFAULT_DDE_DEPTH,
         slots: int = DEFAULT_DDE_SLOTS,
+        tables: ViewTables | None = None,
     ):
-        self.features = question_features(g, q, encoder, depth, slots)
+        self.features = question_features(g, q, encoder, depth, slots, tables)
 
     @property
     def dim(self) -> int:
@@ -230,4 +274,4 @@ class TripleFeatureBuilder:
 
     def matrix(self) -> tuple[list[int], QuestionFeatures]:
         """The visible triple ids and the bundle that scores them, in that order."""
-        return self.features.tids, self.features
+        return self.features.view.tids, self.features

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Sequence
 
+import numpy as np
+
 from ..config import json_field
 from ..kg import KGFormatError, KnowledgeGraph, published, read_by_question, read_jsonl, write_jsonl
 
@@ -36,22 +38,19 @@ def top_k(
     """The k highest-scoring triples, by descending score; ties break toward the smaller triple id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+    if not scored:
+        return ()
+    tids, scores = zip(*scored)
+    ranked = np.lexsort((np.array(tids), -np.array(scores, dtype=np.float64)))[:k].tolist()
     overrides = relation_overrides or {}
+    s, names, relations = g.storage, g.entities, g.relations
     entries = []
-    for tid, score in ranked:
-        tr = g.triple(tid)
-        entries.append(
-            RetrievedTriple(
-                tid=tid,
-                head=tr.head,
-                tail=tr.tail,
-                head_label=g.entity_label(tr.head),
-                relation=overrides.get(tid, g.relation_label(tr.relation)),
-                tail_label=g.entity_label(tr.tail),
-                score=float(score),
-            )
-        )
+    for i in ranked:
+        tid = tids[i]
+        h, t = s.head[tid], s.tail[tid]
+        relation = overrides.get(tid, relations[s.relation[tid]])
+        # by position: keywords would cost more than the rest of the loop
+        entries.append(RetrievedTriple(tid, h, t, names[h], relation, names[t], float(scores[i])))
     return tuple(entries)
 
 
@@ -72,9 +71,9 @@ def subgraph_to_record(qid: str, sub: Sequence[RetrievedTriple]) -> dict:
 def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTriple:
     """The retrieved triple ``tid`` of ``g`` that a record gives as ``labels`` ``[head, relation,
     tail]``. The relation is ``tid``'s own label or, as an entity scorer merges parallel triples,
-    that label and then the labels of other triples joining the same ends, each after ``" | "``.
-    An id outside the graph, ends other than the graph's and any other relation raise
-    :class:`KGFormatError`."""
+    that label and then, each after ``" | "``, the labels of triples joining the same ends whose
+    ids rise above ``tid`` one after another. An id outside the graph, ends other than the
+    graph's and any other relation raise :class:`KGFormatError`."""
     h, r, t = labels
     if not 0 <= tid < len(g.storage):
         raise KGFormatError(f"retrieved triple id {tid} not in graph")
@@ -83,9 +82,11 @@ def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTri
     if (h, t) != ends:
         raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
     own = g.relation_label(tr.relation)
-    merged = r[len(own) + 3 :].split(" | ") if type(r) is str and r.startswith(own + " | ") else ()
-    if r != own and not (merged and all(g.resolve(h, name, t) is not None for name in merged)):
-        raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not {own!r} or its merge with parallel ones")
+    if r != own:
+        merged = r[len(own) + 3 :].split(" | ") if type(r) is str and r.startswith(own + " | ") else ()
+        ids = [tid, *(g.resolve(h, name, t) for name in merged)]
+        if not merged or None in ids or any(a >= b for a, b in zip(ids, ids[1:])):
+            raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not {own!r} or its merge with parallel ones")
     return RetrievedTriple(tid, tr.head, tr.tail, h, r, t, score)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Literal, NamedTuple, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from ..config import PipelineConfig, json_field
 from ..kg import KGFormatError, KnowledgeGraph, Question, Triple
-from .features import HashedBowEncoder, QuestionFeatures, TripleFeatureBuilder, dde_width
+from .features import HashedBowEncoder, QuestionFeatures, TripleFeatureBuilder, ViewTables, dde_width
 
 logger = logging.getLogger(__name__)
 
@@ -69,10 +70,10 @@ class Scorer:
     order), and its constructor's architecture arguments in ``ARCH`` (argument -> JSON type);
     parameter initialisation, names, ``arch()`` and :meth:`from_payload` follow from them.
     ``input_widths(text_dim, dde_depth, dde_slots)`` gives the widths of the inputs it
-    builds, and ``config_arch(cfg)`` its other architecture arguments. ``inputs(g, q)``
-    builds a question's inputs and the id of each score, and ``positive_ids(g, positives)``
-    the ids a sample's positive triples make positive; ``loss_and_grad`` and ``scores``
-    run on those inputs.
+    builds, and ``config_arch(cfg)`` its other architecture arguments. ``inputs(g, q, tables)``
+    builds a question's inputs and the id of each score, over ``g``'s :class:`ViewTables`
+    when they are given, and ``positive_ids(g, positives)`` the ids a sample's positive
+    triples make positive; ``loss_and_grad`` and ``scores`` run on those inputs.
     """
 
     kind: str
@@ -149,9 +150,11 @@ class Scorer:
         ]
         return model
 
-    def score(self, q: Question, g: KnowledgeGraph) -> list[tuple[int, float]]:
+    def score(
+        self, q: Question, g: KnowledgeGraph, tables: ViewTables | None = None
+    ) -> list[tuple[int, float]]:
         """One score per id that :meth:`inputs` gives for ``q`` over its working graph ``g``."""
-        inputs, ids = self.inputs(g, q)
+        inputs, ids = self.inputs(g, q, tables)
         if not ids:
             return []
         return list(zip(ids, self.scores(inputs).tolist()))
@@ -226,21 +229,22 @@ class TripleScorer(Scorer):
                 f"feature dimension mismatch: got {f.triple_dim}, model expects {self.input_dim}"
             )
         text, dde, codes = self._blocks(self.params[0], f)
-        head = f.entity_text @ text[1] + codes @ dde[:, 0].reshape(codes.shape[1], -1)
-        tail = f.entity_text @ text[3] + codes @ dde[:, 1].reshape(codes.shape[1], -1)
-        relation = f.relation_text @ text[2]
-        return head[f.head] + relation[f.relation] + tail[f.tail] + (f.query @ text[0] + self.params[1])
+        v = f.view
+        head = v.entity_text @ text[1] + codes @ dde[:, 0].reshape(codes.shape[1], -1)
+        tail = v.entity_text @ text[3] + codes @ dde[:, 1].reshape(codes.shape[1], -1)
+        relation = v.relation_text @ text[2]
+        return head[v.head] + relation[v.relation] + tail[v.tail] + (f.query @ text[0] + self.params[1])
 
     def _first_layer_grad(self, f: QuestionFeatures, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad_W = np.zeros(self.params[0].shape)  # C order, so the blocks below are views
         text, dde, codes = self._blocks(grad_W, f)
-        by_head, by_tail = f.by_head.sum(dz), f.by_tail.sum(dz)
+        v = f.view
         text[0] = np.outer(f.query, dz.sum(axis=0))
-        text[1] = f.entity_text.T @ by_head
-        text[2] = f.relation_text.T @ f.by_relation.sum(dz)
-        text[3] = f.entity_text.T @ by_tail
-        dde[:, 0] = (codes.T @ by_head).reshape(dde[:, 0].shape)
-        dde[:, 1] = (codes.T @ by_tail).reshape(dde[:, 1].shape)
+        text[1] = v.entity_text[v.head].T @ dz
+        text[2] = v.relation_text[v.relation].T @ dz
+        text[3] = v.entity_text[v.tail].T @ dz
+        dde[:, 0] = (codes[v.head].T @ dz).reshape(dde[:, 0].shape)
+        dde[:, 1] = (codes[v.tail].T @ dz).reshape(dde[:, 1].shape)
         return grad_W, dz.sum(axis=0)
 
     def _forward(self, f: QuestionFeatures) -> tuple[np.ndarray, list]:
@@ -275,9 +279,11 @@ class TripleScorer(Scorer):
 
     # -- inputs ---------------------------------------------------------------
 
-    def inputs(self, g: KnowledgeGraph, q: Question) -> tuple[QuestionFeatures, list[int]]:
+    def inputs(
+        self, g: KnowledgeGraph, q: Question, tables: ViewTables | None = None
+    ) -> tuple[QuestionFeatures, list[int]]:
         """The feature bundle and the visible triple ids it scores, in triple-id order."""
-        tids, f = TripleFeatureBuilder(g, q, self.encoder, self.dde_depth, self.dde_slots).matrix()
+        tids, f = TripleFeatureBuilder(g, q, self.encoder, self.dde_depth, self.dde_slots, tables).matrix()
         return f, tids
 
     @staticmethod
@@ -299,9 +305,9 @@ class _Prepared:
     positives: set[int]
 
 
-def _prepare(model: Scorer, sample: TrainSample, pos_weight_cap: float) -> _Prepared:
+def _prepare(model: Scorer, sample: TrainSample, pos_weight_cap: float, tables: ViewTables | None) -> _Prepared:
     question, graph, positive_triples = sample
-    inputs, ids = model.inputs(graph, question)
+    inputs, ids = model.inputs(graph, question, tables)
     positives = model.positive_ids(graph, positive_triples)
     y = np.array([1.0 if i in positives else 0.0 for i in ids])
     n_pos = int(y.sum())
@@ -352,8 +358,11 @@ def fit(
         seed=cfg.seed,
         rng=np.random.default_rng(cfg.seed),
     )
-    prepared = [_prepare(model, s, training.pos_weight_cap) for s in samples]
-    val_prepared = [_prepare(model, s, training.pos_weight_cap) for s in val_samples or ()]
+    # a view that several samples share gets one set of tables: every unscoped question's view is the graph
+    views = Counter(s.graph for s in (*samples, *(val_samples or ())))
+    tables = {view: ViewTables(view, model.encoder) for view, n in views.items() if n > 1}
+    prepared = [_prepare(model, s, training.pos_weight_cap, tables.get(s.graph)) for s in samples]
+    val_prepared = [_prepare(model, s, training.pos_weight_cap, tables.get(s.graph)) for s in val_samples or ()]
     recall_k = cfg.top_k if training.recall_k is None else training.recall_k
 
     best_recall = -1.0

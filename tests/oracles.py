@@ -212,18 +212,24 @@ def triple_matrix(f) -> np.ndarray:
     The DDE block holds, per anchor slot, head-forward / head-backward /
     tail-forward / tail-backward one-hot codes.
     """
-    n = len(f.tids)
+    n = len(f.view.tids)
     _, slots, width = f.dde.shape
-    dde = np.concatenate([f.dde[f.head], f.dde[f.tail]], axis=2)
+    dde = np.concatenate([f.dde[f.view.head], f.dde[f.view.tail]], axis=2)
     return np.hstack(
         [
             np.tile(f.query, (n, 1)),
-            f.entity_text[f.head],
-            f.relation_text[f.relation],
-            f.entity_text[f.tail],
+            f.view.entity_text[f.view.head],
+            f.view.relation_text[f.view.relation],
+            f.view.entity_text[f.view.tail],
             dde.reshape(n, 2 * slots * width),
         ]
     )
+
+
+def entity_matrix(f) -> np.ndarray:
+    """Rows ``[query | entity text | DDE]`` of a feature bundle, one per entity of its view."""
+    n, slots, width = f.dde.shape
+    return np.hstack([np.tile(f.query, (n, 1)), f.view.entity_text, f.dde.reshape(n, slots * width)])
 
 
 def dense_triple_loss_and_grad(model, X: np.ndarray, y: np.ndarray, pos_weight: float):
@@ -255,10 +261,10 @@ def dense_triple_loss_and_grad(model, X: np.ndarray, y: np.ndarray, pos_weight: 
 def dense_entity_loss_and_grad(model, f, y: np.ndarray, pos_weight: float):
     """(logits, loss, grads) of an entity scorer over a feature bundle, with
     concatenated per-edge message inputs and ``np.add.at`` scatters."""
-    src, dst = f.head, f.tail
-    R = f.relation_text[f.relation]
+    src, dst = f.view.head, f.view.tail
+    R = f.view.relation_text[f.view.relation]
     recipients = np.concatenate([dst, src])
-    n_nodes, n_edges = len(f.entity_ids), len(f.tids)
+    n_nodes, n_edges = len(f.view.entity_ids), len(f.view.tids)
     degree = np.zeros(n_nodes)
     np.add.at(degree, recipients, 1.0)
     log_deg = np.log1p(degree)
@@ -267,7 +273,7 @@ def dense_entity_loss_and_grad(model, f, y: np.ndarray, pos_weight: float):
     denom = np.clip(degree, 1.0, None)[:, None]
     H = model.hidden
 
-    h = f.entity_matrix()
+    h = entity_matrix(f)
     caches = []
     for layer in range(model.depth):
         Wf, bf, Wb, bb, Wu, bu = model.params[6 * layer : 6 * layer + 6]
@@ -309,3 +315,30 @@ def dense_entity_loss_and_grad(model, f, y: np.ndarray, pos_weight: float):
         np.add.at(grad_h, src, (dzf @ Wf.T)[:, :d])
         np.add.at(grad_h, dst, (dzb @ Wb.T)[:, :d])
     return logits, loss, grads
+
+
+# -- entity-level ranking ----------------------------------------------------------
+#
+# The loops the retriever ran before its triple scores and ranking became array
+# arithmetic; the vectorised versions must give the same ids, bits and order.
+
+
+def entity_to_triple_scores(entity_scores, g) -> tuple[list[tuple[int, float]], dict[int, str]]:
+    """``p(h) + p(t)`` per (head, tail) pair of ``g``'s visible triples, at the pair's smallest
+    triple id, in id order, with the pair's relation labels joined by " | " in load order."""
+    p = dict(entity_scores)
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for tid, tr in g.iter_triples():
+        by_pair.setdefault((tr.head, tr.tail), []).append(tid)
+    scored: list[tuple[int, float]] = []
+    merged: dict[int, str] = {}
+    for (h, t), tids in sorted(by_pair.items(), key=lambda kv: kv[1][0]):
+        scored.append((tids[0], p.get(h, 0.0) + p.get(t, 0.0)))
+        if len(tids) > 1:
+            merged[tids[0]] = " | ".join(g.relation_label(g.triple(tid).relation) for tid in tids)
+    return scored, merged
+
+
+def top_k_order(scored: list[tuple[int, float]], k: int) -> list[tuple[int, float]]:
+    """The k best ``(id, score)`` pairs by descending score, ties toward the smaller id."""
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]

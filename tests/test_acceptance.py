@@ -346,7 +346,7 @@ def test_criterion_08_scorer_training():
         star.graph, star.question, entity_model.encoder, gcfg.dde_depth, gcfg.dde_slots
     )
     y_ent = np.array(
-        [1.0 if e in entity_positives(star.positives) else 0.0 for e in gt.entity_ids]
+        [1.0 if e in entity_positives(star.positives) else 0.0 for e in gt.view.entity_ids]
     )
     _central_difference_check(
         entity_model, lambda: entity_model.loss_and_grad(gt, y_ent, 3.0), seed=9

@@ -63,7 +63,10 @@ def test_retrieval_record_error_names_the_field(field, value):
     [
         ("r", True),
         ("r | s", True),  # an entity scorer merges the parallel triple a s b into triple 0
-        ("r | s | r", True),
+        ("r | s | u", True),
+        ("r | u", True),  # a scope can leave a parallel triple out
+        ("r | s | r", False),  # a label repeats
+        ("r | u | s", False),  # the merge lists parallel triples in rising id order
         ("s", False),  # another triple's own label
         ("s | r", False),  # the merge names triple 0's own label first
         ("r | t", False),  # a t b is not a triple
@@ -72,7 +75,7 @@ def test_retrieval_record_error_names_the_field(field, value):
     ],
 )
 def test_retrieved_relation_is_the_triples_own_label_or_its_merge(relation, accepted):
-    g = load_kg(["a\tr\tb\n", "a\ts\tb\n", "b\tt\ta\n"])
+    g = load_kg(["a\tr\tb\n", "a\ts\tb\n", "b\tt\ta\n", "a\tu\tb\n"])
     record = {"id": "q", "tids": [0], "triples": [["a", relation, "b"]], "scores": [1.0]}
     if accepted:
         ((step,),) = read_subgraphs([json.dumps(record)], g, ["q"]).values()

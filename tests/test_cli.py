@@ -1,4 +1,5 @@
 import base64
+import gc
 import io
 import json
 import os
@@ -24,7 +25,7 @@ from kgrag.cli import (
     STAGES,
     main,
 )
-from kgrag.kg import load_kg
+from kgrag.kg import KnowledgeGraph, load_kg
 
 from conftest import DATA, write_fixture_config
 
@@ -49,6 +50,30 @@ def pipeline_dir(tmp_path_factory):
     cfg_path = write_fixture_config(tmp)
     run_pipeline(cfg_path)
     return tmp
+
+
+ENTITY_LEVEL = {
+    "retrieval_level": "entity",
+    "top_k": 4,
+    "entity_k_bonus": 4,
+    "training": {"epochs": 5, "gnn_hidden": 8, "gnn_depth": 2},
+}
+
+
+@pytest.fixture(scope="module")
+def entity_pipeline_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("entity-pipeline")
+    run_pipeline(write_fixture_config(tmp, **ENTITY_LEVEL), ALL_STAGES[:5])
+    return tmp
+
+
+def config_in(work: Path, tmp_path: Path, **overrides) -> Path:
+    """A fixture config under ``tmp_path`` whose work directory is ``work``'s."""
+    cfg_path = write_fixture_config(tmp_path, **overrides)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["paths"]["work_dir"] = str(work / "out")
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
 
 
 def test_full_pipeline_metrics(pipeline_dir):
@@ -224,17 +249,36 @@ def test_train_no_refine_uses_weak_supervision(tmp_path):
     assert (out / "model.json").exists()
 
 
-@pytest.mark.parametrize("stage", PER_QUESTION)
-def test_workers_flag_preserves_output_bytes(pipeline_dir, tmp_path, stage):
-    cfg_path = write_fixture_config(tmp_path)
-    cfg = json.loads(cfg_path.read_text())
-    cfg["paths"]["work_dir"] = str(pipeline_dir / "out")
-    cfg_path.write_text(json.dumps(cfg))
+@pytest.mark.parametrize(
+    "stage, level",
+    [*((stage, "triple") for stage in PER_QUESTION), ("retrieve", "entity")],
+    ids=[*PER_QUESTION, "retrieve-entity"],
+)
+def test_workers_flag_preserves_output_bytes(request, tmp_path, stage, level):
+    """At the entity level the fixture's questions are unscoped, so the threads share one view's tables."""
+    overrides = ENTITY_LEVEL if level == "entity" else {}
+    work = request.getfixturevalue("entity_pipeline_dir" if overrides else "pipeline_dir")
+    cfg_path = config_in(work, tmp_path, **overrides)
     (name,) = OUTPUTS[stage]
-    path = pipeline_dir / "out" / name
+    path = work / "out" / name
     before = path.read_bytes()
     assert main([stage, "--config", str(cfg_path), "--workers", "4"]) == EXIT_OK
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("stage", ["train", "retrieve"])
+def test_a_stage_keeps_no_graph_once_it_returns(entity_pipeline_dir, tmp_path, stage):
+    """Stages can run one after another in one process: the view tables a stage shares
+    between questions go with it, and so does every graph they were built from."""
+    cfg_path = config_in(entity_pipeline_dir, tmp_path, **ENTITY_LEVEL)
+
+    def graphs() -> int:
+        gc.collect()
+        return sum(isinstance(obj, KnowledgeGraph) for obj in gc.get_objects())
+
+    before = graphs()
+    assert main([stage, "--config", str(cfg_path)]) == EXIT_OK
+    assert graphs() <= before
 
 
 def test_each_stage_prints_its_summary_line(tmp_path, capsys):

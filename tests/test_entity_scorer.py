@@ -1,18 +1,28 @@
+import io
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgrag.config import PipelineConfig, TrainingSettings
 from kgrag.retriever import (
     EntityScorer,
+    HashedBowEncoder,
     TrainSample,
+    ViewTables,
     entity_positives,
     entity_to_triple_scores,
     fit,
     load_model,
     save_model,
+    top_k,
 )
+from kgrag.kg import load_kg
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
 
+import oracles
 from conftest import graph_from_lines, make_question
 from synth import star_graph_entity_sample
 
@@ -51,7 +61,7 @@ def test_entity_gradient_matches_central_differences():
     model = fit(EntityScorer, [sample], cfg)
     gt = prepare_graph_tensors(sample.graph, sample.question, model.encoder, cfg.dde_depth, cfg.dde_slots)
     positives = entity_positives(sample.positives)
-    y = np.array([1.0 if e in positives else 0.0 for e in gt.entity_ids])
+    y = np.array([1.0 if e in positives else 0.0 for e in gt.view.entity_ids])
     _, grads = model.loss_and_grad(gt, y, pos_weight=3.0)
     flat_grad = np.concatenate([g.ravel() for g in grads])
     vec = model.parameter_vector()
@@ -94,7 +104,7 @@ def test_entity_scores_in_range_and_deterministic():
 def test_entity_to_triple_scores_formula():
     g = graph_from_lines("A r B")
     a, b = g.entity_ids["A"], g.entity_ids["B"]
-    scored, merged = entity_to_triple_scores({a: 0.9, b: 0.2}, g)
+    scored, merged = entity_to_triple_scores({a: 0.9, b: 0.2}, ViewTables(g, HashedBowEncoder(4)))
     assert scored == [(0, pytest.approx(1.1))]
     assert merged == {}
 
@@ -102,7 +112,7 @@ def test_entity_to_triple_scores_formula():
 def test_entity_to_triple_scores_merges_parallel_relations():
     g = graph_from_lines("A r1 B", "A r2 B", "A r3 C")
     a, b, c = (g.entity_ids[x] for x in "ABC")
-    scored, merged = entity_to_triple_scores({a: 0.5, b: 0.3, c: 0.1}, g)
+    scored, merged = entity_to_triple_scores({a: 0.5, b: 0.3, c: 0.1}, ViewTables(g, HashedBowEncoder(4)))
     assert [tid for tid, _ in scored] == [0, 2]
     assert merged == {0: "r1 | r2"}
     assert scored[0][1] == pytest.approx(0.8)
@@ -111,7 +121,7 @@ def test_entity_to_triple_scores_merges_parallel_relations():
 def test_entity_to_triple_scores_self_loop_doubles():
     g = graph_from_lines("A loop A")
     a = g.entity_ids["A"]
-    scored, _ = entity_to_triple_scores({a: 0.4}, g)
+    scored, _ = entity_to_triple_scores({a: 0.4}, ViewTables(g, HashedBowEncoder(4)))
     assert scored == [(0, pytest.approx(0.8))]
 
 
@@ -131,3 +141,36 @@ def test_entity_scorer_empty_graph():
     model = fit(EntityScorer, [sample], cfg)
     empty = sample.graph.restrict([])
     assert model.score(sample.question, empty) == []
+
+
+def _bits(scored) -> list[tuple[int, bytes]]:
+    return [(tid, struct.pack("<d", score)) for tid, score in scored]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5)), min_size=1, max_size=30),
+    keep=st.lists(st.booleans(), min_size=30, max_size=30),
+    levels=st.lists(st.sampled_from([None, 0.0, -0.0, 0.1, 0.2, 0.3, 0.5]), min_size=6, max_size=6),
+    k=st.integers(1, 12),
+)
+@example(  # a self-loop, a parallel pair and a tie across rank 2
+    rows=[(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 2), (2, 0, 0)], keep=[True] * 30,
+    levels=[0.25, 0.5, 0.25, None, None, None], k=2,
+)
+def test_vectorised_ranking_matches_the_loop(rows, keep, levels, k):
+    """Triple scores, merged labels and the top-k order equal the loop versions, bit for bit,
+    on multigraphs with self-loops, parallel triples, scoped views and ties at rank k."""
+    g = load_kg(io.StringIO("\n".join(f"e{h}\trel{r}\te{t}" for h, r, t in rows)), "tsv")
+    view = g.restrict([t for t in range(len(g)) if keep[t]])
+    entity_scores = [
+        (e, level) for e, level in enumerate(levels[: len(g.entities)]) if level is not None
+    ]  # an entity with no score counts 0
+    scored, merged = entity_to_triple_scores(entity_scores, ViewTables(view, HashedBowEncoder(2)))
+    want_scored, want_merged = oracles.entity_to_triple_scores(entity_scores, view)
+    assert _bits(scored) == _bits(want_scored)
+    assert merged == want_merged
+    ranked = top_k(scored, k, g, merged)
+    assert _bits((e.tid, e.score) for e in ranked) == _bits(oracles.top_k_order(want_scored, k))
+    for e in ranked:
+        assert e.relation == want_merged.get(e.tid, g.relation_label(g.triple(e.tid).relation))

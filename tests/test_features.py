@@ -1,10 +1,15 @@
 import io
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrag.kg import load_kg
-from kgrag.retriever import HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
-from kgrag.retriever.features import question_features
+from kgrag.retriever import EntityScorer, HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
+from kgrag.retriever.entity_scorer import prepare_graph_tensors
+from kgrag.retriever.features import Segments
 
 from conftest import graph_from_lines, make_question
 from oracles import directed_distance, triple_matrix
@@ -135,5 +140,31 @@ def test_entity_feature_matrix_shape():
     g = graph_from_lines("A r1 B", "B r2 C")
     q = make_question(g, ["A"], ["C"], text="a to c")
     enc = HashedBowEncoder(16)
-    X = question_features(g, q, enc, depth=2, slots=2).entity_matrix()
-    assert X.shape == (3, 2 * 16 + 2 * 2 * (2 + 2))
+    gt = prepare_graph_tensors(g, q, enc, depth=2, slots=2)
+    assert gt.X.shape == (3, 16 + 2 * 2 * (2 + 2))  # entity text and DDE; the query is shared
+    assert len(gt.query) + gt.X.shape[1] == EntityScorer.input_widths(16, 2, 2)["input_dim"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 6), min_size=2, max_size=40),
+    width=st.integers(1, 70),
+    seed=st.integers(0, 2**16),
+)
+def test_segment_sum_adds_each_group_left_to_right(keys, width, seed):
+    """Each group's sum is bitwise the left-to-right loop over its rows, from any thread."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice([-1.0, 1.0], (len(keys), width)) * 10.0 ** rng.uniform(-5, 4, (len(keys), width))
+    want = np.zeros((7, width))
+    for key, row in zip(keys, rows):
+        want[key] = want[key] + row
+    assert Segments(np.array(keys), 7).sum(rows).tobytes() == want.tobytes()
+    shared = Segments(np.array(keys), 7)  # its flat index is built by whichever thread sums first
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            sums = list(pool.map(lambda _: shared.sum(rows).tobytes(), range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sums == [want.tobytes()] * 8

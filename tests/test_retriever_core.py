@@ -32,6 +32,7 @@ from oracles import (
     dense_entity_loss_and_grad,
     dense_triple_loss_and_grad,
     directed_distance,
+    entity_matrix,
     triple_matrix,
 )
 from synth import separable_corpus
@@ -151,16 +152,16 @@ def test_scope_local_features_match_oracle_on_random_scopes():
                 assert got[4 * s : 4 * s + 4] == [*want[s][tr.head], *want[s][tr.tail]]
 
         gt = prepare_graph_tensors(view, q, encoder, depth, slots)
-        assert gt.entity_ids == sorted(view_entities)
-        for e, row in zip(gt.entity_ids, gt.X):
+        assert gt.view.entity_ids == sorted(view_entities)
+        for e, row in zip(gt.view.entity_ids, entity_matrix(gt)):
             text = np.concatenate([encoder(q.text), encoder(view.entity_label(e))])
             assert np.array_equal(row[: 2 * dim], text)
             got = decode_blocks(row[2 * dim :], 2 * slots, depth)
             assert got == [b for s in range(slots) for b in want[s][e]]
         for i, (_, tr) in enumerate(view.iter_triples()):
-            assert (gt.entity_ids[gt.head[i]], gt.entity_ids[gt.tail[i]]) == (tr.head, tr.tail)
+            assert (gt.view.entity_ids[gt.view.head[i]], gt.view.entity_ids[gt.view.tail[i]]) == (tr.head, tr.tail)
             assert np.array_equal(
-                gt.relation_text[gt.relation[i]], encoder(view.relation_label(tr.relation))
+                gt.view.relation_text[gt.view.relation[i]], encoder(view.relation_label(tr.relation))
             )
 
         for slot in anchor_slots(set(q.query_entities), slots):
@@ -208,9 +209,9 @@ def test_factored_scorers_match_dense_oracle(rows, keep, seed, activation):
         TripleScorer(bundle.triple_dim, hidden, activation, encoder.tag, depth, slots, 0, rng)
     )
     gt = prepare_graph_tensors(view, q, encoder, depth, slots)
-    y_ent = (rng.random(len(gt.entity_ids)) < 0.3).astype(np.float64)
+    y_ent = (rng.random(len(gt.view.entity_ids)) < 0.3).astype(np.float64)
     entity = randomized(
-        EntityScorer(gt.X.shape[1], encoder.dim, 4, 2, encoder.tag, depth, slots, 0, rng)
+        EntityScorer(entity_matrix(gt).shape[1], encoder.dim, 4, 2, encoder.tag, depth, slots, 0, rng)
     )
     with np.errstate(invalid="ignore", divide="ignore"):  # an empty view has a 0/0 loss
         cases = [
@@ -307,6 +308,6 @@ def test_fit_gives_the_widths_and_encoder_of_the_features_it_builds(scorer, text
     if scorer is TripleScorer:
         built = {"input_dim": triple_matrix(inputs).shape[1]}
     else:
-        built = {"input_dim": inputs.X.shape[1], "rel_dim": inputs.relation_text.shape[1]}
+        built = {"input_dim": entity_matrix(inputs).shape[1], "rel_dim": inputs.view.relation_text.shape[1]}
     assert {name: getattr(model, name) for name in built} == built
     assert len(model.scores(inputs)) == len(ids)
