@@ -8,8 +8,9 @@ Exit codes: 0 success, 2 configuration error, 3 missing, stale or foreign
 upstream artifact (the message names the stage to rerun), 4 LLM backend
 failure. README.md lists the failures behind each code.
 
-``ingest`` writes the graph twice: ``graph.tsv`` for people and tools, and
-``graph.json``, the compiled form every later stage loads.
+``ingest`` writes the graph and the questions twice: ``graph.tsv`` and ``questions.jsonl``
+for people and tools, and ``graph.json`` and ``questions.compiled.jsonl``, the compiled forms
+the later stages load. Each stage reads only the work-directory files ``INPUTS`` gives it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ EXIT_BACKEND = 4
 
 
 OUTPUTS = {
-    "ingest": ("graph.tsv", "graph.json", "questions.jsonl"),
+    "ingest": ("graph.tsv", "graph.json", "questions.jsonl", "questions.compiled.jsonl"),
     "candidates": ("pool.jsonl",),
     "refine": ("supervision.jsonl",),
     "train": ("model.json",),
@@ -68,6 +69,18 @@ OUTPUTS = {
 }
 """The work-directory files each stage writes, in pipeline order."""
 PRODUCER = {name: stage for stage, names in OUTPUTS.items() for name in names}
+_INGESTED = OUTPUTS["ingest"]  # the compiled graph and questions, and the files they are checked against
+INPUTS = {
+    "ingest": (),
+    "candidates": _INGESTED,
+    "refine": (*_INGESTED, "pool.jsonl"),
+    "train": (*_INGESTED, "supervision.jsonl"),
+    "retrieve": (*_INGESTED, "model.json"),
+    "reorganize": (*_INGESTED, "retrieval.jsonl"),
+    "answer": (*_INGESTED, "chains.jsonl", "retrieval.jsonl"),
+    "evaluate": ("questions.jsonl", "questions.compiled.jsonl", "answers.jsonl"),
+}
+"""The work-directory files each stage may read, whichever its flags; it opens no other."""
 
 
 class UpstreamArtifactError(Exception):
@@ -121,19 +134,18 @@ def _per_question(cfg: PipelineConfig, stage: str, questions, run, write, what: 
 # -- shared loading ------------------------------------------------------------
 
 
-def _load_inputs(cfg: PipelineConfig) -> tuple[kgmod.KnowledgeGraph, list[kgmod.Question]]:
-    """The graph compiled at ingest, checked against the ``graph.tsv`` written with it, and
-    the questions, whose labels must all be in it; a missing, changed or malformed pair exits 3."""
-    tsv_sha256 = _sha256(_require(cfg, "graph.tsv"))
-    g = _read(cfg, "graph.json", kgmod.load_kg, "compiled", tsv_sha256)
-    questions, _ = _read(cfg, "questions.jsonl", kgmod.load_questions, g, True)
-    return g, questions
-
-
-def _answers_by_question_text(questions: list[kgmod.Question], g) -> dict[str, set[str]]:
-    return {
-        q.text: {g.entity_label(a) for a in q.answer_entities} for q in questions
-    }
+def _load(
+    cfg: PipelineConfig, stage: str
+) -> tuple[kgmod.KnowledgeGraph | None, list[kgmod.Question], dict[str, frozenset[str]]]:
+    """The graph and questions compiled at ingest, as far as ``INPUTS[stage]`` names them, and
+    the gold answer labels by question id. Each compiled file is checked against the digests
+    of the files it was compiled with that the stage reads; a missing, changed or malformed
+    file exits 3. Without ``graph.json`` the graph is None and the questions' ids are unchecked."""
+    inputs = INPUTS[stage]
+    sha256 = {name: _sha256(_require(cfg, name)) for name in ("graph.tsv", "questions.jsonl") if name in inputs}
+    g = _read(cfg, "graph.json", kgmod.load_kg, "compiled", sha256["graph.tsv"]) if "graph.json" in inputs else None
+    questions, gold = _read(cfg, "questions.compiled.jsonl", kgmod.load_compiled_questions, sha256, g)
+    return g, questions, gold
 
 
 class _SamplingClient:
@@ -148,9 +160,9 @@ class _SamplingClient:
         return self._inner.complete(dataclasses.replace(req, **self._sampling))
 
 
-def _make_client(cfg: PipelineConfig, backend: str, questions, g):
+def _make_client(cfg: PipelineConfig, backend: str, questions, gold):
     if backend == "mock":
-        inner = MockOracle(_answers_by_question_text(questions, g))
+        inner = MockOracle({q.text: gold[q.id] for q in questions})
     else:
         if backend == "replay" and not cfg.paths.replay:
             raise ConfigError(["paths.replay is required for the replay backend"])
@@ -195,16 +207,19 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
             "question": q.text,
             "question_entities": sorted(g.entity_label(e) for e in q.query_entities),
             "answer_entities": sorted(g.entity_label(e) for e in q.answer_entities),
-            "scope": sorted(g.labels(g.triple(t)) for t in q.scope) if q.scope is not None else None,
+            "scope": sorted(g.triple_labels(q.scope)) if q.scope is not None else None,
         }
         for q in questions
     ]
     with kgmod.published(cfg.artifact("graph.tsv")) as fh:
         kgmod.to_tsv(g, fh)
-    with kgmod.published(cfg.artifact("graph.json")) as fh:
-        kgmod.to_compiled(g, fh, _sha256(cfg.artifact("graph.tsv")))
     with kgmod.published(cfg.artifact("questions.jsonl")) as fh:
         kgmod.write_jsonl(fh, records)
+    sha256 = {name: _sha256(cfg.artifact(name)) for name in ("graph.tsv", "questions.jsonl")}
+    with kgmod.published(cfg.artifact("graph.json")) as fh:
+        kgmod.to_compiled(g, fh, sha256["graph.tsv"])
+    with kgmod.published(cfg.artifact("questions.compiled.jsonl")) as fh:
+        kgmod.to_compiled_questions(questions, g, fh, sha256)
     for qid, labels in unresolved.items():
         print(f"warning: question {qid}: unresolved labels {labels}", file=sys.stderr)
     print(f"ingested {len(g)} triples, {len(questions)} questions -> {cfg.paths.work_dir}")
@@ -212,7 +227,7 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
 
 
 def cmd_candidates(cfg: PipelineConfig) -> int:
-    g, questions = _load_inputs(cfg)
+    g, questions, _ = _load(cfg, "candidates")
 
     def build(q: kgmod.Question) -> dict:
         view = kgmod.working_graph(g, q)
@@ -223,9 +238,9 @@ def cmd_candidates(cfg: PipelineConfig) -> int:
 
 
 def cmd_refine(cfg: PipelineConfig, limit: int | None = None, llm: str | None = None) -> int:
-    g, questions = _load_inputs(cfg)
+    g, questions, gold = _load(cfg, "refine")
     pools = _read(cfg, "pool.jsonl", poolmod.read_pools, g, [q.id for q in questions])
-    client = _make_client(cfg, llm or cfg.llm.backend, questions, g)
+    client = _make_client(cfg, llm or cfg.llm.backend, questions, gold)
     demos = (
         refinemod.load_refine_demos(cfg.paths.refine_demos) if cfg.paths.refine_demos else ()
     )
@@ -253,7 +268,7 @@ def _weak_supervision(
 
 
 def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
-    g, questions = _load_inputs(cfg)
+    g, questions, _ = _load(cfg, "train")
     ids = [q.id for q in questions]
     val_ids = set(cfg.validation_ids)
     unknown = sorted(val_ids - set(ids))
@@ -296,7 +311,7 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
 
 
 def cmd_retrieve(cfg: PipelineConfig) -> int:
-    g, questions = _load_inputs(cfg)
+    g, questions, _ = _load(cfg, "retrieve")
     try:
         model = load_model(
             _require(cfg, "model.json"),
@@ -324,7 +339,7 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
 
 
 def cmd_reorganize(cfg: PipelineConfig) -> int:
-    g, questions = _load_inputs(cfg)
+    g, questions, _ = _load(cfg, "reorganize")
     subgraphs = _read(cfg, "retrieval.jsonl", read_subgraphs, g, [q.id for q in questions])
 
     def run(q: kgmod.Question) -> dict:
@@ -339,8 +354,8 @@ def cmd_reorganize(cfg: PipelineConfig) -> int:
 def cmd_answer(
     cfg: PipelineConfig, llm: str | None = None, no_reorganize: bool = False
 ) -> int:
-    g, questions = _load_inputs(cfg)
-    client = _make_client(cfg, llm or cfg.llm.backend, questions, g)
+    g, questions, gold = _load(cfg, "answer")
+    client = _make_client(cfg, llm or cfg.llm.backend, questions, gold)
     demos = reorganize.load_qa_demos(cfg.paths.qa_demos) if cfg.paths.qa_demos else ()
     ids = [q.id for q in questions]
     if no_reorganize:
@@ -365,8 +380,7 @@ def cmd_answer(
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
-    g, questions = _load_inputs(cfg)
-    gold = {q.id: {g.entity_label(a) for a in q.answer_entities} for q in questions}
+    _, _, gold = _load(cfg, "evaluate")
     answers = _read(
         cfg, "answers.jsonl", kgmod.read_by_question,
         lambda rec: json_field(rec, "answers", tuple[str, ...]), "id", gold,

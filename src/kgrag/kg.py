@@ -12,6 +12,7 @@ and :func:`read_by_question` the only reader of a per-question artifact.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -259,6 +260,11 @@ class KnowledgeGraph:
         """The ``[head, relation, tail]`` labels of a triple, as artifacts record it."""
         return [self.entities[tr.head], self.relations[tr.relation], self.entities[tr.tail]]
 
+    def triple_labels(self, tids: Iterable[int]) -> list[list[str]]:
+        """:meth:`labels` of each stored triple id, read from the id columns without a Triple."""
+        e, r, s = self.entities, self.relations, self.storage
+        return [[e[s.head[t]], r[s.relation[t]], e[s.tail[t]]] for t in tids]
+
     def resolve(self, head: str, relation: str, tail: str) -> int | None:
         """Id of the visible triple with these labels, or ``None``."""
         h, r, t = self.entity_ids.get(head), self.relation_ids.get(relation), self.entity_ids.get(tail)
@@ -339,7 +345,16 @@ def working_graph(g: KnowledgeGraph, q: Question) -> KnowledgeGraph:
 
 
 def _decode_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
-    """``(line number, text)`` of each line; a line of bytes that is not UTF-8 is a KGFormatError."""
+    """``(line number, text)`` of each line, with or without its line break; a line of bytes that
+    is not UTF-8 is a KGFormatError. A file is read and decoded whole and split where iterating
+    it would split, at each ``\\n``; only a file that is not UTF-8 is decoded line by line, to
+    name the line."""
+    if hasattr(source, "read"):
+        data = source.read()
+        try:
+            source = (data.decode("utf-8") if isinstance(data, bytes) else data).split("\n")
+        except UnicodeDecodeError:
+            source = io.BytesIO(data)
     for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             try:
@@ -414,10 +429,13 @@ def read_by_question(
     return out
 
 
+_JSONL = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # json.dumps would build one per record
+
+
 def write_jsonl(sink: IO[str], records: Iterable[dict]) -> None:
     """One sorted-key JSON object per line, non-ASCII text unescaped."""
     for rec in records:
-        sink.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+        sink.write(_JSONL.encode(rec) + "\n")
 
 
 @contextmanager
@@ -441,16 +459,17 @@ def published(path: str | Path) -> Iterator[IO[str]]:
 
 def _tsv_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[str, ...]]:
     for lineno, line in _decode_lines(source):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
         parts = line.split("\t")
+        if len(parts) == 3:
+            row = (parts[0].strip(), parts[1].strip(), parts[2].strip())  # a line break goes too
+            if all(row):
+                yield row
+                continue
+        if not line.strip():  # a blank line, tabs and all
+            continue
         if len(parts) != 3:
             raise KGFormatError(f"expected 3 tab-separated fields, got {len(parts)}", lineno)
-        row = (parts[0].strip(), parts[1].strip(), parts[2].strip())
-        if not all(row):
-            raise KGFormatError("empty head, relation, or tail", lineno)
-        yield row
+        raise KGFormatError("empty head, relation, or tail", lineno)
 
 
 def _jsonl_row(obj: dict) -> tuple[str, ...]:
@@ -567,7 +586,7 @@ def to_compiled(g: KnowledgeGraph, sink: IO[str], tsv_sha256: str) -> None:
 
 
 def load_questions(
-    source: IO[bytes] | IO[str] | Iterable[str], g: KnowledgeGraph, strict: bool = False
+    source: IO[bytes] | IO[str] | Iterable[str], g: KnowledgeGraph
 ) -> tuple[list[Question], dict[str, list[str]]]:
     """Load question records and resolve entity labels against the vocabulary.
 
@@ -575,8 +594,8 @@ def load_questions(
     answer_entities, scope?}`` where scope is a list of ``[h, r, t]`` label
     triples. A repeated id, and answer labels none of which resolves, raise
     :class:`KGFormatError`. Other unresolvable labels are dropped and reported
-    per question id in the returned mapping, or with ``strict`` raise
-    :class:`KGFormatError`.
+    per question id in the returned mapping. Only ``ingest`` resolves labels: it
+    compiles the result for the later stages (:func:`to_compiled_questions`).
     """
     unresolved: dict[str, list[str]] = {}
     # scope items resolve in one pass over the label maps and the triple index
@@ -617,8 +636,6 @@ def load_questions(
                 else:  # a triple that resolves holds three labels, so only a miss is checked
                     raise KGFormatError(f"scope item {item!r} is not three labels")
             scope = frozenset(tids)
-        if problems and strict:
-            raise KGFormatError(f"question {qid!r}: labels not in the graph: {problems}")
         if not answers and json_field(obj, "answer_entities", tuple[str, ...], ()):
             raise KGFormatError(f"question {qid!r}: no answer label is in the graph")
         if problems:
@@ -626,3 +643,82 @@ def load_questions(
         return Question(qid, text, query, answers, scope)
 
     return read_jsonl(source, parse), unresolved
+
+
+def to_compiled_questions(
+    questions: Sequence[Question], g: KnowledgeGraph, sink: IO[str], sha256: dict[str, str]
+) -> None:
+    """Write what :func:`load_compiled_questions` reads: a header ``{format_version, questions,
+    sha256}`` that counts the questions and gives the digest of each file named in ``sha256``,
+    then per question ``{id, question, query_entities, answer_entities, answers, scope}``: ids
+    in place of labels, the answer labels (the gold) and the scope's triple ids or null."""
+    header = {"format_version": COMPILED_FORMAT_VERSION, "questions": len(questions), "sha256": sha256}
+    records = (
+        {
+            "id": q.id,
+            "question": q.text,
+            "query_entities": sorted(q.query_entities),
+            "answer_entities": sorted(q.answer_entities),
+            "answers": [g.entity_label(a) for a in sorted(q.answer_entities)],
+            "scope": sorted(q.scope) if q.scope is not None else None,
+        }
+        for q in questions
+    )
+    write_jsonl(sink, [header, *records])
+
+
+def load_compiled_questions(
+    source: IO[bytes] | IO[str] | Iterable[str], sha256: dict[str, str], g: KnowledgeGraph | None = None
+) -> tuple[list[Question], dict[str, frozenset[str]]]:
+    """The questions :func:`to_compiled_questions` wrote and their gold answer labels by id,
+    read without resolving a label.
+
+    The header must give ``sha256``'s digest for each file it names and count the records that
+    follow. With ``g``, every entity and triple id must be in it and each question's answer
+    labels must be ``g``'s labels of its answer ids. Any of these that fails, another format
+    version, a repeated id or a field of the wrong type raises :class:`KGFormatError`.
+    """
+    counted: list[int] = []  # the header's question count, once read
+    questions: dict[str, Question] = {}
+    gold: dict[str, frozenset[str]] = {}
+
+    def parse(rec: dict) -> None:
+        if not counted:
+            version = json_field(rec, "format_version", int)
+            if version != COMPILED_FORMAT_VERSION:
+                raise KGFormatError(f"compiled questions format {version}, expected {COMPILED_FORMAT_VERSION}")
+            written = json_field(rec, "sha256", dict)
+            written = {name: json_field(written, name, str) for name in {*written, *sha256}}
+            for name, digest in sha256.items():
+                if written[name] != digest:
+                    raise KGFormatError(f"compiled from a {name} of sha256 {written[name]}, but {name} has {digest}")
+            counted.append(json_field(rec, "questions", int))
+            return
+        qid = json_field(rec, "id", str)
+        if qid in questions:
+            raise KGFormatError(f"question {qid!r} repeats")
+        text = json_field(rec, "question", str)
+        query, answer_ids = (json_field(rec, key, tuple[int, ...]) for key in ("query_entities", "answer_entities"))
+        answers = json_field(rec, "answers", tuple[str, ...])
+        scope = json_field(rec, "scope", tuple[int, ...] | None)
+        if g is not None:
+            for key, ids, size, what in (
+                ("query_entities", query, len(g.entities), "entities"),
+                ("answer_entities", answer_ids, len(g.entities), "entities"),
+                ("scope", scope or (), len(g.storage), "triples"),
+            ):
+                if ids and not (0 <= min(ids) and max(ids) < size):
+                    raise KGFormatError(f"{key} holds an id outside the {size} {what}")
+            if answers != tuple(g.entities[a] for a in answer_ids):
+                raise KGFormatError(f"question {qid!r}: answers are not the labels of answer_entities")
+        questions[qid] = Question(
+            qid, text, frozenset(query), frozenset(answer_ids), None if scope is None else frozenset(scope)
+        )
+        gold[qid] = frozenset(answers)
+
+    read_jsonl(source, parse)
+    if not counted:
+        raise KGFormatError("no header record")
+    if counted[0] != len(questions):
+        raise KGFormatError(f"the header counts {counted[0]} questions, but {len(questions)} follow it")
+    return list(questions.values()), gold

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,8 +15,7 @@ from ..kg import KGFormatError, KnowledgeGraph, published, read_by_question, rea
 MODEL_FORMAT_VERSION = 2
 
 
-@dataclass(frozen=True)
-class RetrievedTriple:
+class RetrievedTriple(NamedTuple):
     """A scored triple with the labels needed to render it without the graph."""
 
     tid: int
@@ -75,19 +73,20 @@ def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTri
     ids rise above ``tid`` one after another. An id outside the graph, ends other than the
     graph's and any other relation raise :class:`KGFormatError`."""
     h, r, t = labels
-    if not 0 <= tid < len(g.storage):
+    s = g.storage  # read by column: a Triple and three label calls per step cost a third more
+    if not 0 <= tid < len(s):
         raise KGFormatError(f"retrieved triple id {tid} not in graph")
-    tr = g.triple(tid)
-    ends = g.entity_label(tr.head), g.entity_label(tr.tail)
+    head, tail = s.head[tid], s.tail[tid]
+    ends = g.entities[head], g.entities[tail]
     if (h, t) != ends:
         raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
-    own = g.relation_label(tr.relation)
+    own = g.relations[s.relation[tid]]
     if r != own:
         merged = r[len(own) + 3 :].split(" | ") if type(r) is str and r.startswith(own + " | ") else ()
         ids = [tid, *(g.resolve(h, name, t) for name in merged)]
         if not merged or None in ids or any(a >= b for a, b in zip(ids, ids[1:])):
             raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not {own!r} or its merge with parallel ones")
-    return RetrievedTriple(tid, tr.head, tr.tail, h, r, t, score)
+    return RetrievedTriple(tid, head, tail, h, r, t, score)
 
 
 def steps_from_record(rec: dict, g: KnowledgeGraph) -> tuple[RetrievedTriple, ...]:

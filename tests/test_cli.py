@@ -1,5 +1,6 @@
 import base64
 import gc
+import hashlib
 import io
 import json
 import os
@@ -20,11 +21,14 @@ from kgrag.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
     EXIT_OK,
+    INPUTS,
     OUTPUTS,
     PER_QUESTION,
+    PRODUCER,
     STAGES,
     main,
 )
+from kgrag import kg as kgmod
 from kgrag.kg import KnowledgeGraph, load_kg
 
 from conftest import DATA, write_fixture_config
@@ -149,6 +153,44 @@ def test_train_twice_bitwise_identical(pipeline_dir, tmp_path):
     before = model_path.read_bytes()
     assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
     assert model_path.read_bytes() == before
+
+
+def test_a_second_ingest_writes_the_same_bytes(tmp_path):
+    cfg_path = write_fixture_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg_path)]) == EXIT_OK
+    first = {name: (out / name).read_bytes() for name in OUTPUTS["ingest"]}
+    assert main(["ingest", "--config", str(cfg_path)]) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in OUTPUTS["ingest"]} == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*([stage] for stage in ALL_STAGES[1:]), ["train", "--no-refine"], ["answer", "--no-reorganize"]],
+    ids=[*ALL_STAGES[1:], "train-no-refine", "answer-no-reorganize"],
+)
+def test_a_stage_reads_only_its_declared_inputs(pipeline_dir, tmp_path, monkeypatch, argv):
+    """With every work-dir file outside ``INPUTS[stage]`` deleted, a stage still runs, and with its
+    default flags writes what it wrote in the full pipeline; no stage resolves question labels
+    again, and ``evaluate`` runs without the graph."""
+    stage = argv[0]
+    assert tuple(INPUTS) == ALL_STAGES
+    assert all(ALL_STAGES.index(PRODUCER[name]) < ALL_STAGES.index(stage) for name in INPUTS[stage])
+    cfg_path = write_fixture_config(tmp_path)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dir / "out", out)
+    for path in out.iterdir():
+        if path.name not in INPUTS[stage]:
+            path.unlink()
+
+    def label_load(*args, **kwargs):
+        raise AssertionError("only ingest resolves question labels")
+
+    monkeypatch.setattr(kgmod, "load_questions", label_load)
+    assert main([*argv, "--config", str(cfg_path)]) == EXIT_OK
+    if argv == [stage]:
+        for name in OUTPUTS[stage]:
+            assert (out / name).read_bytes() == (pipeline_dir / "out" / name).read_bytes(), name
 
 
 def test_missing_artifact_names_producing_stage(tmp_path, capsys):
@@ -924,6 +966,88 @@ def test_a_stale_or_damaged_compiled_graph_exits_missing(pipeline_dir, tmp_path,
     rc = main(["candidates", "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == EXIT_MISSING
+    assert "kgrag ingest" in err
+    assert shown in err
+    assert "Traceback" not in err
+
+
+def _edit_compiled_questions(edit):
+    def damage(out):
+        path = out / "questions.compiled.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        edit(records)
+        path.write_text("".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records), encoding="utf-8")
+
+    return damage
+
+
+def _edit_questions_jsonl(out):
+    path = out / "questions.jsonl"
+    path.write_text(path.read_text(encoding="utf-8").replace("capital of spain", "capital of france", 1), encoding="utf-8")
+
+
+def _recompile_an_edited_graph_tsv(out):
+    """``graph.tsv`` edited and ``graph.json`` given its new digest, so that only the compiled
+    questions are stale."""
+    _edit_graph_tsv(out)
+    digest = hashlib.sha256((out / "graph.tsv").read_bytes()).hexdigest()
+    _edit_compiled(lambda g: g.update(graph_tsv_sha256=digest))(out)
+
+
+_COMPILED_QUESTIONS_DAMAGE = {
+    # id: damage, what the message shows, whether evaluate reads what is damaged
+    "questions.jsonl-edited": (_edit_questions_jsonl, "but questions.jsonl has", True),
+    "graph.tsv-recompiled": (_recompile_an_edited_graph_tsv, "compiled from a graph.tsv of sha256", False),
+    "digest-missing": (
+        _edit_compiled_questions(lambda recs: recs[0]["sha256"].pop("questions.jsonl")), "missing field", True
+    ),
+    "digest-int": (_edit_compiled_questions(lambda recs: recs[0]["sha256"].update({"graph.tsv": 5})), "wrong type", True),
+    "scope-id-out-of-range": (
+        _edit_compiled_questions(lambda recs: recs[1].update(scope=[0, 44])), "scope holds an id outside the 44 triples", False
+    ),
+    "scope-id-float": (_edit_compiled_questions(lambda recs: recs[1].update(scope=[0, 1.5])), "field 'scope'", True),
+    "entity-id-negative": (
+        _edit_compiled_questions(lambda recs: recs[1].update(query_entities=[-1])), "query_entities holds an id outside", False
+    ),
+    "answer-id-out-of-range": (
+        _edit_compiled_questions(lambda recs: recs[2].update(answer_entities=[10**6])), "answer_entities holds an id", False
+    ),
+    "answers-foreign": (
+        _edit_compiled_questions(lambda recs: recs[1].update(answers=["euro"])), "answers are not the labels of", False
+    ),
+    "answers-string": (_edit_compiled_questions(lambda recs: recs[1].update(answers="madrid")), "field 'answers'", True),
+    "id-int": (_edit_compiled_questions(lambda recs: recs[1].update(id=1)), "field 'id'", True),
+    "id-repeats": (_edit_compiled_questions(lambda recs: recs.insert(2, recs[1])), "question 'q01' repeats", True),
+    "question-dropped": (
+        _edit_compiled_questions(lambda recs: recs.pop()), "the header counts 12 questions, but 11 follow it", True
+    ),
+    "count-high": (
+        _edit_compiled_questions(lambda recs: recs[0].update(questions=13)), "the header counts 13 questions", True
+    ),
+    "format-version-2": (
+        _edit_compiled_questions(lambda recs: recs[0].update(format_version=2)), "compiled questions format 2", True
+    ),
+    "deleted": (lambda out: (out / "questions.compiled.jsonl").unlink(), "missing artifact", True),
+    "empty": (lambda out: (out / "questions.compiled.jsonl").write_text("", encoding="utf-8"), "no header record", True),
+}
+
+
+@pytest.mark.parametrize(
+    "damage, shown, stage",
+    [
+        pytest.param(damage, shown, stage, id=f"{name}-{stage}")
+        for name, (damage, shown, by_evaluate) in _COMPILED_QUESTIONS_DAMAGE.items()
+        for stage in ("candidates", "answer", "evaluate")[: 3 if by_evaluate else 2]
+    ],
+)
+def test_stale_or_damaged_compiled_questions_exit_missing(pipeline_dir, tmp_path, capsys, damage, shown, stage):
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    damage(tmp_path / "out")
+    rc = main([stage, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING
+    assert "questions.compiled.jsonl" in err
     assert "kgrag ingest" in err
     assert shown in err
     assert "Traceback" not in err

@@ -28,6 +28,7 @@ INPUTS = {
     "questions-in.jsonl": (["ingest"], EXIT_CONFIG),
     "out/graph.json": (["candidates"], EXIT_MISSING),
     "out/questions.jsonl": (["candidates"], EXIT_MISSING),
+    "out/questions.compiled.jsonl": (["candidates"], EXIT_MISSING),
     "out/pool.jsonl": (["refine"], EXIT_MISSING),
     "out/supervision.jsonl": (["train"], EXIT_MISSING),
     "out/model.json": (["retrieve"], EXIT_MISSING),

@@ -9,8 +9,10 @@ from kgrag.kg import (
     KGFormatError,
     ReasoningPath,
     Triple,
+    load_compiled_questions,
     load_kg,
     load_questions,
+    to_compiled_questions,
     to_tsv,
     working_graph,
 )
@@ -42,6 +44,20 @@ def test_load_accepts_byte_streams():
     g = load_kg(io.BytesIO("A\tr1\tB\nB\tr2\tC\n".encode("utf-8")), "tsv")
     assert len(g) == 2
     assert g.entities == ["A", "B", "C"]
+
+
+def test_a_byte_stream_splits_only_at_line_feeds():
+    # a file is decoded whole, so its lines must break where iterating the file breaks them
+    source = "A\u2028B\tr1\tC\x0bD\r\nE\x85G\tr2\tF".encode("utf-8")
+    g = load_kg(io.BytesIO(source), "tsv")
+    assert g.entities == ["A\u2028B", "C\x0bD", "E\x85G", "F"]
+
+
+@pytest.mark.parametrize("fmt, line", [("tsv", "A\tr1\tB\n"), ("jsonl", '{"h": "A", "r": "r1", "t": "B"}\n')])
+def test_a_line_that_is_not_utf8_is_named(fmt, line):
+    source = (line * 2).encode("utf-8") + b"C\xff\tr1\tD\n" + line.encode("utf-8")
+    with pytest.raises(KGFormatError, match="line 3: not UTF-8"):
+        load_kg(io.BytesIO(source), fmt)
 
 
 def test_load_rejects_unknown_format():
@@ -227,3 +243,30 @@ def test_load_questions_requires_id_and_question():
     g = graph_from_lines("A r1 B")
     with pytest.raises(KGFormatError, match="line 1"):
         load_questions(io.StringIO('{"id": "q"}'), g)
+
+
+_LABELS = [f"e{i}" for i in range(6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_compiled_questions_load_as_their_labels_do(data):
+    """What ``ingest`` compiles reads back as the label load of ``questions.jsonl`` reads,
+    with the gold answer labels, whether or not the graph is given."""
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from(_LABELS)] * 2), min_size=1, max_size=12), label="rows")
+    g = load_kg(io.StringIO("".join(f"{h}\tr\t{t}\n" for h, t in rows)), "tsv")
+    labels = st.lists(st.sampled_from(g.entities), max_size=3, unique=True)
+    scopes = st.none() | st.lists(st.sampled_from([[h, "r", t] for h, t in rows]), max_size=4)
+    records = [
+        {"id": f"q{i}", "question": f"question {i}", "question_entities": data.draw(labels, label="query"),
+         "answer_entities": data.draw(labels, label="answers"), "scope": data.draw(scopes, label="scope")}
+        for i in range(data.draw(st.integers(0, 4), label="questions"))
+    ]
+    questions, unresolved = load_questions(io.StringIO("".join(json.dumps(r) + "\n" for r in records)), g)
+    assert not unresolved
+    sha256 = {"graph.tsv": "1" * 64, "questions.jsonl": "2" * 64}
+    sink = io.StringIO()
+    to_compiled_questions(questions, g, sink, sha256)
+    gold = {r["id"]: frozenset(r["answer_entities"]) for r in records}
+    for graph in (g, None):
+        assert load_compiled_questions(io.StringIO(sink.getvalue()), sha256, graph) == (questions, gold)
