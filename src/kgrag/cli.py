@@ -10,7 +10,9 @@ failure. README.md lists the failures behind each code.
 
 ``ingest`` writes the graph and the questions twice: ``graph.tsv`` and ``questions.jsonl``
 for people and tools, and ``graph.json`` and ``questions.compiled.jsonl``, the compiled forms
-the later stages load. Each stage reads only the work-directory files ``INPUTS`` gives it.
+the later stages load. The header of ``questions.compiled.jsonl`` is the one record of what
+``ingest`` wrote: it holds the digest of each of its other three files. Each stage reads only
+the work-directory files ``INPUTS`` gives it.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ OUTPUTS = {
 """The work-directory files each stage writes, in pipeline order."""
 PRODUCER = {name: stage for stage, names in OUTPUTS.items() for name in names}
 _INGESTED = OUTPUTS["ingest"]  # the compiled graph and questions, and the files they are checked against
+_PINNED = tuple(name for name in _INGESTED if name != "questions.compiled.jsonl")  # by its header's digests
 INPUTS = {
     "ingest": (),
     "candidates": _INGESTED,
@@ -138,12 +141,13 @@ def _load(
     cfg: PipelineConfig, stage: str
 ) -> tuple[kgmod.KnowledgeGraph | None, list[kgmod.Question], dict[str, frozenset[str]]]:
     """The graph and questions compiled at ingest, as far as ``INPUTS[stage]`` names them, and
-    the gold answer labels by question id. Each compiled file is checked against the digests
-    of the files it was compiled with that the stage reads; a missing, changed or malformed
-    file exits 3. Without ``graph.json`` the graph is None and the questions' ids are unchecked."""
+    the gold answer labels by question id. Each file of ``_PINNED`` that the stage reads is
+    hashed and compared with the digest in the compiled questions' header, after ``graph.json``
+    has passed its own reader; a missing, changed or malformed file exits 3. Without
+    ``graph.json`` the graph is None and the questions' ids are unchecked."""
     inputs = INPUTS[stage]
-    sha256 = {name: _sha256(_require(cfg, name)) for name in ("graph.tsv", "questions.jsonl") if name in inputs}
-    g = _read(cfg, "graph.json", kgmod.load_kg, "compiled", sha256["graph.tsv"]) if "graph.json" in inputs else None
+    sha256 = {name: _sha256(_require(cfg, name)) for name in _PINNED if name in inputs}
+    g = _read(cfg, "graph.json", kgmod.load_kg, "compiled") if "graph.json" in inputs else None
     questions, gold = _read(cfg, "questions.compiled.jsonl", kgmod.load_compiled_questions, sha256, g)
     return g, questions, gold
 
@@ -213,11 +217,11 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
     ]
     with kgmod.published(cfg.artifact("graph.tsv")) as fh:
         kgmod.to_tsv(g, fh)
+    with kgmod.published(cfg.artifact("graph.json")) as fh:
+        kgmod.to_compiled(g, fh)
     with kgmod.published(cfg.artifact("questions.jsonl")) as fh:
         kgmod.write_jsonl(fh, records)
-    sha256 = {name: _sha256(cfg.artifact(name)) for name in ("graph.tsv", "questions.jsonl")}
-    with kgmod.published(cfg.artifact("graph.json")) as fh:
-        kgmod.to_compiled(g, fh, sha256["graph.tsv"])
+    sha256 = {name: _sha256(cfg.artifact(name)) for name in _PINNED}
     with kgmod.published(cfg.artifact("questions.compiled.jsonl")) as fh:
         kgmod.to_compiled_questions(questions, g, fh, sha256)
     for qid, labels in unresolved.items():

@@ -484,26 +484,22 @@ def _jsonl_row(obj: dict) -> tuple[str, ...]:
     return row
 
 
-COMPILED_FORMAT_VERSION = 1
+COMPILED_FORMAT_VERSION = 2
 
 
-def load_kg(
-    source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv", tsv_sha256: str | None = None
-) -> KnowledgeGraph:
+def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") -> KnowledgeGraph:
     """Load a graph from TSV (``head<TAB>relation<TAB>tail``), JSONL (``{h,r,t}``) or the
     ``compiled`` record :func:`to_compiled` writes.
 
     Ids are assigned in first-seen order; duplicate triples are collapsed and
     the collapse count logged. Malformed records raise :class:`KGFormatError`
     with the offending line number. An empty stream yields an empty graph.
-    A compiled record must name ``tsv_sha256`` as the digest of the TSV it was
-    compiled with; another digest, columns of unequal length, an id out of
-    range, or a repeated label or triple raise :class:`KGFormatError`.
+    A compiled record with columns of unequal length, an id out of range, or a
+    repeated label or triple raises :class:`KGFormatError`; the digest of its
+    bytes is checked by the reader of the compiled questions, whose header names it.
     """
     if format == "compiled":
-        if tsv_sha256 is None:
-            raise ValueError("a compiled graph is loaded against the sha256 of its graph.tsv")
-        graphs = read_jsonl(source, lambda rec: _compiled_graph(rec, tsv_sha256))
+        graphs = read_jsonl(source, _compiled_graph)
         if len(graphs) != 1:
             raise KGFormatError(f"expected one graph record, found {len(graphs)}")
         return graphs[0]
@@ -539,13 +535,7 @@ def load_kg(
     return KnowledgeGraph.from_columns(list(entity_ids), list(relation_ids), storage)
 
 
-def _compiled_graph(rec: dict, tsv_sha256: str) -> KnowledgeGraph:
-    version = json_field(rec, "format_version", int)
-    if version != COMPILED_FORMAT_VERSION:
-        raise KGFormatError(f"compiled graph format {version}, expected {COMPILED_FORMAT_VERSION}")
-    digest = json_field(rec, "graph_tsv_sha256", str)
-    if digest != tsv_sha256:
-        raise KGFormatError(f"compiled from a graph.tsv of sha256 {digest}, but graph.tsv has {tsv_sha256}")
+def _compiled_graph(rec: dict) -> KnowledgeGraph:
     labels = {key: list(json_field(rec, key, tuple[str, ...])) for key in ("entities", "relations")}
     columns = {key: json_field(rec, key, tuple[int, ...]) for key in ("head", "relation", "tail")}
     if len(set(map(len, columns.values()))) > 1:
@@ -569,18 +559,16 @@ def to_tsv(g: KnowledgeGraph, sink: IO[str]) -> None:
     sink.write("".join(f"{e[s.head[t]]}\t{r[s.relation[t]]}\t{e[s.tail[t]]}\n" for t in g.triple_ids))
 
 
-def to_compiled(g: KnowledgeGraph, sink: IO[str], tsv_sha256: str) -> None:
-    """Write the stored graph as the one record ``load_kg(..., "compiled", tsv_sha256)`` reads:
-    its labels, its id columns and the sha256 of the TSV written with it."""
+def to_compiled(g: KnowledgeGraph, sink: IO[str]) -> None:
+    """Write the stored graph as the one record ``load_kg(..., "compiled")`` reads: its labels
+    and its id columns. The header of the compiled questions holds the digest of these bytes."""
     s = g.storage
     record = {
-        "format_version": COMPILED_FORMAT_VERSION,
         "entities": g.entities,
         "relations": g.relations,
         "head": s.head,
         "relation": s.relation,
         "tail": s.tail,
-        "graph_tsv_sha256": tsv_sha256,
     }
     write_jsonl(sink, [record])
 
@@ -649,7 +637,8 @@ def to_compiled_questions(
     questions: Sequence[Question], g: KnowledgeGraph, sink: IO[str], sha256: dict[str, str]
 ) -> None:
     """Write what :func:`load_compiled_questions` reads: a header ``{format_version, questions,
-    sha256}`` that counts the questions and gives the digest of each file named in ``sha256``,
+    sha256}`` that counts the questions and gives the digest of each file named in ``sha256``
+    (at ingest, every other file it writes, so that the header is the one record of them),
     then per question ``{id, question, query_entities, answer_entities, answers, scope}``: ids
     in place of labels, the answer labels (the gold) and the scope's triple ids or null."""
     header = {"format_version": COMPILED_FORMAT_VERSION, "questions": len(questions), "sha256": sha256}
@@ -673,10 +662,11 @@ def load_compiled_questions(
     """The questions :func:`to_compiled_questions` wrote and their gold answer labels by id,
     read without resolving a label.
 
-    The header must give ``sha256``'s digest for each file it names and count the records that
-    follow. With ``g``, every entity and triple id must be in it and each question's answer
-    labels must be ``g``'s labels of its answer ids. Any of these that fails, another format
-    version, a repeated id or a field of the wrong type raises :class:`KGFormatError`.
+    For each file ``sha256`` names, the header must hold that digest; every other digest in it
+    must be a str, and it must count the records that follow. With ``g``, every entity and triple
+    id must be in it and each question's answer labels must be ``g``'s labels of its answer ids.
+    Any of these that fails, another format version, a repeated id or a field of the wrong type
+    raises :class:`KGFormatError`.
     """
     counted: list[int] = []  # the header's question count, once read
     questions: dict[str, Question] = {}

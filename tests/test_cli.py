@@ -1,6 +1,5 @@
 import base64
 import gc
-import hashlib
 import io
 import json
 import os
@@ -950,13 +949,17 @@ def _edit_compiled(edit):
         (_edit_compiled(lambda g: [g[k].append(g[k][0]) for k in ("head", "relation", "tail")]), "a triple repeats"),
         (_edit_compiled(lambda g: g["relation"].pop()), "head, relation and tail differ in length"),
         (_edit_compiled(lambda g: g["head"].__setitem__(0, -1)), "head holds an id outside the"),
-        (_edit_compiled(lambda g: g.update(format_version=2)), "compiled graph format 2, expected 1"),
+        (_edit_compiled(lambda g: g.update(format_version=1, graph_tsv_sha256="0" * 64)), "but graph.json has"),
         (lambda out: (out / "graph.json").write_text("", encoding="utf-8"), "expected one graph record, found 0"),
+        (  # paris answers no fixture question; the new label is unique and the keys stay sorted
+            _edit_compiled(lambda g: g["entities"].__setitem__(g["entities"].index("paris"), "paris_renamed")),
+            "but graph.json has",
+        ),
     ],
     ids=[
         "graph.tsv-edited", "graph.json-deleted", "graph.tsv-deleted", "tail-id-of-entity-count",
         "entity-label-repeats", "relation-label-repeats", "triple-repeats", "columns-of-unequal-length",
-        "head-id-negative", "format-version-2", "graph.json-empty",
+        "head-id-negative", "graph.json-previous-format", "graph.json-empty", "graph.json-label-renamed",
     ],
 )
 def test_a_stale_or_damaged_compiled_graph_exits_missing(pipeline_dir, tmp_path, capsys, damage, shown):
@@ -986,21 +989,17 @@ def _edit_questions_jsonl(out):
     path.write_text(path.read_text(encoding="utf-8").replace("capital of spain", "capital of france", 1), encoding="utf-8")
 
 
-def _recompile_an_edited_graph_tsv(out):
-    """``graph.tsv`` edited and ``graph.json`` given its new digest, so that only the compiled
-    questions are stale."""
-    _edit_graph_tsv(out)
-    digest = hashlib.sha256((out / "graph.tsv").read_bytes()).hexdigest()
-    _edit_compiled(lambda g: g.update(graph_tsv_sha256=digest))(out)
-
-
 _COMPILED_QUESTIONS_DAMAGE = {
     # id: damage, what the message shows, whether evaluate reads what is damaged
     "questions.jsonl-edited": (_edit_questions_jsonl, "but questions.jsonl has", True),
-    "graph.tsv-recompiled": (_recompile_an_edited_graph_tsv, "compiled from a graph.tsv of sha256", False),
-    "digest-missing": (
-        _edit_compiled_questions(lambda recs: recs[0]["sha256"].pop("questions.jsonl")), "missing field", True
-    ),
+    **{
+        "digest-missing" if name == "questions.jsonl" else f"digest-missing-{name}": (
+            _edit_compiled_questions(lambda recs, name=name: recs[0]["sha256"].pop(name)),
+            "missing field",
+            name == "questions.jsonl",  # evaluate hashes no graph file
+        )
+        for name in ("questions.jsonl", "graph.tsv", "graph.json")
+    },
     "digest-int": (_edit_compiled_questions(lambda recs: recs[0]["sha256"].update({"graph.tsv": 5})), "wrong type", True),
     "scope-id-out-of-range": (
         _edit_compiled_questions(lambda recs: recs[1].update(scope=[0, 44])), "scope holds an id outside the 44 triples", False
@@ -1024,8 +1023,8 @@ _COMPILED_QUESTIONS_DAMAGE = {
     "count-high": (
         _edit_compiled_questions(lambda recs: recs[0].update(questions=13)), "the header counts 13 questions", True
     ),
-    "format-version-2": (
-        _edit_compiled_questions(lambda recs: recs[0].update(format_version=2)), "compiled questions format 2", True
+    "format-version-3": (
+        _edit_compiled_questions(lambda recs: recs[0].update(format_version=3)), "compiled questions format 3", True
     ),
     "deleted": (lambda out: (out / "questions.compiled.jsonl").unlink(), "missing artifact", True),
     "empty": (lambda out: (out / "questions.compiled.jsonl").write_text("", encoding="utf-8"), "no header record", True),

@@ -264,7 +264,7 @@ def test_the_compiled_questions_load_as_their_labels_do(data):
     ]
     questions, unresolved = load_questions(io.StringIO("".join(json.dumps(r) + "\n" for r in records)), g)
     assert not unresolved
-    sha256 = {"graph.tsv": "1" * 64, "questions.jsonl": "2" * 64}
+    sha256 = {"graph.tsv": "1" * 64, "graph.json": "2" * 64, "questions.jsonl": "3" * 64}
     sink = io.StringIO()
     to_compiled_questions(questions, g, sink, sha256)
     gold = {r["id"]: frozenset(r["answer_entities"]) for r in records}
