@@ -1,18 +1,22 @@
 """Query/triple text embeddings and directional distance encoding (DDE).
 
 The text encoder is a hashed bag-of-tokens: stable across runs and
-processes, no model weights involved. DDE records, for every entity of the
-question's working graph, the forward BFS hop distance (following edge
-direction) and the backward distance from an anchor set, each capped at the
-configured depth with a separate "unreachable" bucket, one-hot encoded.
+processes, no model weights involved. It encodes a whole table of texts in
+one call and caches each token's bucket, not each text's row. DDE records,
+for every entity of the question's working graph, the forward BFS hop
+distance (following edge direction) and the backward distance from an
+anchor set, each capped at the configured depth with a separate
+"unreachable" bucket, one-hot encoded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -26,12 +30,17 @@ DEFAULT_DDE_SLOTS = 3
 
 
 class HashedBowEncoder:
-    """L2-normalized hashed bag-of-tokens into a fixed dimension."""
+    """L2-normalized hashed bag-of-tokens into a fixed dimension.
+
+    A token's bucket is the first 8 bytes of its md5 digest, big-endian,
+    modulo ``dim``; it is hashed on first sight and kept. Threads may share
+    an encoder: two threads that hash one token store the same bucket.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.tag = f"hashed-bow-{dim}"
-        self._cache: dict[str, np.ndarray] = {}
+        self._buckets: dict[str, int] = {}  # token -> bucket
 
     @classmethod
     def from_tag(cls, tag: str) -> "HashedBowEncoder":
@@ -43,18 +52,29 @@ class HashedBowEncoder:
 
     def __call__(self, text: str) -> np.ndarray:
         """The text's embedding; empty text gives the zero vector."""
-        hit = self._cache.get(text)
-        if hit is not None:
-            return hit
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in _TOKEN.findall(text.lower()):
-            digest = hashlib.md5(token.encode("utf-8")).digest()
-            vec[int.from_bytes(digest[:8], "big") % self.dim] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        self._cache[text] = vec
-        return vec
+        return self.encode_many([text])[0]
+
+    def encode_many(self, texts: Sequence[str]) -> np.ndarray:
+        """``(len(texts), dim)`` embeddings, one row per text, in one pass over the table.
+
+        Counts are small integers, so each row's sum of squares is exact in
+        any order, and the rows are bitwise those of encoding one text at a time.
+        """
+        tokens = [_TOKEN.findall(text.lower()) for text in texts]
+        flat = list(chain.from_iterable(tokens))
+        buckets = self._buckets
+        for token in set(flat):
+            if token not in buckets:
+                digest = hashlib.md5(token.encode("utf-8")).digest()
+                buckets[token] = int.from_bytes(digest[:8], "big") % self.dim
+        rows = np.repeat(np.arange(len(texts)), [len(t) for t in tokens])
+        cols = np.fromiter(map(buckets.__getitem__, flat), dtype=np.intp, count=len(flat))
+        counts = np.bincount(rows * self.dim + cols, minlength=len(texts) * self.dim)
+        vecs = counts.reshape(len(texts), self.dim).astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+        nonzero = norms > 0
+        vecs[nonzero] /= norms[nonzero, None]
+        return vecs
 
 
 # -- directional distances ----------------------------------------------------
@@ -106,10 +126,6 @@ def anchor_slots(anchors: set[int], slots: int = DEFAULT_DDE_SLOTS) -> list[set[
 
 
 # -- the per-view tables and the per-question bundle ---------------------------
-
-
-def _text_rows(encoder: HashedBowEncoder, labels: list[str]) -> np.ndarray:
-    return np.stack([encoder(label) for label in labels]) if labels else np.zeros((0, encoder.dim))
 
 
 class Segments:
@@ -191,8 +207,8 @@ class ViewTables:
         self.head = np.searchsorted(entity_ids, heads)  # (E,) local entity row per triple
         self.relation = np.searchsorted(relation_ids, relations)  # (E,) local relation row per triple
         self.tail = np.searchsorted(entity_ids, tails)
-        self.entity_text = _text_rows(encoder, [g.entity_label(e) for e in self.entity_ids])  # (V, T)
-        self.relation_text = _text_rows(encoder, self.relation_labels)  # (R, T)
+        self.entity_text = encoder.encode_many([g.entity_label(e) for e in self.entity_ids])  # (V, T)
+        self.relation_text = encoder.encode_many(self.relation_labels)  # (R, T)
 
     @cached_property
     def messages(self) -> Messages:
@@ -249,8 +265,8 @@ def question_features(
     dde[:, :, [depth + 1, width - 1]] = 1.0  # an empty slot stays "unreachable"
     for s, slot in enumerate(anchor_slots(set(q.query_entities), slots)):
         if slot:
-            codes = compute_dde(g, slot, depth)
-            dde[:, s] = np.array([codes[e] for e in view.entity_ids]).reshape(-1, width)
+            # its keys are the view's entities in ascending id, as are view.entity_ids
+            dde[:, s] = np.array(list(compute_dde(g, slot, depth).values())).reshape(-1, width)
     return QuestionFeatures(view=view, query=encoder(q.text), dde=dde)
 
 

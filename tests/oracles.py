@@ -7,12 +7,27 @@ verify.
 
 from __future__ import annotations
 
+import hashlib
+import re
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from kgrag.retriever.triple_scorer import weighted_bce_from_logits
+
+
+def hashed_bow(text: str, dim: int) -> np.ndarray:
+    """One text's hashed bag-of-tokens, a token at a time: an md5 per token, ``+= 1.0``
+    into its bucket, then division by ``np.linalg.norm`` unless the vector is zero."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in re.findall(r"\w+", text.lower()):
+        digest = hashlib.md5(token.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:8], "big") % dim] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
 
 
 def undirected_distance(edges: list[tuple[int, int, int]], start: int) -> dict[int, int]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,13 +7,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrag.kg import load_kg
+from kgrag.kg import load_kg, working_graph
 from kgrag.retriever import EntityScorer, HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
-from kgrag.retriever.features import Segments
+from kgrag.retriever.features import Segments, ViewTables
 
 from conftest import graph_from_lines, make_question
-from oracles import directed_distance, triple_matrix
+from oracles import directed_distance, hashed_bow, triple_matrix
 
 
 def decode(code: np.ndarray, depth: int):
@@ -45,6 +46,68 @@ def test_encoder_tag_and_dim():
     assert enc.tag == "hashed-bow-64"
     assert enc.dim == 64
     assert enc("hello world").shape == (64,)
+
+
+# texts whose tokens change under .lower() ("İ" becomes two characters), with no \w token, or empty
+_TEXTS = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="aZ İßΣσ_9 -!", max_size=12),
+    st.sampled_from(["", " ", "!?", "İstanbul", "STRASSE Straße", "ΟΔΟΣ", "a a A"]),
+    st.lists(st.sampled_from(["a", "B", "b_c", "ß", "İ"]), max_size=30).map(" ".join),  # counts above 1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(_TEXTS, max_size=8), dim=st.integers(1, 64))
+def test_encode_many_is_bitwise_the_per_text_oracle(texts, dim):
+    batch = texts + texts[:1]  # the same text twice in one batch
+    enc = HashedBowEncoder(dim)
+    want = np.array([hashed_bow(t, dim) for t in batch]).reshape(len(batch), dim)
+    assert enc.encode_many(batch).tobytes() == want.tobytes()
+    for t in batch:
+        assert enc(t).tobytes() == enc.encode_many([t])[0].tobytes() == hashed_bow(t, dim).tobytes()
+    assert enc.encode_many([]).shape == (0, dim)
+
+
+# sha256 of HashedBowEncoder(64)'s float64 rows for these labels: a model.json tagged
+# hashed-bow-64 was trained on these embeddings, so a change of the hashing law must fail here
+_GOLDEN_LABELS = [
+    "", "Paris", "capital of France", "born_in city", "İstanbul", "Straße", "ΑΘΗΝΑ αθήνα",
+    "東京 tokyo", "r | s | r", "q0001 what is the capital", "!!! ???", "the the THE The",
+    "the cat the dog the end",  # 3 / sqrt(12) is not 3 * (1 / sqrt(12)) in float64
+]
+_GOLDEN_SHA256 = "8bf81ff228850a07f15c04615c9209bc00fc405c8918882c763af38612dd9d78"
+
+
+def test_hashed_bow_64_embeddings_are_pinned():
+    rows = HashedBowEncoder(64).encode_many(_GOLDEN_LABELS)
+    assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == _GOLDEN_SHA256
+
+
+def test_shared_encoder_gives_serial_rows_from_threads():
+    """Threads that share one encoder, and so its token cache, get the rows of a serial run."""
+    texts = [f"label{i % 13} Straße{i % 7} İ{i} r{i % 5}" for i in range(80)]
+    batches = [texts[i : i + 20] for i in range(0, 61, 4)]  # overlapping, so tokens race
+    want = [HashedBowEncoder(16).encode_many(batch).tobytes() for batch in batches]
+    shared = HashedBowEncoder(16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda batch: shared.encode_many(batch).tobytes(), batches, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_dde_keys_are_the_view_entities_in_order():
+    """question_features stacks compute_dde's codes in key order as the view's entity rows."""
+    g = graph_from_lines("D r1 B", "B r2 C", "C r1 A", "E r3 D", "A r2 E")
+    q = make_question(g, ["B"], ["A"], scope=[1, 2])
+    for view, names in ((working_graph(g, q), "BCA"), (g, "DBCAE")):
+        keys = list(compute_dde(view, {g.entity_ids["B"]}, depth=2))
+        assert keys == sorted(g.entity_ids[name] for name in names)
+        assert keys == ViewTables(view, HashedBowEncoder(4)).entity_ids
 
 
 def test_dde_chain_forward_distances():
