@@ -261,14 +261,9 @@ def cmd_refine(cfg: PipelineConfig, limit: int | None = None, llm: str | None = 
     return _per_question(cfg, "refine", selected, run, refinemod.write_supervision, "refined supervision")
 
 
-def _weak_supervision(
-    g: kgmod.KnowledgeGraph, q: kgmod.Question, cap: int
-) -> set[kgmod.Triple]:
-    view = kgmod.working_graph(g, q)
-    triples: set[kgmod.Triple] = set()
-    for path in poolmod.shortest_paths(view, q.query_entities, q.answer_entities, cap):
-        triples.update(path.triples(g))
-    return triples
+def _weak_supervision(g: kgmod.KnowledgeGraph, q: kgmod.Question, cap: int) -> set[int]:
+    paths = poolmod.shortest_paths(kgmod.working_graph(g, q), q.query_entities, q.answer_entities, cap)
+    return {tid for path in paths for tid in path.triple_ids}
 
 
 def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
@@ -292,7 +287,7 @@ def cmd_train(cfg: PipelineConfig, no_refine: bool = False) -> int:
             logger.warning("question %s has no positive triples; skipped for training", q.id)
             continue
         view = kgmod.working_graph(g, q)
-        outside = sorted(g.labels(tr) for tr in pos if view.triple_id_of(*tr) is None)
+        outside = sorted(g.triple_labels(pos.difference(view.triple_ids)))
         if outside:  # weak supervision comes from the view, so only refined supervision can
             raise UpstreamArtifactError(
                 cfg, "supervision.jsonl",

@@ -96,9 +96,6 @@ class ReasoningPath:
             for tid, orient in zip(self.triple_ids, self.orientations)
         )
 
-    def triples(self, g: "KnowledgeGraph") -> list[Triple]:
-        return [g.triple(tid) for tid in self.triple_ids]
-
     def validate(self, g: "KnowledgeGraph") -> None:
         """Raise :class:`KGFormatError` naming the first step that does not start where the
         previous one ends."""
@@ -106,7 +103,7 @@ class ReasoningPath:
         for tid, orient in zip(self.triple_ids, self.orientations):
             tr = g.triple(tid)
             if step_entry(tr, orient) != cur:
-                step, at = " ".join(g.labels(tr)), g.entity_label(cur)
+                step, at = " ".join(g.triple_labels([tid])[0]), g.entity_label(cur)
                 raise KGFormatError(f"path broken: step {step} ({orient}) does not start at {at}")
             cur = step_exit(tr, orient)
 
@@ -153,9 +150,9 @@ class KnowledgeGraph:
     ``triple_ids`` lists the ids visible in this graph (a scoped view shares the
     parent's storage and lists a subset). Iteration order over visible triples is
     load order. The whole-graph ``triple_index`` (each stored ``(head, relation,
-    tail)`` to its id) is shared by views and built on first use;
-    ``out_index``/``in_index`` cover this graph's own ids and are built on
-    first use too.
+    tail)`` to its id), which only :meth:`resolve` and ingest use, is shared by
+    views and built on first use; ``out_index``/``in_index`` cover this graph's
+    own ids and are built on first use too.
     """
 
     entities: list[str]
@@ -237,9 +234,6 @@ class KnowledgeGraph:
         s = self.storage
         return _triple((s.head[tid], s.relation[tid], s.tail[tid]))
 
-    def has_entity(self, e: int) -> bool:
-        return 0 <= e < len(self.entities)
-
     def entity_label(self, e: int) -> str:
         return self.entities[e]
 
@@ -249,53 +243,27 @@ class KnowledgeGraph:
     def entity_id(self, label: str) -> int | None:
         return self.entity_ids.get(label)
 
-    def triple_id_of(self, head: int, relation: int, tail: int) -> int | None:
-        """Id of the triple if it is visible in this graph, else ``None``."""
-        tid = self.triple_index.get((head, relation, tail))
-        if tid is None or self._shows_every_triple():
-            return tid
-        return tid if tid in self.out_index.get(head, ()) else None
-
-    def labels(self, tr: Triple) -> list[str]:
-        """The ``[head, relation, tail]`` labels of a triple, as artifacts record it."""
-        return [self.entities[tr.head], self.relations[tr.relation], self.entities[tr.tail]]
-
     def triple_labels(self, tids: Iterable[int]) -> list[list[str]]:
-        """:meth:`labels` of each stored triple id, read from the id columns without a Triple."""
+        """The ``[head, relation, tail]`` labels of each stored triple id, as artifacts record them."""
         e, r, s = self.entities, self.relations, self.storage
         return [[e[s.head[t]], r[s.relation[t]], e[s.tail[t]]] for t in tids]
 
     def resolve(self, head: str, relation: str, tail: str) -> int | None:
         """Id of the visible triple with these labels, or ``None``."""
-        h, r, t = self.entity_ids.get(head), self.relation_ids.get(relation), self.entity_ids.get(tail)
-        if h is None or r is None or t is None:
-            return None
-        return self.triple_id_of(h, r, t)
-
-    def neighbors(self, e: int, direction: str = "both") -> list[int]:
-        """Triple ids touching entity ``e``, in load order.
-
-        ``out`` matches the head, ``in`` the tail, ``both`` either; a
-        self-loop appears once in ``both``.
-        """
-        if not self.has_entity(e):
-            raise KeyError(f"unknown entity id {e}")
-        if direction == "out":
-            return list(self.out_index.get(e, ()))
-        if direction == "in":
-            return list(self.in_index.get(e, ()))
-        if direction == "both":
-            merged = set(self.out_index.get(e, ())) | set(self.in_index.get(e, ()))
-            return sorted(merged)
-        raise ValueError(f"unknown direction {direction!r}")
+        entity = self.entity_ids.get  # an unknown label gives None, which no key of the index holds
+        tid = self.triple_index.get((entity(head), self.relation_ids.get(relation), entity(tail)))
+        if tid is None or self._shows_every_triple() or tid in self.out_index.get(self.storage.head[tid], ()):
+            return tid
+        return None
 
     def steps(self, e: int) -> list[tuple[int, str]]:
         """``(triple id, orientation leaving e)`` per triple touching ``e``, in id order.
 
         A self-loop appears once, as forward.
         """
-        head = self.storage.head
-        return [(tid, FORWARD if head[tid] == e else BACKWARD) for tid in self.neighbors(e, "both")]
+        steps = dict.fromkeys(self.in_index.get(e, ()), BACKWARD)
+        steps.update(dict.fromkeys(self.out_index.get(e, ()), FORWARD))
+        return sorted(steps.items())
 
 
 def _build_indices(
@@ -548,7 +516,8 @@ def _compiled_graph(rec: dict) -> KnowledgeGraph:
     g = KnowledgeGraph.from_columns(labels["entities"], labels["relations"], storage)
     if len(g.entity_ids) < len(g.entities) or len(g.relation_ids) < len(g.relations):
         raise KGFormatError("a label repeats")
-    if len(g.triple_index) < len(g):  # finding a repeat builds the index
+    # a set, not the triple index: most stages never resolve a label
+    if len(set(zip(storage.head, storage.relation, storage.tail))) < len(storage):
         raise KGFormatError("a triple repeats")
     return g
 

@@ -172,7 +172,7 @@ def build_pool(
 def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
     paths = [
         {
-            "triples": [g.labels(tr) for tr in path.triples(g)],
+            "triples": g.triple_labels(path.triple_ids),
             "orientations": list(path.orientations),
             "provenance": prov,
         }

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Collection, Sequence
 
 from .config import json_field, read_json
-from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question, ReasoningPath, Triple
+from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question, ReasoningPath
 from .kg import read_by_question, write_jsonl
 from .llm import CompletionRequest
 from .pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, CandidatePool
@@ -50,7 +50,7 @@ class RefineDemo:
 
 @dataclass
 class RefinedSupervision:
-    positive_triples: set[Triple]
+    positive_triples: set[int]  # triple ids
     refiner_tag: str
 
 
@@ -183,9 +183,7 @@ def refine(
     selected = [order[p - 1] for p in picks]
     if not selected:
         selected = [i for i, (_, prov) in enumerate(pool) if prov == PROV_SHORTEST]
-    positives: set[Triple] = set()
-    for i in selected:
-        positives.update(pool[i][0].triples(g))
+    positives = {tid for i in selected for tid in pool[i][0].triple_ids}
     return RefinedSupervision(positive_triples=positives, refiner_tag=getattr(client, "tag", "unknown"))
 
 
@@ -195,18 +193,18 @@ def refine(
 def supervision_to_record(qid: str, sup: RefinedSupervision, g: KnowledgeGraph) -> dict:
     return {
         "question_id": qid,
-        "positive_triples": sorted(g.labels(tr) for tr in sup.positive_triples),
+        "positive_triples": sorted(g.triple_labels(sup.positive_triples)),
         "refiner_tag": sup.refiner_tag,
     }
 
 
 def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
-    positives: set[Triple] = set()
+    positives = set()
     for h, r, t in json_field(rec, "positive_triples", list):
         tid = g.resolve(h, r, t)
         if tid is None:
             raise KGFormatError(f"supervision triple not in graph: {h}|{r}|{t}")
-        positives.add(g.triple(tid))
+        positives.add(tid)
     return RefinedSupervision(positives, json_field(rec, "refiner_tag", str))
 
 

@@ -15,18 +15,15 @@ from typing import Sequence
 import numpy as np
 
 from ..config import PipelineConfig
-from ..kg import KnowledgeGraph, Question, Triple
+from ..kg import KnowledgeGraph, Question
 from .features import HashedBowEncoder, QuestionFeatures, ViewTables, dde_width, question_features
 from .triple_scorer import Scorer, weighted_bce_from_logits
 
 
-def entity_positives(positives: set[Triple]) -> set[int]:
-    """Entities appearing in the positive triple set (heads and tails)."""
-    out: set[int] = set()
-    for h, _, t in positives:
-        out.add(h)
-        out.add(t)
-    return out
+def entity_positives(g: KnowledgeGraph, positives: set[int]) -> set[int]:
+    """The heads and tails of the positive triple ids."""
+    s = g.storage
+    return {e for tid in positives for e in (s.head[tid], s.tail[tid])}
 
 
 @dataclass
@@ -181,8 +178,8 @@ class EntityScorer(Scorer):
         return gt, gt.view.entity_ids
 
     @staticmethod
-    def positive_ids(g: KnowledgeGraph, positives: set[Triple]) -> set[int]:
-        return entity_positives(positives)
+    def positive_ids(g: KnowledgeGraph, positives: set[int]) -> set[int]:
+        return entity_positives(g, positives)
 
 
 def entity_to_triple_scores(

@@ -69,9 +69,10 @@ def subgraph_to_record(qid: str, sub: Sequence[RetrievedTriple]) -> dict:
 def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTriple:
     """The retrieved triple ``tid`` of ``g`` that a record gives as ``labels`` ``[head, relation,
     tail]``. The relation is ``tid``'s own label or, as an entity scorer merges parallel triples,
-    that label and then, each after ``" | "``, the labels of triples joining the same ends whose
-    ids rise above ``tid`` one after another. An id outside the graph, ends other than the
-    graph's and any other relation raise :class:`KGFormatError`."""
+    that label and then, each after ``" | "``, the labels of some of the triples of ``g`` joining
+    the same ends with ids above ``tid``, in ascending id (a scope may leave any of them out).
+    A label may itself hold ``" | "``. An id outside the graph, ends other than the graph's and
+    any other relation raise :class:`KGFormatError`."""
     h, r, t = labels
     s = g.storage  # read by column: a Triple and three label calls per step cost a third more
     if not 0 <= tid < len(s):
@@ -82,9 +83,13 @@ def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTri
         raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
     own = g.relations[s.relation[tid]]
     if r != own:
-        merged = r[len(own) + 3 :].split(" | ") if type(r) is str and r.startswith(own + " | ") else ()
-        ids = [tid, *(g.resolve(h, name, t) for name in merged)]
-        if not merged or None in ids or any(a >= b for a, b in zip(ids, ids[1:])):
+        # the offsets of r at which own, merged with some of the parallel labels seen so far, ends
+        stops = {len(own)} if type(r) is str and r.startswith(own) else set()
+        for other in g.out_index.get(head, ()) if stops else ():
+            if other > tid and s.tail[other] == tail:
+                part = " | " + g.relations[s.relation[other]]
+                stops |= {stop + len(part) for stop in stops if r.startswith(part, stop)}
+        if not stops or len(r) not in stops:
             raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not {own!r} or its merge with parallel ones")
     return RetrievedTriple(tid, head, tail, h, r, t, score)
 

@@ -19,7 +19,7 @@ from typing import Any, Literal, NamedTuple, Sequence
 import numpy as np
 
 from ..config import PipelineConfig, json_field
-from ..kg import KGFormatError, KnowledgeGraph, Question, Triple
+from ..kg import KGFormatError, KnowledgeGraph, Question
 from .features import HashedBowEncoder, QuestionFeatures, TripleFeatureBuilder, ViewTables, dde_width
 
 logger = logging.getLogger(__name__)
@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 class TrainSample(NamedTuple):
     question: Question
     graph: KnowledgeGraph  # the question's working graph
-    positives: set[Triple]
+    positives: set[int]  # triple ids
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -287,8 +287,8 @@ class TripleScorer(Scorer):
         return f, tids
 
     @staticmethod
-    def positive_ids(g: KnowledgeGraph, positives: set[Triple]) -> set[int]:
-        return {t for t in g.triple_ids if g.triple(t) in positives}
+    def positive_ids(g: KnowledgeGraph, positives: set[int]) -> set[int]:
+        return positives.intersection(g.triple_ids)
 
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
@@ -306,9 +306,9 @@ class _Prepared:
 
 
 def _prepare(model: Scorer, sample: TrainSample, pos_weight_cap: float, tables: ViewTables | None) -> _Prepared:
-    question, graph, positive_triples = sample
+    question, graph, positive_tids = sample
     inputs, ids = model.inputs(graph, question, tables)
-    positives = model.positive_ids(graph, positive_triples)
+    positives = model.positive_ids(graph, positive_tids)
     y = np.array([1.0 if i in positives else 0.0 for i in ids])
     n_pos = int(y.sum())
     if n_pos == 0:

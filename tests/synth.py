@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 
-from kgrag.kg import Question, Triple, load_kg
+from kgrag.kg import Question, load_kg
 from kgrag.retriever import TrainSample
 
 SIGNAL_RELATION = "signal link"
@@ -20,13 +20,13 @@ def separable_sample(
     n_triples: int = 100,
     n_pos: int = 5,
     n_decoys: int = 0,
-) -> tuple[TrainSample, set[Triple]]:
+) -> tuple[TrainSample, set[int]]:
     """One question whose positives share a marker relation.
 
     Positives are (subject, "signal link", value) triples; the rest are junk.
     With ``n_decoys`` > 0, that many "decoy link" triples are added to the
-    graph; the returned extra set holds them (the corrupted supervision is
-    positives plus decoys).
+    graph; the returned extra set holds their triple ids (the corrupted
+    supervision is positives plus decoys).
     """
     rows = []
     for j in range(n_pos):
@@ -44,8 +44,8 @@ def separable_sample(
         query_entities=frozenset({g.entity_ids[f"item {index} 0"]}),
         answer_entities=frozenset(),
     )
-    positives = {g.triple(t) for t in range(n_pos)}
-    decoys = {g.triple(t) for t in range(n_pos, n_pos + n_decoys)}
+    positives = set(range(n_pos))
+    decoys = set(range(n_pos, n_pos + n_decoys))
     return TrainSample(question, g, positives), decoys
 
 
@@ -55,7 +55,7 @@ def separable_corpus(
     n_pos: int = 5,
     n_decoys: int = 0,
     seed: int = 0,
-) -> list[tuple[TrainSample, set[Triple]]]:
+) -> list[tuple[TrainSample, set[int]]]:
     rng = np.random.default_rng(seed)
     return [
         separable_sample(i, rng, n_triples, n_pos, n_decoys) for i in range(n_questions)
@@ -73,5 +73,5 @@ def star_graph_entity_sample() -> TrainSample:
         query_entities=frozenset({g.entity_ids["hub"]}),
         answer_entities=frozenset(),
     )
-    positives = {g.triple(6)}  # hub -> leaf special
+    positives = {6}  # hub -> leaf special
     return TrainSample(question, g, positives)

@@ -72,10 +72,16 @@ def test_retrieval_record_error_names_the_field(field, value):
         ("r | t", False),  # a t b is not a triple
         ("r | ", False),
         ("invented", False),
+        ("r | v | w", True),  # a parallel triple's label may itself hold " | "
+        ("r | s | u | v | w", True),
+        ("r | u | v | w", True),
+        ("r | v", False),  # part of a label
+        ("r | w", False),
+        ("r | v | w | s", False),
     ],
 )
 def test_retrieved_relation_is_the_triples_own_label_or_its_merge(relation, accepted):
-    g = load_kg(["a\tr\tb\n", "a\ts\tb\n", "b\tt\ta\n", "a\tu\tb\n"])
+    g = load_kg(["a\tr\tb\n", "a\ts\tb\n", "b\tt\ta\n", "a\tu\tb\n", "a\tv | w\tb\n"])
     record = {"id": "q", "tids": [0], "triples": [["a", relation, "b"]], "scores": [1.0]}
     if accepted:
         ((step,),) = read_subgraphs([json.dumps(record)], g, ["q"]).values()

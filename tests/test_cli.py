@@ -1,5 +1,6 @@
 import base64
 import gc
+import hashlib
 import io
 import json
 import os
@@ -163,6 +164,20 @@ def test_a_second_ingest_writes_the_same_bytes(tmp_path):
     assert {name: (out / name).read_bytes() for name in OUTPUTS["ingest"]} == first
 
 
+# the two files hold only labels and integers, so their bytes do not depend on the platform,
+# and neither depends on the retrieval level
+FIXTURE_SHA256 = {
+    "pool.jsonl": "4a8258470fac7e4c8bb57d8c8c076046939726182830ea9a0ed4fa24ad6f83a6",
+    "supervision.jsonl": "80274697d569ff1a8851853041dceedfa12453cb4773db22f4860b4ee95d1528",
+}
+
+
+@pytest.mark.parametrize("work", ["pipeline_dir", "entity_pipeline_dir"])
+def test_the_fixture_pool_and_supervision_keep_their_bytes(request, work):
+    out = request.getfixturevalue(work) / "out"
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FIXTURE_SHA256} == FIXTURE_SHA256
+
+
 @pytest.mark.parametrize(
     "argv",
     [*([stage] for stage in ALL_STAGES[1:]), ["train", "--no-refine"], ["answer", "--no-reorganize"]],
@@ -171,7 +186,8 @@ def test_a_second_ingest_writes_the_same_bytes(tmp_path):
 def test_a_stage_reads_only_its_declared_inputs(pipeline_dir, tmp_path, monkeypatch, argv):
     """With every work-dir file outside ``INPUTS[stage]`` deleted, a stage still runs, and with its
     default flags writes what it wrote in the full pipeline; no stage resolves question labels
-    again, and ``evaluate`` runs without the graph."""
+    again, only the readers of pool and supervision records build the whole-graph triple index,
+    and ``evaluate`` runs without the graph."""
     stage = argv[0]
     assert tuple(INPUTS) == ALL_STAGES
     assert all(ALL_STAGES.index(PRODUCER[name]) < ALL_STAGES.index(stage) for name in INPUTS[stage])
@@ -185,7 +201,12 @@ def test_a_stage_reads_only_its_declared_inputs(pipeline_dir, tmp_path, monkeypa
     def label_load(*args, **kwargs):
         raise AssertionError("only ingest resolves question labels")
 
+    def triple_index(storage):
+        raise AssertionError("only refine and train resolve triple labels")
+
     monkeypatch.setattr(kgmod, "load_questions", label_load)
+    if argv not in (["refine"], ["train"]):
+        monkeypatch.setattr(kgmod._Storage, "triple_index", property(triple_index))
     assert main([*argv, "--config", str(cfg_path)]) == EXIT_OK
     if argv == [stage]:
         for name in OUTPUTS[stage]:

@@ -34,8 +34,8 @@ GNN_CFG = PipelineConfig(
 
 
 def test_entity_positives_from_triples():
-    g = graph_from_lines("A r B")
-    positives = entity_positives({g.triple(0)})
+    g = graph_from_lines("A r B", "C r D")
+    positives = entity_positives(g, {0})
     assert positives == {g.entity_ids["A"], g.entity_ids["B"]}
 
 
@@ -43,7 +43,7 @@ def test_star_graph_training_reaches_full_recall():
     sample = star_graph_entity_sample()
     model = fit(EntityScorer, [sample], GNN_CFG)
     scored = model.score(sample.question, sample.graph)
-    positives = entity_positives(sample.positives)
+    positives = entity_positives(sample.graph, sample.positives)
     ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0]))[: len(positives)]
     assert {e for e, _ in ranked} == positives
 
@@ -60,7 +60,7 @@ def test_entity_gradient_matches_central_differences():
     cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=0, gnn_hidden=8, gnn_depth=2))
     model = fit(EntityScorer, [sample], cfg)
     gt = prepare_graph_tensors(sample.graph, sample.question, model.encoder, cfg.dde_depth, cfg.dde_slots)
-    positives = entity_positives(sample.positives)
+    positives = entity_positives(sample.graph, sample.positives)
     y = np.array([1.0 if e in positives else 0.0 for e in gt.view.entity_ids])
     _, grads = model.loss_and_grad(gt, y, pos_weight=3.0)
     flat_grad = np.concatenate([g.ravel() for g in grads])

@@ -69,16 +69,14 @@ def test_steps_count_a_self_loop_once_as_forward():
     assert g.steps(g.entity_ids["A"]) == [(0, FORWARD), (1, BACKWARD), (2, FORWARD)]
 
 
-def test_triple_id_of_on_a_scoped_view():
+def test_resolve_on_a_scoped_view():
     g = graph_from_lines("A r1 B", "B r2 C", "A r1 C")
-    a, b, c = (g.entity_ids[x] for x in "ABC")
-    r1, r2 = g.relation_ids["r1"], g.relation_ids["r2"]
     view = g.restrict([1])
-    assert view.triple_id_of(b, r2, c) == 1
-    assert view.triple_id_of(a, r1, b) is None
-    assert view.restrict([0, 1]).triple_id_of(a, r1, c) is None
-    assert g.restrict([0, 1, 2]).triple_id_of(a, r1, c) == 2
-    assert g.triple_id_of(a, r2, b) is None
+    assert view.resolve("B", "r2", "C") == 1
+    assert view.resolve("A", "r1", "B") is None
+    assert view.restrict([0, 1]).resolve("A", "r1", "C") is None
+    assert g.restrict([0, 1, 2]).resolve("A", "r1", "C") == 2
+    assert g.resolve("A", "r2", "B") is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,12 +86,10 @@ def test_label_codec_on_random_views(data):
     visible = set(view.triple_ids)
     for tid in range(len(g.storage)):
         tr = g.triple(tid)
-        labels = g.labels(tr)
+        [labels] = g.triple_labels([tid])
         assert labels == [g.entity_label(tr.head), g.relation_label(tr.relation), g.entity_label(tr.tail)]
         assert g.resolve(*labels) == tid
-        expected = tid if tid in visible else None
-        assert view.triple_id_of(*tr) == expected
-        assert view.resolve(*labels) == expected
+        assert view.resolve(*labels) == (tid if tid in visible else None)
     assert view.resolve("e0", "no-such-relation", "e0") is None
     assert view.resolve("no-such-entity", "rel0", "e0") is None
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrag.kg import (
+    FORWARD,
     KGFormatError,
     ReasoningPath,
     Triple,
@@ -85,32 +86,11 @@ def test_ids_assigned_first_seen_order():
     assert g.triple(1) == Triple(2, 1, 0)
 
 
-def test_neighbors_directions():
-    g = graph_from_lines("A r1 B", "C r2 A")
-    a = g.entity_ids["A"]
-    assert g.neighbors(a, "out") == [0]
-    assert g.neighbors(a, "in") == [1]
-    assert g.neighbors(a, "both") == [0, 1]
-
-
-def test_neighbors_isolated_entity():
+def test_steps_of_an_entity_with_no_triple_in_the_view():
     g = graph_from_lines("A r1 B", "C r2 D")
-    # B is only a tail; make an isolated id by asking about an entity with no edges
-    g2 = g.restrict([0])
-    d = g.entity_ids["D"]
-    assert g2.neighbors(d, "both") == []
-
-
-def test_neighbors_unknown_entity_raises():
-    g = graph_from_lines("A r1 B")
-    with pytest.raises(KeyError):
-        g.neighbors(99, "out")
-
-
-def test_neighbors_self_loop_appears_once_in_both():
-    g = graph_from_lines("A loop A", "A r1 B")
-    a = g.entity_ids["A"]
-    assert g.neighbors(a, "both") == [0, 1]
+    view = g.restrict([0])
+    assert view.steps(g.entity_ids["D"]) == []
+    assert view.steps(g.entity_ids["A"]) == [(0, FORWARD)]
 
 
 def test_working_graph_full_scope_equals_graph():
@@ -181,9 +161,8 @@ def test_index_soundness_random_graphs(data):
             assert g.triple(tid).head == e
         for tid in g.in_index.get(e, []):
             assert g.triple(tid).tail == e
-        both = g.neighbors(e, "both")
-        assert both == sorted(set(g.neighbors(e, "out")) | set(g.neighbors(e, "in")))
-        assert len(both) == len(set(both))
+        both = [tid for tid, _ in g.steps(e)]
+        assert both == sorted(set(g.out_index.get(e, [])) | set(g.in_index.get(e, [])))
 
 
 def test_index_soundness_large_random_graph():

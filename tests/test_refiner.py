@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrag.kg import ReasoningPath, Triple
+from kgrag.kg import ReasoningPath
 from kgrag.llm import CompletionResult, MockOracle
 from kgrag.pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, build_pool
 from kgrag.refiner import (
@@ -133,7 +133,7 @@ def test_refine_with_mock_extracts_answer_paths():
     expected_triples = set()
     for p, _ in pool:
         if p.terminal(g) == g.entity_ids["C"]:
-            expected_triples.update(p.triples(g))
+            expected_triples.update(p.triple_ids)
     assert sup.positive_triples == expected_triples
     assert sup.refiner_tag == "mock"
 
@@ -145,7 +145,7 @@ def test_refine_falls_back_to_shortest_paths_on_garbage():
     weak = set()
     for p, prov in pool:
         if prov == PROV_SHORTEST:
-            weak.update(p.triples(g))
+            weak.update(p.triple_ids)
     assert sup.positive_triples == weak
 
 
@@ -170,7 +170,7 @@ def test_refine_containment_property():
     sup = refine(q, pool, g, mock)
     all_triples = set()
     for p, _ in pool:
-        all_triples.update(p.triples(g))
+        all_triples.update(p.triple_ids)
     assert sup.positive_triples <= all_triples
 
 
@@ -186,7 +186,7 @@ def test_extraction_matches_selection_union(data):
     sup = refine(q, pool, g, client)
     expected = set()
     for i in indices:
-        expected.update(pool[i][0].triples(g))
+        expected.update(pool[i][0].triple_ids)
     assert sup.positive_triples == expected
 
 
@@ -197,7 +197,7 @@ def test_pool_limit_truncation_maps_back_to_pool_positions():
     client = ScriptedClient("1")  # first prompted candidate
     sup = refine(q, pool, g, client, limit=2)
     # provenance priority puts the shortest-path entry first in the prompt
-    assert sup.positive_triples == set(pool[2][0].triples(g))
+    assert sup.positive_triples == set(pool[2][0].triple_ids)
 
 
 def test_pool_truncation_is_logged_once_per_question(caplog):
@@ -243,7 +243,10 @@ def test_load_refine_demos_from_file(tmp_path):
 
 def test_supervision_caches_can_be_set_combined():
     g = graph_from_lines("A r1 B", "B r2 C")
-    a = {Triple(*g.triple(0))}
-    b = {Triple(*g.triple(0)), Triple(*g.triple(1))}
+    a, b = (
+        supervision_from_record({"positive_triples": triples, "refiner_tag": "t"}, g).positive_triples
+        for triples in ([["A", "r1", "B"]], [["B", "r2", "C"], ["A", "r1", "B"]])
+    )
+    assert (a, b) == ({0}, {0, 1})  # triple ids
     assert a & b == a
     assert a | b == b

@@ -41,8 +41,7 @@ from synth import separable_corpus
 def triple_recall(model, samples, k):
     total = 0.0
     for question, graph, positives in samples:
-        pos_tids = {tid for tid, tr in graph.iter_triples() if tr in positives}
-        total += recall_at_k(model.score(question, graph), pos_tids, k)
+        total += recall_at_k(model.score(question, graph), positives, k)
     return total / len(samples)
 
 
@@ -50,7 +49,7 @@ def entity_recall(model, samples, k):
     total = 0.0
     for question, graph, positives in samples:
         scored = model.score(question, graph)
-        total += recall_at_k(scored, entity_positives(positives), k)
+        total += recall_at_k(scored, entity_positives(graph, positives), k)
     return total / len(samples)
 
 
