@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrag.kg import (
+    BACKWARD,
     FORWARD,
     KGFormatError,
     ReasoningPath,
@@ -84,6 +85,18 @@ def test_ids_assigned_first_seen_order():
     assert g.relations == ["r1", "r2"]
     assert g.triple(0) == Triple(0, 0, 1)
     assert g.triple(1) == Triple(2, 1, 0)
+
+
+def test_neighbors_directions():
+    g = graph_from_lines("A r1 B", "C r2 A")
+    assert g.steps(g.entity_ids["A"]) == [(0, FORWARD), (1, BACKWARD)]
+    assert g.steps(g.entity_ids["B"]) == [(0, BACKWARD)]
+    assert g.steps(g.entity_ids["C"]) == [(1, FORWARD)]
+
+
+def test_neighbors_self_loop_appears_once_in_both():
+    g = graph_from_lines("A loop A", "A r1 B")
+    assert g.steps(g.entity_ids["A"]) == [(0, FORWARD), (1, FORWARD)]
 
 
 def test_steps_of_an_entity_with_no_triple_in_the_view():
