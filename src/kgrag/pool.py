@@ -183,6 +183,7 @@ def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
 
 def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
     pool: CandidatePool = []
+    seen: set[tuple] = set()  # build_pool writes each path once
     for entry in json_field(rec, "paths", tuple[dict, ...]):
         tids = []
         for h, r, t in json_field(entry, "triples", list):
@@ -192,6 +193,9 @@ def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
             tids.append(tid)
         path = ReasoningPath(tuple(tids), json_field(entry, "orientations", tuple[str, ...]))
         path.validate(g)
+        if path.key() in seen:
+            raise KGFormatError(f"pool path listed twice: {' '.join('|'.join(t) for t in entry['triples'])}")
+        seen.add(path.key())
         pool.append((path, json_field(entry, "provenance", PROVENANCE)))
     return pool
 

@@ -48,6 +48,24 @@ def prepare_graph_tensors(
     return GraphTensors(**vars(f), X=np.hstack([f.view.entity_text, f.dde.reshape(n, slots * width)]))
 
 
+class Buffers:
+    """Arrays a forward pass writes into, one per key, each grown to the most rows asked of it.
+
+    :meth:`rows` hands out a contiguous prefix ``buf[:rows]``, which the next pass over
+    the same buffers overwrites. Only numpy arrays are held: no view, graph or
+    :class:`~.features.Messages` outlives the pass that used it.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: dict[object, np.ndarray] = {}
+
+    def rows(self, key: object, rows: int, width: int) -> np.ndarray:
+        buf = self.arrays.get(key)
+        if buf is None or len(buf) < rows:
+            buf = self.arrays[key] = np.empty((rows, width))
+        return buf[:rows]
+
+
 class EntityScorer(Scorer):
     """Message-passing scorer with a sigmoid head per entity."""
 
@@ -71,6 +89,7 @@ class EntityScorer(Scorer):
         self.rel_dim = rel_dim
         self.hidden = hidden
         self.depth = depth
+        self.train_buffers = Buffers()  # filled on the first loss_and_grad, kept across steps
         super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
 
     @staticmethod
@@ -99,20 +118,34 @@ class EntityScorer(Scorer):
     # row ``b`` every node shares (the query at layer 0, empty after it) and
     # the node rows ``h``; ``b`` is projected once and broadcast.
 
-    def _forward(self, gt: GraphTensors, caches: list | None = None) -> np.ndarray:
-        """The logits; each layer's inputs and outputs are appended to ``caches`` when it is given."""
+    def _forward(self, gt: GraphTensors, buffers: Buffers | None = None, caches: list | None = None) -> np.ndarray:
+        """The logits; each layer's inputs and outputs are appended to ``caches`` when it is given.
+
+        Messages and layer inputs are written into ``buffers`` when they are given, and into
+        new arrays otherwise."""
+
+        def rows(key: object, n_rows: int, width: int) -> np.ndarray:
+            return np.empty((n_rows, width)) if buffers is None else buffers.rows(key, n_rows, width)
+
         m, rel_text, H = gt.view.messages, gt.view.relation_text, self.hidden
-        b, h = gt.query, gt.X
+        n_msg, b, h = len(m.sender), gt.query, gt.X
         for layer in range(self.depth):
             Wf, bf, Wb, bb, Wu, bu = self.params[6 * layer : 6 * layer + 6]
-            n, d = len(b), len(b) + h.shape[1]
+            n, d_h = len(b), h.shape[1]
+            d = n + d_h
             W_sent = np.hstack([Wf[:d], Wb[:d]])
-            msg = (h @ W_sent[n:] + b @ W_sent[:n]).reshape(-1, H)[m.sender]
-            msg += (rel_text @ np.hstack([Wf[d:], Wb[d:]]) + np.concatenate([bf, bb])).reshape(-1, H)[m.relation]
+            # "clip" never clips, every index is in range (see Messages); "raise" copies through a temporary
+            msg = rows(("msg", layer), n_msg, H)
+            np.take((h @ W_sent[n:] + b @ W_sent[:n]).reshape(-1, H), m.sender, axis=0, out=msg, mode="clip")
+            rel_proj = (rel_text @ np.hstack([Wf[d:], Wb[d:]]) + np.concatenate([bf, bb])).reshape(-1, H)
+            msg += np.take(rel_proj, m.relation, axis=0, out=rows("scratch", n_msg, H), mode="clip")
             np.tanh(msg, out=msg)
-            total = m.by_recipient.sum(msg)
-            mean = total / m.denom
-            u_in = np.concatenate([h, mean, total, mean * m.scale], axis=1)
+            u_in = rows(("u_in", layer), len(h), d_h + 3 * H)  # [h | mean | total | amplified mean]
+            u_in[:, :d_h] = h
+            total = u_in[:, d_h + H : d_h + 2 * H]
+            total[...] = m.by_recipient.sum(msg)
+            mean = np.divide(total, m.denom, out=u_in[:, d_h : d_h + H])
+            np.multiply(mean, m.scale, out=u_in[:, d_h + 2 * H :])
             h_out = np.tanh(u_in @ Wu[n:] + (b @ Wu[:n] + bu))
             if caches is not None:
                 caches.append((b, h, W_sent, msg, u_in, h_out))
@@ -121,7 +154,7 @@ class EntityScorer(Scorer):
         return (h @ w_out).ravel() + b_out[0]
 
     def logits(self, gt: GraphTensors) -> np.ndarray:
-        return self._forward(gt)
+        return self._forward(gt)  # new arrays per call: retrieve's worker threads score concurrently
 
     def scores(self, gt: GraphTensors) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-self.logits(gt)))
@@ -129,8 +162,11 @@ class EntityScorer(Scorer):
     def loss_and_grad(
         self, gt: GraphTensors, y: np.ndarray, pos_weight: float
     ) -> tuple[float, list[np.ndarray]]:
+        """One training step's loss and gradients. Its messages and layer inputs go to the
+        scorer's own buffers, which only ``fit``, single-threaded, reaches; no gradient
+        returned shares memory with them."""
         caches: list = []
-        loss, dz = weighted_bce_from_logits(self._forward(gt, caches), y, pos_weight)
+        loss, dz = weighted_bce_from_logits(self._forward(gt, self.train_buffers, caches), y, pos_weight)
         grads: list[np.ndarray | None] = [None] * len(self.params)
         h_last = caches[-1][-1]
         w_out = self.params[-2]
@@ -138,6 +174,7 @@ class EntityScorer(Scorer):
         grads[-1] = np.array([dz.sum()])
         grad_h = dz[:, None] @ w_out.T.reshape(1, -1)
         m, rel_t, H = gt.view.messages, gt.view.relation_text.T, self.hidden
+        dmsg = self.train_buffers.rows("scratch", len(m.recipient), H)
 
         def shared_rows(b: np.ndarray, h: np.ndarray, grad: np.ndarray) -> np.ndarray:
             """The gradient of ``W`` in ``h @ W[n:] + b @ W[:n]``, ``b`` broadcast over the rows."""
@@ -153,7 +190,7 @@ class EntityScorer(Scorer):
             grads[base + 5] = dzu.sum(axis=0)
             g_mean, g_total, g_amp = np.split(dzu @ Wu[n + d_h :].T, 3, axis=1)
             g_sum_all = g_total + (g_mean + g_amp * m.scale) / m.denom
-            dmsg = g_sum_all[m.recipient]
+            np.take(g_sum_all, m.recipient, axis=0, out=dmsg, mode="clip")
             msg *= msg  # tanh' = 1 - msg², in place: the cache is not read again
             np.subtract(1.0, msg, out=msg)
             dmsg *= msg

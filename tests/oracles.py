@@ -332,6 +332,76 @@ def dense_entity_loss_and_grad(model, f, y: np.ndarray, pos_weight: float):
     return logits, loss, grads
 
 
+# -- entity scorer training step ------------------------------------------------------
+#
+# The entity scorer's forward and backward pass as they ran before its training step
+# wrote messages and layer inputs into buffers kept across steps: every array is new.
+# The buffered step must give the same bits.
+
+
+def allocating_entity_forward(model, gt, caches: list | None = None) -> np.ndarray:
+    """The logits; each layer's inputs and outputs are appended to ``caches`` when it is given."""
+    m, rel_text, H = gt.view.messages, gt.view.relation_text, model.hidden
+    b, h = gt.query, gt.X
+    for layer in range(model.depth):
+        Wf, bf, Wb, bb, Wu, bu = model.params[6 * layer : 6 * layer + 6]
+        n, d = len(b), len(b) + h.shape[1]
+        W_sent = np.hstack([Wf[:d], Wb[:d]])
+        msg = (h @ W_sent[n:] + b @ W_sent[:n]).reshape(-1, H)[m.sender]
+        msg += (rel_text @ np.hstack([Wf[d:], Wb[d:]]) + np.concatenate([bf, bb])).reshape(-1, H)[m.relation]
+        np.tanh(msg, out=msg)
+        total = m.by_recipient.sum(msg)
+        mean = total / m.denom
+        u_in = np.concatenate([h, mean, total, mean * m.scale], axis=1)
+        h_out = np.tanh(u_in @ Wu[n:] + (b @ Wu[:n] + bu))
+        if caches is not None:
+            caches.append((b, h, W_sent, msg, u_in, h_out))
+        b, h = b[:0], h_out
+    w_out, b_out = model.params[-2], model.params[-1]
+    return (h @ w_out).ravel() + b_out[0]
+
+
+def allocating_entity_loss_and_grad(model, gt, y: np.ndarray, pos_weight: float):
+    """(loss, grads) of one entity scorer training step, every array new."""
+    caches: list = []
+    loss, dz = weighted_bce_from_logits(allocating_entity_forward(model, gt, caches), y, pos_weight)
+    grads = [None] * len(model.params)
+    h_last = caches[-1][-1]
+    w_out = model.params[-2]
+    grads[-2] = h_last.T @ dz[:, None]
+    grads[-1] = np.array([dz.sum()])
+    grad_h = dz[:, None] @ w_out.T.reshape(1, -1)
+    m, rel_t, H = gt.view.messages, gt.view.relation_text.T, model.hidden
+
+    def shared_rows(b, h, grad):
+        return np.vstack([np.outer(b, grad.sum(axis=0)), h.T @ grad])
+
+    for layer in reversed(range(model.depth)):
+        Wu = model.params[6 * layer + 4]
+        b, h_in, W_sent, msg, u_in, h_out = caches[layer]
+        n, d_h = len(b), h_in.shape[1]
+        dzu = grad_h * (1.0 - h_out * h_out)
+        base = 6 * layer
+        grads[base + 4] = shared_rows(b, u_in, dzu)
+        grads[base + 5] = dzu.sum(axis=0)
+        g_mean, g_total, g_amp = np.split(dzu @ Wu[n + d_h :].T, 3, axis=1)
+        g_sum_all = g_total + (g_mean + g_amp * m.scale) / m.denom
+        dmsg = g_sum_all[m.recipient]
+        msg *= msg
+        np.subtract(1.0, msg, out=msg)
+        dmsg *= msg
+        d_sent = m.by_sender.sum(dmsg).reshape(-1, 2 * H)
+        d_rel = m.by_relation.sum(dmsg).reshape(-1, 2 * H)
+        g_sent, g_rel, g_bias = shared_rows(b, h_in, d_sent), rel_t @ d_rel, d_rel.sum(axis=0)
+        grads[base + 0] = np.vstack([g_sent[:, :H], g_rel[:, :H]])
+        grads[base + 1] = g_bias[:H]
+        grads[base + 2] = np.vstack([g_sent[:, H:], g_rel[:, H:]])
+        grads[base + 3] = g_bias[H:]
+        if layer:
+            grad_h = dzu @ Wu[:d_h].T + d_sent @ W_sent.T
+    return loss, grads
+
+
 # -- entity-level ranking ----------------------------------------------------------
 #
 # The loops the retriever ran before its triple scores and ranking became array

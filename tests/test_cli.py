@@ -767,6 +767,10 @@ def _pool_path_turned(rec):
     next(path for path in rec["paths"] if len(path["triples"]) == 2)["orientations"][1] = "b"
 
 
+def _pool_path_repeated(rec):
+    rec["paths"].append(rec["paths"][0])
+
+
 def _set(*path_and_value):
     """An edit that sets the value at a key path of the first record."""
     *path, key, value = path_and_value
@@ -850,6 +854,8 @@ def _cut_inside_a_character(text: str) -> str:
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_step_not_in_graph)),
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_tail_foreign)),
         ("pool.jsonl", "refine", "candidates", _edit_record("q08", _pool_path_turned)),
+        # this exited 0 before a path repeated within a pool record was refused
+        ("pool.jsonl", "refine", "candidates", _edit_first_record(_pool_path_repeated)),
         # a chain's target labels are read against the graph, and a chain of the earlier format
         # (`steps`, and `orientations` with a flag per step) is not read
         ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_target_not_in_graph)),
@@ -916,6 +922,7 @@ def _cut_inside_a_character(text: str) -> str:
         "chains-step-not-in-graph",
         "chains-tail-foreign",
         "pool-path-turned",
+        "pool-path-repeated",
         "chains-target-not-in-graph",
         "chains-parent-format",
         "chains-targets-repeated",

@@ -1,5 +1,7 @@
+import gc
 import io
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -21,10 +23,11 @@ from kgrag.retriever import (
 )
 from kgrag.kg import load_kg
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
+from kgrag.retriever.triple_scorer import sgd_step
 
 import oracles
 from conftest import graph_from_lines, make_question
-from synth import star_graph_entity_sample
+from synth import separable_sample, star_graph_entity_sample
 
 GNN_CFG = PipelineConfig(
     seed=42,
@@ -174,3 +177,89 @@ def test_vectorised_ranking_matches_the_loop(rows, keep, levels, k):
     assert _bits((e.tid, e.score) for e in ranked) == _bits(oracles.top_k_order(want_scored, k))
     for e in ranked:
         assert e.relation == want_merged.get(e.tid, g.relation_label(g.triple(e.tid).relation))
+
+
+# -- the training step's buffers ----------------------------------------------------
+
+
+def _training_inputs(model, sample):
+    gt, ids = model.inputs(sample.graph, sample.question)
+    positives = entity_positives(sample.graph, sample.positives)
+    return gt, np.array([1.0 if e in positives else 0.0 for e in ids])
+
+
+def _bytes(arrays) -> list[bytes]:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_buffered_training_step_matches_the_allocating_one_bit_for_bit():
+    """Views that grow, shrink and grow the buffers, with scoring in between: every loss and
+    gradient equals the step that allocates every array, scoring does not touch the buffers,
+    and no gradient a step returned changes under a later step."""
+    rng = np.random.default_rng(3)
+    samples = [separable_sample(i, rng, n_triples=n)[0] for i, n in enumerate([60, 15, 100, 60])]
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=0, gnn_hidden=8, gnn_depth=3))
+    model = fit(EntityScorer, samples, cfg)
+    inputs = [_training_inputs(model, s) for s in samples]
+    returned = []
+    for step, (gt, y) in enumerate(inputs):
+        want_loss, want_grads = oracles.allocating_entity_loss_and_grad(model, gt, y, 3.0)
+        loss, grads = model.loss_and_grad(gt, y, 3.0)
+        assert struct.pack("<d", loss) == struct.pack("<d", want_loss)
+        assert [g.shape for g in grads] == [g.shape for g in want_grads]
+        assert _bytes(grads) == _bytes(want_grads)
+        returned.append((grads, _bytes(grads)))
+        other = inputs[(step + 1) % len(inputs)][0]  # a view of another size, scored between steps
+        want_scores = 1.0 / (1.0 + np.exp(-oracles.allocating_entity_forward(model, other)))
+        buffered = _bytes(model.train_buffers.arrays.values())
+        assert model.scores(other).tobytes() == want_scores.tobytes()
+        assert _bytes(model.train_buffers.arrays.values()) == buffered  # scoring leaves them alone
+        sgd_step(model.params, grads, 0.05)
+    for grads, kept in returned:
+        assert _bytes(grads) == kept
+
+
+def test_fit_keeps_one_buffer_set_sized_to_the_largest_view():
+    """The buffers hold only numpy arrays of their own, one set for the scorer, as many rows as
+    the largest view needs, and go with the scorer."""
+    rng = np.random.default_rng(5)
+    samples = [separable_sample(i, rng, n_triples=n)[0] for i, n in enumerate([30, 90, 50])]
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=2, gnn_hidden=8, gnn_depth=2))
+    model = fit(EntityScorer, samples, cfg)
+    views = [model.inputs(s.graph, s.question)[0].view for s in samples]
+    most_messages = max(2 * len(v.tids) for v in views)
+    most_entities = max(len(v.entity_ids) for v in views)
+    assert most_messages != 2 * len(views[-1].tids)  # the largest view is not the last one seen
+    buffers = model.train_buffers
+    assert list(vars(buffers)) == ["arrays"]
+    width = model.input_dim - model.rel_dim  # a node row: [entity text | DDE]
+    assert {key: buf.shape for key, buf in buffers.arrays.items()} == {
+        "scratch": (most_messages, 8),
+        ("msg", 0): (most_messages, 8),
+        ("msg", 1): (most_messages, 8),
+        ("u_in", 0): (most_entities, width + 3 * 8),
+        ("u_in", 1): (most_entities, 8 + 3 * 8),
+    }
+    for buf in buffers.arrays.values():
+        assert type(buf) is np.ndarray and buf.base is None and buf.dtype == np.float64
+    alive = [weakref.ref(buf) for buf in buffers.arrays.values()]
+    del model, buffers, buf
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * len(alive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5)), min_size=1, max_size=30),
+    keep=st.lists(st.booleans(), min_size=30, max_size=30),
+)
+@example(rows=[(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 2), (2, 0, 0)], keep=[True] * 30)  # a self-loop, a parallel pair
+def test_message_indices_stay_in_range(rows, keep):
+    """The training step gathers with ``mode="clip"``, which would clip an index out of range
+    where fancy indexing raised; on every view each message index is in range, so none clips."""
+    g = load_kg(io.StringIO("\n".join(f"e{h}\trel{r}\te{t}" for h, r, t in rows)), "tsv")
+    view = ViewTables(g.restrict([t for t in range(len(g)) if keep[t]]), HashedBowEncoder(2))
+    m, n_entities, n_relations = view.messages, len(view.entity_ids), len(view.relation_labels)
+    for index, bound in ((m.sender, 2 * n_entities), (m.relation, 2 * n_relations), (m.recipient, n_entities)):
+        assert len(index) == 2 * len(view.tids)
+        assert np.all((0 <= index) & (index < bound))
