@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import io
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -105,9 +106,10 @@ def _require(cfg: PipelineConfig, name: str) -> Path:
     return path
 
 
-def _read(cfg: PipelineConfig, name: str, reader, *args):
-    """``reader(fh, *args)`` over the upstream file ``name``; exit 3 names the stage to rerun."""
-    with _require(cfg, name).open("rb") as fh:
+def _read(cfg: PipelineConfig, name: str, reader, *args, data: bytes | None = None):
+    """``reader(fh, *args)`` over the upstream file ``name``, or over ``data`` when its bytes were
+    already read; exit 3 names the stage to rerun."""
+    with io.BytesIO(data) if data is not None else _require(cfg, name).open("rb") as fh:
         try:
             return reader(fh, *args)
         except kgmod.KGFormatError as exc:
@@ -143,11 +145,14 @@ def _load(
     """The graph and questions compiled at ingest, as far as ``INPUTS[stage]`` names them, and
     the gold answer labels by question id. Each file of ``_PINNED`` that the stage reads is
     hashed and compared with the digest in the compiled questions' header, after ``graph.json``
-    has passed its own reader; a missing, changed or malformed file exits 3. Without
-    ``graph.json`` the graph is None and the questions' ids are unchecked."""
+    has passed its own reader; a missing, changed or malformed file exits 3. ``graph.json`` is
+    read once, so the bytes parsed are the bytes hashed, whatever an ``ingest`` running meanwhile
+    writes. Without ``graph.json`` the graph is None and the questions' ids are unchecked."""
     inputs = INPUTS[stage]
-    sha256 = {name: _sha256(_require(cfg, name)) for name in _PINNED if name in inputs}
-    g = _read(cfg, "graph.json", kgmod.load_kg, "compiled") if "graph.json" in inputs else None
+    pinned = {name: _require(cfg, name).read_bytes() for name in _PINNED if name in inputs}
+    sha256 = {name: hashlib.sha256(data).hexdigest() for name, data in pinned.items()}
+    graph = pinned.get("graph.json")
+    g = None if graph is None else _read(cfg, "graph.json", kgmod.load_kg, "compiled", data=graph)
     questions, gold = _read(cfg, "questions.compiled.jsonl", kgmod.load_compiled_questions, sha256, g)
     return g, questions, gold
 

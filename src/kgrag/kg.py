@@ -12,6 +12,7 @@ and :func:`read_by_question` the only reader of a per-question artifact.
 
 from __future__ import annotations
 
+import base64
 import io
 import json
 import logging
@@ -22,6 +23,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 from typing import IO, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+
+import numpy as np
 
 from .config import json_field
 
@@ -452,7 +455,7 @@ def _jsonl_row(obj: dict) -> tuple[str, ...]:
     return row
 
 
-COMPILED_FORMAT_VERSION = 2
+COMPILED_FORMAT_VERSION = 3
 
 
 def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") -> KnowledgeGraph:
@@ -462,9 +465,10 @@ def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") ->
     Ids are assigned in first-seen order; duplicate triples are collapsed and
     the collapse count logged. Malformed records raise :class:`KGFormatError`
     with the offending line number. An empty stream yields an empty graph.
-    A compiled record with columns of unequal length, an id out of range, or a
-    repeated label or triple raises :class:`KGFormatError`; the digest of its
-    bytes is checked by the reader of the compiled questions, whose header names it.
+    A compiled record with a column that is not base64 of little-endian int32 ids,
+    columns of unequal length, an id out of range, or a repeated label or triple
+    raises :class:`KGFormatError`; the digest of its bytes is checked by the reader
+    of the compiled questions, whose header names it.
     """
     if format == "compiled":
         graphs = read_jsonl(source, _compiled_graph)
@@ -505,19 +509,32 @@ def load_kg(source: IO[bytes] | IO[str] | Iterable[str], format: str = "tsv") ->
 
 def _compiled_graph(rec: dict) -> KnowledgeGraph:
     labels = {key: list(json_field(rec, key, tuple[str, ...])) for key in ("entities", "relations")}
-    columns = {key: json_field(rec, key, tuple[int, ...]) for key in ("head", "relation", "tail")}
+    # a column that is not base64 or not whole int32s raises a ValueError, reported with its field
+    columns = {
+        key: np.frombuffer(base64.b64decode(json_field(rec, key, str), validate=True), "<i4")
+        for key in ("head", "relation", "tail")
+    }
     if len(set(map(len, columns.values()))) > 1:
         raise KGFormatError("head, relation and tail differ in length")
     for key, vocabulary in (("head", "entities"), ("relation", "relations"), ("tail", "entities")):
         size = len(labels[vocabulary])
-        if columns[key] and not (0 <= min(columns[key]) and max(columns[key]) < size):
+        if len(columns[key]) and not (0 <= columns[key].min() and columns[key].max() < size):
             raise KGFormatError(f"{key} holds an id outside the {size} {vocabulary}")
-    storage = _Storage(columns["head"], columns["relation"], columns["tail"])
+    head, relation, tail = columns.values()
+    storage = _Storage(head.tolist(), relation.tolist(), tail.tolist())
     g = KnowledgeGraph.from_columns(labels["entities"], labels["relations"], storage)
     if len(g.entity_ids) < len(g.entities) or len(g.relation_ids) < len(g.relations):
         raise KGFormatError("a label repeats")
-    # a set, not the triple index: most stages never resolve a label
-    if len(set(zip(storage.head, storage.relation, storage.tail))) < len(storage):
+    # ids are in range, so head * E + tail is exact in int64; only rows whose (head, tail)
+    # repeats can repeat a triple, and among them (that pair, relation) must be unique
+    pair = head.astype(np.int64) * len(g.entities) + tail
+    order = np.argsort(pair)
+    ordered = pair[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+    repeated = np.zeros(len(pair), bool)  # not np.union1d: it imports numpy.ma, 0.5 MiB, in light stages
+    repeated[repeats] = repeated[repeats + 1] = True
+    rows = order[repeated]
+    if len(set(zip(pair[rows].tolist(), relation[rows].tolist()))) < len(rows):
         raise KGFormatError("a triple repeats")
     return g
 
@@ -530,15 +547,12 @@ def to_tsv(g: KnowledgeGraph, sink: IO[str]) -> None:
 
 def to_compiled(g: KnowledgeGraph, sink: IO[str]) -> None:
     """Write the stored graph as the one record ``load_kg(..., "compiled")`` reads: its labels
-    and its id columns. The header of the compiled questions holds the digest of these bytes."""
+    and its id columns, each the base64 of its little-endian int32 bytes. The header of the
+    compiled questions holds the digest of these bytes."""
     s = g.storage
-    record = {
-        "entities": g.entities,
-        "relations": g.relations,
-        "head": s.head,
-        "relation": s.relation,
-        "tail": s.tail,
-    }
+    record = {"entities": g.entities, "relations": g.relations}
+    for key, column in (("head", s.head), ("relation", s.relation), ("tail", s.tail)):
+        record[key] = base64.b64encode(np.asarray(column, "<i4").tobytes()).decode()
     write_jsonl(sink, [record])
 
 

@@ -164,9 +164,10 @@ def test_a_second_ingest_writes_the_same_bytes(tmp_path):
     assert {name: (out / name).read_bytes() for name in OUTPUTS["ingest"]} == first
 
 
-# the two files hold only labels and integers, so their bytes do not depend on the platform,
-# and neither depends on the retrieval level
+# the three files hold only labels and integers (graph.json's packed little-endian), so their
+# bytes do not depend on the platform, and none depends on the retrieval level
 FIXTURE_SHA256 = {
+    "graph.json": "22e70fc63cd2d758ef946240d296099f2cbc27a4cceb165ca43b10e1d98e396f",
     "pool.jsonl": "4a8258470fac7e4c8bb57d8c8c076046939726182830ea9a0ed4fa24ad6f83a6",
     "supervision.jsonl": "80274697d569ff1a8851853041dceedfa12453cb4773db22f4860b4ee95d1528",
 }
@@ -955,7 +956,9 @@ def _edit_graph_tsv(out):
     path.write_text(path.read_text(encoding="utf-8").replace("spain", "espana", 1), encoding="utf-8")
 
 
-def _edit_compiled(edit):
+def _edit_graph_record(edit):
+    """Damage that edits graph.json's record as written, its id columns packed."""
+
     def damage(out):
         path = out / "graph.json"
         record = json.loads(path.read_text(encoding="utf-8"))
@@ -963,6 +966,24 @@ def _edit_compiled(edit):
         path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
 
     return damage
+
+
+_ID_COLUMNS = ("head", "relation", "tail")
+
+
+def _unpacked(column: str) -> list[int]:
+    return np.frombuffer(base64.b64decode(column, validate=True), "<i4").tolist()
+
+
+def _edit_compiled(edit):
+    """Damage that edits graph.json's record with its id columns as lists of ints, packed again after."""
+
+    def unpacked(record):
+        record.update({key: _unpacked(record[key]) for key in _ID_COLUMNS})
+        edit(record)
+        record.update({key: base64.b64encode(np.asarray(record[key], "<i4").tobytes()).decode() for key in _ID_COLUMNS})
+
+    return _edit_graph_record(unpacked)
 
 
 @pytest.mark.parametrize(
@@ -983,11 +1004,18 @@ def _edit_compiled(edit):
             _edit_compiled(lambda g: g["entities"].__setitem__(g["entities"].index("paris"), "paris_renamed")),
             "but graph.json has",
         ),
+        (_edit_graph_record(lambda g: g.update(head="!" + g["head"][1:])), "field 'head'"),
+        (
+            _edit_graph_record(lambda g: g.update(tail=base64.b64encode(base64.b64decode(g["tail"])[:-1]).decode())),
+            "field 'tail'",
+        ),
+        (_edit_graph_record(lambda g: g.update(relation=_unpacked(g["relation"]))), "relation has the wrong type"),
     ],
     ids=[
         "graph.tsv-edited", "graph.json-deleted", "graph.tsv-deleted", "tail-id-of-entity-count",
         "entity-label-repeats", "relation-label-repeats", "triple-repeats", "columns-of-unequal-length",
         "head-id-negative", "graph.json-previous-format", "graph.json-empty", "graph.json-label-renamed",
+        "column-not-base64", "column-bytes-not-int32", "column-a-json-list",
     ],
 )
 def test_a_stale_or_damaged_compiled_graph_exits_missing(pipeline_dir, tmp_path, capsys, damage, shown):
@@ -1000,6 +1028,36 @@ def test_a_stale_or_damaged_compiled_graph_exits_missing(pipeline_dir, tmp_path,
     assert "kgrag ingest" in err
     assert shown in err
     assert "Traceback" not in err
+
+
+def test_a_stage_parses_the_graph_json_it_hashed(pipeline_dir, tmp_path, monkeypatch):
+    """An ingest that replaces graph.json just after a stage has read it for its digest does not
+    pair the new graph with the compiled questions of the old one: the stage parses the bytes it
+    hashed, so it writes what the full pipeline wrote."""
+    from kgrag import cli
+
+    cfg_path = write_fixture_config(tmp_path)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dir / "out", out)
+    require = cli._require
+
+    def racing_require(cfg, name):
+        path = require(cfg, name)
+        if name != "graph.json":
+            return path
+
+        class Racing(type(path)):
+            def read_bytes(self):
+                data = super().read_bytes()
+                self.write_bytes(data.replace(b'"uses_currency"', b'"currency"'))  # a relation renamed
+                return data
+
+        return Racing(path)
+
+    monkeypatch.setattr(cli, "_require", racing_require)
+    assert main(["candidates", "--config", str(cfg_path)]) == EXIT_OK
+    assert b'"currency"' in (out / "graph.json").read_bytes()
+    assert (out / "pool.jsonl").read_bytes() == (pipeline_dir / "out" / "pool.jsonl").read_bytes()
 
 
 def _edit_compiled_questions(edit):
@@ -1051,8 +1109,8 @@ _COMPILED_QUESTIONS_DAMAGE = {
     "count-high": (
         _edit_compiled_questions(lambda recs: recs[0].update(questions=13)), "the header counts 13 questions", True
     ),
-    "format-version-3": (
-        _edit_compiled_questions(lambda recs: recs[0].update(format_version=3)), "compiled questions format 3", True
+    "format-version-4": (
+        _edit_compiled_questions(lambda recs: recs[0].update(format_version=4)), "compiled questions format 4", True
     ),
     "deleted": (lambda out: (out / "questions.compiled.jsonl").unlink(), "missing artifact", True),
     "empty": (lambda out: (out / "questions.compiled.jsonl").write_text("", encoding="utf-8"), "no header record", True),

@@ -7,11 +7,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgrag.cli import EXIT_OK, main
-from kgrag.kg import BACKWARD, FORWARD, hop_distances, load_kg
+from kgrag.kg import BACKWARD, FORWARD, KGFormatError, KnowledgeGraph, _Storage, hop_distances, load_kg, to_compiled
 
 from conftest import graph_from_lines, write_fixture_config
 from oracles import directed_distance, undirected_distance
@@ -128,7 +128,31 @@ def test_the_compiled_graph_loads_as_its_tsv(data):
         tsv = load_kg(io.BytesIO((out / "graph.tsv").read_bytes()), "tsv")
         compiled = load_kg(io.BytesIO(first), "compiled")
     _same_graph(compiled, tsv)
+    # plain lists of Python ints, as the TSV reader builds them: a numpy scalar would not
+    # serialise through write_jsonl, and the empty graph is checked too
+    for column in (compiled.storage.head, compiled.storage.relation, compiled.storage.tail):
+        assert type(column) is list
+        assert all(type(x) is int for x in column)
     for _ in range(3):
         scope = data.draw(st.sets(st.sampled_from(range(len(tsv))))) if len(tsv) else set()
         _same_graph(compiled.restrict(scope), tsv.restrict(scope))
         assert list(compiled.restrict(scope).iter_triples()) == list(tsv.restrict(scope).iter_triples())
+
+
+_ID_ROWS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2)), max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ID_ROWS)
+@example([(0, 0, 1), (0, 1, 1), (0, 0, 1)])  # the repeat is not next to itself in (head, tail) order
+def test_the_compiled_reader_finds_a_repeated_triple_as_a_set_would(rows):
+    """Parallel triples (one head and tail, other relations) load; a repeated id triple does not,
+    however many rows share its head and tail."""
+    columns = ([row[i] for row in rows] for i in range(3))
+    sink = io.StringIO()
+    to_compiled(KnowledgeGraph.from_columns(["a", "b", "c"], ["r", "s"], _Storage(*columns)), sink)
+    if len(set(rows)) < len(rows):
+        with pytest.raises(KGFormatError, match="a triple repeats"):
+            load_kg(io.StringIO(sink.getvalue()), "compiled")
+    else:
+        assert [tuple(t) for _, t in load_kg(io.StringIO(sink.getvalue()), "compiled").iter_triples()] == rows
