@@ -281,10 +281,22 @@ def _build_indices(
     return out_index, in_index
 
 
-def hop_distances(g: KnowledgeGraph, anchors: Iterable[int], direction: str = "both") -> dict[int, int]:
+def hop_distances(
+    g: KnowledgeGraph,
+    anchors: Iterable[int],
+    direction: str = "both",
+    *,
+    targets: Iterable[int] | None = None,
+    depth: int | None = None,
+) -> dict[int, int]:
     """Multi-source BFS hop distance from ``anchors`` to every entity they reach in ``g``.
 
     ``out`` follows edge direction, ``in`` runs against it and ``both`` ignores it.
+    The search may stop early; every distance it gives is still exact:
+
+    - with ``targets``, it stops once it has reached them all, so it gives every target it
+      reaches and every entity nearer than the farthest target, and maybe some as far;
+    - with ``depth``, it gives exactly the entities within ``depth`` hops.
     """
     # (index, column of the entity at the far end) pairs to follow
     walks = {"out": ((g.out_index, g.storage.tail),), "in": ((g.in_index, g.storage.head),)}
@@ -292,16 +304,25 @@ def hop_distances(g: KnowledgeGraph, anchors: Iterable[int], direction: str = "b
     if direction not in walks:
         raise ValueError(f"unknown direction {direction!r}")
     dist = dict.fromkeys(anchors, 0)
+    missing = set() if targets is None else set(targets).difference(dist)
+    if targets is not None and not missing:
+        return dist
     queue = deque(dist)
     while queue:
         u = queue.popleft()
         d = dist[u] + 1
+        if depth is not None and d > depth:
+            break
         for index, far in walks[direction]:
             for tid in index.get(u, ()):
                 v = far[tid]
                 if v not in dist:
                     dist[v] = d
                     queue.append(v)
+                    if v in missing:
+                        missing.discard(v)
+                        if not missing:
+                            return dist
     return dist
 
 

@@ -55,17 +55,21 @@ def shortest_paths(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    targets = sorted(set(targets))
+    # The DFS of a pair s-t of length L reads distances from s below L (and t's own) and
+    # distances to t below L, so each BFS stops once it has those levels.
+    dist_from = {s: hop_distances(g, (s,), targets=targets) for s in sorted(set(sources))}
+    dist_to = {
+        t: hop_distances(g, (t,), depth=max(lengths) - 1)
+        for t in targets
+        if (lengths := [dist_s[t] for s, dist_s in dist_from.items() if s != t and t in dist_s])
+    }
     paths: list[ReasoningPath] = []
-    dist_to_target: dict[int, dict[int, int]] = {}
-
-    for s in sorted(set(sources)):
-        dist_s = hop_distances(g, (s,))
-        for t in sorted(set(targets)):
+    for s, dist_s in dist_from.items():
+        for t in targets:
             if s == t or t not in dist_s:
                 continue
-            if t not in dist_to_target:
-                dist_to_target[t] = hop_distances(g, (t,))
-            dist_t = dist_to_target[t]
+            dist_t = dist_to[t]
             total = dist_s[t]
             emitted = 0
 

@@ -95,13 +95,28 @@ def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTri
 
 
 def steps_from_record(rec: dict, g: KnowledgeGraph) -> tuple[RetrievedTriple, ...]:
-    """The steps :func:`steps_to_record` wrote into ``rec``, each read by :func:`read_step`;
-    columns of unequal length raise :class:`KGFormatError`."""
+    """The steps :func:`steps_to_record` wrote into ``rec``, each as :func:`read_step` reads it;
+    columns of unequal length raise :class:`KGFormatError`.
+
+    A step that holds its triple's own labels is taken as it stands; only the others, and a
+    record with an id outside the graph, go through :func:`read_step`, which matches a merged
+    relation or raises the error of the first step it refuses."""
     tids, scores = json_field(rec, "tids", tuple[int, ...]), json_field(rec, "scores", tuple[float, ...])
     triples = json_field(rec, "triples", list)  # read last, so that an unpacking error names it
     if not len(tids) == len(triples) == len(scores):
         raise KGFormatError("tids, triples and scores differ in length")
-    return tuple(read_step(g, tid, labels, score) for tid, labels, score in zip(tids, triples, scores))
+    s, names, relations = g.storage, g.entities, g.relations
+    if tids and not (0 <= min(tids) and max(tids) < len(s)):
+        return tuple(read_step(g, tid, labels, score) for tid, labels, score in zip(tids, triples, scores))
+    steps = []
+    for tid, labels, score in zip(tids, triples, scores):
+        h, r, t = labels
+        head, tail = s.head[tid], s.tail[tid]
+        if h == names[head] and t == names[tail] and r == relations[s.relation[tid]]:
+            steps.append(RetrievedTriple(tid, head, tail, h, r, t, score))
+        else:
+            steps.append(read_step(g, tid, labels, score))
+    return tuple(steps)
 
 
 write_subgraphs = write_jsonl

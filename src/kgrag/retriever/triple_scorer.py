@@ -159,17 +159,6 @@ class Scorer:
             return []
         return list(zip(ids, self.scores(inputs).tolist()))
 
-    # -- flat parameter access (used by gradient checks) ----------------------
-
-    def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
-
-    def set_parameter_vector(self, vec: np.ndarray) -> None:
-        offset = 0
-        for i, p in enumerate(self.params):
-            self.params[i] = vec[offset : offset + p.size].reshape(p.shape).copy()
-            offset += p.size
-
 
 class TripleScorer(Scorer):
     """MLP over a triple's input row (see :class:`QuestionFeatures`) with a sigmoid head."""

@@ -78,30 +78,12 @@ class SearchTrace:
     final_set: frozenset[int] = frozenset()
 
 
-def reward_coverage(selected: set[int] | frozenset[int], inst: OracleInstance) -> float:
-    """Reward normalized by the oracle size: 1 exactly when selected == oracle.
-
-    ``(|sel ∩ oracle| s0 − |sel \\ oracle| δ0) / (|oracle| s0)``; the empty
-    selection scores 0 and all-noise selections go negative when δ0 > 0.
-    """
-    overlap = len(selected & inst.oracle_set)
-    noise = len(selected) - overlap
-    return (overlap * inst.s0 - noise * inst.delta0) / (inst.k * inst.s0)
-
-
 def count_reward(count, size: int, inst: OracleInstance):
     """Draw-normalized reward of a size-``size`` draw holding ``count`` oracle items.
 
     ``(count s0 − (size − count) δ0) / (size s0)``; ``count`` may be an integer array.
     """
     return (count * inst.s0 - (size - count) * inst.delta0) / (size * inst.s0)
-
-
-def reward_draw(selected: set[int] | frozenset[int], inst: OracleInstance) -> float:
-    """Reward normalized by the draw size, in [-δ0/s0, 1]. Selection must be nonempty."""
-    if not selected:
-        raise ValueError("selected set must be nonempty")
-    return count_reward(len(selected & inst.oracle_set), len(selected), inst)
 
 
 def acceptance_occupancy(inst: OracleInstance, threshold: float) -> float:
@@ -196,15 +178,6 @@ def acceptance_probability(inst: OracleInstance, cfg: SearchConfig) -> float:
     return hypergeometric_tail(
         inst.universe_size, inst.k, cfg.subset_size, math.floor(cut) + 1
     )
-
-
-def measure_acceptance_rate(
-    inst: OracleInstance, cfg: SearchConfig, rounds: int, seed: int | None = None
-) -> float:
-    """Empirical acceptance frequency over independent rounds (no stopping)."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    counts = rng.hypergeometric(inst.k, inst.universe_size - inst.k, cfg.subset_size, size=rounds)
-    return int(np.count_nonzero(count_reward(counts, cfg.subset_size, inst) > cfg.threshold)) / rounds
 
 
 @dataclass(frozen=True)

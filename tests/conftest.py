@@ -2,6 +2,7 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -67,3 +68,17 @@ def write_fixture_config(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config, indent=2))
     return path
+
+
+def parameter_vector(model) -> np.ndarray:
+    """A scorer's parameters flattened into one vector, in ``model.params`` order."""
+    return np.concatenate([p.ravel() for p in model.params])
+
+
+def set_parameter_vector(model, vec: np.ndarray) -> None:
+    """Give each of a scorer's parameters a copy of its slice of ``vec``, as
+    :func:`parameter_vector` lays them out."""
+    offset = 0
+    for i, p in enumerate(model.params):
+        model.params[i] = vec[offset : offset + p.size].reshape(p.shape).copy()
+        offset += p.size

@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from kgrag.retriever.triple_scorer import weighted_bce_from_logits
+from kgrag.simulate import count_reward
 
 
 def hashed_bow(text: str, dim: int) -> np.ndarray:
@@ -181,6 +182,31 @@ def all_subsets(items: list[int], max_size: int | None = None):
     upper = len(items) if max_size is None else max_size
     for size in range(0, upper + 1):
         yield from (set(c) for c in combinations(items, size))
+
+
+def reward_coverage(selected: set[int] | frozenset[int], inst) -> float:
+    """Reward normalized by the oracle size: 1 exactly when selected == oracle.
+
+    ``(|sel ∩ oracle| s0 − |sel \\ oracle| δ0) / (|oracle| s0)``; the empty
+    selection scores 0 and all-noise selections go negative when δ0 > 0.
+    """
+    overlap = len(selected & inst.oracle_set)
+    noise = len(selected) - overlap
+    return (overlap * inst.s0 - noise * inst.delta0) / (inst.k * inst.s0)
+
+
+def reward_draw(selected: set[int] | frozenset[int], inst) -> float:
+    """Reward normalized by the draw size, in [-δ0/s0, 1]. Selection must be nonempty."""
+    if not selected:
+        raise ValueError("selected set must be nonempty")
+    return count_reward(len(selected & inst.oracle_set), len(selected), inst)
+
+
+def measure_acceptance_rate(inst, cfg, rounds: int, seed: int | None = None) -> float:
+    """Empirical acceptance frequency over independent rounds (no stopping)."""
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    counts = rng.hypergeometric(inst.k, inst.universe_size - inst.k, cfg.subset_size, size=rounds)
+    return int(np.count_nonzero(count_reward(counts, cfg.subset_size, inst) > cfg.threshold)) / rounds
 
 
 def per_draw_subset_search(

@@ -35,12 +35,17 @@ from kgrag.simulate import (
     acceptance_probability,
     estimate_recovery_rounds,
     hypergeometric_tail,
-    measure_acceptance_rate,
-    reward_coverage,
 )
 
-from conftest import write_fixture_config
-from oracles import all_subsets, enumerate_chains, enumerate_shortest_paths, multi_entity_blocks
+from conftest import parameter_vector, set_parameter_vector, write_fixture_config
+from oracles import (
+    all_subsets,
+    enumerate_chains,
+    enumerate_shortest_paths,
+    measure_acceptance_rate,
+    multi_entity_blocks,
+    reward_coverage,
+)
 from synth import separable_corpus, star_graph_entity_sample
 
 
@@ -302,7 +307,7 @@ def test_criterion_07_multi_entity_merge_law():
 def _central_difference_check(model, loss_fn, seed):
     _, grads = loss_fn()
     flat_grad = np.concatenate([g.ravel() for g in grads])
-    vec = model.parameter_vector()
+    vec = parameter_vector(model)
     rng = np.random.default_rng(seed)
     coords = rng.choice(vec.size, size=10, replace=False)
     h = 1e-6
@@ -310,11 +315,11 @@ def _central_difference_check(model, loss_fn, seed):
         plus, minus = vec.copy(), vec.copy()
         plus[c] += h
         minus[c] -= h
-        model.set_parameter_vector(plus)
+        set_parameter_vector(model, plus)
         lp = loss_fn()[0]
-        model.set_parameter_vector(minus)
+        set_parameter_vector(model, minus)
         lm = loss_fn()[0]
-        model.set_parameter_vector(vec)
+        set_parameter_vector(model, vec)
         numeric = (lp - lm) / (2 * h)
         denom = max(abs(numeric), abs(flat_grad[c]), 1e-8)
         assert abs(numeric - flat_grad[c]) / denom < 1e-4

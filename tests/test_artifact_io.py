@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrag.kg import KGFormatError, load_kg, published, read_by_question, read_jsonl, write_jsonl
-from kgrag.retriever.subgraph import read_subgraphs
+from kgrag.retriever.subgraph import read_step, read_subgraphs, steps_from_record
 
 # non-ASCII text, including characters other line splitters treat as breaks
 _TEXT = st.text(st.sampled_from("az \u00e9\u6f22 \x85\u2028\"\\\n"), max_size=6)
@@ -89,6 +89,52 @@ def test_retrieved_relation_is_the_triples_own_label_or_its_merge(relation, acce
     else:
         with pytest.raises(KGFormatError, match=f"line 1: retrieved triple 0 has relation {relation!r}"):
             read_subgraphs([json.dumps(record)], g, ["q"])
+
+
+_RELATIONS = ["r", "s", "v | w", "v", "w"]  # a label may hold " | ", and its parts be labels too
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_record_reads_as_its_steps_read_one_at_a_time(data):
+    entity = st.sampled_from(["e0", "e1", "e2"])
+    rows = data.draw(st.lists(st.tuples(entity, st.sampled_from(_RELATIONS), entity), min_size=1, max_size=12))
+    g = load_kg([f"{h}\t{r}\t{t}\n" for h, r, t in rows])
+    scope = data.draw(st.none() | st.sets(st.sampled_from(range(len(g.storage)))))
+    view = g if scope is None else g.restrict(scope)
+    tids, triples = [], []
+    for _ in range(data.draw(st.integers(0, 4))):
+        tid = data.draw(st.integers(-1, len(g.storage)))
+        if data.draw(st.booleans()):
+            # the triple's own labels, its relation merged with some of its parallel triples';
+            # an id out of range shows those of the triple a wrapped index would give
+            own, col = tid % len(g.storage), g.storage
+            h, r, t = g.triple_labels([own])[0]
+            parallel = [o for o in view.out_index.get(col.head[own], ()) if o > own and col.tail[o] == col.tail[own]]
+            kept = [g.relations[col.relation[o]] for o in parallel if data.draw(st.booleans())]
+            labels = [h, " | ".join([r, *kept]), t]
+        else:
+            relation = " | ".join(data.draw(st.lists(st.sampled_from(_RELATIONS), min_size=1, max_size=3)))
+            labels = [data.draw(entity), relation, data.draw(entity)]
+        tids.append(tid)
+        triples.append(labels)
+    scores = [float(-i) for i in range(len(tids))]
+    record = {"tids": tids, "triples": triples, "scores": scores}
+    try:
+        expected = tuple(read_step(view, *step) for step in zip(tids, triples, scores))
+    except KGFormatError as exc:
+        with pytest.raises(KGFormatError) as err:
+            steps_from_record(record, view)
+        assert str(err.value) == str(exc)
+    else:
+        assert steps_from_record(record, view) == expected
+
+
+def test_a_record_with_two_faults_names_its_first():
+    g = load_kg(["a\tr\tb\n"])
+    record = {"tids": [0, 5], "triples": [["b", "r", "a"], ["a", "r", "b"]], "scores": [1.0, 0.5]}
+    with pytest.raises(KGFormatError, match="retrieved triple 0 joins a to b, not b to a"):
+        steps_from_record(record, g)
 
 
 def test_read_jsonl_keeps_the_line_of_a_numbered_error():

@@ -951,6 +951,54 @@ def test_stale_upstream_artifact_names_producing_stage(
     assert "Traceback" not in err
 
 
+def _step_id_past_the_graph(steps):
+    steps["tids"][0] = 10**6
+    return "retrieved triple id 1000000 not in graph"
+
+
+def _step_id_negative(steps):
+    steps["tids"][0] = -1
+    return "retrieved triple id -1 not in graph"
+
+
+def _step_ends_swapped(steps):
+    h, r, t = steps["triples"][0]
+    steps["triples"][0] = [t, r, h]
+    return f"retrieved triple {steps['tids'][0]} joins {h} to {t}, not {t} to {h}"
+
+
+def _step_relation_invented(steps):
+    own = steps["triples"][-1][1]
+    steps["triples"][-1][1] = "invented_relation"
+    return f"retrieved triple {steps['tids'][-1]} has relation 'invented_relation', not {own!r} or its merge with parallel ones"
+
+
+def _step_score_dropped(steps):
+    steps["scores"].pop()
+    return "tids, triples and scores differ in length"
+
+
+@pytest.mark.parametrize("artifact, stage", [("retrieval.jsonl", "reorganize"), ("chains.jsonl", "answer")])
+@pytest.mark.parametrize(
+    "damage",
+    [_step_id_past_the_graph, _step_id_negative, _step_ends_swapped, _step_relation_invented, _step_score_dropped],
+    ids=["id-past-the-graph", "id-negative", "ends-swapped", "relation-invented", "score-dropped"],
+)
+def test_each_refused_step_exits_3_with_its_own_text(pipeline_dir, tmp_path, capsys, artifact, stage, damage):
+    cfg_path = write_fixture_config(tmp_path)
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    path = tmp_path / "out" / artifact
+    first, *rest = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(first)
+    shown = damage(record["chains"][0] if artifact == "chains.jsonl" else record)
+    path.write_text("\n".join([json.dumps(record), *rest]) + "\n", encoding="utf-8")
+    rc = main([stage, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING
+    assert f"{artifact}: line 1: {shown}" in err
+    assert "Traceback" not in err
+
+
 def _edit_graph_tsv(out):
     path = out / "graph.tsv"
     path.write_text(path.read_text(encoding="utf-8").replace("spain", "espana", 1), encoding="utf-8")

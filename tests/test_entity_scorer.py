@@ -26,7 +26,7 @@ from kgrag.retriever.entity_scorer import prepare_graph_tensors
 from kgrag.retriever.triple_scorer import sgd_step
 
 import oracles
-from conftest import graph_from_lines, make_question
+from conftest import graph_from_lines, make_question, parameter_vector, set_parameter_vector
 from synth import separable_sample, star_graph_entity_sample
 
 GNN_CFG = PipelineConfig(
@@ -67,7 +67,7 @@ def test_entity_gradient_matches_central_differences():
     y = np.array([1.0 if e in positives else 0.0 for e in gt.view.entity_ids])
     _, grads = model.loss_and_grad(gt, y, pos_weight=3.0)
     flat_grad = np.concatenate([g.ravel() for g in grads])
-    vec = model.parameter_vector()
+    vec = parameter_vector(model)
     rng = np.random.default_rng(1)
     coords = rng.choice(vec.size, size=10, replace=False)
     h = 1e-6
@@ -75,11 +75,11 @@ def test_entity_gradient_matches_central_differences():
         plus, minus = vec.copy(), vec.copy()
         plus[c] += h
         minus[c] -= h
-        model.set_parameter_vector(plus)
+        set_parameter_vector(model, plus)
         lp = model.loss_and_grad(gt, y, 3.0)[0]
-        model.set_parameter_vector(minus)
+        set_parameter_vector(model, minus)
         lm = model.loss_and_grad(gt, y, 3.0)[0]
-        model.set_parameter_vector(vec)
+        set_parameter_vector(model, vec)
         numeric = (lp - lm) / (2 * h)
         denom = max(abs(numeric), abs(flat_grad[c]), 1e-8)
         assert abs(numeric - flat_grad[c]) / denom < 1e-4

@@ -43,6 +43,49 @@ def test_hop_distances_match_oracles(data):
     assert hop_distances(view, anchors) == nearest
 
 
+def _anchors_and_direction(data, g):
+    entity = st.integers(0, len(g.entities) - 1)
+    anchors = data.draw(st.sets(entity, min_size=1, max_size=3))
+    return anchors, data.draw(st.sampled_from(["out", "in", "both"])), entity
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hop_distances_stopped_at_targets_agree_with_the_full_search(data):
+    g, view = _random_view(data)
+    anchors, direction, entity = _anchors_and_direction(data, g)
+    targets = data.draw(st.sets(entity, max_size=4))
+    full = hop_distances(view, anchors, direction)
+    stopped = hop_distances(view, anchors, direction, targets=targets)
+    assert stopped.items() <= full.items()
+    if not targets <= full.keys():  # a target out of reach: the search runs to the end
+        assert stopped == full
+        return
+    farthest = max((full[t] for t in targets), default=0)
+    assert targets <= stopped.keys()
+    assert {e for e, d in stopped.items() if d < farthest} == {e for e, d in full.items() if d < farthest}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hop_distances_to_a_depth_are_the_full_search_up_to_it(data):
+    g, view = _random_view(data)
+    anchors, direction, _ = _anchors_and_direction(data, g)
+    depth = data.draw(st.integers(0, 4))
+    full = hop_distances(view, anchors, direction)
+    assert hop_distances(view, anchors, direction, depth=depth) == {e: d for e, d in full.items() if d <= depth}
+
+
+def test_hop_distances_stop_at_the_last_target_or_run_on_for_an_unreachable_one():
+    g = graph_from_lines("A r B", "B r C", "C r D", "D r E", "X r Y")
+    a, b, c, y = (g.entity_ids[lab] for lab in "ABCY")
+    assert hop_distances(g, [a], targets=[b]) == {a: 0, b: 1}
+    assert hop_distances(g, [a], targets=[c, b]) == {a: 0, b: 1, c: 2}
+    assert hop_distances(g, [a], targets=[a]) == {a: 0}
+    assert hop_distances(g, [a], targets=[b, y]) == hop_distances(g, [a]) == dict(zip(range(5), range(5)))
+    assert hop_distances(g, [c], depth=1) == {c: 0, b: 1, g.entity_ids["D"]: 1}
+
+
 def test_hop_distances_rejects_unknown_direction():
     g = graph_from_lines("A r B")
     with pytest.raises(ValueError, match="direction"):

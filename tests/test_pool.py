@@ -87,6 +87,26 @@ def test_shortest_paths_match_oracle_on_random_graphs():
         assert got == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shortest_paths_are_the_oracles_in_pair_and_triple_id_order_up_to_the_cap(data):
+    n_entities = data.draw(st.integers(2, 9))
+    entity = st.integers(0, n_entities - 1)
+    rows = data.draw(st.lists(st.tuples(entity, st.integers(0, 2), entity), min_size=1, max_size=24))
+    g = load_kg(io.StringIO("\n".join(f"e{h}\trel{r}\te{t}" for h, r, t in rows)), "tsv")
+    ids = st.integers(0, len(g.entities) - 1)
+    sources, targets = data.draw(st.sets(ids, min_size=1, max_size=3)), data.draw(st.sets(ids, max_size=3))
+    cap = data.draw(st.sampled_from([1, 2, 3, 10_000]))
+    edges = [(tid, tr.head, tr.tail) for tid, tr in g.iter_triples()]
+    expected = [
+        ReasoningPath(*path)
+        for s in sorted(sources)
+        for t in sorted(targets)
+        for path in sorted(enumerate_shortest_paths(edges, s, t))[:cap]
+    ]
+    assert shortest_paths(g, sources, targets, cap) == expected
+
+
 def test_query_neighborhood_counts_and_dedup():
     g = graph_from_lines("A r1 B", "C r2 A", "B r3 C")
     q = make_question(g, ["A"], [])

@@ -17,7 +17,7 @@ from kgrag.retriever import (
 from kgrag.retriever.subgraph import ModelFormatError
 from kgrag.retriever.triple_scorer import recall_at_k
 
-from conftest import graph_from_lines, make_question
+from conftest import graph_from_lines, make_question, parameter_vector, set_parameter_vector
 from synth import separable_corpus
 
 FAST = PipelineConfig(
@@ -70,7 +70,7 @@ def test_gradient_matches_central_differences():
     y = np.array([1.0 if t in positives else 0.0 for t in tids])
     _, grads = model.loss_and_grad(X, y, pos_weight=2.0)
     flat_grad = np.concatenate([g.ravel() for g in grads])
-    vec = model.parameter_vector()
+    vec = parameter_vector(model)
     rng = np.random.default_rng(0)
     coords = rng.choice(vec.size, size=10, replace=False)
     h = 1e-6
@@ -79,11 +79,11 @@ def test_gradient_matches_central_differences():
         plus[c] += h
         minus = vec.copy()
         minus[c] -= h
-        model.set_parameter_vector(plus)
+        set_parameter_vector(model, plus)
         lp = model.loss_and_grad(X, y, 2.0)[0]
-        model.set_parameter_vector(minus)
+        set_parameter_vector(model, minus)
         lm = model.loss_and_grad(X, y, 2.0)[0]
-        model.set_parameter_vector(vec)
+        set_parameter_vector(model, vec)
         numeric = (lp - lm) / (2 * h)
         denom = max(abs(numeric), abs(flat_grad[c]), 1e-8)
         assert abs(numeric - flat_grad[c]) / denom < 1e-4

@@ -16,16 +16,19 @@ from kgrag.simulate import (
     estimate_recovery_rounds,
     hypergeometric_tail,
     load_experiment,
-    measure_acceptance_rate,
-    reward_coverage,
-    reward_draw,
     run_subset_search,
     universe_reward,
     write_summary_json,
     write_trials_csv,
 )
 
-from oracles import all_subsets, per_draw_subset_search
+from oracles import (
+    all_subsets,
+    measure_acceptance_rate,
+    per_draw_subset_search,
+    reward_coverage,
+    reward_draw,
+)
 
 
 def inst(n=10, k=2, s0=1.0, d0=0.5):
