@@ -410,10 +410,9 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
     inst, cfg, trials = load_experiment(config_path)
     summary = estimate_recovery_rounds(inst, cfg, trials)
     out = Path(out_dir)
-    with kgmod.published(out / "trials.csv") as fh:
-        write_trials_csv(summary, fh)
-    with kgmod.published(out / "summary.json") as fh:
-        write_summary_json(summary, inst, cfg, fh)
+    with kgmod.published(out / "trials.csv") as csv_fh, kgmod.published(out / "summary.json") as json_fh:
+        write_trials_csv(summary, csv_fh)  # neither file is replaced unless both are written
+        write_summary_json(summary, inst, cfg, json_fh)
     print(
         f"{summary.recovered_trials}/{summary.trials} trials recovered, "
         f"mean rounds {summary.mean_rounds:.1f} -> {out}"

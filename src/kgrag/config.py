@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import json
 import reprlib
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Literal, TypeVar, get_args, get_origin, get_type_hints
@@ -32,7 +33,7 @@ def json_field(obj: Any, key: str, tp: Any, default: Any = _REQUIRED) -> Any:
     ``tp`` is ``bool``, ``int``, ``float`` (an integer read as a float), ``str``, ``dict`` or
     ``list`` (whose items the caller checks), ``tuple[X, ...]`` or ``tuple[X, Y, Z]`` (a JSON
     list), ``X | None`` or ``Literal[...]``. A missing required key raises ``KeyError(key)``;
-    a wrong type (``TypeError``) or choice (``ValueError``) names the key.
+    a wrong type (``TypeError``) or choice (``ValueError``, or a non-finite float) names the key.
     """
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {reprlib.repr(obj)}")
@@ -74,7 +75,9 @@ def _as(value: Any, tp: Any) -> Any:
         return None if value is None else _as(value, inner)
     elif tp is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            if -sys.float_info.max <= value <= sys.float_info.max:  # not NaN, ±Infinity or a huge integer
+                return float(value)
+            raise ValueError("a finite number")
     elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
         return value
     raise TypeError(tp)

@@ -10,7 +10,10 @@ also computes in closed form for comparison against simulation.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
+import itertools
 import json
 import logging
 import math
@@ -74,7 +77,7 @@ class SearchTrace:
     rounds_executed: int
     accepted_rounds: int
     recovered: bool
-    rewards: list[float] = field(default_factory=list)
+    accepted_rewards: list[float] = field(default_factory=list)  # one per accepted round
     final_set: frozenset[int] = frozenset()
 
 
@@ -86,28 +89,27 @@ def count_reward(count, size: int, inst: OracleInstance):
     return (count * inst.s0 - (size - count) * inst.delta0) / (size * inst.s0)
 
 
-def acceptance_occupancy(inst: OracleInstance, threshold: float) -> float:
-    """θ such that a draw is accepted iff its oracle count exceeds S·θ."""
-    return (threshold * inst.s0 + inst.delta0) / (inst.s0 + inst.delta0)
-
-
 def universe_reward(inst: OracleInstance) -> float:
     """Draw-normalized reward of the whole universe (r0)."""
     return count_reward(inst.k, inst.universe_size, inst)
 
 
-def _warn_if_threshold_unanalyzed(inst: OracleInstance, cfg: SearchConfig) -> None:
-    r0 = universe_reward(inst)
-    if not (r0 < cfg.threshold < 1.0):
-        logger.warning(
-            "threshold %.3f outside the analyzed range (%.3f, 1); the search "
-            "still runs but may never accept",
-            cfg.threshold,
-            r0,
-        )
-
-
-FIRST_BLOCK = 16  # rounds in a search's first batch of counts; each later batch doubles
+@functools.lru_cache(maxsize=32)
+def _acceptance_law(
+    inst: OracleInstance, size: int, threshold: float
+) -> tuple[tuple[int, ...], tuple[float, ...], float]:
+    """The one acceptance rule: a draw holding ``c`` oracle items is accepted iff
+    ``count_reward(c, size, inst) > threshold``. Returns the accepted counts (a tail of the
+    support, since the reward rises with ``c``), their cumulative hypergeometric distribution
+    given acceptance, and the probability ``p`` that a draw is accepted, the tail's mass."""
+    n, k = inst.universe_size, inst.k
+    if size > n:
+        raise ValueError("subset_size cannot exceed the universe size")
+    support = range(max(0, size - (n - k)), min(k, size) + 1)
+    counts = tuple(c for c in support if count_reward(c, size, inst) > threshold)
+    cumulative = list(itertools.accumulate(math.comb(k, c) * math.comb(n - k, size - c) for c in counts))
+    cdf = tuple(weight / cumulative[-1] for weight in cumulative)
+    return counts, cdf, hypergeometric_tail(n, k, size, counts[0]) if counts else 0.0
 
 
 def run_subset_search(
@@ -117,37 +119,34 @@ def run_subset_search(
 ) -> SearchTrace:
     """Uniform size-S draws, strict-threshold acceptance, union until covered.
 
-    A draw counts only through its oracle count, which is hypergeometric, so
-    rounds are sampled as counts in batches that double from ``FIRST_BLOCK``.
-    An accepted round is then materialised as a uniform subset of that many
-    oracle items plus a uniform subset of the rest: the law of a uniform
-    size-S draw given its count. Draws are returned to the pool after each
-    round. The trace is fully determined by the seed (``cfg.seed`` unless
-    overridden).
+    A rejected round changes nothing but the round counter, so the search jumps
+    from one accepted round to the next by a geometric gap, draws that round's
+    oracle count from the hypergeometric law given acceptance, and materialises
+    it as uniform subsets of that many oracle items and of the rest. A search
+    that can accept no count returns ``max_rounds`` without drawing. The trace is
+    fully determined by the seed (``cfg.seed`` unless overridden).
     """
-    if cfg.subset_size > inst.universe_size:
-        raise ValueError("subset_size cannot exceed the universe size")
+    counts, cdf, p = _acceptance_law(inst, cfg.subset_size, cfg.threshold)
+    if p == 0.0:
+        return SearchTrace(cfg.max_rounds, 0, False)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     oracle = np.array(sorted(inst.oracle_set))
     others = np.delete(np.arange(inst.universe_size), oracle)
     identified = np.zeros(inst.universe_size, dtype=bool)
     rewards: list[float] = []
-    accepted, recovered = 0, False
-    size, block = cfg.subset_size, FIRST_BLOCK
-    while not recovered and len(rewards) < cfg.max_rounds:
-        counts = rng.hypergeometric(inst.k, len(others), size, min(block, cfg.max_rounds - len(rewards)))
-        block_rewards = count_reward(counts, size, inst)
-        for i in np.flatnonzero(block_rewards > cfg.threshold):
-            accepted += 1
-            identified[oracle[rng.choice(inst.k, size=counts[i], replace=False)]] = True
-            identified[others[rng.choice(len(others), size=size - counts[i], replace=False)]] = True
-            if identified[oracle].all():
-                recovered, block_rewards = True, block_rewards[: i + 1]
-                break
-        rewards += block_rewards.tolist()
-        block *= 2
+    rounds, recovered = 0, False
+    while not recovered:
+        rounds += int(rng.geometric(p))
+        if rounds > cfg.max_rounds:
+            rounds = cfg.max_rounds
+            break
+        count = counts[bisect.bisect_right(cdf, rng.random())]
+        rewards.append(count_reward(count, cfg.subset_size, inst))
+        identified[oracle[rng.choice(inst.k, size=count, replace=False)]] = True
+        identified[others[rng.choice(len(others), size=cfg.subset_size - count, replace=False)]] = True
+        recovered = bool(identified[oracle].all())
     final_set = frozenset(np.flatnonzero(identified).tolist())
-    return SearchTrace(len(rewards), accepted, recovered, rewards, final_set)
+    return SearchTrace(rounds, len(rewards), recovered, rewards, final_set)
 
 
 def hypergeometric_tail(n: int, k: int, s: int, min_count: int) -> float:
@@ -171,13 +170,10 @@ def hypergeometric_tail(n: int, k: int, s: int, min_count: int) -> float:
 def acceptance_probability(inst: OracleInstance, cfg: SearchConfig) -> float:
     """Closed-form probability that one uniform draw is accepted.
 
-    Acceptance means the draw's oracle count strictly exceeds S·θ, i.e. the
-    count reaches floor(S·θ) + 1.
+    It is the hypergeometric tail over the counts the search accepts, so it is
+    the very ``p`` that :func:`run_subset_search` draws its gaps with.
     """
-    cut = cfg.subset_size * acceptance_occupancy(inst, cfg.threshold)
-    return hypergeometric_tail(
-        inst.universe_size, inst.k, cfg.subset_size, math.floor(cut) + 1
-    )
+    return _acceptance_law(inst, cfg.subset_size, cfg.threshold)[2]
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,9 @@ def estimate_recovery_rounds(inst: OracleInstance, cfg: SearchConfig, trials: in
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _warn_if_threshold_unanalyzed(inst, cfg)
+    if not (r0 := universe_reward(inst)) < cfg.threshold < 1.0:
+        unanalyzed = "threshold %.3f outside the analyzed range (%.3f, 1); the search still runs but may never accept"
+        logger.warning(unanalyzed, cfg.threshold, r0)
     rounds_per_trial, recovered, accepted = [], 0, 0
     for trial in range(trials):
         trace = run_subset_search(inst, cfg, seed=[cfg.seed, trial])

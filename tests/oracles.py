@@ -202,6 +202,11 @@ def reward_draw(selected: set[int] | frozenset[int], inst) -> float:
     return count_reward(len(selected & inst.oracle_set), len(selected), inst)
 
 
+def acceptance_occupancy(inst, threshold: float) -> float:
+    """θ such that a draw is accepted iff its oracle count exceeds S·θ."""
+    return (threshold * inst.s0 + inst.delta0) / (inst.s0 + inst.delta0)
+
+
 def measure_acceptance_rate(inst, cfg, rounds: int, seed: int | None = None) -> float:
     """Empirical acceptance frequency over independent rounds (no stopping)."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)

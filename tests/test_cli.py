@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -28,6 +29,7 @@ from kgrag.cli import (
     STAGES,
     main,
 )
+from kgrag import cli
 from kgrag import kg as kgmod
 from kgrag.kg import KnowledgeGraph, load_kg
 
@@ -521,9 +523,12 @@ def _experiment_without(key):
         (json.dumps({**_EXPERIMENT, "S": 61}), "S must lie in [1, 60], got 61"),
         (json.dumps({**_EXPERIMENT, "N": "many"}), "N has the wrong type"),
         (json.dumps({**_EXPERIMENT, "max_rounds": 0}), "max_rounds must be >= 1"),
+        (json.dumps({**_EXPERIMENT, "threshold": math.nan}), "threshold must be a finite number, got nan"),
+        (json.dumps({**_EXPERIMENT, "s0": math.inf}), "s0 must be a finite number, got inf"),
+        (json.dumps({**_EXPERIMENT, "delta0": -math.inf}), "delta0 must be a finite number, got -inf"),
     ],
     ids=["missing-file", "not-json", "not-object", "no-N", "no-K", "no-S", "no-threshold", "K-0",
-         "S-over-N", "N-string", "max_rounds-0"],
+         "S-over-N", "N-string", "max_rounds-0", "threshold-NaN", "s0-Infinity", "delta0-minus-Infinity"],
 )
 def test_simulate_bad_experiment_exits_config(tmp_path, capsys, text, shown):
     exp = tmp_path / "exp.json"
@@ -535,6 +540,23 @@ def test_simulate_bad_experiment_exits_config(tmp_path, capsys, text, shown):
     assert f"experiment {exp}" in err
     assert shown in err
     assert not (tmp_path / "sim").exists()
+
+
+def test_failed_simulate_replaces_neither_output(tmp_path, monkeypatch):
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(_EXPERIMENT))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(exp), "--out-dir", str(out)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    exp.write_text(json.dumps({**_EXPERIMENT, "trials": 4}))  # a longer trials.csv
+
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_summary_json", fail)
+    with pytest.raises(OSError):
+        main(["simulate", "--config", str(exp), "--out-dir", str(out)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ setting added there is tested here without another line.
 
 import ast
 import json
+import math
 import re
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
@@ -111,14 +112,25 @@ def test_misread_values_and_unknown_keys_exit_config(tmp_path, capsys, override,
         ({"top_k": 0}, "top_k must be >= 1, got 0"),
         ({"chain_length_limit": 0}, "chain_length_limit must be >= 1, got 0"),
         ({"training": {"learning_rate": 0}}, "training.learning_rate must be positive"),
+        ({"training": {"learning_rate": math.nan}}, "training.learning_rate must be a finite number, got nan"),
         ({"llm": {"temperature": -0.5}}, "llm.temperature must be >= 0, got -0.5"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"kg_format": "csv"}, "kg_format must be 'tsv' or 'jsonl', got 'csv'"),
     ],
-    ids=["top_k-0", "chain_length_limit-0", "learning_rate-0", "temperature-negative", "seed-negative", "kg_format-csv"],
+    ids=[
+        "top_k-0", "chain_length_limit-0", "learning_rate-0", "learning_rate-NaN", "temperature-negative",
+        "seed-negative", "kg_format-csv",
+    ],
 )
 def test_out_of_range_value_exits_config(tmp_path, capsys, override, shown):
     assert _config_errors(tmp_path, capsys, **override) == [f"config error: {shown}"]
+
+
+@pytest.mark.parametrize("key", sorted(k for k, tp in LEAVES.items() if float in (tp, *get_args(tp))))
+def test_every_float_setting_rejects_non_finite_numbers(tmp_path, capsys, key):
+    for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (10**400, "1000")):
+        errors = _config_errors(tmp_path, capsys, **_override(key, value))
+        assert len(errors) == 1 and errors[0].startswith(f"config error: {key} must be a finite number, got {shown}")
 
 
 def test_every_violation_is_reported_at_once(tmp_path, capsys):
@@ -272,3 +284,9 @@ def test_json_field_reads_fixed_tuples_and_lists(value, tp, expected):
 def test_json_field_rejects_items_of_another_type(value, tp):
     with pytest.raises(TypeError, match="k has the wrong type"):
         json_field({"k": value}, "k", tp)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+def test_json_field_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError, match="k must be a finite number"):
+        json_field({"k": value}, "k", float)

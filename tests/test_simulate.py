@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from kgrag.simulate import (
     OracleInstance,
     SearchConfig,
-    acceptance_occupancy,
     acceptance_probability,
+    count_reward,
     estimate_recovery_rounds,
     hypergeometric_tail,
     load_experiment,
@@ -23,6 +24,7 @@ from kgrag.simulate import (
 )
 
 from oracles import (
+    acceptance_occupancy,
     all_subsets,
     measure_acceptance_rate,
     per_draw_subset_search,
@@ -106,7 +108,7 @@ def test_full_draw_recovers_in_one_round():
     trace = run_subset_search(i, cfg)
     assert trace.recovered
     assert trace.rounds_executed == 1
-    assert trace.rewards[0] == pytest.approx(3 / 12)
+    assert trace.accepted_rewards == [pytest.approx(3 / 12)]
 
 
 def test_threshold_at_or_above_one_never_accepts():
@@ -133,7 +135,7 @@ def test_search_deterministic_given_seed():
     cfg = SearchConfig(subset_size=6, threshold=0.1, max_rounds=500, seed=11)
     t1 = run_subset_search(i, cfg)
     t2 = run_subset_search(i, cfg)
-    assert t1.rewards == t2.rewards
+    assert t1.accepted_rewards == t2.accepted_rewards
     assert t1.rounds_executed == t2.rounds_executed
     assert t1.final_set == t2.final_set
 
@@ -268,25 +270,101 @@ def _within(observed, expected, se, bound=4.0):
     return abs(observed - expected) <= bound * se
 
 
-def test_round_counts_follow_the_hypergeometric_law():
-    # with delta0 = 0 a round's reward is count / S; four oracle items cap it at
-    # 4/6, so threshold 0.9 never accepts and every round is an independent draw
+def _first_accepted_count(rewards, threshold, size):
+    """The oracle count of the first round whose reward (δ0 = 0, so count / size) is accepted."""
+    return next(round(r * size) for r in rewards if r > threshold)
+
+
+def test_rounds_to_first_acceptance_are_geometric():
+    # with one oracle item and delta0 = 0 a draw is accepted iff it holds the item,
+    # and the first acceptance recovers; rounds to recovery are geometric in p = S / N
+    i = OracleInstance(20, frozenset({0}), s0=1.0, delta0=0.0)
+    cfg = SearchConfig(subset_size=4, threshold=0.1, max_rounds=10_000, seed=8)
+    p = acceptance_probability(i, cfg)
+    assert p == pytest.approx(4 / 20)
+    trials = 3000
+    sampled = [run_subset_search(i, cfg, seed=[cfg.seed, t]) for t in range(trials)]
+    assert all(t.recovered and t.accepted_rounds == 1 for t in sampled)
+    rounds = {
+        "sampler": np.array([t.rounds_executed for t in sampled]),
+        "per-draw": np.array([_reference(i, cfg, [cfg.seed, t])[0] for t in range(trials)]),
+    }
+    mean_se = math.sqrt((1 - p) / p**2 / trials)
+    for name, observed in rounds.items():
+        assert _within(observed.mean(), 1 / p, mean_se), (name, observed.mean())
+        for r in range(1, 6):
+            pmf = (1 - p) ** (r - 1) * p
+            assert _within(np.mean(observed == r), pmf, math.sqrt(pmf * (1 - pmf) / trials)), (name, r)
+    assert _within(rounds["sampler"].mean(), rounds["per-draw"].mean(), math.sqrt(2) * mean_se)
+
+
+def test_accepted_counts_follow_the_conditional_hypergeometric_law():
+    # counts 2, 3 and 4 of the four oracle items are accepted; a trial's first accepted
+    # round is untouched by the stopping rule, so its count has the law given acceptance
     i = OracleInstance(30, frozenset(range(4)), s0=1.0, delta0=0.0)
-    cfg = SearchConfig(subset_size=6, threshold=0.9, max_rounds=20_000, seed=8)
+    cfg = SearchConfig(subset_size=6, threshold=0.2, max_rounds=10_000, seed=5)
+    trials = 3000
+    firsts = {
+        "sampler": [
+            _first_accepted_count(run_subset_search(i, cfg, seed=[cfg.seed, t]).accepted_rewards, cfg.threshold, 6)
+            for t in range(trials)
+        ],
+        "per-draw": [
+            _first_accepted_count(_reference(i, cfg, [cfg.seed, t])[3], cfg.threshold, 6) for t in range(trials)
+        ],
+    }
+    weights = {c: math.comb(4, c) * math.comb(26, 6 - c) for c in (2, 3, 4)}
+    assert acceptance_probability(i, cfg) == pytest.approx(sum(weights.values()) / math.comb(30, 6), rel=1e-12)
+    for c, weight in weights.items():
+        pmf = weight / sum(weights.values())
+        se = math.sqrt(pmf * (1 - pmf) / trials)
+        got, want = (np.mean(np.array(firsts[name]) == c) for name in ("sampler", "per-draw"))
+        assert _within(got, pmf, se), (c, got, pmf)
+        assert _within(want, pmf, se), (c, want, pmf)
+        assert _within(got, want, math.sqrt(2) * se), (c, got, want)
+
+
+@pytest.mark.parametrize(
+    "n, k, size, d0, count",
+    [(30, 4, 6, 0.0, 2), (20, 2, 2, 0.3, 1)],
+    ids=["exact-ratio", "float-boundary"],
+)
+def test_threshold_equal_to_a_counts_reward_rejects_that_count(n, k, size, d0, count):
+    # at d0 0.3 the threshold 0.35 is the reward of one of two oracle items, and
+    # S·θ(0.35) rounds to just below 1, so a floor of it would accept that count
+    i = OracleInstance(n, frozenset(range(k)), s0=1.0, delta0=d0)
+    cfg = SearchConfig(subset_size=size, threshold=count_reward(count, size, i), max_rounds=5000, seed=2)
+    closed = acceptance_probability(i, cfg)
+    assert closed == hypergeometric_tail(n, k, size, count + 1)
+    traces = [run_subset_search(i, cfg, seed=seed) for seed in range(200)]
+    references = [_reference(i, cfg, seed) for seed in range(200)]
+    accepted = [r for t in traces for r in t.accepted_rewards]
+    assert accepted and min(accepted) == count_reward(count + 1, size, i) > cfg.threshold
+    for taken, executed in (
+        (sum(t.accepted_rounds for t in traces), sum(t.rounds_executed for t in traces)),
+        (sum(r[1] for r in references), sum(r[0] for r in references)),
+    ):
+        assert _within(taken / executed, closed, math.sqrt(closed * (1 - closed) / executed)), (taken, executed)
+
+
+@pytest.mark.parametrize(
+    "threshold, recovered", [(0.5, False), (0.25, True)], ids=["nothing-accepted", "p-7e-10"]
+)
+def test_search_cost_grows_with_accepted_rounds_only(threshold, recovered):
+    # 10^12 rounds: a sampler that drew every round would not return
+    i = OracleInstance(10_000, frozenset(range(3)), s0=1.0, delta0=0.0)
+    cfg = SearchConfig(subset_size=10, threshold=threshold, max_rounds=10**12, seed=4)
+    start = time.perf_counter()
     trace = run_subset_search(i, cfg)
-    reference = _reference(i, cfg, cfg.seed)
-    assert trace.rounds_executed == len(trace.rewards) == cfg.max_rounds
-    frequencies = [
-        np.bincount(np.rint(np.array(rewards) * 6).astype(int), minlength=5) / cfg.max_rounds
-        for rewards in (trace.rewards, reference[3])
-    ]
-    for count in range(5):
-        pmf = hypergeometric_tail(30, 4, 6, count) - hypergeometric_tail(30, 4, 6, count + 1)
-        se = math.sqrt(pmf * (1 - pmf) / cfg.max_rounds)
-        got, want = frequencies[0][count], frequencies[1][count]
-        assert _within(got, pmf, se), (count, got, pmf)
-        assert _within(want, pmf, se), (count, want, pmf)
-        assert _within(got, want, math.sqrt(2) * se), (count, got, want)
+    assert time.perf_counter() - start < 1.0
+    assert trace.recovered == recovered
+    if recovered:  # only count 3 is accepted, so the first acceptance recovers
+        assert acceptance_probability(i, cfg) == hypergeometric_tail(10_000, 3, 10, 3) == pytest.approx(7.2e-10, rel=0.01)
+        assert trace.accepted_rounds == 1 and trace.accepted_rewards == [0.3]
+        assert 10**6 < trace.rounds_executed < 10**12
+    else:
+        assert acceptance_probability(i, cfg) == 0.0
+        assert (trace.rounds_executed, trace.accepted_rounds) == (10**12, 0)
 
 
 def test_accepted_rounds_cover_oracle_items_uniformly():
@@ -308,7 +386,7 @@ def test_accepted_rounds_cover_oracle_items_uniformly():
                 accepted[name] += 1
                 hits[name][sorted(final_set)] += 1
         if trace.accepted_rounds:
-            assert len(trace.final_set & i.oracle_set) == round(trace.rewards[0] * 6)
+            assert len(trace.final_set & i.oracle_set) == round(trace.accepted_rewards[0] * 6)
         else:
             assert trace.final_set == frozenset()
     # given acceptance, each oracle item is in the draw with probability E[count | count >= 1] / K
@@ -331,8 +409,8 @@ def test_trace_counts_agree_with_rewards_and_final_set():
     cfg = SearchConfig(subset_size=8, threshold=0.2, max_rounds=3000, seed=3)
     for seed in range(20):
         trace = run_subset_search(i, cfg, seed=seed)
-        assert len(trace.rewards) == trace.rounds_executed
-        assert trace.accepted_rounds == sum(r > cfg.threshold for r in trace.rewards)
+        assert len(trace.accepted_rewards) == trace.accepted_rounds <= trace.rounds_executed
+        assert all(r > cfg.threshold for r in trace.accepted_rewards)
         assert len(trace.final_set) <= trace.accepted_rounds * cfg.subset_size
         assert trace.recovered == (i.oracle_set <= trace.final_set)
 
