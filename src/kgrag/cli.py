@@ -327,16 +327,12 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
     # an entity scorer ranks triples by the scores of their ends, with parallel relations merged
     by_entity = cfg.retrieval_level == "entity"
     k = cfg.top_k + (cfg.entity_k_bonus if by_entity else 0)
-    # every unscoped question's view is g itself, so they share one set of tables
-    shared = ViewTables(g, model.encoder) if any(q.scope is None for q in questions) else None
 
     def run(q: kgmod.Question) -> dict:
         view = kgmod.working_graph(g, q)
-        # a scoped view's own tables are built inside scoring, unless merging needs them too
-        tables = shared if view is g else ViewTables(view, model.encoder) if by_entity else None
-        scored, merged = model.score(q, view, tables), {}
+        scored, merged = model.score(q, view), {}
         if by_entity:
-            scored, merged = entity_to_triple_scores(scored, tables)
+            scored, merged = entity_to_triple_scores(scored, ViewTables.of(view, model.encoder))
         return subgraph_to_record(q.id, top_k(scored, k, g, relation_overrides=merged))
 
     return _per_question(cfg, "retrieve", questions, run, write_subgraphs, f"retrieved top-{k} triples")

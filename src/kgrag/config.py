@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import reprlib
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -58,13 +59,13 @@ def _as(value: Any, tp: Any) -> Any:
         # one pass over the item types settles the common case, items of the plain types asked for
         if type(value) is list:
             if args[-1] is not Ellipsis:  # tuple[X, Y, Z]
-                if tuple(map(type, value)) == args:
+                if float not in args and tuple(map(type, value)) == args:
                     return tuple(value)
                 if len(value) == len(args):
                     return tuple(_as(item, item_tp) for item, item_tp in zip(value, args))
-            elif set(map(type, value)) <= {args[0]}:
+            elif set(map(type, value)) <= {args[0]} and (args[0] is not float or all(map(math.isfinite, value))):
                 return tuple(value)
-            else:
+            else:  # each item as the scalar reader reads it, which names a non-finite float
                 return tuple(_as(item, args[0]) for item in value)
     elif origin is Literal:
         if value in args:

@@ -180,14 +180,11 @@ class KnowledgeGraph:
         )
 
     def restrict(self, scope: Iterable[int]) -> "KnowledgeGraph":
-        """View of this graph limited to the given triple ids (shared vocabulary)."""
+        """View showing the given stored triple ids (shared vocabulary), whatever this graph shows."""
         tids = sorted(set(scope))
         for tid in tids[:1] + tids[-1:]:  # sorted, so the ends bound every id
             if tid < 0 or tid >= len(self.storage):
                 raise KeyError(f"scope references unknown triple id {tid}")
-        if not self._shows_every_triple():
-            visible = set(self.triple_ids)
-            tids = [t for t in tids if t in visible]
         return KnowledgeGraph(
             entities=self.entities,
             relations=self.relations,
@@ -219,9 +216,6 @@ class KnowledgeGraph:
 
     # -- lookups -----------------------------------------------------------
 
-    def _shows_every_triple(self) -> bool:
-        return len(self.triple_ids) == len(self.storage)
-
     def __len__(self) -> int:
         return len(self.triple_ids)
 
@@ -252,12 +246,9 @@ class KnowledgeGraph:
         return [[e[s.head[t]], r[s.relation[t]], e[s.tail[t]]] for t in tids]
 
     def resolve(self, head: str, relation: str, tail: str) -> int | None:
-        """Id of the visible triple with these labels, or ``None``."""
+        """Id of the stored triple with these labels, whatever this graph shows, or ``None``."""
         entity = self.entity_ids.get  # an unknown label gives None, which no key of the index holds
-        tid = self.triple_index.get((entity(head), self.relation_ids.get(relation), entity(tail)))
-        if tid is None or self._shows_every_triple() or tid in self.out_index.get(self.storage.head[tid], ()):
-            return tid
-        return None
+        return self.triple_index.get((entity(head), self.relation_ids.get(relation), entity(tail)))
 
     def steps(self, e: int) -> list[tuple[int, str]]:
         """``(triple id, orientation leaving e)`` per triple touching ``e``, in id order.
@@ -584,15 +575,15 @@ def load_questions(
 
     Records are JSONL objects ``{id, question, question_entities,
     answer_entities, scope?}`` where scope is a list of ``[h, r, t]`` label
-    triples. A repeated id, and answer labels none of which resolves, raise
-    :class:`KGFormatError`. Other unresolvable labels are dropped and reported
-    per question id in the returned mapping. Only ``ingest`` resolves labels: it
-    compiles the result for the later stages (:func:`to_compiled_questions`).
+    triples, resolved against ``g``'s stored triples. A repeated id, and answer
+    labels none of which resolves, raise :class:`KGFormatError`. Other
+    unresolvable labels are dropped and reported per question id in the
+    returned mapping. Only ``ingest`` resolves labels: it compiles the result
+    for the later stages (:func:`to_compiled_questions`).
     """
     unresolved: dict[str, list[str]] = {}
     # scope items resolve in one pass over the label maps and the triple index
     entity, relation, triple = g.entity_ids.get, g.relation_ids.get, g.triple_index.get
-    visible = None if g._shows_every_triple() else set(g.triple_ids)
     seen: set[str] = set()
 
     def parse(obj: dict) -> Question:
@@ -621,7 +612,7 @@ def load_questions(
             for item in items:
                 h, r, t = item
                 tid = triple((entity(h), relation(r), entity(t)))
-                if tid is not None and (visible is None or tid in visible):
+                if tid is not None:
                     tids.append(tid)
                 elif type(item) is list and all(type(lab) is str for lab in item):
                     problems.append(f"{h}|{r}|{t}")

@@ -243,17 +243,30 @@ class ReplayBackend:
 # -- remote ------------------------------------------------------------------
 
 
-def _requests_transport(url: str, api_key: str, timeout: float) -> Callable[[dict], dict]:
-    import requests
+def _http_transport(url: str, api_key: str, timeout: float) -> Callable[[dict], dict]:
+    """POST the payload as JSON and parse the reply; a reply other than 200 raises ``RuntimeError``.
+    A URL of another scheme than http or https, which urllib would also open, raises ``ValueError``."""
+    import urllib.error  # here, so that only a remote backend loads http.client and ssl
+    import urllib.parse
+    import urllib.request
+
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise ValueError(f"{ENV_URL} must be an http or https URL, got {url!r}")
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
 
     def send(payload: dict) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        if resp.status_code != 200:
-            raise RuntimeError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        return resp.json()
+        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            status, body = exc.code, exc.read()
+        text = body.decode("utf-8", "replace")
+        if status != 200:
+            raise RuntimeError(f"HTTP {status}: {text[:200]}")
+        return json.loads(text)
 
     return send
 
@@ -287,7 +300,7 @@ class RemoteBackend:
             raise ValueError("max_inflight and max_attempts must be >= 1")
         self.model = model
         self.store = store
-        self._transport = transport or _requests_transport(url, api_key, timeout_s)
+        self._transport = transport or _http_transport(url, api_key, timeout_s)
         self._slots = threading.Semaphore(max_inflight)
         self._max_attempts = max_attempts
         self._backoff_s = backoff_s

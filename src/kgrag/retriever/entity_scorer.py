@@ -36,14 +36,9 @@ class GraphTensors(QuestionFeatures):
 
 
 def prepare_graph_tensors(
-    g: KnowledgeGraph,
-    q: Question,
-    encoder: HashedBowEncoder,
-    depth: int,
-    slots: int,
-    tables: ViewTables | None = None,
+    g: KnowledgeGraph, q: Question, encoder: HashedBowEncoder, depth: int, slots: int
 ) -> GraphTensors:
-    f = question_features(g, q, encoder, depth, slots, tables)
+    f = question_features(g, q, encoder, depth, slots)
     n, slots, width = f.dde.shape
     return GraphTensors(**vars(f), X=np.hstack([f.view.entity_text, f.dde.reshape(n, slots * width)]))
 
@@ -207,11 +202,9 @@ class EntityScorer(Scorer):
 
     # -- inputs ----------------------------------------------------------------
 
-    def inputs(
-        self, g: KnowledgeGraph, q: Question, tables: ViewTables | None = None
-    ) -> tuple[GraphTensors, list[int]]:
+    def inputs(self, g: KnowledgeGraph, q: Question) -> tuple[GraphTensors, list[int]]:
         """The graph tensors and the entity id of each node row, ascending."""
-        gt = prepare_graph_tensors(g, q, self.encoder, self.dde_depth, self.dde_slots, tables)
+        gt = prepare_graph_tensors(g, q, self.encoder, self.dde_depth, self.dde_slots)
         return gt, gt.view.entity_ids
 
     @staticmethod
@@ -221,9 +214,9 @@ class EntityScorer(Scorer):
 
 def entity_to_triple_scores(
     entity_scores: Sequence[tuple[int, float]] | dict[int, float],
-    tables: ViewTables,
+    view: ViewTables,
 ) -> tuple[list[tuple[int, float]], dict[int, str]]:
-    """Triple scores ``s(h,r,t) = p(h) + p(t)`` over the view ``tables`` describe, with
+    """Triple scores ``s(h,r,t) = p(h) + p(t)`` over the view ``view`` describes, with
     parallel relations merged.
 
     Triples sharing head and tail collapse to the smallest triple id; their
@@ -232,6 +225,6 @@ def entity_to_triple_scores(
     relation label per representative).
     """
     p = dict(entity_scores) if not isinstance(entity_scores, dict) else entity_scores
-    scores = np.array([p.get(e, 0.0) for e in tables.entity_ids], dtype=np.float64)
-    reps = tables.parallel
+    scores = np.array([p.get(e, 0.0) for e in view.entity_ids], dtype=np.float64)
+    reps = view.parallel
     return list(zip(reps.tids, (scores[reps.head] + scores[reps.tail]).tolist())), dict(reps.merged)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -193,9 +194,21 @@ class ViewTables:
 
     Triples are local rows in load order; entities and relations are local
     rows in ascending id order, and ``head``/``relation``/``tail`` index them.
-    Every question over one view can share one instance; :attr:`messages`
-    and :attr:`parallel` are built on first use.
+    Every question over one view shares one instance, through :meth:`of`;
+    :attr:`messages` and :attr:`parallel` are built on first use.
     """
+
+    # view -> text width -> its tables; an entry goes with its view
+    _by_view: weakref.WeakKeyDictionary[KnowledgeGraph, dict[int, ViewTables]] = weakref.WeakKeyDictionary()
+
+    @classmethod
+    def of(cls, g: KnowledgeGraph, encoder: HashedBowEncoder) -> ViewTables:
+        """The tables of view ``g`` at ``encoder``'s width, built on the first call. Two threads
+        that race build equal tables, and both get the one kept."""
+        by_dim = cls._by_view.setdefault(g, {})
+        if encoder.dim not in by_dim:
+            by_dim.setdefault(encoder.dim, cls(g, encoder))
+        return by_dim[encoder.dim]
 
     def __init__(self, g: KnowledgeGraph, encoder: HashedBowEncoder):
         self.tids = list(g.triple_ids)  # visible triple ids
@@ -255,11 +268,9 @@ def question_features(
     encoder: HashedBowEncoder,
     depth: int = DEFAULT_DDE_DEPTH,
     slots: int = DEFAULT_DDE_SLOTS,
-    tables: ViewTables | None = None,
 ) -> QuestionFeatures:
-    """The feature bundle of question ``q`` over its working graph ``g``; ``tables``, when
-    given, are ``g``'s, built with ``encoder``, and are shared instead of built anew."""
-    view = ViewTables(g, encoder) if tables is None else tables
+    """The feature bundle of question ``q`` over its working graph ``g``."""
+    view = ViewTables.of(g, encoder)
     width = dde_width(depth)
     dde = np.zeros((len(view.entity_ids), slots, width))
     dde[:, :, [depth + 1, width - 1]] = 1.0  # an empty slot stays "unreachable"
@@ -280,9 +291,8 @@ class TripleFeatureBuilder:
         encoder: HashedBowEncoder,
         depth: int = DEFAULT_DDE_DEPTH,
         slots: int = DEFAULT_DDE_SLOTS,
-        tables: ViewTables | None = None,
     ):
-        self.features = question_features(g, q, encoder, depth, slots, tables)
+        self.features = question_features(g, q, encoder, depth, slots)
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Literal, NamedTuple, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from ..config import PipelineConfig, json_field
 from ..kg import KGFormatError, KnowledgeGraph, Question
-from .features import HashedBowEncoder, QuestionFeatures, TripleFeatureBuilder, ViewTables, dde_width
+from .features import HashedBowEncoder, QuestionFeatures, TripleFeatureBuilder, dde_width
 
 logger = logging.getLogger(__name__)
 
@@ -70,10 +69,10 @@ class Scorer:
     order), and its constructor's architecture arguments in ``ARCH`` (argument -> JSON type);
     parameter initialisation, names, ``arch()`` and :meth:`from_payload` follow from them.
     ``input_widths(text_dim, dde_depth, dde_slots)`` gives the widths of the inputs it
-    builds, and ``config_arch(cfg)`` its other architecture arguments. ``inputs(g, q, tables)``
-    builds a question's inputs and the id of each score, over ``g``'s :class:`ViewTables`
-    when they are given, and ``positive_ids(g, positives)`` the ids a sample's positive
-    triples make positive; ``loss_and_grad`` and ``scores`` run on those inputs.
+    builds, and ``config_arch(cfg)`` its other architecture arguments. ``inputs(g, q)``
+    builds a question's inputs and the id of each score, and ``positive_ids(g, positives)``
+    the ids a sample's positive triples make positive; ``loss_and_grad`` and ``scores`` run
+    on those inputs.
     """
 
     kind: str
@@ -113,7 +112,8 @@ class Scorer:
     def from_payload(cls, payload: dict) -> "Scorer":
         """The model in a ``model.json`` object; an input width other than the encoder tag,
         ``dde_depth`` and ``dde_slots`` imply, and weights whose names or shapes differ from
-        the layout its ``arch`` gives, raise :class:`KGFormatError` before any is decoded."""
+        the layout its ``arch`` gives, raise :class:`KGFormatError` before any is decoded,
+        and a decoded weight that holds NaN or an infinity raises it after."""
         arch = json_field(payload, "arch", dict)
         json_field(arch, "type", Literal[cls.network])
         model = cls(
@@ -148,13 +148,14 @@ class Scorer:
             .copy()
             for name, shape in layout.items()
         ]
+        for name, w in zip(layout, model.params):
+            if not np.isfinite(w).all():
+                raise KGFormatError(f"weight {name!r} holds NaN or an infinity")
         return model
 
-    def score(
-        self, q: Question, g: KnowledgeGraph, tables: ViewTables | None = None
-    ) -> list[tuple[int, float]]:
+    def score(self, q: Question, g: KnowledgeGraph) -> list[tuple[int, float]]:
         """One score per id that :meth:`inputs` gives for ``q`` over its working graph ``g``."""
-        inputs, ids = self.inputs(g, q, tables)
+        inputs, ids = self.inputs(g, q)
         if not ids:
             return []
         return list(zip(ids, self.scores(inputs).tolist()))
@@ -268,11 +269,9 @@ class TripleScorer(Scorer):
 
     # -- inputs ---------------------------------------------------------------
 
-    def inputs(
-        self, g: KnowledgeGraph, q: Question, tables: ViewTables | None = None
-    ) -> tuple[QuestionFeatures, list[int]]:
+    def inputs(self, g: KnowledgeGraph, q: Question) -> tuple[QuestionFeatures, list[int]]:
         """The feature bundle and the visible triple ids it scores, in triple-id order."""
-        tids, f = TripleFeatureBuilder(g, q, self.encoder, self.dde_depth, self.dde_slots, tables).matrix()
+        tids, f = TripleFeatureBuilder(g, q, self.encoder, self.dde_depth, self.dde_slots).matrix()
         return f, tids
 
     @staticmethod
@@ -294,9 +293,9 @@ class _Prepared:
     positives: set[int]
 
 
-def _prepare(model: Scorer, sample: TrainSample, pos_weight_cap: float, tables: ViewTables | None) -> _Prepared:
+def _prepare(model: Scorer, sample: TrainSample, pos_weight_cap: float) -> _Prepared:
     question, graph, positive_tids = sample
-    inputs, ids = model.inputs(graph, question, tables)
+    inputs, ids = model.inputs(graph, question)
     positives = model.positive_ids(graph, positive_tids)
     y = np.array([1.0 if i in positives else 0.0 for i in ids])
     n_pos = int(y.sum())
@@ -347,11 +346,8 @@ def fit(
         seed=cfg.seed,
         rng=np.random.default_rng(cfg.seed),
     )
-    # a view that several samples share gets one set of tables: every unscoped question's view is the graph
-    views = Counter(s.graph for s in (*samples, *(val_samples or ())))
-    tables = {view: ViewTables(view, model.encoder) for view, n in views.items() if n > 1}
-    prepared = [_prepare(model, s, training.pos_weight_cap, tables.get(s.graph)) for s in samples]
-    val_prepared = [_prepare(model, s, training.pos_weight_cap, tables.get(s.graph)) for s in val_samples or ()]
+    prepared = [_prepare(model, s, training.pos_weight_cap) for s in samples]
+    val_prepared = [_prepare(model, s, training.pos_weight_cap) for s in val_samples or ()]
     recall_k = cfg.top_k if training.recall_k is None else training.recall_k
 
     best_recall = -1.0

@@ -385,7 +385,7 @@ def test_criterion_08_scorer_training():
 # -- 9: supervision-quality proxy ------------------------------------------------------
 
 
-@criterion(9, "refined supervision at least matches corrupted", budget_s=120.0)
+@criterion(9, "refined supervision beats corrupted", budget_s=120.0)
 def test_criterion_09_supervision_quality_proxy():
     corpus = separable_corpus(n_questions=50, n_triples=100, n_pos=5, n_decoys=5, seed=90)
     held_out = [s for s, _ in corpus[40:]]
@@ -407,7 +407,7 @@ def test_criterion_09_supervision_quality_proxy():
         ]
         refined_recall = heldout_recall(fit(TripleScorer, refined, cfg))
         corrupted_recall = heldout_recall(fit(TripleScorer, corrupted, cfg))
-        assert refined_recall >= corrupted_recall, (fraction, refined_recall, corrupted_recall)
+        assert refined_recall > corrupted_recall, (fraction, refined_recall, corrupted_recall)
 
 
 # -- 10: end-to-end fixture --------------------------------------------------------------

@@ -32,6 +32,7 @@ from kgrag.cli import (
 from kgrag import cli
 from kgrag import kg as kgmod
 from kgrag.kg import KnowledgeGraph, load_kg
+from kgrag.retriever import ViewTables
 
 from conftest import DATA, write_fixture_config
 
@@ -337,13 +338,30 @@ def test_a_stage_keeps_no_graph_once_it_returns(entity_pipeline_dir, tmp_path, s
     between questions go with it, and so does every graph they were built from."""
     cfg_path = config_in(entity_pipeline_dir, tmp_path, **ENTITY_LEVEL)
 
-    def graphs() -> int:
+    def counts() -> list[int]:
         gc.collect()
-        return sum(isinstance(obj, KnowledgeGraph) for obj in gc.get_objects())
+        objects = gc.get_objects()
+        return [sum(isinstance(obj, kind) for obj in objects) for kind in (KnowledgeGraph, ViewTables)]
 
-    before = graphs()
+    before = counts()
     assert main([stage, "--config", str(cfg_path)]) == EXIT_OK
-    assert graphs() <= before
+    assert all(after <= was for after, was in zip(counts(), before))
+
+
+@pytest.mark.parametrize("stage", ["train", "retrieve"])
+def test_a_stage_builds_the_loaded_graphs_tables_once(entity_pipeline_dir, tmp_path, monkeypatch, stage):
+    """Every unscoped question's view is the loaded graph, so one set of its tables serves them all."""
+    cfg_path = config_in(entity_pipeline_dir, tmp_path, **ENTITY_LEVEL)
+    built, init = [], ViewTables.__init__
+
+    def counted(self, g, encoder):
+        built.append(len(g) == len(g.storage))
+        init(self, g, encoder)
+
+    monkeypatch.setattr(ViewTables, "__init__", counted)
+    workers = ["--workers", "1"] if stage in PER_QUESTION else []
+    assert main([stage, "--config", str(cfg_path), *workers]) == EXIT_OK
+    assert built.count(True) == 1
 
 
 def test_each_stage_prints_its_summary_line(tmp_path, capsys):

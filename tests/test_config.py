@@ -290,3 +290,10 @@ def test_json_field_rejects_items_of_another_type(value, tp):
 def test_json_field_rejects_non_finite_floats(value):
     with pytest.raises(ValueError, match="k must be a finite number"):
         json_field({"k": value}, "k", float)
+
+
+@pytest.mark.parametrize("tp", [tuple[float, ...], tuple[float, float]])
+@pytest.mark.parametrize("value", [[math.nan, 0.5], [0.5, math.inf], [-math.inf, 1]])
+def test_json_field_rejects_non_finite_floats_in_a_list(value, tp):
+    with pytest.raises(ValueError, match="k must be a finite number"):
+        json_field({"k": value}, "k", tp)

@@ -8,10 +8,13 @@ of one record, drops a key, gives one value another JSON type or empties a non-e
 cut that drops a whole record of an artifact with one record per question exits 3.
 """
 
+import base64
 import contextlib
 import io
 import json
+import math
 import shutil
+import struct
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -129,15 +132,20 @@ def _corrupt(name: str, content: bytes, data) -> tuple[bytes, bool]:
     return ("\n".join(lines) + "\n").encode("utf-8"), retyped
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(name=st.sampled_from(sorted(INPUTS)), data=st.data())
-def test_a_damaged_input_exits_with_a_documented_code(pipeline, name, data):
-    root, cfg, files = pipeline
-    for path, content in files.items():  # a stage that succeeds rewrites what it writes
+def _restore(root, files) -> None:
+    """Put back the finished pipeline's files: a stage that succeeds rewrites what it writes."""
+    for path, content in files.items():
         path.write_bytes(content)
     for stray in set(root.rglob("*")) - set(files):
         if stray.is_file():
             stray.unlink()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(INPUTS)), data=st.data())
+def test_a_damaged_input_exits_with_a_documented_code(pipeline, name, data):
+    root, cfg, files = pipeline
+    _restore(root, files)
     content, retyped = _corrupt(name, files[root / name], data)
     (root / name).write_bytes(content)
     command, wrong_type_exit = INPUTS[name]
@@ -150,3 +158,32 @@ def test_a_damaged_input_exits_with_a_documented_code(pipeline, name, data):
         assert rc == wrong_type_exit, err.getvalue()
     if name in ONE_PER_QUESTION and len(content.splitlines()) < len(files[root / name].splitlines()):
         assert rc == EXIT_MISSING, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name, command, producer",
+    [("out/model.json", "retrieve", "train"), ("out/retrieval.jsonl", "reorganize", "retrieve")],
+)
+def test_a_non_finite_number_exits_3_naming_its_producer(pipeline, name, command, producer):
+    """A NaN model weight, or a NaN score, is a damaged artifact: the reader exits 3 and
+    names the stage to rerun, and writes nothing."""
+    root, cfg, files = pipeline
+    _restore(root, files)
+    lines = files[root / name].decode("utf-8").splitlines()
+    record = json.loads(lines[0])
+    if name == "out/model.json":
+        record["weights"]["b_out"]["data"] = base64.b64encode(struct.pack("<d", math.nan)).decode()
+    else:
+        record["scores"][0] = math.nan
+    lines[0] = json.dumps(record)
+    (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([command, "--config", str(cfg)])
+    assert rc == EXIT_MISSING, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert f"rerun `kgrag {producer}`" in err.getvalue()
+    problem = "weight 'b_out' holds NaN" if name == "out/model.json" else "scores must be a finite number"
+    assert problem in err.getvalue()
+    assert all(path.read_bytes() == content for path, content in files.items() if path != root / name)
+    _restore(root, files)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import sys
@@ -108,6 +109,22 @@ def test_dde_keys_are_the_view_entities_in_order():
         keys = list(compute_dde(view, {g.entity_ids["B"]}, depth=2))
         assert keys == sorted(g.entity_ids[name] for name in names)
         assert keys == ViewTables(view, HashedBowEncoder(4)).entity_ids
+
+
+def test_view_tables_of_a_view_are_built_once_per_width_and_go_with_the_view():
+    g = graph_from_lines("A r1 B", "B r2 C", "C r1 A")
+    view = g.restrict([0, 1])
+    tables = ViewTables.of(view, HashedBowEncoder(4))
+    assert ViewTables.of(view, HashedBowEncoder(4)) is tables
+    assert ViewTables.of(view, HashedBowEncoder(8)) is not tables
+    assert ViewTables.of(g, HashedBowEncoder(4)) is not tables
+    assert tables.tids == [0, 1]
+    assert view in ViewTables._by_view
+    entries = len(ViewTables._by_view)
+    del view
+    gc.collect()
+    assert len(ViewTables._by_view) == entries - 1
+    assert g in ViewTables._by_view
 
 
 def test_dde_chain_forward_distances():

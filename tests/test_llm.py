@@ -1,3 +1,4 @@
+import http.server
 import json
 import logging
 import re
@@ -247,6 +248,68 @@ def test_remote_fails_after_bounded_retries():
     with pytest.raises(TransportError) as err:
         backend.complete(CompletionRequest(system_text="s", user_text="u"))
     assert err.value.backend == "remote"
+
+
+@pytest.fixture
+def endpoint():
+    """A chat endpoint on 127.0.0.1 that answers every POST with ``status`` and ``body``
+    and keeps each request's headers and JSON body."""
+    seen: list[tuple[dict, dict]] = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            seen.append((dict(self.headers), payload))
+            self.send_response(server.status)
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(server.body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    server.status, server.body, server.seen = 200, json.dumps(_ok_response("over http")).encode(), seen
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def _url(server) -> str:
+    host, port = server.server_address
+    return f"http://{host}:{port}/v1/chat/completions"
+
+
+def test_remote_posts_json_with_a_bearer_key_over_http(endpoint):
+    backend = RemoteBackend(_url(endpoint), "m", "secret", timeout_s=10)
+    result = backend.complete(CompletionRequest(system_text="s", user_text="u"))
+    assert (result.text, result.prompt_tokens, result.completion_tokens) == ("over http", 10, 4)
+    [(headers, payload)] = endpoint.seen
+    assert headers["Authorization"] == "Bearer secret"
+    assert headers["Content-Type"] == "application/json"
+    assert payload["model"] == "m"
+
+
+def test_remote_retries_an_http_error_then_fails(endpoint):
+    endpoint.status, endpoint.body = 500, b"x" * 300
+    waits = []
+    backend = RemoteBackend(_url(endpoint), "m", max_attempts=2, backoff_s=0.25, timeout_s=10, sleep=waits.append)
+    with pytest.raises(TransportError, match=f"HTTP 500: {'x' * 200} \\(request"):
+        backend.complete(CompletionRequest(system_text="s", user_text="u"))
+    assert len(endpoint.seen) == 2
+    assert waits == [0.25]
+    assert "Authorization" not in endpoint.seen[0][0]
+
+
+@pytest.mark.parametrize("url", ["file:///etc/hosts", "ftp://example.com/x", "localhost:8000/v1"])
+def test_remote_refuses_a_url_that_is_not_http(url):
+    with pytest.raises(ValueError, match="http or https"):
+        RemoteBackend(url, "m")
 
 
 def test_remote_caches_to_replay_store(tmp_path):

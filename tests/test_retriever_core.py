@@ -1,7 +1,9 @@
 """Contracts shared by both scorers: checkpoint selection and view-local features."""
 
+import ast
 import io
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -237,6 +239,28 @@ def test_no_scatter_add_under_src():
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if pattern.search(line)
     ]
+    assert not hits, hits
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    """The runtime needs Python and numpy only: every absolute import under src/kgrag, at any
+    depth, is of the standard library, numpy or kgrag itself."""
+    root = Path(__file__).resolve().parents[1] / "src" / "kgrag"
+    allowed = set(sys.stdlib_module_names) | {"numpy", "kgrag"}
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            hits += [
+                f"{path.relative_to(root)}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
     assert not hits, hits
 
 
