@@ -333,7 +333,7 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
         scored, merged = model.score(q, view), {}
         if by_entity:
             scored, merged = entity_to_triple_scores(scored, ViewTables.of(view, model.encoder))
-        return subgraph_to_record(q.id, top_k(scored, k, g, relation_overrides=merged))
+        return subgraph_to_record(q.id, top_k(scored, k, g, merged), g)
 
     return _per_question(cfg, "retrieve", questions, run, write_subgraphs, f"retrieved top-{k} triples")
 
@@ -346,7 +346,7 @@ def cmd_reorganize(cfg: PipelineConfig) -> int:
         chains = reorganize.expand_chains(subgraphs[q.id], set(q.query_entities), cfg.chain_length_limit)
         chains = reorganize.merge_multi_answer(chains)
         chains = reorganize.merge_multi_entity(chains, set(q.query_entities))
-        return reorganize.chains_to_record(q.id, chains)
+        return reorganize.chains_to_record(q.id, chains, g)
 
     return _per_question(cfg, "reorganize", questions, run, reorganize.write_chains, "evidence chains")
 

@@ -131,7 +131,9 @@ class Question:
 class _Storage:
     """The id columns of every stored triple, shared by a graph and all its views.
 
-    ``triple_index`` is built on first use; a loader that already holds it hands it over.
+    ``triple_index`` (each stored ``(head, relation, tail)`` to its id) serves ``ingest`` only:
+    :func:`load_kg` hands over the one it builds, and :func:`load_questions` resolves scope
+    labels in it. A later stage reads triples by id, so it never builds one.
     """
 
     def __init__(self, head: Sequence[int], relation: Sequence[int], tail: Sequence[int]):
@@ -152,10 +154,9 @@ class KnowledgeGraph:
     ``storage`` holds the head, relation and tail id of every stored triple;
     ``triple_ids`` lists the ids visible in this graph (a scoped view shares the
     parent's storage and lists a subset). Iteration order over visible triples is
-    load order. The whole-graph ``triple_index`` (each stored ``(head, relation,
-    tail)`` to its id), which only :meth:`resolve` and ingest use, is shared by
-    views and built on first use; ``out_index``/``in_index`` cover this graph's
-    own ids and are built on first use too.
+    load order. ``out_index``/``in_index`` cover this graph's own ids and are built
+    on first use. Artifacts name a triple by its stored id, which
+    :func:`triples_from_record` checks against the labels recorded beside it.
     """
 
     entities: list[str]
@@ -195,10 +196,6 @@ class KnowledgeGraph:
         )
 
     # -- lazy structures ---------------------------------------------------
-
-    @property
-    def triple_index(self) -> dict[tuple[int, int, int], int]:
-        return self.storage.triple_index
 
     @cached_property
     def _indices(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
@@ -244,11 +241,6 @@ class KnowledgeGraph:
         """The ``[head, relation, tail]`` labels of each stored triple id, as artifacts record them."""
         e, r, s = self.entities, self.relations, self.storage
         return [[e[s.head[t]], r[s.relation[t]], e[s.tail[t]]] for t in tids]
-
-    def resolve(self, head: str, relation: str, tail: str) -> int | None:
-        """Id of the stored triple with these labels, whatever this graph shows, or ``None``."""
-        entity = self.entity_ids.get  # an unknown label gives None, which no key of the index holds
-        return self.triple_index.get((entity(head), self.relation_ids.get(relation), entity(tail)))
 
     def steps(self, e: int) -> list[tuple[int, str]]:
         """``(triple id, orientation leaving e)`` per triple touching ``e``, in id order.
@@ -412,13 +404,40 @@ def read_by_question(
     return out
 
 
-_JSONL = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # json.dumps would build one per record
+# json.dumps would build one per record; NaN and ±Infinity are not JSON (RFC 8259)
+_JSONL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False)
 
 
 def write_jsonl(sink: IO[str], records: Iterable[dict]) -> None:
-    """One sorted-key JSON object per line, non-ASCII text unescaped."""
+    """One sorted-key JSON object per line, non-ASCII text unescaped; a float that is not finite
+    raises ``ValueError``, so that inside :func:`published` no artifact is replaced."""
     for rec in records:
         sink.write(_JSONL.encode(rec) + "\n")
+
+
+def triples_to_record(g: KnowledgeGraph, tids: Sequence[int]) -> dict:
+    """The triple column of an artifact record: the stored ids ``tids``, and ``triples``, the
+    ``[head, relation, tail]`` labels of each, which :func:`triples_from_record` checks."""
+    return {"tids": list(tids), "triples": g.triple_labels(tids)}
+
+
+def triples_from_record(rec: dict, g: KnowledgeGraph) -> tuple[int, ...]:
+    """The ids of the triple column :func:`triples_to_record` wrote into ``rec``. Each must be a
+    stored triple of ``g`` whose labels are the ``triples`` beside it: so a record of another
+    graph is refused. The first step refused raises, its id not in ``g`` as
+    :class:`KGFormatError` and its labels not ``g``'s as ``ValueError``, which names ``triples``."""
+    tids = json_field(rec, "tids", tuple[int, ...])
+    triples = json_field(rec, "triples", list)  # read last, so that the ValueError names it
+    if len(triples) != len(tids):
+        raise KGFormatError("tids and triples differ in length")
+    if tids and not (0 <= min(tids) and max(tids) < len(g.storage) and triples == g.triple_labels(tids)):
+        for tid, labels in zip(tids, triples):
+            if not 0 <= tid < len(g.storage):
+                raise KGFormatError(f"triple id {tid} not in graph")
+            (own,) = g.triple_labels((tid,))
+            if labels != own:
+                raise ValueError(f"triple {tid} is {own} in the graph, not {labels!r}")
+    return tids
 
 
 @contextmanager
@@ -571,19 +590,19 @@ def to_compiled(g: KnowledgeGraph, sink: IO[str]) -> None:
 def load_questions(
     source: IO[bytes] | IO[str] | Iterable[str], g: KnowledgeGraph
 ) -> tuple[list[Question], dict[str, list[str]]]:
-    """Load question records and resolve entity labels against the vocabulary.
+    """Load question records and look their entity labels up in the vocabulary.
 
     Records are JSONL objects ``{id, question, question_entities,
     answer_entities, scope?}`` where scope is a list of ``[h, r, t]`` label
     triples, resolved against ``g``'s stored triples. A repeated id, and answer
     labels none of which resolves, raise :class:`KGFormatError`. Other
     unresolvable labels are dropped and reported per question id in the
-    returned mapping. Only ``ingest`` resolves labels: it compiles the result
-    for the later stages (:func:`to_compiled_questions`).
+    returned mapping. Only ``ingest`` resolves labels, scope items in ``g.storage.triple_index``:
+    it compiles the result for the later stages (:func:`to_compiled_questions`).
     """
     unresolved: dict[str, list[str]] = {}
-    # scope items resolve in one pass over the label maps and the triple index
-    entity, relation, triple = g.entity_ids.get, g.relation_ids.get, g.triple_index.get
+    # scope items are looked up in one pass over the label maps and the triple index
+    entity, relation, triple = g.entity_ids.get, g.relation_ids.get, g.storage.triple_index.get
     seen: set[str] = set()
 
     def parse(obj: dict) -> Question:
@@ -594,7 +613,7 @@ def load_questions(
         text = json_field(obj, "question", str)
         problems: list[str] = []
 
-        def resolve(key: str) -> frozenset[int]:
+        def entity_set(key: str) -> frozenset[int]:
             ids = []
             for lab in json_field(obj, key, tuple[str, ...], ()):
                 eid = entity(lab)
@@ -604,7 +623,7 @@ def load_questions(
                     ids.append(eid)
             return frozenset(ids)
 
-        query, answers = resolve("question_entities"), resolve("answer_entities")
+        query, answers = entity_set("question_entities"), entity_set("answer_entities")
         scope: frozenset[int] | None = None
         items = json_field(obj, "scope", list | None, None)
         if items is not None:

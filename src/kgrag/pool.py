@@ -14,16 +14,8 @@ from collections import Counter
 from typing import IO, Collection, Iterable, Literal
 
 from .config import json_field
-from .kg import (
-    KGFormatError,
-    KnowledgeGraph,
-    Question,
-    ReasoningPath,
-    hop_distances,
-    read_by_question,
-    step_exit,
-    write_jsonl,
-)
+from .kg import KGFormatError, KnowledgeGraph, Question, ReasoningPath, hop_distances, read_by_question, step_exit
+from .kg import triples_from_record, triples_to_record, write_jsonl
 
 PROV_SHORTEST = "shortest_path"
 PROV_QUERY = "query_neighborhood"
@@ -175,11 +167,7 @@ def build_pool(
 
 def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
     paths = [
-        {
-            "triples": g.triple_labels(path.triple_ids),
-            "orientations": list(path.orientations),
-            "provenance": prov,
-        }
+        {**triples_to_record(g, path.triple_ids), "orientations": list(path.orientations), "provenance": prov}
         for path, prov in pool
     ]
     return {"id": qid, "paths": paths}
@@ -189,16 +177,11 @@ def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
     pool: CandidatePool = []
     seen: set[tuple] = set()  # build_pool writes each path once
     for entry in json_field(rec, "paths", tuple[dict, ...]):
-        tids = []
-        for h, r, t in json_field(entry, "triples", list):
-            tid = g.resolve(h, r, t)
-            if tid is None:
-                raise KGFormatError(f"pool triple not in graph: {h}|{r}|{t}")
-            tids.append(tid)
-        path = ReasoningPath(tuple(tids), json_field(entry, "orientations", tuple[str, ...]))
+        path = ReasoningPath(triples_from_record(entry, g), json_field(entry, "orientations", tuple[str, ...]))
         path.validate(g)
         if path.key() in seen:
-            raise KGFormatError(f"pool path listed twice: {' '.join('|'.join(t) for t in entry['triples'])}")
+            shown = " ".join("|".join(labels) for labels in g.triple_labels(path.triple_ids))
+            raise KGFormatError(f"pool path listed twice: {shown}")
         seen.add(path.key())
         pool.append((path, json_field(entry, "provenance", PROVENANCE)))
     return pool

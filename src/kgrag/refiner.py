@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import IO, Collection, Sequence
 
 from .config import json_field, read_json
-from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question, ReasoningPath
-from .kg import read_by_question, write_jsonl
+from .kg import FORWARD, KnowledgeGraph, Question, ReasoningPath
+from .kg import read_by_question, triples_from_record, triples_to_record, write_jsonl
 from .llm import CompletionRequest
 from .pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, CandidatePool
 
@@ -191,21 +191,12 @@ def refine(
 
 
 def supervision_to_record(qid: str, sup: RefinedSupervision, g: KnowledgeGraph) -> dict:
-    return {
-        "question_id": qid,
-        "positive_triples": sorted(g.triple_labels(sup.positive_triples)),
-        "refiner_tag": sup.refiner_tag,
-    }
+    """The positive triples as a triple column, in ascending id."""
+    return {"question_id": qid, **triples_to_record(g, sorted(sup.positive_triples)), "refiner_tag": sup.refiner_tag}
 
 
 def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
-    positives = set()
-    for h, r, t in json_field(rec, "positive_triples", list):
-        tid = g.resolve(h, r, t)
-        if tid is None:
-            raise KGFormatError(f"supervision triple not in graph: {h}|{r}|{t}")
-        positives.add(tid)
-    return RefinedSupervision(positives, json_field(rec, "refiner_tag", str))
+    return RefinedSupervision(set(triples_from_record(rec, g)), json_field(rec, "refiner_tag", str))
 
 
 write_supervision = write_jsonl

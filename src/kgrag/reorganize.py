@@ -22,6 +22,7 @@ from .refiner import INVERSE_MARK, render_chain
 from .retriever.subgraph import RetrievedTriple, steps_from_record, steps_to_record
 
 QA_SYSTEM = "Answer the question using only the provided evidence."
+ORIENTATION = Literal[FORWARD, BACKWARD]
 NO_EVIDENCE_MARKER = "(no evidence retrieved)"
 
 
@@ -237,12 +238,12 @@ def _qa_request(
 # -- serialization ---------------------------------------------------------------
 
 
-def chains_to_record(qid: str, chains: Sequence[EvidenceChain]) -> dict:
+def chains_to_record(qid: str, chains: Sequence[EvidenceChain], g: KnowledgeGraph) -> dict:
     return {
         "question_id": qid,
         "chains": [
             {
-                **steps_to_record(chain.steps),
+                **steps_to_record(chain.steps, g),
                 "orientation": chain.orientation,
                 "targets": [label for _, label in chain.targets],
             }
@@ -270,7 +271,7 @@ def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
             targets.append((target, label))
         if not targets:
             raise KGFormatError("a chain with no targets")
-        orientation = json_field(c, "orientation", Literal[FORWARD, BACKWARD])
+        orientation = json_field(c, "orientation", ORIENTATION)
         chains.append(EvidenceChain(steps, orientation, tuple(targets)))
     return chains
 

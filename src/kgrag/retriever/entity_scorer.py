@@ -215,14 +215,13 @@ class EntityScorer(Scorer):
 def entity_to_triple_scores(
     entity_scores: Sequence[tuple[int, float]] | dict[int, float],
     view: ViewTables,
-) -> tuple[list[tuple[int, float]], dict[int, str]]:
+) -> tuple[list[tuple[int, float]], dict[int, tuple[int, ...]]]:
     """Triple scores ``s(h,r,t) = p(h) + p(t)`` over the view ``view`` describes, with
     parallel relations merged.
 
-    Triples sharing head and tail collapse to the smallest triple id; their
-    relation labels join with " | " in load order. An entity with no score
-    counts 0. Returns (scored representative triples in triple-id order, merged
-    relation label per representative).
+    Triples sharing head and tail collapse to the smallest triple id. An entity
+    with no score counts 0. Returns (scored representative triples in triple-id
+    order, the other triple ids merged into each representative, ascending).
     """
     p = dict(entity_scores) if not isinstance(entity_scores, dict) else entity_scores
     scores = np.array([p.get(e, 0.0) for e in view.entity_ids], dtype=np.float64)

@@ -186,7 +186,7 @@ class ParallelTriples(NamedTuple):
     tids: list[int]  # representative triple ids, ascending
     head: np.ndarray  # local entity row of each representative's head
     tail: np.ndarray
-    merged: dict[int, str]  # representative id -> its group's relation labels joined by " | ", in load order
+    merged: dict[int, tuple[int, ...]]  # representative id -> the other triple ids of its pair, ascending
 
 
 class ViewTables:
@@ -230,15 +230,14 @@ class ViewTables:
     @cached_property
     def parallel(self) -> ParallelTriples:
         pair = self.head * len(self.entity_ids) + self.tail
-        _, first, group, size = np.unique(pair, return_index=True, return_inverse=True, return_counts=True)
+        _, first, group = np.unique(pair, return_index=True, return_inverse=True)
         reps = np.sort(first)
-        merged: dict[int, list[str]] = {}
-        for row in np.flatnonzero(size[group] > 1).tolist():
-            rep = self.tids[first[group[row]]]
-            merged.setdefault(rep, []).append(self.relation_labels[self.relation[row]])
+        merged: dict[int, list[int]] = {}
+        for row in np.flatnonzero(first[group] != np.arange(len(pair))).tolist():  # rows, like ids, ascend
+            merged.setdefault(self.tids[first[group[row]]], []).append(self.tids[row])
         return ParallelTriples(
             [self.tids[row] for row in reps.tolist()], self.head[reps], self.tail[reps],
-            {rep: " | ".join(labels) for rep, labels in merged.items()},
+            {rep: tuple(others) for rep, others in merged.items()},
         )
 
 

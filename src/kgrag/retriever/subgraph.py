@@ -11,12 +11,16 @@ import numpy as np
 
 from ..config import json_field
 from ..kg import KGFormatError, KnowledgeGraph, published, read_by_question, read_jsonl, write_jsonl
+from ..kg import triples_from_record, triples_to_record
 
 MODEL_FORMAT_VERSION = 2
 
 
 class RetrievedTriple(NamedTuple):
-    """A scored triple with the labels needed to render it without the graph."""
+    """A scored triple with the labels needed to render it without the graph.
+
+    ``relation`` is the triple's own label or, where an entity scorer merged the parallel
+    triples ``merged`` (ascending ids above ``tid``) into it, its label and theirs joined by " | "."""
 
     tid: int
     head: int
@@ -25,97 +29,81 @@ class RetrievedTriple(NamedTuple):
     relation: str
     tail_label: str
     score: float
+    merged: tuple[int, ...] = ()
 
 
 def top_k(
     scored: Sequence[tuple[int, float]],
     k: int,
     g: KnowledgeGraph,
-    relation_overrides: dict[int, str] | None = None,
+    merged: dict[int, tuple[int, ...]] | None = None,
 ) -> tuple[RetrievedTriple, ...]:
-    """The k highest-scoring triples, by descending score; ties break toward the smaller triple id."""
+    """The k highest-scoring triples, by descending score; ties break toward the smaller triple id.
+    ``merged`` gives the parallel triples merged into a representative, as
+    :func:`~kgrag.retriever.entity_to_triple_scores` returns them."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not scored:
         return ()
     tids, scores = zip(*scored)
     ranked = np.lexsort((np.array(tids), -np.array(scores, dtype=np.float64)))[:k].tolist()
-    overrides = relation_overrides or {}
+    merged = merged or {}
     s, names, relations = g.storage, g.entities, g.relations
     entries = []
     for i in ranked:
         tid = tids[i]
-        h, t = s.head[tid], s.tail[tid]
-        relation = overrides.get(tid, relations[s.relation[tid]])
+        h, t, others = s.head[tid], s.tail[tid], merged.get(tid, ())
+        relation = relations[s.relation[tid]]
+        if others:
+            relation = " | ".join([relation, *(relations[s.relation[x]] for x in others)])
         # by position: keywords would cost more than the rest of the loop
-        entries.append(RetrievedTriple(tid, h, t, names[h], relation, names[t], float(scores[i])))
+        entries.append(RetrievedTriple(tid, h, t, names[h], relation, names[t], float(scores[i]), others))
     return tuple(entries)
 
 
-def steps_to_record(steps: Sequence[RetrievedTriple]) -> dict:
-    """The step columns a retrieval record and an evidence chain share: ``tids``, ``triples``
-    (``[head, relation, tail]`` labels) and ``scores``, one entry per step."""
+def steps_to_record(steps: Sequence[RetrievedTriple], g: KnowledgeGraph) -> dict:
+    """The step columns a retrieval record and an evidence chain share: the triple column of the
+    steps (their own labels), ``scores``, and ``merged``, a ``[step id, merged id, ...]`` group
+    per step that merged parallel triples."""
     return {
-        "tids": [s.tid for s in steps],
-        "triples": [[s.head_label, s.relation, s.tail_label] for s in steps],
+        **triples_to_record(g, [s.tid for s in steps]),
         "scores": [s.score for s in steps],
+        "merged": [[s.tid, *s.merged] for s in steps if s.merged],
     }
 
 
-def subgraph_to_record(qid: str, sub: Sequence[RetrievedTriple]) -> dict:
-    return {"id": qid, **steps_to_record(sub)}
-
-
-def read_step(g: KnowledgeGraph, tid: int, labels, score: float) -> RetrievedTriple:
-    """The retrieved triple ``tid`` of ``g`` that a record gives as ``labels`` ``[head, relation,
-    tail]``. The relation is ``tid``'s own label or, as an entity scorer merges parallel triples,
-    that label and then, each after ``" | "``, the labels of some of the triples of ``g`` joining
-    the same ends with ids above ``tid``, in ascending id (a scope may leave any of them out).
-    A label may itself hold ``" | "``. An id outside the graph, ends other than the graph's and
-    any other relation raise :class:`KGFormatError`."""
-    h, r, t = labels
-    s = g.storage  # read by column: a Triple and three label calls per step cost a third more
-    if not 0 <= tid < len(s):
-        raise KGFormatError(f"retrieved triple id {tid} not in graph")
-    head, tail = s.head[tid], s.tail[tid]
-    ends = g.entities[head], g.entities[tail]
-    if (h, t) != ends:
-        raise KGFormatError(f"retrieved triple {tid} joins {ends[0]} to {ends[1]}, not {h} to {t}")
-    own = g.relations[s.relation[tid]]
-    if r != own:
-        # the offsets of r at which own, merged with some of the parallel labels seen so far, ends
-        stops = {len(own)} if type(r) is str and r.startswith(own) else set()
-        for other in g.out_index.get(head, ()) if stops else ():
-            if other > tid and s.tail[other] == tail:
-                part = " | " + g.relations[s.relation[other]]
-                stops |= {stop + len(part) for stop in stops if r.startswith(part, stop)}
-        if not stops or len(r) not in stops:
-            raise KGFormatError(f"retrieved triple {tid} has relation {r!r}, not {own!r} or its merge with parallel ones")
-    return RetrievedTriple(tid, head, tail, h, r, t, score)
+def subgraph_to_record(qid: str, sub: Sequence[RetrievedTriple], g: KnowledgeGraph) -> dict:
+    return {"id": qid, **steps_to_record(sub, g)}
 
 
 def steps_from_record(rec: dict, g: KnowledgeGraph) -> tuple[RetrievedTriple, ...]:
-    """The steps :func:`steps_to_record` wrote into ``rec``, each as :func:`read_step` reads it;
-    columns of unequal length raise :class:`KGFormatError`.
-
-    A step that holds its triple's own labels is taken as it stands; only the others, and a
-    record with an id outside the graph, go through :func:`read_step`, which matches a merged
-    relation or raises the error of the first step it refuses."""
-    tids, scores = json_field(rec, "tids", tuple[int, ...]), json_field(rec, "scores", tuple[float, ...])
-    triples = json_field(rec, "triples", list)  # read last, so that an unpacking error names it
-    if not len(tids) == len(triples) == len(scores):
-        raise KGFormatError("tids, triples and scores differ in length")
+    """The steps :func:`steps_to_record` wrote into ``rec``. Besides the triple columns that
+    :func:`~kgrag.kg.triples_from_record` refuses, :class:`KGFormatError` is raised for scores
+    of another length, and for a ``merged`` group unless its first id is a step grouped nowhere
+    else and the rest, one or more, are ascending ids above it of triples joining the same ends."""
+    tids = triples_from_record(rec, g)
+    scores = json_field(rec, "scores", tuple[float, ...])
+    if len(scores) != len(tids):
+        raise KGFormatError("tids and scores differ in length")
     s, names, relations = g.storage, g.entities, g.relations
-    if tids and not (0 <= min(tids) and max(tids) < len(s)):
-        return tuple(read_step(g, tid, labels, score) for tid, labels, score in zip(tids, triples, scores))
     steps = []
-    for tid, labels, score in zip(tids, triples, scores):
-        h, r, t = labels
+    for tid, score in zip(tids, scores):
         head, tail = s.head[tid], s.tail[tid]
-        if h == names[head] and t == names[tail] and r == relations[s.relation[tid]]:
-            steps.append(RetrievedTriple(tid, head, tail, h, r, t, score))
-        else:
-            steps.append(read_step(g, tid, labels, score))
+        steps.append(RetrievedTriple(tid, head, tail, names[head], relations[s.relation[tid]], names[tail], score))
+    groups = json_field(rec, "merged", tuple[tuple[int, ...], ...])
+    at = {tid: i for i, tid in enumerate(tids)} if groups else {}
+    for group in groups:
+        i = at.get(group[0]) if group else None
+        if i is None or steps[i].merged or len(group) < 2 or any(a >= b for a, b in zip(group, group[1:])):
+            raise KGFormatError(f"merged group {list(group)} is not a step grouped once and ascending ids above it")
+        if group[-1] >= len(s):
+            raise KGFormatError(f"merged triple id {group[-1]} not in graph")
+        step = steps[i]
+        for other in group[1:]:
+            if (s.head[other], s.tail[other]) != (step.head, step.tail):
+                raise KGFormatError(f"merged triple {other} does not join {step.head_label} to {step.tail_label}")
+        relation = " | ".join([relations[s.relation[x]] for x in group])
+        steps[i] = step._replace(relation=relation, merged=group[1:])
     return tuple(steps)
 
 

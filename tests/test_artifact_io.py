@@ -1,4 +1,7 @@
+import ast
+import itertools
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -7,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrag.kg import KGFormatError, load_kg, published, read_by_question, read_jsonl, write_jsonl
-from kgrag.retriever.subgraph import read_step, read_subgraphs, steps_from_record
+from kgrag.kg import KGFormatError, load_kg, published, read_by_question, read_jsonl, triples_to_record, write_jsonl
+from kgrag.retriever.subgraph import RetrievedTriple, read_subgraphs, steps_from_record, steps_to_record
 
 # non-ASCII text, including characters other line splitters treat as breaks
 _TEXT = st.text(st.sampled_from("az \u00e9\u6f22 \x85\u2028\"\\\n"), max_size=6)
@@ -53,9 +56,30 @@ def test_read_jsonl_skips_blank_lines_and_names_line_and_field():
 )
 def test_retrieval_record_error_names_the_field(field, value):
     g = load_kg(["a\tr\tb\n"])
-    record = {"id": "q", "tids": [0], "triples": [["a", "r", "b"]], "scores": [1.0], field: value}
+    record = {"id": "q", "tids": [0], "triples": [["a", "r", "b"]], "scores": [1.0], "merged": [], field: value}
     with pytest.raises(KGFormatError, match=f"line 1: field '{field}'"):
         read_subgraphs([json.dumps(record)], g, ["q"])
+
+
+def test_a_non_finite_number_is_not_written_and_the_previous_file_stays(tmp_path):
+    path = tmp_path / "retrieval.jsonl"
+    with published(path) as sink:
+        write_jsonl(sink, [{"id": "q", "scores": [0.5]}])
+    before = path.read_bytes()
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError), published(path) as sink:
+            write_jsonl(sink, [{"id": "q", "scores": [value]}])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+# a b holds triples 0 (r), 1 (s), 3 (u) and 4, whose label "v | w" holds the merge's separator
+_PARALLEL = ["a\tr\tb\n", "a\ts\tb\n", "b\tt\ta\n", "a\tu\tb\n", "a\tv | w\tb\n"]
+
+
+def _one_step(g, tid, merged):
+    """The retrieval record of one step, triple ``tid``, with the ``merged`` groups given."""
+    return json.dumps({"id": "q", **triples_to_record(g, [tid]), "scores": [1.0], "merged": merged})
 
 
 @pytest.mark.parametrize(
@@ -81,59 +105,142 @@ def test_retrieval_record_error_names_the_field(field, value):
     ],
 )
 def test_retrieved_relation_is_the_triples_own_label_or_its_merge(relation, accepted):
-    g = load_kg(["a\tr\tb\n", "a\ts\tb\n", "b\tt\ta\n", "a\tu\tb\n", "a\tv | w\tb\n"])
-    record = {"id": "q", "tids": [0], "triples": [["a", relation, "b"]], "scores": [1.0]}
-    if accepted:
-        ((step,),) = read_subgraphs([json.dumps(record)], g, ["q"]).values()
-        assert step.relation == relation
-    else:
-        with pytest.raises(KGFormatError, match=f"line 1: retrieved triple 0 has relation {relation!r}"):
+    """The relations a step of triple 0 can show are its own label and, merged by id, that label
+    and the labels of some of its parallel triples in ascending id; ids keep a merge whose labels
+    hold " | " unambiguous. The ``triples`` column holds the triple's own labels only."""
+    g = load_kg(_PARALLEL)
+    shown = set()
+    for n in range(4):
+        for others in itertools.combinations([1, 3, 4], n):
+            ((step,),) = read_subgraphs([_one_step(g, 0, [[0, *others]] if others else [])], g, ["q"]).values()
+            assert step.merged == others
+            shown.add(step.relation)
+    assert (relation in shown) == accepted
+    if relation != "r":
+        record = {"id": "q", "tids": [0], "triples": [["a", relation, "b"]], "scores": [1.0], "merged": []}
+        with pytest.raises(KGFormatError, match=re.escape(f"line 1: field 'triples': triple 0 is ['a', 'r', 'b']")):
             read_subgraphs([json.dumps(record)], g, ["q"])
+
+
+@pytest.mark.parametrize(
+    "tid, merged, relation",
+    [(0, [], "r"), (0, [[0, 1]], "r | s"), (0, [[0, 1, 3, 4]], "r | s | u | v | w"), (1, [[1, 3]], "s | u")],
+    ids=["own", "parallel", "all-parallel", "above-a-later-step"],
+)
+def test_a_merge_of_parallel_ids_above_its_step_reads_back(tid, merged, relation):
+    g = load_kg(_PARALLEL)
+    ((step,),) = read_subgraphs([_one_step(g, tid, merged)], g, ["q"]).values()
+    assert (step.relation, step.merged) == (relation, tuple(merged[0][1:]) if merged else ())
+    assert steps_to_record([step], g)["merged"] == merged
+
+
+@pytest.mark.parametrize(
+    "tid, merged, shown",
+    [
+        (0, [[0, 1], [0, 3]], "is not a step grouped once"),
+        (0, [[0, 1, 1]], "ascending ids above it"),  # a repeat
+        (0, [[0, 3, 1]], "ascending ids above it"),  # descending
+        (3, [[3, 1]], "ascending ids above it"),  # below the step
+        (0, [[0, 2]], "merged triple 2 does not join a to b"),  # b t a
+        (0, [[1, 3]], "is not a step"),
+        (0, [[0, 5]], "merged triple id 5 not in graph"),
+        (0, [[0]], "ascending ids above it"),  # a lone id
+        (0, [[]], "is not a step"),
+    ],
+    ids=["grouped-twice", "repeat", "descending", "below-the-step", "not-parallel", "first-not-a-step",
+         "out-of-range", "lone", "empty"],
+)
+def test_a_merge_group_is_refused_unless_parallel_ids_above_one_step(tid, merged, shown):
+    g = load_kg(_PARALLEL)
+    with pytest.raises(KGFormatError, match=f"line 1: .*{re.escape(shown)}"):
+        read_subgraphs([_one_step(g, tid, merged)], g, ["q"])
 
 
 _RELATIONS = ["r", "s", "v | w", "v", "w"]  # a label may hold " | ", and its parts be labels too
 
 
-@settings(max_examples=200, deadline=None)
+def _expected_steps(g, tids, triples, scores, groups):
+    """The steps a record reads as, by the rule written out: each step in order must name a stored
+    triple, with its labels; then each group must start at a step no other group starts at and
+    go on with one or more ascending ids above it, each of a stored triple joining the same ends,
+    and the step shows its own label and theirs joined by " | ". Returns the steps and None, or
+    None and what is refused: the error type and message for a step, the type for a group."""
+    s, steps = g.storage, []
+    for tid, labels, score in zip(tids, triples, scores):
+        if not 0 <= tid < len(s):
+            return None, (KGFormatError, f"triple id {tid} not in graph")
+        own = [g.entities[s.head[tid]], g.relations[s.relation[tid]], g.entities[s.tail[tid]]]
+        if labels != own:
+            return None, (ValueError, f"triple {tid} is {own} in the graph, not {labels!r}")
+        steps.append(RetrievedTriple(tid, s.head[tid], s.tail[tid], *own, score))
+    starts = [group[0] for group in groups if group]
+    for group in groups:
+        ok = (
+            len(group) > 1 and group[0] in tids and starts.count(group[0]) == 1
+            and list(group) == sorted(set(group)) and group[-1] < len(s)
+            and all((s.head[o], s.tail[o]) == (s.head[group[0]], s.tail[group[0]]) for o in group[1:])
+        )
+        if not ok:
+            return None, (KGFormatError, None)
+        i = tids.index(group[0])
+        relation = " | ".join(g.relations[s.relation[x]] for x in group)
+        steps[i] = steps[i]._replace(relation=relation, merged=tuple(group[1:]))
+    return tuple(steps), None
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_a_record_reads_as_its_steps_read_one_at_a_time(data):
     entity = st.sampled_from(["e0", "e1", "e2"])
-    rows = data.draw(st.lists(st.tuples(entity, st.sampled_from(_RELATIONS), entity), min_size=1, max_size=12))
+    rows = data.draw(st.lists(st.tuples(entity, st.sampled_from(_RELATIONS), entity), min_size=1, max_size=8))
+    more = data.draw(st.lists(st.sampled_from(_RELATIONS), max_size=len(rows)))
+    rows += [(h, r, t) for (h, _, t), r in zip(rows, more)]  # triples parallel to the first ones
     g = load_kg([f"{h}\t{r}\t{t}\n" for h, r, t in rows])
     scope = data.draw(st.none() | st.sets(st.sampled_from(range(len(g.storage)))))
     view = g if scope is None else g.restrict(scope)
-    tids, triples = [], []
-    for _ in range(data.draw(st.integers(0, 4))):
-        tid = data.draw(st.integers(-1, len(g.storage)))
-        if data.draw(st.booleans()):
-            # the triple's own labels, its relation merged with some of its parallel triples';
-            # an id out of range shows those of the triple a wrapped index would give
-            own, col = tid % len(g.storage), g.storage
-            h, r, t = g.triple_labels([own])[0]
-            parallel = [o for o in view.out_index.get(col.head[own], ()) if o > own and col.tail[o] == col.tail[own]]
-            kept = [g.relations[col.relation[o]] for o in parallel if data.draw(st.booleans())]
-            labels = [h, " | ".join([r, *kept]), t]
+    n = len(g.storage)
+    # mostly ids of the graph with their labels, so that most records have steps to merge
+    tids = data.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    if tids and not data.draw(st.integers(0, 7)):  # an id out of range
+        tids[data.draw(st.integers(0, len(tids) - 1))] = data.draw(st.sampled_from([-1, n]))
+    triples = []
+    for tid in tids:
+        if data.draw(st.integers(0, 7)):  # its own labels; an id out of range, a wrapped index's
+            triples.append(g.triple_labels([tid % n])[0])
         else:
-            relation = " | ".join(data.draw(st.lists(st.sampled_from(_RELATIONS), min_size=1, max_size=3)))
-            labels = [data.draw(entity), relation, data.draw(entity)]
-        tids.append(tid)
-        triples.append(labels)
+            triples.append([data.draw(entity), data.draw(st.sampled_from(_RELATIONS)), data.draw(entity)])
+    groups, col = [], g.storage
+    for tid in tids:
+        ends = (col.head[tid % n], col.tail[tid % n])
+        parallel = [o for o in range(tid + 1, n) if 0 <= tid and (col.head[o], col.tail[o]) == ends]
+        if parallel and data.draw(st.integers(0, 3)):  # some of the triples parallel to it
+            groups.append([tid, *data.draw(st.lists(st.sampled_from(parallel), min_size=1, unique=True).map(sorted))])
+    if data.draw(st.booleans()):  # one more group: of any ids, or one that breaks a rule
+        tid = data.draw(st.sampled_from(tids)) if tids else 0
+        group = data.draw(st.sampled_from(groups)) if groups else [tid, tid + 1]
+        broken = [
+            [tid], [tid, tid + 1], [tid, n],  # lone, maybe not parallel, past the graph
+            group, [group[0], *group[:0:-1]],  # a step grouped twice, ids reversed
+            [*group, group[-1]], [group[0], group[0] - 1],  # an id repeated, an id below the step
+        ]
+        extra = data.draw(st.sampled_from(broken) | st.lists(st.integers(-1, n), max_size=3))
+        groups.insert(data.draw(st.integers(0, len(groups))), extra)
     scores = [float(-i) for i in range(len(tids))]
-    record = {"tids": tids, "triples": triples, "scores": scores}
-    try:
-        expected = tuple(read_step(view, *step) for step in zip(tids, triples, scores))
-    except KGFormatError as exc:
-        with pytest.raises(KGFormatError) as err:
+    record = {"tids": tids, "triples": triples, "scores": scores, "merged": groups}
+    expected, refused = _expected_steps(view, tids, triples, scores, groups)
+    if refused:
+        error, message = refused
+        with pytest.raises(error) as err:
             steps_from_record(record, view)
-        assert str(err.value) == str(exc)
+        assert message is None or str(err.value) == message
     else:
         assert steps_from_record(record, view) == expected
 
 
 def test_a_record_with_two_faults_names_its_first():
     g = load_kg(["a\tr\tb\n"])
-    record = {"tids": [0, 5], "triples": [["b", "r", "a"], ["a", "r", "b"]], "scores": [1.0, 0.5]}
-    with pytest.raises(KGFormatError, match="retrieved triple 0 joins a to b, not b to a"):
+    record = {"tids": [0, 5], "triples": [["b", "r", "a"], ["a", "r", "b"]], "scores": [1.0, 0.5], "merged": []}
+    with pytest.raises(ValueError, match=re.escape("triple 0 is ['a', 'r', 'b'] in the graph, not ['b', 'r', 'a']")):
         steps_from_record(record, g)
 
 
@@ -178,6 +285,20 @@ def test_no_dict_of_read_jsonl_under_src():
         for path in sorted(root.rglob("*.py"))
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if "dict(read_jsonl(" in line
+    ]
+    assert not hits, hits
+
+
+def test_only_kg_names_the_triple_column():
+    """``kg.triples_to_record`` and ``kg.triples_from_record`` are the one writer and reader of a
+    triple column: no other module under src/kgrag holds the string "tids" or "triples"."""
+    root = Path(__file__).resolve().parents[1] / "src" / "kgrag"
+    hits = [
+        f"{path.relative_to(root)}:{node.lineno}: {node.value!r}"
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "kg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in ("tids", "triples")
     ]
     assert not hits, hits
 

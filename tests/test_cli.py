@@ -168,11 +168,12 @@ def test_a_second_ingest_writes_the_same_bytes(tmp_path):
 
 
 # the three files hold only labels and integers (graph.json's packed little-endian), so their
-# bytes do not depend on the platform, and none depends on the retrieval level
+# bytes do not depend on the platform, and none depends on the retrieval level; pool.jsonl and
+# supervision.jsonl record each triple as its id beside its labels, supervision in ascending id
 FIXTURE_SHA256 = {
     "graph.json": "22e70fc63cd2d758ef946240d296099f2cbc27a4cceb165ca43b10e1d98e396f",
-    "pool.jsonl": "4a8258470fac7e4c8bb57d8c8c076046939726182830ea9a0ed4fa24ad6f83a6",
-    "supervision.jsonl": "80274697d569ff1a8851853041dceedfa12453cb4773db22f4860b4ee95d1528",
+    "pool.jsonl": "608516ce12501e8e7d2d9c1d6c96892706d8f59f4316924c299266d7ca33ada8",
+    "supervision.jsonl": "e7b737d8ccdfeb133566de24173eb12d94f7d7dab1106dd1e4f1c26465c3f39a",
 }
 
 
@@ -190,8 +191,8 @@ def test_the_fixture_pool_and_supervision_keep_their_bytes(request, work):
 def test_a_stage_reads_only_its_declared_inputs(pipeline_dir, tmp_path, monkeypatch, argv):
     """With every work-dir file outside ``INPUTS[stage]`` deleted, a stage still runs, and with its
     default flags writes what it wrote in the full pipeline; no stage resolves question labels
-    again, only the readers of pool and supervision records build the whole-graph triple index,
-    and ``evaluate`` runs without the graph."""
+    again, none builds the whole-graph triple index that only ``ingest`` uses, and ``evaluate``
+    runs without the graph."""
     stage = argv[0]
     assert tuple(INPUTS) == ALL_STAGES
     assert all(ALL_STAGES.index(PRODUCER[name]) < ALL_STAGES.index(stage) for name in INPUTS[stage])
@@ -206,11 +207,10 @@ def test_a_stage_reads_only_its_declared_inputs(pipeline_dir, tmp_path, monkeypa
         raise AssertionError("only ingest resolves question labels")
 
     def triple_index(storage):
-        raise AssertionError("only refine and train resolve triple labels")
+        raise AssertionError("only ingest resolves triple labels")
 
     monkeypatch.setattr(kgmod, "load_questions", label_load)
-    if argv not in (["refine"], ["train"]):
-        monkeypatch.setattr(kgmod._Storage, "triple_index", property(triple_index))
+    monkeypatch.setattr(kgmod._Storage, "triple_index", property(triple_index))
     assert main([*argv, "--config", str(cfg_path)]) == EXIT_OK
     if argv == [stage]:
         for name in OUTPUTS[stage]:
@@ -742,12 +742,12 @@ def _unknown_pool_label(rec):
 
 
 def _unknown_supervision_label(rec):
-    rec["positive_triples"][0][1] = "no-such-relation"
+    rec["triples"][0][1] = "no-such-relation"
 
 
 def _supervision_triple_not_in_graph(rec):
-    head, relation, _ = rec["positive_triples"][0]
-    rec["positive_triples"][0] = [head, relation, head]  # the fixture has no self-loops
+    head, relation, _ = rec["triples"][0]
+    rec["triples"][0] = [head, relation, head]  # the fixture has no self-loops
 
 
 def _retrieved_tid_out_of_range(rec):
@@ -810,6 +810,11 @@ def _pool_path_turned(rec):
 
 def _pool_path_repeated(rec):
     rec["paths"].append(rec["paths"][0])
+
+
+def _retrieved_merge_not_parallel(rec):
+    # the first step of q01, spain capital madrid, has no parallel triple
+    rec["merged"] = [[rec["tids"][0], rec["tids"][0] + 1]]
 
 
 def _set(*path_and_value):
@@ -906,11 +911,11 @@ def _cut_inside_a_character(text: str) -> str:
         ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "targets", ["madrid", "madrid"])),
         ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "targets", ["madrid", "spain"])),
         ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "targets", [])),
-        # each of these exited 0 before a step's relation was read against the graph: it is
-        # the triple's own label, or that label merged with the labels of parallel triples
+        # each of these exited 0 before a step's relation was read against the graph: a step
+        # records its triple's own label, and a merge the ids of triples parallel to it
         ("retrieval.jsonl", "reorganize", "retrieve", _set("triples", 0, 1, "invented_relation")),
         ("retrieval.jsonl", "answer --no-reorganize", "retrieve", _set("triples", 0, 1, "invented_relation")),
-        ("retrieval.jsonl", "reorganize", "retrieve", _set("triples", 0, 1, "uses_currency | capital")),
+        ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(_retrieved_merge_not_parallel)),
         ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "triples", 0, 1, "invented_relation")),
     ],
     ids=[
@@ -993,29 +998,29 @@ def test_stale_upstream_artifact_names_producing_stage(
 
 def _step_id_past_the_graph(steps):
     steps["tids"][0] = 10**6
-    return "retrieved triple id 1000000 not in graph"
+    return "triple id 1000000 not in graph"
 
 
 def _step_id_negative(steps):
     steps["tids"][0] = -1
-    return "retrieved triple id -1 not in graph"
+    return "triple id -1 not in graph"
 
 
 def _step_ends_swapped(steps):
     h, r, t = steps["triples"][0]
     steps["triples"][0] = [t, r, h]
-    return f"retrieved triple {steps['tids'][0]} joins {h} to {t}, not {t} to {h}"
+    return f"field 'triples': triple {steps['tids'][0]} is {[h, r, t]} in the graph, not {[t, r, h]}"
 
 
 def _step_relation_invented(steps):
-    own = steps["triples"][-1][1]
+    h, own, t = steps["triples"][-1]
     steps["triples"][-1][1] = "invented_relation"
-    return f"retrieved triple {steps['tids'][-1]} has relation 'invented_relation', not {own!r} or its merge with parallel ones"
+    return f"field 'triples': triple {steps['tids'][-1]} is {[h, own, t]} in the graph, not {steps['triples'][-1]}"
 
 
 def _step_score_dropped(steps):
     steps["scores"].pop()
-    return "tids, triples and scores differ in length"
+    return "tids and scores differ in length"
 
 
 @pytest.mark.parametrize("artifact, stage", [("retrieval.jsonl", "reorganize"), ("chains.jsonl", "answer")])
@@ -1031,6 +1036,8 @@ def test_each_refused_step_exits_3_with_its_own_text(pipeline_dir, tmp_path, cap
     first, *rest = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(first)
     shown = damage(record["chains"][0] if artifact == "chains.jsonl" else record)
+    if artifact == "chains.jsonl":  # a chain's step columns are read inside its record's field chains
+        shown = shown.replace("field 'triples'", "field 'chains'")
     path.write_text("\n".join([json.dumps(record), *rest]) + "\n", encoding="utf-8")
     rc = main([stage, "--config", str(cfg_path)])
     err = capsys.readouterr().err
@@ -1330,8 +1337,8 @@ def test_supervision_outside_the_question_scope_exits_missing(pipeline_dir, tmp_
     records = [json.loads(line) for line in supervision.read_text().splitlines()]
     for rec in records:
         if rec["question_id"] == "q06":  # scoped to four uses_currency triples
-            outside = ["spain", "capital", "madrid"]
-            rec["positive_triples"] = rec["positive_triples"] + [outside] if keep_inside else [outside]
+            outside = {"tids": [0], "triples": [["spain", "capital", "madrid"]]}  # line 1 of graph.tsv
+            rec.update({key: rec[key] + column if keep_inside else column for key, column in outside.items()})
     supervision.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     rc = main(["train", "--config", str(cfg_path)])
     err = capsys.readouterr().err

@@ -160,21 +160,39 @@ def test_a_damaged_input_exits_with_a_documented_code(pipeline, name, data):
         assert rc == EXIT_MISSING, err.getvalue()
 
 
+_STEP_SCORES = [
+    (name, command, producer, value)
+    for name, command, producer in (
+        ("out/retrieval.jsonl", "reorganize", "retrieve"), ("out/chains.jsonl", "answer", "reorganize")
+    )
+    for value in (math.nan, math.inf, -math.inf)
+]
+
+
 @pytest.mark.parametrize(
-    "name, command, producer",
-    [("out/model.json", "retrieve", "train"), ("out/retrieval.jsonl", "reorganize", "retrieve")],
+    "name, command, producer, value",
+    [("out/model.json", "retrieve", "train", math.nan), *_STEP_SCORES],
+    ids=[  # the first two as they were named before the other cases came
+        "out/model.json-retrieve-train", "out/retrieval.jsonl-reorganize-retrieve",
+        "out/retrieval.jsonl-reorganize-retrieve-Infinity", "out/retrieval.jsonl-reorganize-retrieve--Infinity",
+        "out/chains.jsonl-answer-reorganize-NaN", "out/chains.jsonl-answer-reorganize-Infinity",
+        "out/chains.jsonl-answer-reorganize--Infinity",
+    ],
 )
-def test_a_non_finite_number_exits_3_naming_its_producer(pipeline, name, command, producer):
-    """A NaN model weight, or a NaN score, is a damaged artifact: the reader exits 3 and
-    names the stage to rerun, and writes nothing."""
+def test_a_non_finite_number_exits_3_naming_its_producer(pipeline, name, command, producer, value):
+    """A NaN model weight, or a score that is NaN, Infinity or -Infinity (the only floats a stage
+    reads back from a JSONL artifact, from retrieval.jsonl and chains.jsonl), is a damaged
+    artifact: the reader exits 3 and names the stage to rerun, and writes nothing."""
     root, cfg, files = pipeline
     _restore(root, files)
     lines = files[root / name].decode("utf-8").splitlines()
     record = json.loads(lines[0])
     if name == "out/model.json":
-        record["weights"]["b_out"]["data"] = base64.b64encode(struct.pack("<d", math.nan)).decode()
+        record["weights"]["b_out"]["data"] = base64.b64encode(struct.pack("<d", value)).decode()
+    elif name == "out/chains.jsonl":
+        record["chains"][0]["scores"][0] = value
     else:
-        record["scores"][0] = math.nan
+        record["scores"][0] = value
     lines[0] = json.dumps(record)
     (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     err = io.StringIO()

@@ -3,6 +3,8 @@ graph compiled at ingest."""
 
 import contextlib
 import io
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from kgrag.cli import EXIT_OK, main
 from kgrag.kg import BACKWARD, FORWARD, KGFormatError, KnowledgeGraph, _Storage, hop_distances, load_kg, to_compiled
+from kgrag.kg import triples_from_record, triples_to_record
 
 from conftest import graph_from_lines, write_fixture_config
 from oracles import directed_distance, undirected_distance
@@ -112,15 +115,15 @@ def test_steps_count_a_self_loop_once_as_forward():
     assert g.steps(g.entity_ids["A"]) == [(0, FORWARD), (1, BACKWARD), (2, FORWARD)]
 
 
-def test_resolve_on_a_scoped_view():
-    """A view resolves and restricts over the stored triples, as its graph does."""
+def test_a_view_reads_a_triple_column_over_the_stored_triples():
+    """A view reads a triple column and restricts over the stored triples, as its graph does."""
     g = graph_from_lines("A r1 B", "B r2 C", "A r1 C")
     view = g.restrict([1])
-    assert view.resolve("B", "r2", "C") == 1
-    assert view.resolve("A", "r1", "B") == 0
+    assert triples_from_record(triples_to_record(g, [1, 0]), view) == (1, 0)
     assert view.restrict([0, 2]).triple_ids == (0, 2)
-    assert g.restrict([0, 1, 2]).resolve("A", "r1", "C") == 2
-    assert g.resolve("A", "r2", "B") is None
+    assert triples_from_record(triples_to_record(view, [2]), g.restrict([0, 1, 2])) == (2,)
+    with pytest.raises(ValueError, match=re.escape("triple 0 is ['A', 'r1', 'B'] in the graph, not ['A', 'r2', 'B']")):
+        triples_from_record({"tids": [0], "triples": [["A", "r2", "B"]]}, view)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,10 +134,18 @@ def test_label_codec_on_random_views(data):
         tr = g.triple(tid)
         [labels] = g.triple_labels([tid])
         assert labels == [g.entity_label(tr.head), g.relation_label(tr.relation), g.entity_label(tr.tail)]
-        assert g.resolve(*labels) == tid
-        assert view.resolve(*labels) == tid
-    assert view.resolve("e0", "no-such-relation", "e0") is None
-    assert view.resolve("no-such-entity", "rel0", "e0") is None
+    tids = data.draw(st.lists(st.sampled_from(range(len(g.storage))), max_size=6))
+    record = json.loads(json.dumps(triples_to_record(view, tids)))  # any stored id, as JSON reads it
+    assert triples_from_record(record, g) == triples_from_record(record, view) == tuple(tids)
+    for step, tid in enumerate(tids):  # a label that is not the graph's, or not in it at all
+        for field, other in ((1, "no-such-relation"), (0, record["triples"][step][2] + "x")):
+            damaged = json.loads(json.dumps(record))
+            damaged["triples"][step][field] = other
+            with pytest.raises(ValueError, match=f"triple {tid} is"):
+                triples_from_record(damaged, view)
+    for tid in (-1, len(g.storage)):
+        with pytest.raises(KGFormatError, match=f"triple id {tid} not in graph"):
+            triples_from_record({"tids": [tid], "triples": [["e0", "rel0", "e0"]]}, view)
 
 
 # labels that survive the TSV round trip: no tab or line feed, nothing to strip at the ends
@@ -145,7 +156,7 @@ def _same_graph(compiled, tsv) -> None:
     assert compiled.entities == tsv.entities
     assert compiled.relations == tsv.relations
     assert [compiled.triple(t) for t in range(len(compiled.storage))] == [tsv.triple(t) for t in range(len(tsv.storage))]
-    assert compiled.triple_index == tsv.triple_index
+    assert compiled.storage.triple_index == tsv.storage.triple_index
     assert compiled.triple_ids == tsv.triple_ids
     assert compiled.out_index == tsv.out_index
     assert compiled.in_index == tsv.in_index

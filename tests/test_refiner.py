@@ -244,8 +244,8 @@ def test_load_refine_demos_from_file(tmp_path):
 def test_supervision_caches_can_be_set_combined():
     g = graph_from_lines("A r1 B", "B r2 C")
     a, b = (
-        supervision_from_record({"positive_triples": triples, "refiner_tag": "t"}, g).positive_triples
-        for triples in ([["A", "r1", "B"]], [["B", "r2", "C"], ["A", "r1", "B"]])
+        supervision_from_record({"tids": ids, "triples": g.triple_labels(ids), "refiner_tag": "t"}, g).positive_triples
+        for ids in ([0], [1, 0])
     )
     assert (a, b) == ({0}, {0, 1})  # triple ids
     assert a & b == a

@@ -21,7 +21,8 @@ from kgrag.reorganize import (
     write_chains,
     QADemo,
 )
-from kgrag.retriever.subgraph import RetrievedTriple
+from kgrag.retriever import HashedBowEncoder, ViewTables
+from kgrag.retriever.subgraph import RetrievedTriple, top_k
 
 from conftest import graph_from_lines
 from oracles import enumerate_chains, multi_entity_blocks
@@ -334,7 +335,7 @@ def test_chains_serialization_keeps_label_alignment_when_orders_differ():
     # other way; the round trip must not cross the pairs
     g, sub = subgraph_from_lines(["Q r1 zebra", "Q r1 apple"])
     chains = merge_multi_answer(expand_chains(sub, {g.entity_ids["Q"]}, max_len=1))
-    record = chains_to_record("qy", chains)
+    record = chains_to_record("qy", chains, g)
     loaded = chains_from_record(record, g)
     for orig, back in zip(chains, loaded):
         assert dict(orig.targets) == dict(back.targets)
@@ -346,15 +347,20 @@ def test_chains_serialization_keeps_label_alignment_when_orders_differ():
     scores=st.lists(st.floats(-1, 1), min_size=10, max_size=10),
     queries=st.sets(st.integers(0, 6), min_size=1, max_size=3),
     max_len=st.sampled_from([1, 2, None]),
+    parallel=st.booleans(),
 )
-def test_chains_serialization_round_trip(rows, scores, queries, max_len):
-    """What expand and both merges give, with either orientation and multi-entity groups, comes
-    back from chains.jsonl unchanged and renders the same evidence lines."""
+def test_chains_serialization_round_trip(rows, scores, queries, max_len, parallel):
+    """What expand and both merges give, with either orientation, multi-entity groups and, as an
+    entity scorer retrieves them, parallel triples merged into one step, comes back from
+    chains.jsonl unchanged and renders the same evidence lines."""
     g, sub = subgraph_from_lines([f"e{h} r{r} e{t}" for h, r, t in rows], dict(enumerate(scores)))
+    if parallel:
+        reps = ViewTables(g, HashedBowEncoder(2)).parallel
+        sub = top_k([(tid, sub[tid].score) for tid in reps.tids], len(sub), g, reps.merged)
     query_ids = {g.entity_ids[f"e{q}"] for q in queries if f"e{q}" in g.entity_ids}
     chains = merge_multi_entity(merge_multi_answer(expand_chains(sub, query_ids, max_len)), query_ids)
     sink = io.StringIO()
-    write_chains(sink, [chains_to_record("qz", chains)])
+    write_chains(sink, [chains_to_record("qz", chains, g)])
     loaded = read_chains(io.StringIO(sink.getvalue()), g, ["qz"])["qz"]
     assert loaded == chains
     assert [render_evidence_line(c) for c in loaded] == [render_evidence_line(c) for c in chains]
