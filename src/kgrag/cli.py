@@ -333,7 +333,7 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
         scored, merged = model.score(q, view), {}
         if by_entity:
             scored, merged = entity_to_triple_scores(scored, ViewTables.of(view, model.encoder))
-        return subgraph_to_record(q.id, top_k(scored, k, g, merged), g)
+        return subgraph_to_record(q.id, top_k(scored, k, merged), g)
 
     return _per_question(cfg, "retrieve", questions, run, write_subgraphs, f"retrieved top-{k} triples")
 
@@ -343,9 +343,9 @@ def cmd_reorganize(cfg: PipelineConfig) -> int:
     subgraphs = _read(cfg, "retrieval.jsonl", read_subgraphs, g, [q.id for q in questions])
 
     def run(q: kgmod.Question) -> dict:
-        chains = reorganize.expand_chains(subgraphs[q.id], set(q.query_entities), cfg.chain_length_limit)
-        chains = reorganize.merge_multi_answer(chains)
-        chains = reorganize.merge_multi_entity(chains, set(q.query_entities))
+        chains = reorganize.expand_chains(subgraphs[q.id], set(q.query_entities), g, cfg.chain_length_limit)
+        chains = reorganize.merge_multi_answer(chains, g)
+        chains = reorganize.merge_multi_entity(chains, set(q.query_entities), g)
         return reorganize.chains_to_record(q.id, chains, g)
 
     return _per_question(cfg, "reorganize", questions, run, reorganize.write_chains, "evidence chains")
@@ -366,7 +366,7 @@ def cmd_answer(
         build_prompt = reorganize.build_qa_prompt
 
     def run(q: kgmod.Question) -> dict:
-        request = build_prompt(q.text, evidence[q.id], demos, cfg.llm.include_explanations)
+        request = build_prompt(q.text, evidence[q.id], g, demos, cfg.llm.include_explanations)
         result = client.complete(request)
         return {
             "id": q.id,

@@ -86,12 +86,6 @@ class ReasoningPath:
     def terminal(self, g: "KnowledgeGraph") -> int:
         return step_exit(g.triple(self.triple_ids[-1]), self.orientations[-1])
 
-    def entity_sequence(self, g: "KnowledgeGraph") -> list[int]:
-        seq = [self.source(g)]
-        for tid, orient in zip(self.triple_ids, self.orientations):
-            seq.append(step_exit(g.triple(tid), orient))
-        return seq
-
     def relation_path(self, g: "KnowledgeGraph") -> tuple[tuple[int, str], ...]:
         """Ordered (relation id, orientation) pairs underlying this path."""
         return tuple(
@@ -366,18 +360,33 @@ def read_jsonl(source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[dic
             raise KGFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
         if not isinstance(obj, dict):
             raise KGFormatError(f"expected a JSON object, got {type(obj).__name__}", lineno)
-        rec = _Record(obj)
-        try:
-            out.append(parse(rec))
-        except KGFormatError as exc:
-            if exc.line is not None:
-                raise
-            raise KGFormatError(str(exc), lineno) from exc
-        except KeyError as exc:
-            raise KGFormatError(f"missing field {exc}", lineno) from exc
-        except (TypeError, ValueError) as exc:
-            raise KGFormatError(f"field {rec.last_key!r}: {exc}", lineno) from exc
+        out.append(_parsed(obj, parse, lambda message: KGFormatError(message, lineno)))
     return out
+
+
+def read_items(rec: dict, key: str, parse: Callable[[dict], T]) -> list[T]:
+    """``parse(item)`` for each object of the list ``rec[key]``; a record's nested objects are
+    read with this, so that an error names the item and the field read inside it, as
+    ``{key}[{index}]: field ...``."""
+    items = json_field(rec, key, tuple[dict, ...])
+    return [_parsed(obj, parse, lambda message: KGFormatError(f"{key}[{i}]: {message}")) for i, obj in enumerate(items)]
+
+
+def _parsed(obj: dict, parse: Callable[[dict], T], error: Callable[[str], KGFormatError]) -> T:
+    """``parse(obj)``, read as a :class:`_Record`; what it raises (``KeyError``, ``TypeError``,
+    ``ValueError``, a line-less :class:`KGFormatError`) becomes ``error(message)``, the message
+    naming the field last read."""
+    rec = _Record(obj)
+    try:
+        return parse(rec)
+    except KGFormatError as exc:
+        if exc.line is not None:
+            raise
+        raise error(str(exc)) from exc
+    except KeyError as exc:
+        raise error(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise error(f"field {rec.last_key!r}: {exc}") from exc
 
 
 def read_by_question(

@@ -15,7 +15,7 @@ from typing import IO, Collection, Iterable, Literal
 
 from .config import json_field
 from .kg import KGFormatError, KnowledgeGraph, Question, ReasoningPath, hop_distances, read_by_question, step_exit
-from .kg import triples_from_record, triples_to_record, write_jsonl
+from .kg import read_items, triples_from_record, triples_to_record, write_jsonl
 
 PROV_SHORTEST = "shortest_path"
 PROV_QUERY = "query_neighborhood"
@@ -174,17 +174,18 @@ def pool_to_record(qid: str, pool: CandidatePool, g: KnowledgeGraph) -> dict:
 
 
 def pool_from_record(rec: dict, g: KnowledgeGraph) -> CandidatePool:
-    pool: CandidatePool = []
     seen: set[tuple] = set()  # build_pool writes each path once
-    for entry in json_field(rec, "paths", tuple[dict, ...]):
+
+    def read_path(entry: dict) -> tuple[ReasoningPath, str]:
         path = ReasoningPath(triples_from_record(entry, g), json_field(entry, "orientations", tuple[str, ...]))
         path.validate(g)
         if path.key() in seen:
             shown = " ".join("|".join(labels) for labels in g.triple_labels(path.triple_ids))
             raise KGFormatError(f"pool path listed twice: {shown}")
         seen.add(path.key())
-        pool.append((path, json_field(entry, "provenance", PROVENANCE)))
-    return pool
+        return path, json_field(entry, "provenance", PROVENANCE)
+
+    return read_items(rec, "paths", read_path)
 
 
 write_pools = write_jsonl

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Collection, Sequence
 
 from .config import json_field, read_json
-from .kg import FORWARD, KnowledgeGraph, Question, ReasoningPath
+from .kg import FORWARD, KGFormatError, KnowledgeGraph, Question
 from .kg import read_by_question, triples_from_record, triples_to_record, write_jsonl
 from .llm import CompletionRequest
 from .pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, CandidatePool
@@ -57,23 +57,29 @@ class RefinedSupervision:
 # -- rendering ---------------------------------------------------------------
 
 
-def render_chain(labels: Sequence[str], markers: Sequence[str]) -> str:
-    """Join entity labels and bracketed relation markers with arrows."""
-    parts = [labels[0]]
-    for marker, label in zip(markers, labels[1:]):
-        parts.append(f"[{marker}]")
-        parts.append(label)
+def render_path(
+    g: KnowledgeGraph,
+    tids: Sequence[int],
+    orientations: Sequence[str],
+    relations: Sequence[str] | None = None,
+    end: str | None = None,
+) -> str:
+    """The steps ``tids``, each traversed in its orientation, from the first one's entry entity:
+    entity labels and bracketed relation labels joined by arrows, a backward step's relation
+    with the inverse mark. ``relations`` stands for the steps' own labels (a merged step shows
+    more than one) and ``end`` for the label of the last entity."""
+    s, entities = g.storage, g.entities
+    if relations is None:
+        relations = [g.relations[s.relation[tid]] for tid in tids]
+    first = tids[0]
+    parts = [entities[s.head[first] if orientations[0] == FORWARD else s.tail[first]]]
+    for tid, orient, relation in zip(tids, orientations, relations):
+        forward = orient == FORWARD
+        parts.append(f"[{relation}]" if forward else f"[{relation}{INVERSE_MARK}]")
+        parts.append(entities[s.tail[tid] if forward else s.head[tid]])
+    if end is not None:
+        parts[-1] = end
     return " → ".join(parts)
-
-
-def textualize_path(path: ReasoningPath, g: KnowledgeGraph) -> str:
-    """Render a path source-to-target; reverse-oriented steps get an inverse mark."""
-    labels = [g.entity_label(e) for e in path.entity_sequence(g)]
-    markers = []
-    for tid, orient in zip(path.triple_ids, path.orientations):
-        rel = g.relation_label(g.triple(tid).relation)
-        markers.append(rel if orient == FORWARD else rel + INVERSE_MARK)
-    return render_chain(labels, markers)
 
 
 # -- prompt assembly ---------------------------------------------------------
@@ -116,7 +122,8 @@ def build_refine_prompt(
     blocks = [_demo_block(d) for d in demos]
     lines = [f"Question: {q.text}", "Candidate evidence chains:"]
     for rank, idx in enumerate(order, start=1):
-        lines.append(f"{rank}. {textualize_path(pool[idx][0], g)}")
+        path = pool[idx][0]
+        lines.append(f"{rank}. {render_path(g, path.triple_ids, path.orientations)}")
     lines.append(
         "Select the chains that together give sufficient and logically coherent "
         "evidence for answering the question. Reply with the chosen numbers as a "
@@ -196,7 +203,12 @@ def supervision_to_record(qid: str, sup: RefinedSupervision, g: KnowledgeGraph) 
 
 
 def supervision_from_record(rec: dict, g: KnowledgeGraph) -> RefinedSupervision:
-    return RefinedSupervision(set(triples_from_record(rec, g)), json_field(rec, "refiner_tag", str))
+    """The supervision :func:`supervision_to_record` wrote; ids that repeat or descend raise
+    :class:`KGFormatError`."""
+    tids = triples_from_record(rec, g)
+    if any(a >= b for a, b in zip(tids, tids[1:])):
+        raise KGFormatError("supervision triple ids repeat or are out of ascending order")
+    return RefinedSupervision(set(tids), json_field(rec, "refiner_tag", str))
 
 
 write_supervision = write_jsonl

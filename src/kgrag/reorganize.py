@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import IO, Collection, Literal, Sequence
 
 from .config import json_field, read_json
-from .kg import BACKWARD, FORWARD, KGFormatError, KnowledgeGraph, read_by_question, write_jsonl
+from .kg import BACKWARD, FORWARD, KGFormatError, KnowledgeGraph, read_by_question, read_items, write_jsonl
 from .llm import CompletionRequest
-from .refiner import INVERSE_MARK, render_chain
-from .retriever.subgraph import RetrievedTriple, steps_from_record, steps_to_record
+from .refiner import render_path
+from .retriever.subgraph import RetrievedTriple, relation_text, steps_from_record, steps_to_record
 
 QA_SYSTEM = "Answer the question using only the provided evidence."
 ORIENTATION = Literal[FORWARD, BACKWARD]
@@ -30,39 +30,25 @@ NO_EVIDENCE_MARKER = "(no evidence retrieved)"
 class EvidenceChain:
     """Steps from the query anchor toward the targets, each traversed in ``orientation``.
 
-    ``targets`` are the ``(entity id, label)`` pairs the chain ends at, in ascending id.
+    ``targets`` are the entity ids the chain ends at, ascending.
     """
 
     steps: tuple[RetrievedTriple, ...]
     orientation: str  # FORWARD or BACKWARD
-    targets: tuple[tuple[int, str], ...]
+    targets: tuple[int, ...]
 
-    def anchor(self) -> RetrievedTriple:
-        return self.steps[0]
-
-    @property
-    def source(self) -> int:
-        return self.steps[0].head if self.orientation == FORWARD else self.steps[0].tail
-
-    def source_label(self) -> str:
-        return self.steps[0].head_label if self.orientation == FORWARD else self.steps[0].tail_label
+    def source(self, g: KnowledgeGraph) -> int:
+        s, tid = g.storage, self.steps[0].tid
+        return s.head[tid] if self.orientation == FORWARD else s.tail[tid]
 
     def tid_sequence(self) -> tuple[int, ...]:
         return tuple(step.tid for step in self.steps)
 
 
-def split_source(
-    sub: Sequence[RetrievedTriple], query_entities: set[int]
-) -> tuple[list[RetrievedTriple], list[RetrievedTriple]]:
-    """Query-anchored triples (head or tail in the query set) vs the rest."""
-    src = [e for e in sub if e.head in query_entities or e.tail in query_entities]
-    tgt = [e for e in sub if not (e.head in query_entities or e.tail in query_entities)]
-    return src, tgt
-
-
 def expand_chains(
     sub: Sequence[RetrievedTriple],
     query_entities: set[int],
+    g: KnowledgeGraph,
     max_len: int | None = 2,
 ) -> list[EvidenceChain]:
     """All maximal anchored chains up to ``max_len`` (None for unlimited).
@@ -75,55 +61,57 @@ def expand_chains(
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1 or None")
-    src, tgt = split_source(sub, query_entities)
-    by_head: dict[int, list[RetrievedTriple]] = {}
-    by_tail: dict[int, list[RetrievedTriple]] = {}
-    for entry in sorted(tgt, key=lambda e: e.tid):
-        by_head.setdefault(entry.head, []).append(entry)
-        by_tail.setdefault(entry.tail, []).append(entry)
+    s = g.storage
+    anchors: list[tuple[RetrievedTriple, int, int]] = []
+    # the non-anchored steps by the entity they enter at, each with the entity it leaves at
+    by_head: dict[int, list[tuple[RetrievedTriple, int]]] = {}
+    by_tail: dict[int, list[tuple[RetrievedTriple, int]]] = {}
+    for step in sorted(sub, key=lambda e: e.tid):
+        head, tail = s.head[step.tid], s.tail[step.tid]
+        if head in query_entities or tail in query_entities:
+            anchors.append((step, head, tail))
+        else:
+            by_head.setdefault(head, []).append((step, tail))
+            by_tail.setdefault(tail, []).append((step, head))
 
     chains: list[EvidenceChain] = []
 
-    def grow(anchor: RetrievedTriple, orient: str) -> None:
+    def grow(anchor: RetrievedTriple, start: int, orient: str) -> None:
         index = by_head if orient == FORWARD else by_tail
-        stack: list[tuple[tuple[RetrievedTriple, ...], frozenset[int], int]] = [
-            ((anchor,), frozenset([anchor.tid]), anchor.tail if orient == FORWARD else anchor.head)
-        ]
+        stack = [((anchor,), frozenset([anchor.tid]), start)]
         while stack:
             steps, used, frontier = stack.pop()
             extensions = (
                 []
                 if max_len is not None and len(steps) >= max_len
-                else [e for e in index.get(frontier, ()) if e.tid not in used]
+                else [(e, far) for e, far in index.get(frontier, ()) if e.tid not in used]
             )
             if not extensions:
-                last = steps[-1]
-                label = last.tail_label if orient == FORWARD else last.head_label
-                chains.append(EvidenceChain(steps, orient, ((frontier, label),)))
+                chains.append(EvidenceChain(steps, orient, (frontier,)))
                 continue
-            for ext in reversed(extensions):
-                nxt = ext.tail if orient == FORWARD else ext.head
-                stack.append((steps + (ext,), used | {ext.tid}, nxt))
+            for ext, far in reversed(extensions):
+                stack.append((steps + (ext,), used | {ext.tid}, far))
 
-    for anchor in sorted(src, key=lambda e: e.tid):
-        if anchor.head in query_entities:
-            grow(anchor, FORWARD)
-        if anchor.tail in query_entities and anchor.tail != anchor.head:
-            grow(anchor, BACKWARD)
+    for anchor, head, tail in anchors:
+        if head in query_entities:
+            grow(anchor, tail, FORWARD)
+        if tail in query_entities and tail != head:
+            grow(anchor, head, BACKWARD)
 
-    chains.sort(key=lambda c: (-c.anchor().score, c.anchor().tid, c.tid_sequence()))
+    chains.sort(key=lambda c: (-c.steps[0].score, c.steps[0].tid, c.tid_sequence()))
     return chains
 
 
-def merge_multi_answer(chains: Sequence[EvidenceChain]) -> list[EvidenceChain]:
+def merge_multi_answer(chains: Sequence[EvidenceChain], g: KnowledgeGraph) -> list[EvidenceChain]:
     """Collapse chains sharing (source, orientation, relations) into one multi-target chain.
 
-    The representative keeps the lexicographically smallest triple-id
-    sequence; targets are the union over the group. Idempotent.
+    Relations compare as rendered (:func:`relation_text`). The representative keeps the
+    lexicographically smallest triple-id sequence; targets are the union over the group.
+    Idempotent.
     """
     groups: dict[tuple, list[EvidenceChain]] = {}
     for chain in chains:
-        key = (chain.source, chain.orientation, tuple(step.relation for step in chain.steps))
+        key = (chain.source(g), chain.orientation, tuple(relation_text(g, step) for step in chain.steps))
         groups.setdefault(key, []).append(chain)
     return [
         replace(
@@ -135,7 +123,7 @@ def merge_multi_answer(chains: Sequence[EvidenceChain]) -> list[EvidenceChain]:
 
 
 def merge_multi_entity(
-    chains: Sequence[EvidenceChain], query_entities: set[int]
+    chains: Sequence[EvidenceChain], query_entities: set[int], g: KnowledgeGraph
 ) -> list[EvidenceChain]:
     """Group chains with pairwise-distinct sources and a common target.
 
@@ -148,7 +136,7 @@ def merge_multi_entity(
     chains = list(chains)
     if len(query_entities) <= 1 or len(chains) < 2:
         return chains
-    sources = [chain.source for chain in chains]
+    sources = [chain.source(g) for chain in chains]
     used = [False] * len(chains)
     grouped: list[EvidenceChain] = []
     for i, chain in enumerate(chains):
@@ -175,14 +163,12 @@ def merge_multi_entity(
 # -- prompt assembly -----------------------------------------------------------
 
 
-def render_evidence_line(chain: EvidenceChain) -> str:
+def render_evidence_line(chain: EvidenceChain, g: KnowledgeGraph) -> str:
     """The chain from its source to its targets: the one label, or ``{a, b}`` sorted by label."""
-    forward = chain.orientation == FORWARD
-    labels = [chain.source_label()] + [s.tail_label if forward else s.head_label for s in chain.steps[:-1]]
-    ends = sorted(label for _, label in chain.targets)
-    labels.append(ends[0] if len(ends) == 1 else "{" + ", ".join(ends) + "}")
-    markers = [s.relation if forward else s.relation + INVERSE_MARK for s in chain.steps]
-    return render_chain(labels, markers)
+    ends = sorted(g.entities[t] for t in chain.targets)
+    end = ends[0] if len(ends) == 1 else "{" + ", ".join(ends) + "}"
+    relations = [relation_text(g, step) for step in chain.steps]
+    return render_path(g, chain.tid_sequence(), [chain.orientation] * len(chain.steps), relations, end)
 
 
 @dataclass(frozen=True)
@@ -205,22 +191,24 @@ def _qa_demo_block(demo: QADemo, include_explanations: bool) -> str:
 def build_qa_prompt(
     question_text: str,
     chains: Sequence[EvidenceChain],
+    g: KnowledgeGraph,
     demos: Sequence[QADemo] = (),
     include_explanations: bool = True,
 ) -> CompletionRequest:
     """Evidence-chain prompt asking for a JSON string list of answers."""
-    evidence = [render_evidence_line(c) for c in chains]
+    evidence = [render_evidence_line(c, g) for c in chains]
     return _qa_request(question_text, "Evidence:", evidence, demos, include_explanations)
 
 
 def build_flat_qa_prompt(
     question_text: str,
     sub: Sequence[RetrievedTriple],
+    g: KnowledgeGraph,
     demos: Sequence[QADemo] = (),
     include_explanations: bool = True,
 ) -> CompletionRequest:
     """Unorganized variant: retrieved triples listed flat in score order."""
-    facts = [render_chain([e.head_label, e.tail_label], [e.relation]) for e in sub]
+    facts = [render_path(g, (e.tid,), (FORWARD,), (relation_text(g, e),)) for e in sub]
     return _qa_request(question_text, "Facts:", facts, demos, include_explanations)
 
 
@@ -245,7 +233,7 @@ def chains_to_record(qid: str, chains: Sequence[EvidenceChain], g: KnowledgeGrap
             {
                 **steps_to_record(chain.steps, g),
                 "orientation": chain.orientation,
-                "targets": [label for _, label in chain.targets],
+                "targets": [g.entities[t] for t in chain.targets],
             }
             for chain in chains
         ],
@@ -256,24 +244,24 @@ def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
     """The chains of a ``chains.jsonl`` record, their steps read as a retrieval record's; a
     chain with no steps or no targets, a target label not in ``g``, or targets that are not
     distinct and in ascending entity id raises :class:`KGFormatError`."""
-    chains = []
-    for c in json_field(rec, "chains", tuple[dict, ...]):
+
+    def read_chain(c: dict) -> EvidenceChain:
         steps = steps_from_record(c, g)
         if not steps:
             raise KGFormatError("a chain with no steps")
-        targets = []
+        targets: list[int] = []
         for label in json_field(c, "targets", tuple[str, ...]):
             target = g.entity_id(label)
             if target is None:
                 raise KGFormatError(f"chain target {label!r} not in graph")
-            if targets and target <= targets[-1][0]:
+            if targets and target <= targets[-1]:
                 raise KGFormatError(f"chain target {label!r} repeats or is out of ascending entity id order")
-            targets.append((target, label))
+            targets.append(target)
         if not targets:
             raise KGFormatError("a chain with no targets")
-        orientation = json_field(c, "orientation", ORIENTATION)
-        chains.append(EvidenceChain(steps, orientation, tuple(targets)))
-    return chains
+        return EvidenceChain(steps, json_field(c, "orientation", ORIENTATION), tuple(targets))
+
+    return read_items(rec, "chains", read_chain)
 
 
 write_chains = write_jsonl

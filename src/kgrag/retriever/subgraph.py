@@ -17,25 +17,24 @@ MODEL_FORMAT_VERSION = 2
 
 
 class RetrievedTriple(NamedTuple):
-    """A scored triple with the labels needed to render it without the graph.
-
-    ``relation`` is the triple's own label or, where an entity scorer merged the parallel
-    triples ``merged`` (ascending ids above ``tid``) into it, its label and theirs joined by " | "."""
+    """A scored triple. ``merged`` holds the parallel triples (ascending ids above ``tid``) that
+    an entity scorer merged into it; its labels come from the graph (:func:`relation_text`)."""
 
     tid: int
-    head: int
-    tail: int
-    head_label: str
-    relation: str
-    tail_label: str
     score: float
     merged: tuple[int, ...] = ()
+
+
+def relation_text(g: KnowledgeGraph, step: RetrievedTriple) -> str:
+    """The relation a step shows: its triple's own label or, merged, that label followed by the
+    labels of its merged triples, joined by " | "."""
+    relations, column = g.relations, g.storage.relation
+    return " | ".join([relations[column[x]] for x in (step.tid, *step.merged)])
 
 
 def top_k(
     scored: Sequence[tuple[int, float]],
     k: int,
-    g: KnowledgeGraph,
     merged: dict[int, tuple[int, ...]] | None = None,
 ) -> tuple[RetrievedTriple, ...]:
     """The k highest-scoring triples, by descending score; ties break toward the smaller triple id.
@@ -48,17 +47,7 @@ def top_k(
     tids, scores = zip(*scored)
     ranked = np.lexsort((np.array(tids), -np.array(scores, dtype=np.float64)))[:k].tolist()
     merged = merged or {}
-    s, names, relations = g.storage, g.entities, g.relations
-    entries = []
-    for i in ranked:
-        tid = tids[i]
-        h, t, others = s.head[tid], s.tail[tid], merged.get(tid, ())
-        relation = relations[s.relation[tid]]
-        if others:
-            relation = " | ".join([relation, *(relations[s.relation[x]] for x in others)])
-        # by position: keywords would cost more than the rest of the loop
-        entries.append(RetrievedTriple(tid, h, t, names[h], relation, names[t], float(scores[i]), others))
-    return tuple(entries)
+    return tuple(RetrievedTriple(tids[i], float(scores[i]), merged.get(tids[i], ())) for i in ranked)
 
 
 def steps_to_record(steps: Sequence[RetrievedTriple], g: KnowledgeGraph) -> dict:
@@ -85,25 +74,21 @@ def steps_from_record(rec: dict, g: KnowledgeGraph) -> tuple[RetrievedTriple, ..
     scores = json_field(rec, "scores", tuple[float, ...])
     if len(scores) != len(tids):
         raise KGFormatError("tids and scores differ in length")
-    s, names, relations = g.storage, g.entities, g.relations
-    steps = []
-    for tid, score in zip(tids, scores):
-        head, tail = s.head[tid], s.tail[tid]
-        steps.append(RetrievedTriple(tid, head, tail, names[head], relations[s.relation[tid]], names[tail], score))
+    steps = list(map(RetrievedTriple, tids, scores))
     groups = json_field(rec, "merged", tuple[tuple[int, ...], ...])
     at = {tid: i for i, tid in enumerate(tids)} if groups else {}
+    s = g.storage
     for group in groups:
         i = at.get(group[0]) if group else None
         if i is None or steps[i].merged or len(group) < 2 or any(a >= b for a, b in zip(group, group[1:])):
             raise KGFormatError(f"merged group {list(group)} is not a step grouped once and ascending ids above it")
         if group[-1] >= len(s):
             raise KGFormatError(f"merged triple id {group[-1]} not in graph")
-        step = steps[i]
+        head, tail = s.head[group[0]], s.tail[group[0]]
         for other in group[1:]:
-            if (s.head[other], s.tail[other]) != (step.head, step.tail):
-                raise KGFormatError(f"merged triple {other} does not join {step.head_label} to {step.tail_label}")
-        relation = " | ".join([relations[s.relation[x]] for x in group])
-        steps[i] = step._replace(relation=relation, merged=group[1:])
+            if (s.head[other], s.tail[other]) != (head, tail):
+                raise KGFormatError(f"merged triple {other} does not join {g.entities[head]} to {g.entities[tail]}")
+        steps[i] = steps[i]._replace(merged=group[1:])
     return tuple(steps)
 
 

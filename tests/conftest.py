@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from kgrag.kg import KnowledgeGraph, Question, load_kg
+from kgrag.kg import KnowledgeGraph, Question, _Storage, load_kg
 
 DATA = Path(__file__).parent / "data"
 
@@ -16,6 +16,17 @@ def graph_from_lines(*lines: str) -> KnowledgeGraph:
     """Graph from 'head relation tail' strings (spaces become tabs)."""
     tsv = "\n".join("\t".join(line.split()) for line in lines)
     return load_kg(io.StringIO(tsv), "tsv")
+
+
+def graph_of_edges(
+    entities: list[str], edges: list[tuple[int, int]], relations: list[str] | None = None
+) -> KnowledgeGraph:
+    """Graph over ``entities`` (ids in list order) whose triple i runs from ``edges[i][0]`` to
+    ``edges[i][1]`` by the relation ``relations[i]``, ``r`` by default."""
+    relations = relations or ["r"] * len(edges)
+    names = list(dict.fromkeys(relations))
+    storage = _Storage([h for h, _ in edges], [names.index(r) for r in relations], [t for _, t in edges])
+    return KnowledgeGraph.from_columns(list(entities), names, storage)
 
 
 def make_question(

@@ -152,7 +152,7 @@ def count_relation_classes(
     return len({(prov, src, rels) for prov, src, rels in paths})
 
 
-def multi_entity_blocks(merged: list, chains: list) -> list[list[int]] | None:
+def multi_entity_blocks(merged: list, chains: list, g) -> list[list[int]] | None:
     """A split of ``merged`` into blocks and the untouched chains of ``chains``, or None.
 
     A block is a run of two or more chains with pairwise-distinct sources whose
@@ -164,7 +164,7 @@ def multi_entity_blocks(merged: list, chains: list) -> list[list[int]] | None:
 
     def is_block(run: list) -> bool:
         common = set.intersection(*(set(inputs[c.tid_sequence()].targets) for c in run))
-        return len({c.source for c in run}) == len(run) and all(set(c.targets) == common for c in run)
+        return len({c.source(g) for c in run}) == len(run) and all(set(c.targets) == common for c in run)
 
     def split(lo: int) -> list[list[int]] | None:
         taken = {c.tid_sequence() for c in merged[:lo]}

@@ -37,7 +37,7 @@ from kgrag.simulate import (
     hypergeometric_tail,
 )
 
-from conftest import parameter_vector, set_parameter_vector, write_fixture_config
+from conftest import graph_of_edges, parameter_vector, set_parameter_vector, write_fixture_config
 from oracles import (
     all_subsets,
     enumerate_chains,
@@ -238,23 +238,11 @@ def test_criterion_06_chain_expansion_oracle():
         expected_unlimited = enumerate_chains(edges, queries, None)
         if len(expected_unlimited) > 30_000:
             continue  # keep the brute-force side tractable
-        entries = [
-            RetrievedTriple(
-                tid=tid,
-                head=tr.head,
-                tail=tr.tail,
-                head_label=g.entity_label(tr.head),
-                relation=g.relation_label(tr.relation),
-                tail_label=g.entity_label(tr.tail),
-                score=0.0,
-            )
-            for tid, tr in g.iter_triples()
-        ]
-        sub = tuple(entries)
+        sub = tuple(RetrievedTriple(tid, 0.0) for tid in g.triple_ids)
         for max_len in (1, 2, None):
             got = {
-                (c.source, c.tid_sequence(), (c.orientation,) * len(c.steps))
-                for c in expand_chains(sub, queries, max_len)
+                (c.source(g), c.tid_sequence(), (c.orientation,) * len(c.steps))
+                for c in expand_chains(sub, queries, g, max_len)
             }
             expected = (
                 expected_unlimited
@@ -271,34 +259,18 @@ def test_criterion_06_chain_expansion_oracle():
 @criterion(7, "multi-entity merge intersects and stays contiguous")
 def test_criterion_07_multi_entity_merge_law():
     rng = np.random.default_rng(707)
-    labels = {i: f"s{i}" for i in range(8)} | {20 + i: f"t{i}" for i in range(8)}
+    entities = [f"e{i}" for i in range(28)]
     for _ in range(1000):
         n = int(rng.integers(2, 9))
-        chains = []
+        chains, edges = [], []
         for i in range(n):
             source = int(rng.integers(0, 6))
-            targets = frozenset(
-                int(x) for x in rng.choice(np.arange(20, 26), size=rng.integers(1, 4), replace=False)
-            )
-            chains.append(
-                EvidenceChain(
-                    steps=(
-                        RetrievedTriple(
-                            tid=i,
-                            head=source,
-                            tail=sorted(targets)[0],
-                            head_label=labels[source],
-                            relation="r",
-                            tail_label=labels[sorted(targets)[0]],
-                            score=0.0,
-                        ),
-                    ),
-                    orientation="f",
-                    targets=tuple((t, labels[t]) for t in sorted(targets)),
-                )
-            )
-        merged = merge_multi_entity(chains, set(range(6)))
-        assert multi_entity_blocks(merged, chains) is not None
+            targets = sorted(int(x) for x in rng.choice(np.arange(20, 26), size=rng.integers(1, 4), replace=False))
+            edges.append((source, targets[0]))
+            chains.append(EvidenceChain(steps=(RetrievedTriple(i, 0.0),), orientation="f", targets=tuple(targets)))
+        g = graph_of_edges(entities, edges)
+        merged = merge_multi_entity(chains, set(range(6)), g)
+        assert multi_entity_blocks(merged, chains, g) is not None
 
 
 # -- 8: scorer training --------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrag.kg import KGFormatError, load_kg, published, read_by_question, read_jsonl, triples_to_record, write_jsonl
-from kgrag.retriever.subgraph import RetrievedTriple, read_subgraphs, steps_from_record, steps_to_record
+from kgrag.retriever.subgraph import RetrievedTriple, read_subgraphs, relation_text, steps_from_record, steps_to_record
 
 # non-ASCII text, including characters other line splitters treat as breaks
 _TEXT = st.text(st.sampled_from("az \u00e9\u6f22 \x85\u2028\"\\\n"), max_size=6)
@@ -114,7 +114,7 @@ def test_retrieved_relation_is_the_triples_own_label_or_its_merge(relation, acce
         for others in itertools.combinations([1, 3, 4], n):
             ((step,),) = read_subgraphs([_one_step(g, 0, [[0, *others]] if others else [])], g, ["q"]).values()
             assert step.merged == others
-            shown.add(step.relation)
+            shown.add(relation_text(g, step))
     assert (relation in shown) == accepted
     if relation != "r":
         record = {"id": "q", "tids": [0], "triples": [["a", relation, "b"]], "scores": [1.0], "merged": []}
@@ -130,7 +130,7 @@ def test_retrieved_relation_is_the_triples_own_label_or_its_merge(relation, acce
 def test_a_merge_of_parallel_ids_above_its_step_reads_back(tid, merged, relation):
     g = load_kg(_PARALLEL)
     ((step,),) = read_subgraphs([_one_step(g, tid, merged)], g, ["q"]).values()
-    assert (step.relation, step.merged) == (relation, tuple(merged[0][1:]) if merged else ())
+    assert (relation_text(g, step), step.merged) == (relation, tuple(merged[0][1:]) if merged else ())
     assert steps_to_record([step], g)["merged"] == merged
 
 
@@ -163,8 +163,8 @@ def _expected_steps(g, tids, triples, scores, groups):
     """The steps a record reads as, by the rule written out: each step in order must name a stored
     triple, with its labels; then each group must start at a step no other group starts at and
     go on with one or more ascending ids above it, each of a stored triple joining the same ends,
-    and the step shows its own label and theirs joined by " | ". Returns the steps and None, or
-    None and what is refused: the error type and message for a step, the type for a group."""
+    and the step holds their ids. Returns the steps and None, or None and what is refused: the
+    error type and message for a step, the type for a group."""
     s, steps = g.storage, []
     for tid, labels, score in zip(tids, triples, scores):
         if not 0 <= tid < len(s):
@@ -172,7 +172,7 @@ def _expected_steps(g, tids, triples, scores, groups):
         own = [g.entities[s.head[tid]], g.relations[s.relation[tid]], g.entities[s.tail[tid]]]
         if labels != own:
             return None, (ValueError, f"triple {tid} is {own} in the graph, not {labels!r}")
-        steps.append(RetrievedTriple(tid, s.head[tid], s.tail[tid], *own, score))
+        steps.append(RetrievedTriple(tid, score))
     starts = [group[0] for group in groups if group]
     for group in groups:
         ok = (
@@ -183,8 +183,7 @@ def _expected_steps(g, tids, triples, scores, groups):
         if not ok:
             return None, (KGFormatError, None)
         i = tids.index(group[0])
-        relation = " | ".join(g.relations[s.relation[x]] for x in group)
-        steps[i] = steps[i]._replace(relation=relation, merged=tuple(group[1:]))
+        steps[i] = steps[i]._replace(merged=tuple(group[1:]))
     return tuple(steps), None
 
 
@@ -234,7 +233,13 @@ def test_a_record_reads_as_its_steps_read_one_at_a_time(data):
             steps_from_record(record, view)
         assert message is None or str(err.value) == message
     else:
-        assert steps_from_record(record, view) == expected
+        steps = steps_from_record(record, view)
+        assert steps == expected
+        # a step shows its own label, followed by the labels of the triples merged into it
+        column = view.storage.relation
+        assert [relation_text(view, step) for step in steps] == [
+            " | ".join(view.relations[column[x]] for x in (step.tid, *step.merged)) for step in expected
+        ]
 
 
 def test_a_record_with_two_faults_names_its_first():
@@ -313,6 +318,28 @@ def test_inverse_mark_only_in_refiner_constant():
         if "\u207b" in line and (path.name, line) != ("refiner.py", 'INVERSE_MARK = "\u207b"')
     ]
     assert not hits, hits
+
+
+def test_one_function_joins_a_rendered_path_and_one_a_merged_relation():
+    """Under src/kgrag, ``" → ".join`` is called in ``refiner.render_path`` only, and ``" | ".join``
+    in ``retriever.subgraph.relation_text`` only: every chain renders through the one, and every
+    merged relation through the other."""
+    root = Path(__file__).resolve().parents[1] / "src" / "kgrag"
+    joins = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "join"
+                and isinstance(node.func.value, ast.Constant) and node.func.value.value in (" → ", " | ")
+            ):
+                owner = node
+                while owner in parent and not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner = parent[owner]
+                where = owner.name if isinstance(owner, ast.FunctionDef) else "module level"
+                joins.append((node.func.value.value, f"{path.relative_to(root).as_posix()}: {where}"))
+    assert sorted(joins) == [(" | ", "retriever/subgraph.py: relation_text"), (" → ", "refiner.py: render_path")]
 
 
 def test_published_creates_parent_directories(tmp_path):

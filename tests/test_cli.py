@@ -471,7 +471,7 @@ def test_answer_from_replay_cache(pipeline_dir, tmp_path):
         chains_by_q = read_chains(fh, g, [q["id"] for q in questions])
     store = ReplayStore(tmp_path / "replay.jsonl")
     for q in questions:
-        built = build_qa_prompt(q["question"], chains_by_q.get(q["id"], []))
+        built = build_qa_prompt(q["question"], chains_by_q.get(q["id"], []), g)
         request = CompletionRequest(
             system_text=built.system_text,
             user_text=built.user_text,
@@ -750,6 +750,16 @@ def _supervision_triple_not_in_graph(rec):
     rec["triples"][0] = [head, relation, head]  # the fixture has no self-loops
 
 
+def _supervision_id_repeated(rec):
+    for key in ("tids", "triples"):
+        rec[key].append(rec[key][-1])
+
+
+def _supervision_ids_reversed(rec):
+    for key in ("tids", "triples"):
+        rec[key].reverse()
+
+
 def _retrieved_tid_out_of_range(rec):
     rec["tids"][0] = 10**6
 
@@ -917,6 +927,9 @@ def _cut_inside_a_character(text: str) -> str:
         ("retrieval.jsonl", "answer --no-reorganize", "retrieve", _set("triples", 0, 1, "invented_relation")),
         ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(_retrieved_merge_not_parallel)),
         ("chains.jsonl", "answer", "reorganize", _set("chains", 0, "triples", 0, 1, "invented_relation")),
+        # each of these exited 0 before supervision ids were read as strictly ascending
+        ("supervision.jsonl", "train", "refine", _edit_record("q03", _supervision_id_repeated)),
+        ("supervision.jsonl", "train", "refine", _edit_record("q03", _supervision_ids_reversed)),
     ],
     ids=[
         "pool-label",
@@ -978,6 +991,8 @@ def _cut_inside_a_character(text: str) -> str:
         "retrieval-relation-invented-flat",
         "retrieval-relation-merge-not-parallel",
         "chains-relation-invented",
+        "supervision-id-repeated",
+        "supervision-ids-descending",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(
@@ -1023,11 +1038,26 @@ def _step_score_dropped(steps):
     return "tids and scores differ in length"
 
 
-@pytest.mark.parametrize("artifact, stage", [("retrieval.jsonl", "reorganize"), ("chains.jsonl", "answer")])
+_STEP_DAMAGES = {
+    "id-past-the-graph": _step_id_past_the_graph,
+    "id-negative": _step_id_negative,
+    "ends-swapped": _step_ends_swapped,
+    "relation-invented": _step_relation_invented,
+    "score-dropped": _step_score_dropped,
+}
+
+
 @pytest.mark.parametrize(
-    "damage",
-    [_step_id_past_the_graph, _step_id_negative, _step_ends_swapped, _step_relation_invented, _step_score_dropped],
-    ids=["id-past-the-graph", "id-negative", "ends-swapped", "relation-invented", "score-dropped"],
+    "artifact, stage, damage",
+    [
+        pytest.param(artifact, stage, _STEP_DAMAGES[name], id=f"{name}-{artifact}-{stage}")
+        for artifact, stage, names in [
+            ("retrieval.jsonl", "reorganize", _STEP_DAMAGES),
+            ("chains.jsonl", "answer", _STEP_DAMAGES),
+            ("pool.jsonl", "refine", [name for name in _STEP_DAMAGES if name != "score-dropped"]),  # no scores
+        ]
+        for name in names
+    ],
 )
 def test_each_refused_step_exits_3_with_its_own_text(pipeline_dir, tmp_path, capsys, artifact, stage, damage):
     cfg_path = write_fixture_config(tmp_path)
@@ -1035,9 +1065,10 @@ def test_each_refused_step_exits_3_with_its_own_text(pipeline_dir, tmp_path, cap
     path = tmp_path / "out" / artifact
     first, *rest = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(first)
-    shown = damage(record["chains"][0] if artifact == "chains.jsonl" else record)
-    if artifact == "chains.jsonl":  # a chain's step columns are read inside its record's field chains
-        shown = shown.replace("field 'triples'", "field 'chains'")
+    nested = {"chains.jsonl": "chains", "pool.jsonl": "paths"}.get(artifact)
+    shown = damage(record[nested][0] if nested else record)
+    if nested:  # a chain or a pool path is read as an item of its record's field
+        shown = f"{nested}[0]: {shown}"
     path.write_text("\n".join([json.dumps(record), *rest]) + "\n", encoding="utf-8")
     rc = main([stage, "--config", str(cfg_path)])
     err = capsys.readouterr().err
@@ -1338,7 +1369,7 @@ def test_supervision_outside_the_question_scope_exits_missing(pipeline_dir, tmp_
     for rec in records:
         if rec["question_id"] == "q06":  # scoped to four uses_currency triples
             outside = {"tids": [0], "triples": [["spain", "capital", "madrid"]]}  # line 1 of graph.tsv
-            rec.update({key: rec[key] + column if keep_inside else column for key, column in outside.items()})
+            rec.update({key: column + rec[key] if keep_inside else column for key, column in outside.items()})
     supervision.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     rc = main(["train", "--config", str(cfg_path)])
     err = capsys.readouterr().err

@@ -23,6 +23,7 @@ from kgrag.retriever import (
 )
 from kgrag.kg import load_kg
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
+from kgrag.retriever.subgraph import relation_text
 from kgrag.retriever.triple_scorer import sgd_step
 
 import oracles
@@ -175,10 +176,10 @@ def test_vectorised_ranking_matches_the_loop(rows, keep, levels, k):
     assert _bits(scored) == _bits(want_scored)
     rendered = {rep: " | ".join(r for _, r, _ in g.triple_labels([rep, *ids])) for rep, ids in merged.items()}
     assert rendered == want_merged
-    ranked = top_k(scored, k, g, merged)
+    ranked = top_k(scored, k, merged)
     assert _bits((e.tid, e.score) for e in ranked) == _bits(oracles.top_k_order(want_scored, k))
     for e in ranked:
-        assert e.relation == want_merged.get(e.tid, g.relation_label(g.triple(e.tid).relation))
+        assert relation_text(g, e) == want_merged.get(e.tid, g.relation_label(g.triple(e.tid).relation))
 
 
 # -- the training step's buffers ----------------------------------------------------

@@ -54,21 +54,9 @@ def test_fixture_merges_never_grow_chain_count():
     g, questions = load_fixture()
     for q in questions.values():
         view = working_graph(g, q)
-        entries = [
-            RetrievedTriple(
-                tid=tid,
-                head=tr.head,
-                tail=tr.tail,
-                head_label=g.entity_label(tr.head),
-                relation=g.relation_label(tr.relation),
-                tail_label=g.entity_label(tr.tail),
-                score=0.0,
-            )
-            for tid, tr in view.iter_triples()
-        ]
-        sub = tuple(entries)
-        raw = expand_chains(sub, set(q.query_entities), max_len=2)
-        merged = merge_multi_answer(raw)
-        final = merge_multi_entity(merged, set(q.query_entities))
+        sub = tuple(RetrievedTriple(tid, 0.0) for tid in view.triple_ids)
+        raw = expand_chains(sub, set(q.query_entities), g, max_len=2)
+        merged = merge_multi_answer(raw, g)
+        final = merge_multi_entity(merged, set(q.query_entities), g)
         assert len(merged) <= len(raw)
         assert len(final) == len(merged)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrag.kg import ReasoningPath
+from kgrag.kg import KGFormatError, ReasoningPath
 from kgrag.llm import CompletionResult, MockOracle
 from kgrag.pool import PROV_ANSWER, PROV_QUERY, PROV_SHORTEST, build_pool
 from kgrag.refiner import (
@@ -17,9 +17,9 @@ from kgrag.refiner import (
     parse_selection,
     read_supervision,
     refine,
+    render_path,
     supervision_from_record,
     supervision_to_record,
-    textualize_path,
     write_supervision,
 )
 
@@ -40,19 +40,17 @@ class ScriptedClient:
 
 def test_textualize_two_step_forward():
     g = graph_from_lines("A r1 B", "B r2 C")
-    path = ReasoningPath((0, 1), ("f", "f"))
-    assert textualize_path(path, g) == "A → [r1] → B → [r2] → C"
+    assert render_path(g, (0, 1), ("f", "f")) == "A → [r1] → B → [r2] → C"
 
 
 def test_textualize_single_triple():
     g = graph_from_lines("A r1 B")
-    assert textualize_path(ReasoningPath((0,), ("f",)), g) == "A → [r1] → B"
+    assert render_path(g, (0,), ("f",)) == "A → [r1] → B"
 
 
 def test_textualize_reverse_orientation_marker():
     g = graph_from_lines("C r1 A")
-    path = ReasoningPath((0,), ("b",))
-    assert textualize_path(path, g) == "A → [r1⁻] → C"
+    assert render_path(g, (0,), ("b",)) == "A → [r1⁻] → C"
 
 
 def _pool_fixture():
@@ -245,8 +243,16 @@ def test_supervision_caches_can_be_set_combined():
     g = graph_from_lines("A r1 B", "B r2 C")
     a, b = (
         supervision_from_record({"tids": ids, "triples": g.triple_labels(ids), "refiner_tag": "t"}, g).positive_triples
-        for ids in ([0], [1, 0])
+        for ids in ([0], [0, 1])
     )
     assert (a, b) == ({0}, {0, 1})  # triple ids
     assert a & b == a
     assert a | b == b
+
+
+@pytest.mark.parametrize("ids", [[1, 0, 1], [0, 0], [1, 0]], ids=["repeat-and-descend", "repeat", "descend"])
+def test_supervision_ids_are_refused_unless_strictly_ascending(ids):
+    g = graph_from_lines("A r1 B", "B r2 C")
+    record = {"tids": ids, "triples": g.triple_labels(ids), "refiner_tag": "t"}
+    with pytest.raises(KGFormatError, match="supervision triple ids repeat or are out of ascending order"):
+        supervision_from_record(record, g)

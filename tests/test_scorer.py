@@ -146,32 +146,28 @@ def test_validation_checkpoint_selection():
 
 
 def test_top_k_selects_and_breaks_ties_by_id():
-    g = graph_from_lines("A r1 B", "A r2 C", "A r3 D")
     scored = [(0, 0.5), (1, 0.9), (2, 0.5)]
-    sub = top_k(scored, 2, g)
+    sub = top_k(scored, 2)
     assert [e.tid for e in sub] == [1, 0]
     assert [e.score for e in sub] == sorted([e.score for e in sub], reverse=True)
 
 
 def test_top_k_k_at_least_n_returns_all():
-    g = graph_from_lines("A r1 B", "A r2 C")
-    sub = top_k([(0, 0.1), (1, 0.2)], 10, g)
+    sub = top_k([(0, 0.1), (1, 0.2)], 10)
     assert [e.tid for e in sub] == [1, 0]
 
 
 def test_top_k_rejects_zero_k():
-    g = graph_from_lines("A r1 B")
     with pytest.raises(ValueError):
-        top_k([(0, 0.5)], 0, g)
+        top_k([(0, 0.5)], 0)
 
 
 def test_top_k_monotone_in_k():
-    g = graph_from_lines(*[f"A r{i} E{i}" for i in range(12)])
     rng = np.random.default_rng(2)
     scored = [(tid, float(rng.choice([0.1, 0.5, 0.9]))) for tid in range(12)]
     previous: set[int] = set()
     for k in range(1, 13):
-        current = {e.tid for e in top_k(scored, k, g)}
+        current = {e.tid for e in top_k(scored, k)}
         assert previous <= current
         previous = current
 
