@@ -41,6 +41,7 @@ from .llm import (
 from .retriever import (
     SCORERS,
     HashedBowEncoder,
+    ModelFormatError,
     TrainSample,
     ViewTables,
     entity_to_triple_scores,
@@ -49,7 +50,7 @@ from .retriever import (
     save_model,
     top_k,
 )
-from .retriever.subgraph import ModelFormatError, read_subgraphs, subgraph_to_record, write_subgraphs
+from .retriever.subgraph import read_subgraphs, subgraph_to_record, write_subgraphs
 from .simulate import estimate_recovery_rounds, load_experiment, write_summary_json, write_trials_csv
 
 logger = logging.getLogger(__name__)
@@ -318,9 +319,7 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
     g, questions, _ = _load(cfg, "retrieve")
     try:
         model = load_model(
-            _require(cfg, "model.json"),
-            expected_encoder_tag=HashedBowEncoder(cfg.text_dim).tag,
-            expected_kind=cfg.retrieval_level,
+            _require(cfg, "model.json"), SCORERS[cfg.retrieval_level], HashedBowEncoder(cfg.text_dim).tag
         )
     except kgmod.KGFormatError as exc:
         raise UpstreamArtifactError(cfg, "model.json", str(exc)) from exc

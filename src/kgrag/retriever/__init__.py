@@ -1,8 +1,8 @@
 """Trainable triple- and entity-level scorers plus top-K subgraph selection."""
 
 from .features import HashedBowEncoder, TripleFeatureBuilder, ViewTables, anchor_slots, compute_dde
-from .subgraph import RetrievedTriple, load_model, save_model, top_k
-from .triple_scorer import Scorer, TrainSample, TripleScorer, fit
+from .subgraph import RetrievedTriple, top_k
+from .triple_scorer import ModelFormatError, Scorer, TrainSample, TripleScorer, fit, load_model, save_model
 from .entity_scorer import EntityScorer, entity_positives, entity_to_triple_scores
 
 SCORERS: dict[str, type[Scorer]] = {cls.kind: cls for cls in (TripleScorer, EntityScorer)}
@@ -15,14 +15,15 @@ __all__ = [
     "anchor_slots",
     "compute_dde",
     "RetrievedTriple",
-    "load_model",
-    "save_model",
     "top_k",
     "SCORERS",
+    "ModelFormatError",
     "Scorer",
     "TrainSample",
     "TripleScorer",
     "fit",
+    "load_model",
+    "save_model",
     "EntityScorer",
     "entity_positives",
     "entity_to_triple_scores",

@@ -65,33 +65,31 @@ class EntityScorer(Scorer):
     """Message-passing scorer with a sigmoid head per entity."""
 
     kind = "entity"
-    network = "mpnn"
-    ARCH = {"input_dim": int, "rel_dim": int, "hidden": int, "depth": int}
+    ARCH = {"hidden": int, "depth": int}
 
     def __init__(
         self,
-        input_dim: int,
-        rel_dim: int,
         hidden: int,
         depth: int,
         encoder_tag: str,
         dde_depth: int,
         dde_slots: int,
-        seed: int,
         rng: np.random.Generator | None = None,
     ):
-        self.input_dim = input_dim
-        self.rel_dim = rel_dim
         self.hidden = hidden
         self.depth = depth
         self.train_buffers = Buffers()  # filled on the first loss_and_grad, kept across steps
-        super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
+        super().__init__(encoder_tag, dde_depth, dde_slots, rng)
 
-    @staticmethod
-    def input_widths(text_dim: int, dde_depth: int, dde_slots: int) -> dict[str, int]:
-        """``input_dim`` is the width of a node's first-layer input ``[query | entity text | DDE]``,
-        one DDE code per slot; ``rel_dim`` is the relation text's."""
-        return {"input_dim": 2 * text_dim + dde_slots * dde_width(dde_depth), "rel_dim": text_dim}
+    @property
+    def input_dim(self) -> int:
+        """The width of a node's first-layer input ``[query | entity text | DDE]``, one DDE code per slot."""
+        return 2 * self.encoder.dim + self.dde_slots * dde_width(self.dde_depth)
+
+    @property
+    def rel_dim(self) -> int:
+        """The width of a relation's text."""
+        return self.encoder.dim
 
     @staticmethod
     def config_arch(cfg: PipelineConfig) -> dict:

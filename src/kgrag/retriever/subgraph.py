@@ -1,19 +1,14 @@
-"""Top-K subgraph selection, the step columns of retrieval and chain records, and scorer serialization."""
+"""Top-K subgraph selection and the step columns of retrieval and chain records."""
 
 from __future__ import annotations
 
-import base64
-import json
-from pathlib import Path
 from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
 from ..config import json_field
-from ..kg import KGFormatError, KnowledgeGraph, published, read_by_question, read_jsonl, write_jsonl
+from ..kg import KGFormatError, KnowledgeGraph, read_by_question, write_jsonl
 from ..kg import triples_from_record, triples_to_record
-
-MODEL_FORMAT_VERSION = 2
 
 
 class RetrievedTriple(NamedTuple):
@@ -97,68 +92,3 @@ write_subgraphs = write_jsonl
 
 def read_subgraphs(source, g: KnowledgeGraph, ids: Collection[str]) -> dict[str, tuple[RetrievedTriple, ...]]:
     return read_by_question(source, lambda rec: steps_from_record(rec, g), "id", ids)
-
-
-# -- model files ---------------------------------------------------------------
-
-
-class ModelFormatError(Exception):
-    """A well-formed model of another format version, kind or encoder."""
-
-
-def save_model(model, path: str | Path) -> None:
-    """Versioned JSON dump of architecture, metadata, and weights.
-
-    A weight is ``{"shape", "data"}``, data the base64 of its little-endian
-    float64 bytes, so loading gives back every bit (``-0.0`` and subnormals too).
-    """
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "encoder_tag": model.encoder_tag,
-        "dde_depth": model.dde_depth,
-        "dde_slots": model.dde_slots,
-        "seed": model.seed,
-        "arch": model.arch(),
-        "weights": {
-            name: {"shape": list(w.shape), "data": base64.b64encode(w.astype("<f8").tobytes()).decode()}
-            for name, w in model.named_params()
-        },
-    }
-    with published(path) as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
-def load_model(
-    path: str | Path, expected_encoder_tag: str | None = None, expected_kind: str | None = None
-):
-    """The model :func:`save_model` wrote to ``path``: one JSON object on one line.
-
-    A file that is not that object, a record missing a field or holding one of
-    the wrong type, and weights that do not match the architecture raise
-    :class:`KGFormatError`; a model of another format version, an unknown kind,
-    or an encoder or kind other than the expected one raises :class:`ModelFormatError`.
-    """
-    from . import SCORERS
-
-    def parse(payload: dict):
-        version = json_field(payload, "format_version", int)
-        if version != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported model format {version}")
-        tag = json_field(payload, "encoder_tag", str)
-        if expected_encoder_tag is not None and tag != expected_encoder_tag:
-            raise ModelFormatError(
-                f"encoder tag mismatch: model has {tag!r}, expected {expected_encoder_tag!r}"
-            )
-        kind = json_field(payload, "kind", str)
-        if kind not in SCORERS:
-            raise ModelFormatError(f"unknown model kind {kind!r}")
-        if expected_kind is not None and kind != expected_kind:
-            raise ModelFormatError(f"model kind mismatch: model has {kind!r}, expected {expected_kind!r}")
-        return SCORERS[kind].from_payload(payload)
-
-    with Path(path).open("rb") as fh:
-        models = read_jsonl(fh, parse)
-    if len(models) != 1:
-        raise KGFormatError(f"expected one model record, found {len(models)}")
-    return models[0]

@@ -1,11 +1,12 @@
-"""Binary triple classifier plus the training core both scorers share.
+"""Binary triple classifier plus the training core and the model file both scorers share.
 
 The triple scorer is a feedforward net over text + structural features.
 Training (:func:`fit`, used by both scorers) maximizes per-question binary
 cross-entropy with every non-positive triple or entity of the working graph
 as a negative, class-weighted per question. Plain fixed-step gradient
 descent, fixed iteration order: training twice with the same seed gives
-bitwise-identical weights.
+bitwise-identical weights. :func:`save_model` and :func:`load_model` are the one
+writer and reader of ``model.json``.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import base64
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from ..config import PipelineConfig, json_field
-from ..kg import KGFormatError, KnowledgeGraph, Question
+from ..kg import KGFormatError, KnowledgeGraph, Question, published, read_jsonl, write_jsonl
 from .features import HashedBowEncoder, QuestionFeatures, TripleFeatureBuilder, dde_width
 
 logger = logging.getLogger(__name__)
@@ -66,28 +68,24 @@ class Scorer:
     """What both scorers share: metadata, the text encoder, parameters and their model file.
 
     A subclass names its parameters once, in ``layout()`` (name and shape, in ``params``
-    order), and its constructor's architecture arguments in ``ARCH`` (argument -> JSON type);
-    parameter initialisation, names, ``arch()`` and :meth:`from_payload` follow from them.
-    ``input_widths(text_dim, dde_depth, dde_slots)`` gives the widths of the inputs it
-    builds, and ``config_arch(cfg)`` its other architecture arguments. ``inputs(g, q)``
+    order), and the architecture arguments training chose in ``ARCH`` (argument -> JSON
+    type); parameter initialisation, names, ``arch()`` and :meth:`from_payload` follow from
+    them. The widths of the inputs it builds follow from the encoder, ``dde_depth`` and
+    ``dde_slots``, and ``config_arch(cfg)`` gives its ``ARCH`` arguments. ``inputs(g, q)``
     builds a question's inputs and the id of each score, and ``positive_ids(g, positives)``
     the ids a sample's positive triples make positive; ``loss_and_grad`` and ``scores`` run
     on those inputs.
     """
 
     kind: str
-    network: str
     ARCH: dict[str, Any]
     params: list[np.ndarray]
 
-    def __init__(
-        self, encoder_tag: str, dde_depth: int, dde_slots: int, seed: int, rng: np.random.Generator | None
-    ):
+    def __init__(self, encoder_tag: str, dde_depth: int, dde_slots: int, rng: np.random.Generator | None):
         self.encoder_tag = encoder_tag
         self.encoder = HashedBowEncoder.from_tag(encoder_tag)
         self.dde_depth = dde_depth
         self.dde_slots = dde_slots
-        self.seed = seed
         self.epoch_losses: list[float] = []
         if rng is not None:
             self.init_params(rng)
@@ -106,32 +104,25 @@ class Scorer:
         return [(name, p) for (name, _), p in zip(self.layout(), self.params)]
 
     def arch(self) -> dict:
-        return {"type": self.network, **{name: getattr(self, name) for name in self.ARCH}}
+        return {name: getattr(self, name) for name in self.ARCH}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Scorer":
-        """The model in a ``model.json`` object; an input width other than the encoder tag,
-        ``dde_depth`` and ``dde_slots`` imply, and weights whose names or shapes differ from
-        the layout its ``arch`` gives, raise :class:`KGFormatError` before any is decoded,
-        and a decoded weight that holds NaN or an infinity raises it after."""
+        """The model in a ``model.json`` object; weights whose names or shapes differ from the
+        layout its ``arch``, encoder tag, ``dde_depth`` and ``dde_slots`` give raise
+        :class:`KGFormatError` before any is decoded, and a decoded weight that holds NaN or
+        an infinity raises it after."""
         arch = json_field(payload, "arch", dict)
-        json_field(arch, "type", Literal[cls.network])
+        dde_depth, dde_slots = json_field(payload, "dde_depth", int), json_field(payload, "dde_slots", int)
+        if dde_depth < 1 or dde_slots < 1:
+            raise KGFormatError(f"dde_depth {dde_depth} and dde_slots {dde_slots} must be >= 1")
         model = cls(
             **{name: json_field(arch, name, tp) for name, tp in cls.ARCH.items()},
-            dde_depth=json_field(payload, "dde_depth", int),
-            dde_slots=json_field(payload, "dde_slots", int),
-            seed=json_field(payload, "seed", int),
+            dde_depth=dde_depth,
+            dde_slots=dde_slots,
             # read last, so that the error of an unknown encoder names this field
             encoder_tag=json_field(payload, "encoder_tag", str),
         )
-        if model.dde_depth < 1 or model.dde_slots < 1:
-            raise KGFormatError(f"dde_depth {model.dde_depth} and dde_slots {model.dde_slots} must be >= 1")
-        for name, width in cls.input_widths(model.encoder.dim, model.dde_depth, model.dde_slots).items():
-            if getattr(model, name) != width:
-                raise KGFormatError(
-                    f"arch {name} is {getattr(model, name)}, but encoder {model.encoder_tag!r}, dde_depth"
-                    f" {model.dde_depth} and dde_slots {model.dde_slots} give features of width {width}"
-                )
         weights, layout = json_field(payload, "weights", dict), dict(model.layout())
         shapes = {
             name: json_field(json_field(weights, name, dict), "shape", tuple[int, ...]) for name in weights
@@ -165,29 +156,25 @@ class TripleScorer(Scorer):
     """MLP over a triple's input row (see :class:`QuestionFeatures`) with a sigmoid head."""
 
     kind = "triple"
-    network = "mlp"
-    ARCH = {"input_dim": int, "hidden": tuple[int, ...], "activation": Literal["tanh", "relu"]}
+    ARCH = {"hidden": tuple[int, ...], "activation": Literal["tanh", "relu"]}
 
     def __init__(
         self,
-        input_dim: int,
         hidden: Sequence[int],
         activation: str,
         encoder_tag: str,
         dde_depth: int,
         dde_slots: int,
-        seed: int,
         rng: np.random.Generator | None = None,
     ):
-        self.input_dim = input_dim
         self.hidden = tuple(hidden)
         self.activation = activation
-        super().__init__(encoder_tag, dde_depth, dde_slots, seed, rng)
+        super().__init__(encoder_tag, dde_depth, dde_slots, rng)
 
-    @staticmethod
-    def input_widths(text_dim: int, dde_depth: int, dde_slots: int) -> dict[str, int]:
-        """``input_dim`` is :attr:`QuestionFeatures.triple_dim`: four texts and two DDE codes per slot."""
-        return {"input_dim": 4 * text_dim + 2 * dde_slots * dde_width(dde_depth)}
+    @property
+    def input_dim(self) -> int:
+        """:attr:`QuestionFeatures.triple_dim`: four texts and two DDE codes per slot."""
+        return 4 * self.encoder.dim + 2 * self.dde_slots * dde_width(self.dde_depth)
 
     @staticmethod
     def config_arch(cfg: PipelineConfig) -> dict:
@@ -338,12 +325,10 @@ def fit(
         raise ValueError("no training samples")
     training = cfg.training
     model = scorer(
-        **scorer.input_widths(cfg.text_dim, cfg.dde_depth, cfg.dde_slots),
         **scorer.config_arch(cfg),
         encoder_tag=HashedBowEncoder(cfg.text_dim).tag,
         dde_depth=cfg.dde_depth,
         dde_slots=cfg.dde_slots,
-        seed=cfg.seed,
         rng=np.random.default_rng(cfg.seed),
     )
     prepared = [_prepare(model, s, training.pos_weight_cap) for s in samples]
@@ -370,3 +355,63 @@ def fit(
         model.params = best_params
         logger.info("selected checkpoint with validation recall %.4f", best_recall)
     return model
+
+
+# -- model files ---------------------------------------------------------------
+
+MODEL_FORMAT_VERSION = 3
+
+
+class ModelFormatError(Exception):
+    """A well-formed model of another format version, kind, encoder or DDE setting."""
+
+
+def save_model(model: Scorer, path: str | Path) -> None:
+    """One JSON object on one line: the format version, what training chose (kind, encoder tag,
+    ``dde_depth``, ``dde_slots`` and ``arch``) and the weights.
+
+    A weight is ``{"shape", "data"}``, data the base64 of its little-endian
+    float64 bytes, so loading gives back every bit (``-0.0`` and subnormals too).
+    """
+    payload = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "kind": model.kind,
+        "encoder_tag": model.encoder_tag,
+        "dde_depth": model.dde_depth,
+        "dde_slots": model.dde_slots,
+        "arch": model.arch(),
+        "weights": {
+            name: {"shape": list(w.shape), "data": base64.b64encode(w.astype("<f8").tobytes()).decode()}
+            for name, w in model.named_params()
+        },
+    }
+    with published(path) as fh:
+        write_jsonl(fh, [payload])
+
+
+def load_model(path: str | Path, scorer: type[Scorer], encoder_tag: str) -> Scorer:
+    """The ``scorer`` model :func:`save_model` wrote to ``path``.
+
+    A file that is not one such object, a record missing a field or holding one of
+    the wrong type, and weights that do not match the architecture raise
+    :class:`KGFormatError`; a model of another format version, or of a kind or encoder
+    tag other than ``scorer``'s and ``encoder_tag``, raises :class:`ModelFormatError`.
+    """
+
+    def parse(payload: dict) -> Scorer:
+        version = json_field(payload, "format_version", int)
+        if version != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported model format {version}")
+        tag = json_field(payload, "encoder_tag", str)
+        if tag != encoder_tag:
+            raise ModelFormatError(f"encoder tag mismatch: model has {tag!r}, expected {encoder_tag!r}")
+        kind = json_field(payload, "kind", str)
+        if kind != scorer.kind:
+            raise ModelFormatError(f"model kind mismatch: model has {kind!r}, expected {scorer.kind!r}")
+        return scorer.from_payload(payload)
+
+    with Path(path).open("rb") as fh:
+        models = read_jsonl(fh, parse)
+    if len(models) != 1:
+        raise KGFormatError(f"expected one model record, found {len(models)}")
+    return models[0]

@@ -646,11 +646,9 @@ def _weight(*shape, value=0.5):
         (_drop_encoder_tag, "missing field 'encoder_tag'"),
         (_edit_model(lambda m: m["arch"].update(hidden="64")), "hidden has the wrong type: '64'"),
         (_edit_model(lambda m: m.update(dde_depth=3.0)), "dde_depth has the wrong type: 3.0"),
-        (_edit_model(lambda m: m.update(seed="42")), "seed has the wrong type: '42'"),
         (_edit_model(lambda m: m["arch"].update(hidden=[64])), "weight 'W1' has shape (64, 64) in the file and none in the triple scorer's layout"),
         (_edit_model(lambda m: m["weights"].update(b_out=_weight(2))), "weight 'b_out' has shape (2,) in the file and (1,)"),
         (_edit_model(lambda m: m["weights"].update(W9=_weight(1))), "weight 'W9' has shape (1,) in the file and none"),
-        (_edit_model(lambda m: m["arch"].update(input_dim=0.5)), "input_dim has the wrong type: 0.5"),
         (_edit_model(lambda m: m.update(dde_slots=True)), "dde_slots has the wrong type: True"),
         (_edit_model(lambda m: m["arch"].update(activation="sigmoid")), "activation must be 'tanh' or 'relu'"),
         (_edit_model(lambda m: m["weights"].update(W1=_weight(3, 3))), "weight 'W1' has shape (3, 3) in the file and (64, 64)"),
@@ -658,17 +656,17 @@ def _weight(*shape, value=0.5):
         (_edit_model(lambda m: m["weights"].pop("W1")), "weight 'W1' has shape none in the file and (64, 64)"),
         (
             _edit_model(lambda m: m.update(dde_depth=2)),
-            "arch input_dim is 316, but encoder 'hashed-bow-64', dde_depth 2 and dde_slots 3 give features of width 304",
+            "weight 'W0' has shape (316, 64) in the file and (304, 64) in the triple scorer's layout",
         ),
         (
             _edit_model(lambda m: (m["arch"].update(input_dim=-1), m["weights"]["W0"].update(shape=[-1, 64]))),
-            "arch input_dim is -1, but encoder 'hashed-bow-64', dde_depth 3 and dde_slots 3 give features of width 316",
+            "weight 'W0' has shape (-1, 64) in the file and (316, 64) in the triple scorer's layout",
         ),
         (_edit_model(lambda m: m.update(dde_depth=0)), "dde_depth 0 and dde_slots 3 must be >= 1"),
     ],
     ids=[
-        "cut-in-half", "no-encoder_tag", "hidden-string", "dde_depth-float", "seed-string", "hidden-one-layer",
-        "b_out-two-values", "extra-weight", "input_dim-float", "dde_slots-true", "activation-sigmoid",
+        "cut-in-half", "no-encoder_tag", "hidden-string", "dde_depth-float", "hidden-one-layer",
+        "b_out-two-values", "extra-weight", "dde_slots-true", "activation-sigmoid",
         "W1-wrong-shape", "b_out-data-of-two", "no-W1", "dde_depth-not-trained", "input_dim-forged", "dde_depth-zero",
     ],
 )
@@ -687,18 +685,23 @@ def test_unreadable_model_exits_missing(pipeline_dir, tmp_path, capsys, corrupt,
     assert "Traceback" not in err
 
 
-def test_model_of_format_version_1_exits_config(pipeline_dir, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_model_of_format_version_1_exits_config(pipeline_dir, tmp_path, capsys, version):
     cfg_path = write_fixture_config(tmp_path)
     shutil.copytree(pipeline_dir / "out", tmp_path / "out")
     model = tmp_path / "out" / "model.json"
     payload = json.loads(model.read_text(encoding="utf-8"))
-    payload["format_version"] = 1  # version 1 stored each weight as nested JSON lists
-    payload["weights"] = {name: [0.0] * len(w["shape"]) for name, w in payload["weights"].items()}
+    payload["format_version"] = version
+    if version == 1:  # version 1 stored each weight as nested JSON lists
+        payload["weights"] = {name: [0.0] * len(w["shape"]) for name, w in payload["weights"].items()}
+    else:  # version 2 also stored the seed, the network type and the input width
+        payload["seed"] = 42
+        payload["arch"].update(type="mlp", input_dim=316)
     model.write_text(json.dumps(payload), encoding="utf-8")
     rc = main(["retrieve", "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
-    assert "unsupported model format 1" in err
+    assert f"unsupported model format {version}" in err
     assert "rerun `kgrag train`" in err
     assert "Traceback" not in err
 

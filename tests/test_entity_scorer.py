@@ -135,7 +135,7 @@ def test_entity_model_save_load_round_trip(tmp_path):
     model = fit(EntityScorer, [sample], cfg)
     path = tmp_path / "entity.json"
     save_model(model, path)
-    loaded = load_model(path, expected_encoder_tag=model.encoder_tag)
+    loaded = load_model(path, EntityScorer, model.encoder_tag)
     assert loaded.score(sample.question, sample.graph) == model.score(sample.question, sample.graph)
 
 

@@ -222,7 +222,7 @@ def test_entity_feature_matrix_shape():
     enc = HashedBowEncoder(16)
     gt = prepare_graph_tensors(g, q, enc, depth=2, slots=2)
     assert gt.X.shape == (3, 16 + 2 * 2 * (2 + 2))  # entity text and DDE; the query is shared
-    assert len(gt.query) + gt.X.shape[1] == EntityScorer.input_widths(16, 2, 2)["input_dim"]
+    assert len(gt.query) + gt.X.shape[1] == EntityScorer(8, 1, enc.tag, 2, 2).input_dim
 
 
 @settings(max_examples=200, deadline=None)
