@@ -323,6 +323,10 @@ def cmd_retrieve(cfg: PipelineConfig) -> int:
         )
     except kgmod.KGFormatError as exc:
         raise UpstreamArtifactError(cfg, "model.json", str(exc)) from exc
+    for setting in ("dde_depth", "dde_slots"):
+        trained, wanted = getattr(model, setting), getattr(cfg, setting)
+        if trained != wanted:
+            raise ModelFormatError(f"{setting} mismatch: model has {trained}, config has {wanted}")
     # an entity scorer ranks triples by the scores of their ends, with parallel relations merged
     by_entity = cfg.retrieval_level == "entity"
     k = cfg.top_k + (cfg.entity_k_bonus if by_entity else 0)

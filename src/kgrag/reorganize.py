@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import IO, Collection, Literal, Sequence
 
 from .config import json_field, read_json
-from .kg import BACKWARD, FORWARD, KGFormatError, KnowledgeGraph, read_by_question, read_items, write_jsonl
+from .kg import BACKWARD, FORWARD, KGFormatError, KnowledgeGraph, ReasoningPath, read_by_question, read_items
+from .kg import write_jsonl
 from .llm import CompletionRequest
 from .refiner import render_path
 from .retriever.subgraph import RetrievedTriple, relation_text, steps_from_record, steps_to_record
@@ -242,8 +243,9 @@ def chains_to_record(qid: str, chains: Sequence[EvidenceChain], g: KnowledgeGrap
 
 def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
     """The chains of a ``chains.jsonl`` record, their steps read as a retrieval record's; a
-    chain with no steps or no targets, a target label not in ``g``, or targets that are not
-    distinct and in ascending entity id raises :class:`KGFormatError`."""
+    chain with no steps or no targets, steps that do not connect in its orientation (checked as
+    a pool path is), a target label not in ``g``, or targets that are not distinct and in
+    ascending entity id raises :class:`KGFormatError`."""
 
     def read_chain(c: dict) -> EvidenceChain:
         steps = steps_from_record(c, g)
@@ -259,7 +261,9 @@ def chains_from_record(rec: dict, g: KnowledgeGraph) -> list[EvidenceChain]:
             targets.append(target)
         if not targets:
             raise KGFormatError("a chain with no targets")
-        return EvidenceChain(steps, json_field(c, "orientation", ORIENTATION), tuple(targets))
+        orientation = json_field(c, "orientation", ORIENTATION)
+        ReasoningPath(tuple(s.tid for s in steps), (orientation,) * len(steps)).validate(g)
+        return EvidenceChain(steps, orientation, tuple(targets))
 
     return read_items(rec, "chains", read_chain)
 

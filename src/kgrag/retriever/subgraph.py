@@ -62,10 +62,13 @@ def subgraph_to_record(qid: str, sub: Sequence[RetrievedTriple], g: KnowledgeGra
 
 def steps_from_record(rec: dict, g: KnowledgeGraph) -> tuple[RetrievedTriple, ...]:
     """The steps :func:`steps_to_record` wrote into ``rec``. Besides the triple columns that
-    :func:`~kgrag.kg.triples_from_record` refuses, :class:`KGFormatError` is raised for scores
-    of another length, and for a ``merged`` group unless its first id is a step grouped nowhere
-    else and the rest, one or more, are ascending ids above it of triples joining the same ends."""
+    :func:`~kgrag.kg.triples_from_record` refuses, :class:`KGFormatError` is raised for a step id
+    listed twice, for scores of another length, and for a ``merged`` group unless its first id is
+    a step grouped nowhere else and the rest, one or more, are ascending ids above it of triples
+    joining the same ends."""
     tids = triples_from_record(rec, g)
+    if len(set(tids)) != len(tids):
+        raise KGFormatError("a step triple id repeats")
     scores = json_field(rec, "scores", tuple[float, ...])
     if len(scores) != len(tids):
         raise KGFormatError("tids and scores differ in length")

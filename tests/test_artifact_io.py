@@ -308,6 +308,24 @@ def test_only_kg_names_the_triple_column():
     assert not hits, hits
 
 
+def test_only_the_triple_scorer_module_knows_the_model_file():
+    """``retriever.triple_scorer`` is the one writer and reader of model.json: no other module
+    under src/kgrag holds its weight type "<f8" or names ``MODEL_FORMAT_VERSION``."""
+    root = Path(__file__).resolve().parents[1] / "src" / "kgrag"
+    name = "MODEL_FORMAT_VERSION"
+    hits = [
+        f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')}: {ast.dump(node)}"
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "retriever" / "triple_scorer.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Constant) and node.value == "<f8")
+        or (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+    ]
+    assert not hits, hits
+
+
 def test_inverse_mark_only_in_refiner_constant():
     """``refiner.INVERSE_MARK`` is the one spelling of the inverse-relation mark under src/kgrag."""
     root = Path(__file__).resolve().parents[1] / "src" / "kgrag"

@@ -830,6 +830,17 @@ def _retrieved_merge_not_parallel(rec):
     rec["merged"] = [[rec["tids"][0], rec["tids"][0] + 1]]
 
 
+def _step_listed_twice(steps):
+    for key in ("tids", "triples", "scores"):
+        steps[key].append(steps[key][0])
+
+
+def _chain_read_the_other_way(rec):
+    # its second step does not start where its first one ends
+    chain = next(c for c in rec["chains"] if len(c["tids"]) == 2)
+    chain["orientation"] = {"f": "b", "b": "f"}[chain["orientation"]]
+
+
 def _set(*path_and_value):
     """An edit that sets the value at a key path of the first record."""
     *path, key, value = path_and_value
@@ -933,6 +944,11 @@ def _cut_inside_a_character(text: str) -> str:
         # each of these exited 0 before supervision ids were read as strictly ascending
         ("supervision.jsonl", "train", "refine", _edit_record("q03", _supervision_id_repeated)),
         ("supervision.jsonl", "train", "refine", _edit_record("q03", _supervision_ids_reversed)),
+        # each of these exited 0 before a step id listed twice was refused and a chain's steps
+        # were checked to connect
+        ("retrieval.jsonl", "reorganize", "retrieve", _edit_first_record(_step_listed_twice)),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(lambda rec: _step_listed_twice(rec["chains"][0]))),
+        ("chains.jsonl", "answer", "reorganize", _edit_first_record(_chain_read_the_other_way)),
     ],
     ids=[
         "pool-label",
@@ -996,6 +1012,9 @@ def _cut_inside_a_character(text: str) -> str:
         "chains-relation-invented",
         "supervision-id-repeated",
         "supervision-ids-descending",
+        "retrieval-step-repeated",
+        "chains-step-repeated",
+        "chains-steps-disconnected",
     ],
 )
 def test_stale_upstream_artifact_names_producing_stage(
@@ -1348,6 +1367,20 @@ def test_jsonl_ingest_reloads_losslessly_or_exits_config(rows):
             assert [reloaded.triple(t) for t in range(len(reloaded.storage))] == [
                 original.triple(t) for t in range(len(original.storage))
             ]
+
+
+@pytest.mark.parametrize("setting, value", [("dde_depth", 2), ("dde_slots", 1)])
+def test_retrieve_refuses_model_of_other_dde_settings(pipeline_dir, tmp_path, capsys, setting, value):
+    shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+    cfg_path = write_fixture_config(tmp_path, **{setting: value})
+    before = (tmp_path / "out" / "retrieval.jsonl").read_bytes()
+    rc = main(["retrieve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert f"{setting} mismatch: model has 3, config has {value}" in err
+    assert "rerun `kgrag train` with this config" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "out" / "retrieval.jsonl").read_bytes() == before
 
 
 @pytest.mark.parametrize("trained, retrieved", [("triple", "entity"), ("entity", "triple")])

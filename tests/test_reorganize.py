@@ -1,11 +1,13 @@
 import io
 import json
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrag.kg import load_kg
+from kgrag.kg import KGFormatError, load_kg
 from kgrag.reorganize import (
     EvidenceChain,
     build_flat_qa_prompt,
@@ -284,6 +286,16 @@ def test_chains_serialization_keeps_label_alignment_when_orders_differ():
     loaded = chains_from_record(record, g)
     for orig, back in zip(chains, loaded):
         assert orig.targets == back.targets
+
+
+def test_a_chain_whose_steps_do_not_connect_is_refused():
+    """A chain is checked as a pool path is: read backward, the second step of a r b, b s c
+    enters at c, not at a, where the first one leaves."""
+    g = graph_from_lines("a r b", "b s c")
+    chain = {"tids": [0, 1], "triples": g.triple_labels([0, 1]), "scores": [1.0, 0.5], "merged": [],
+             "orientation": "b", "targets": ["a"]}
+    with pytest.raises(KGFormatError, match=re.escape("chains[0]: path broken: step b s c (b) does not start at a")):
+        chains_from_record({"question_id": "q", "chains": [chain]}, g)
 
 
 @settings(max_examples=200, deadline=None)
