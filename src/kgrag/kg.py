@@ -96,13 +96,15 @@ class ReasoningPath:
     def validate(self, g: "KnowledgeGraph") -> None:
         """Raise :class:`KGFormatError` naming the first step that does not start where the
         previous one ends."""
-        cur = self.source(g)
+        # by column, not by g.triple: every pool path and chain that is read back runs this
+        head, tail = g.storage.head, g.storage.tail
+        cur = None
         for tid, orient in zip(self.triple_ids, self.orientations):
-            tr = g.triple(tid)
-            if step_entry(tr, orient) != cur:
+            entry, leave = (head[tid], tail[tid]) if orient == FORWARD else (tail[tid], head[tid])
+            if cur is not None and entry != cur:
                 step, at = " ".join(g.triple_labels([tid])[0]), g.entity_label(cur)
                 raise KGFormatError(f"path broken: step {step} ({orient}) does not start at {at}")
-            cur = step_exit(tr, orient)
+            cur = leave
 
 
 def step_entry(tr: Triple, orient: str) -> int:
