@@ -9,7 +9,6 @@ positives are the entities appearing in the refined supervision triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,21 +25,12 @@ def entity_positives(g: KnowledgeGraph, positives: set[int]) -> set[int]:
     return {e for tid in positives for e in (s.head[tid], s.tail[tid])}
 
 
-@dataclass
-class GraphTensors(QuestionFeatures):
-    """A question's feature bundle plus its node rows ``[entity text | DDE]``; the query row,
-    which every node shares, is projected once. Node rows are the view's entities, and the
-    view's :attr:`~ViewTables.messages` are the edges."""
-
-    X: np.ndarray  # (V, F) node features after the query
-
-
 def prepare_graph_tensors(
     g: KnowledgeGraph, q: Question, encoder: HashedBowEncoder, depth: int, slots: int
-) -> GraphTensors:
-    f = question_features(g, q, encoder, depth, slots)
-    n, slots, width = f.dde.shape
-    return GraphTensors(**vars(f), X=np.hstack([f.view.entity_text, f.dde.reshape(n, slots * width)]))
+) -> QuestionFeatures:
+    """The feature bundle the entity scorer reads: node rows are the view's entities, and the
+    view's :attr:`~ViewTables.messages` are the edges."""
+    return question_features(g, q, encoder, depth, slots)
 
 
 class Buffers:
@@ -109,9 +99,11 @@ class EntityScorer(Scorer):
     # each table is projected once, for both directions side by side, and the
     # view's 2E messages gather their rows (see Messages). A layer's input is a
     # row ``b`` every node shares (the query at layer 0, empty after it) and
-    # the node rows ``h``; ``b`` is projected once and broadcast.
+    # the node rows ``h``; ``b`` is projected once and broadcast. Layer 0's node
+    # rows [entity text | DDE codes] are written straight into the first
+    # columns of its update input ``u_in``, which holds ``h`` in any case.
 
-    def _forward(self, gt: GraphTensors, buffers: Buffers | None = None, caches: list | None = None) -> np.ndarray:
+    def _forward(self, f: QuestionFeatures, buffers: Buffers | None = None, caches: list | None = None) -> np.ndarray:
         """The logits; each layer's inputs and outputs are appended to ``caches`` when it is given.
 
         Messages and layer inputs are written into ``buffers`` when they are given, and into
@@ -120,21 +112,27 @@ class EntityScorer(Scorer):
         def rows(key: object, n_rows: int, width: int) -> np.ndarray:
             return np.empty((n_rows, width)) if buffers is None else buffers.rows(key, n_rows, width)
 
-        m, rel_text, H = gt.view.messages, gt.view.relation_text, self.hidden
-        n_msg, b, h = len(m.sender), gt.query, gt.X
+        v, H = f.view, self.hidden
+        m, T, b, h = v.messages, v.entity_text.shape[1], f.query, None
+        n_msg = len(m.sender)
         for layer in range(self.depth):
             Wf, bf, Wb, bb, Wu, bu = self.params[6 * layer : 6 * layer + 6]
-            n, d_h = len(b), h.shape[1]
+            n, d_h = len(b), T + f.dde_dim if h is None else H
             d = n + d_h
+            u_in = rows(("u_in", layer), len(v.entity_ids), d_h + 3 * H)  # [h | mean | total | amplified mean]
+            if h is None:  # layer 0's node rows [entity text | DDE codes]
+                u_in[:, :T] = v.entity_text
+                u_in[:, T:d_h] = f.codes()
+            else:
+                u_in[:, :d_h] = h
+            h = u_in[:, :d_h]
             W_sent = np.hstack([Wf[:d], Wb[:d]])
             # "clip" never clips, every index is in range (see Messages); "raise" copies through a temporary
             msg = rows(("msg", layer), n_msg, H)
             np.take((h @ W_sent[n:] + b @ W_sent[:n]).reshape(-1, H), m.sender, axis=0, out=msg, mode="clip")
-            rel_proj = (rel_text @ np.hstack([Wf[d:], Wb[d:]]) + np.concatenate([bf, bb])).reshape(-1, H)
+            rel_proj = (v.relation_text @ np.hstack([Wf[d:], Wb[d:]]) + np.concatenate([bf, bb])).reshape(-1, H)
             msg += np.take(rel_proj, m.relation, axis=0, out=rows("scratch", n_msg, H), mode="clip")
             np.tanh(msg, out=msg)
-            u_in = rows(("u_in", layer), len(h), d_h + 3 * H)  # [h | mean | total | amplified mean]
-            u_in[:, :d_h] = h
             total = u_in[:, d_h + H : d_h + 2 * H]
             total[...] = m.by_recipient.sum(msg)
             mean = np.divide(total, m.denom, out=u_in[:, d_h : d_h + H])
@@ -146,27 +144,27 @@ class EntityScorer(Scorer):
         w_out, b_out = self.params[-2], self.params[-1]
         return (h @ w_out).ravel() + b_out[0]
 
-    def logits(self, gt: GraphTensors) -> np.ndarray:
-        return self._forward(gt)  # new arrays per call: retrieve's worker threads score concurrently
+    def logits(self, f: QuestionFeatures) -> np.ndarray:
+        return self._forward(f)  # new arrays per call: retrieve's worker threads score concurrently
 
-    def scores(self, gt: GraphTensors) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.logits(gt)))
+    def scores(self, f: QuestionFeatures) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-self.logits(f)))
 
     def loss_and_grad(
-        self, gt: GraphTensors, y: np.ndarray, pos_weight: float
+        self, f: QuestionFeatures, y: np.ndarray, pos_weight: float
     ) -> tuple[float, list[np.ndarray]]:
         """One training step's loss and gradients. Its messages and layer inputs go to the
         scorer's own buffers, which only ``fit``, single-threaded, reaches; no gradient
         returned shares memory with them."""
         caches: list = []
-        loss, dz = weighted_bce_from_logits(self._forward(gt, self.train_buffers, caches), y, pos_weight)
+        loss, dz = weighted_bce_from_logits(self._forward(f, self.train_buffers, caches), y, pos_weight)
         grads: list[np.ndarray | None] = [None] * len(self.params)
         h_last = caches[-1][-1]
         w_out = self.params[-2]
         grads[-2] = h_last.T @ dz[:, None]
         grads[-1] = np.array([dz.sum()])
         grad_h = dz[:, None] @ w_out.T.reshape(1, -1)
-        m, rel_t, H = gt.view.messages, gt.view.relation_text.T, self.hidden
+        m, rel_t, H = f.view.messages, f.view.relation_text.T, self.hidden
         dmsg = self.train_buffers.rows("scratch", len(m.recipient), H)
 
         def shared_rows(b: np.ndarray, h: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -200,10 +198,10 @@ class EntityScorer(Scorer):
 
     # -- inputs ----------------------------------------------------------------
 
-    def inputs(self, g: KnowledgeGraph, q: Question) -> tuple[GraphTensors, list[int]]:
-        """The graph tensors and the entity id of each node row, ascending."""
-        gt = prepare_graph_tensors(g, q, self.encoder, self.dde_depth, self.dde_slots)
-        return gt, gt.view.entity_ids
+    def inputs(self, g: KnowledgeGraph, q: Question) -> tuple[QuestionFeatures, list[int]]:
+        """The feature bundle and the entity id of each node row, ascending."""
+        f = prepare_graph_tensors(g, q, self.encoder, self.dde_depth, self.dde_slots)
+        return f, f.view.entity_ids
 
     @staticmethod
     def positive_ids(g: KnowledgeGraph, positives: set[int]) -> set[int]:

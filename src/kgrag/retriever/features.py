@@ -7,6 +7,24 @@ for every entity of the question's working graph, the forward BFS hop
 distance (following edge direction) and the backward distance from an
 anchor set, each capped at the configured depth with a separate
 "unreachable" bucket, one-hot encoded.
+
+A question's inputs live at three lifetimes. For a view of V entities, E
+triples, R relations and text width T, with ``width = dde_width(depth)`` and
+H the entity scorer's hidden width:
+
+- per view, shared by every question over it (:class:`ViewTables`): the
+  entity and relation text tables, ``(V + R)·T·8`` B, and the index
+  columns, ``3E·8`` B; on first use, the entity scorer's :class:`Messages`,
+  ``6E·8`` B, each of whose three :class:`Segments` keeps a ``2E·H·8`` B
+  index per row width it sums;
+- per question (:class:`QuestionFeatures`): the DDE as int8 bucket ids,
+  ``V·slots·2`` B, and the query row, ``T·8`` B;
+- per step: the entity scorer's ``Buffers``, ``V·(T + slots·width + 3H)·8``
+  B of layer-0 input that starts with the node rows ``[entity text | DDE
+  codes]``, ``V·4H·8`` B of input per later layer and ``2E·H·8`` B of
+  messages per layer plus one scratch of that size, kept across training
+  steps and allocated per call when scoring; the triple scorer's expanded
+  codes, ``V·slots·width·8`` B per call.
 """
 
 from __future__ import annotations
@@ -104,8 +122,13 @@ def compute_dde(
     for col, direction in enumerate(("out", "in")):
         dist = hop_distances(g, anchors, direction)
         buckets[:, col] = [min(dist[e], depth) if e in dist else depth + 1 for e in entities]
-    codes = np.eye(depth + 2)[buckets].reshape(len(entities), dde_width(depth))
-    return dict(zip(entities, codes))
+    return dict(zip(entities, _one_hot(buckets, depth)))
+
+
+def _one_hot(buckets: np.ndarray, depth: int) -> np.ndarray:
+    """The codes of bucket ids ``(..., 2)`` [forward, backward]: ``(..., dde_width(depth))``,
+    each a one-hot forward block of ``depth + 2`` then a one-hot backward block."""
+    return np.eye(depth + 2)[buckets].reshape(*buckets.shape[:-1], dde_width(depth))
 
 
 def anchor_slots(anchors: set[int], slots: int = DEFAULT_DDE_SLOTS) -> list[set[int]]:
@@ -247,18 +270,29 @@ class QuestionFeatures:
 
     The scorers never build a row per triple: they project the entity and
     relation tables once and gather the projections by the view's indices.
+    The DDE is kept as bucket ids; :meth:`codes` expands them for a pass.
     """
 
     view: ViewTables
     query: np.ndarray  # (T,) query text
-    dde: np.ndarray  # (V, slots, 2 * (depth + 2)) one-hot [forward | backward] per slot
+    dde: np.ndarray  # (V, slots, 2) int8 [forward, backward] bucket per slot
+    depth: int  # the DDE depth; buckets run 0..depth + 1
+
+    @property
+    def dde_dim(self) -> int:
+        """Width of an entity's DDE codes, one code per anchor slot."""
+        return self.dde.shape[1] * dde_width(self.depth)
 
     @property
     def triple_dim(self) -> int:
         """Width of a triple's input ``[query | head | relation | tail text | DDE]``;
         per anchor slot, its DDE holds the head's and then the tail's code."""
-        _, slots, width = self.dde.shape
-        return 4 * len(self.query) + 2 * slots * width
+        return 4 * len(self.query) + 2 * self.dde_dim
+
+    def codes(self) -> np.ndarray:
+        """``(V, dde_dim)`` one-hot codes ``[forward | backward]`` per slot, one row per entity;
+        row ``v``'s code of slot ``s`` is bitwise what :func:`compute_dde` gives."""
+        return _one_hot(self.dde, self.depth).reshape(len(self.dde), self.dde_dim)
 
 
 def question_features(
@@ -270,14 +304,14 @@ def question_features(
 ) -> QuestionFeatures:
     """The feature bundle of question ``q`` over its working graph ``g``."""
     view = ViewTables.of(g, encoder)
-    width = dde_width(depth)
-    dde = np.zeros((len(view.entity_ids), slots, width))
-    dde[:, :, [depth + 1, width - 1]] = 1.0  # an empty slot stays "unreachable"
-    for s, slot in enumerate(anchor_slots(set(q.query_entities), slots)):
+    # int8 for any depth up to 126; a deeper one takes the next wider type
+    dde = np.full((len(view.entity_ids), slots, 2), depth + 1, dtype=np.min_scalar_type(-(depth + 1)))
+    for s, slot in enumerate(anchor_slots(set(q.query_entities), slots)):  # an empty slot stays unreachable
         if slot:
             # its keys are the view's entities in ascending id, as are view.entity_ids
-            dde[:, s] = np.array(list(compute_dde(g, slot, depth).values())).reshape(-1, width)
-    return QuestionFeatures(view=view, query=encoder(q.text), dde=dde)
+            codes = np.array(list(compute_dde(g, slot, depth).values())).reshape(-1, 2, depth + 2)
+            dde[:, s] = codes.argmax(axis=2)
+    return QuestionFeatures(view=view, query=encoder(q.text), dde=dde, depth=depth)
 
 
 class TripleFeatureBuilder:

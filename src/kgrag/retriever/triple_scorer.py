@@ -192,29 +192,30 @@ class TripleScorer(Scorer):
     # splits by block over the bundle's tables (see QuestionFeatures).
 
     @staticmethod
-    def _blocks(W: np.ndarray, f: QuestionFeatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _blocks(W: np.ndarray, f: QuestionFeatures) -> tuple[np.ndarray, np.ndarray]:
         """Views of ``W``'s text blocks (query, head, relation, tail) and per-slot
-        DDE blocks (head, tail), and the bundle's DDE codes, one row per entity."""
-        n, slots, width = f.dde.shape
+        DDE blocks (head, tail)."""
         T = len(f.query)
-        text = W[: 4 * T].reshape(4, T, -1)
-        return text, W[4 * T :].reshape(slots, 2, width, -1), f.dde.reshape(n, slots * width)
+        return W[: 4 * T].reshape(4, T, -1), W[4 * T :].reshape(f.dde.shape[1], 2, -1, W.shape[1])
 
-    def _first_layer(self, f: QuestionFeatures) -> np.ndarray:
+    def _first_layer(self, f: QuestionFeatures, codes: np.ndarray) -> np.ndarray:
+        """The first layer's pre-activations, ``codes`` the bundle's expanded DDE codes."""
         if f.triple_dim != self.input_dim:
             raise ValueError(
                 f"feature dimension mismatch: got {f.triple_dim}, model expects {self.input_dim}"
             )
-        text, dde, codes = self._blocks(self.params[0], f)
+        text, dde = self._blocks(self.params[0], f)
         v = f.view
         head = v.entity_text @ text[1] + codes @ dde[:, 0].reshape(codes.shape[1], -1)
         tail = v.entity_text @ text[3] + codes @ dde[:, 1].reshape(codes.shape[1], -1)
         relation = v.relation_text @ text[2]
         return head[v.head] + relation[v.relation] + tail[v.tail] + (f.query @ text[0] + self.params[1])
 
-    def _first_layer_grad(self, f: QuestionFeatures, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _first_layer_grad(
+        self, f: QuestionFeatures, codes: np.ndarray, dz: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         grad_W = np.zeros(self.params[0].shape)  # C order, so the blocks below are views
-        text, dde, codes = self._blocks(grad_W, f)
+        text, dde = self._blocks(grad_W, f)
         v = f.view
         text[0] = np.outer(f.query, dz.sum(axis=0))
         text[1] = v.entity_text[v.head].T @ dz
@@ -224,9 +225,9 @@ class TripleScorer(Scorer):
         dde[:, 1] = (codes[v.tail].T @ dz).reshape(dde[:, 1].shape)
         return grad_W, dz.sum(axis=0)
 
-    def _forward(self, f: QuestionFeatures) -> tuple[np.ndarray, list]:
+    def _forward(self, f: QuestionFeatures, codes: np.ndarray) -> tuple[np.ndarray, list]:
         caches = []
-        z = self._first_layer(f)
+        z = self._first_layer(f, codes)
         for i in range(len(self.hidden)):
             a = _activate(z, self.activation)
             caches.append((z, a))
@@ -234,7 +235,7 @@ class TripleScorer(Scorer):
         return z.ravel(), caches
 
     def logits(self, f: QuestionFeatures) -> np.ndarray:
-        return self._forward(f)[0]
+        return self._forward(f, f.codes())[0]
 
     def scores(self, f: QuestionFeatures) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-self.logits(f)))
@@ -242,7 +243,8 @@ class TripleScorer(Scorer):
     def loss_and_grad(
         self, f: QuestionFeatures, y: np.ndarray, pos_weight: float
     ) -> tuple[float, list[np.ndarray]]:
-        logits, caches = self._forward(f)
+        codes = f.codes()
+        logits, caches = self._forward(f, codes)
         loss, dz = weighted_bce_from_logits(logits, y, pos_weight)
         grads: list[np.ndarray] = [np.empty(0)] * len(self.params)
         grad = dz[:, None]
@@ -251,7 +253,7 @@ class TripleScorer(Scorer):
             grads[2 * i + 2] = a.T @ grad
             grads[2 * i + 3] = grad.sum(axis=0)
             grad = (grad @ self.params[2 * i + 2].T) * _activate_grad(a, z, self.activation)
-        grads[0], grads[1] = self._first_layer_grad(f, grad)
+        grads[0], grads[1] = self._first_layer_grad(f, codes, grad)
         return loss, grads
 
     # -- inputs ---------------------------------------------------------------

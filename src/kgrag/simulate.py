@@ -112,6 +112,15 @@ def _acceptance_law(
     return counts, cdf, hypergeometric_tail(n, k, size, counts[0]) if counts else 0.0
 
 
+@functools.lru_cache(maxsize=32)
+def _items(inst: OracleInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle items and the other items of the universe, each ascending and read-only."""
+    oracle = np.array(sorted(inst.oracle_set))
+    others = np.delete(np.arange(inst.universe_size), oracle)
+    oracle.flags.writeable = others.flags.writeable = False
+    return oracle, others
+
+
 def run_subset_search(
     inst: OracleInstance,
     cfg: SearchConfig,
@@ -130,8 +139,7 @@ def run_subset_search(
     if p == 0.0:
         return SearchTrace(cfg.max_rounds, 0, False)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    oracle = np.array(sorted(inst.oracle_set))
-    others = np.delete(np.arange(inst.universe_size), oracle)
+    oracle, others = _items(inst)
     identified = np.zeros(inst.universe_size, dtype=bool)
     rewards: list[float] = []
     rounds, recovered = 0, False

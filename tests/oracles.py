@@ -259,23 +259,28 @@ def triple_matrix(f) -> np.ndarray:
     tail-forward / tail-backward one-hot codes.
     """
     n = len(f.view.tids)
-    _, slots, width = f.dde.shape
-    dde = np.concatenate([f.dde[f.view.head], f.dde[f.view.tail]], axis=2)
+    slots = f.dde.shape[1]
+    codes = f.codes().reshape(len(f.dde), slots, f.dde_dim // slots)
+    dde = np.concatenate([codes[f.view.head], codes[f.view.tail]], axis=2)
     return np.hstack(
         [
             np.tile(f.query, (n, 1)),
             f.view.entity_text[f.view.head],
             f.view.relation_text[f.view.relation],
             f.view.entity_text[f.view.tail],
-            dde.reshape(n, 2 * slots * width),
+            dde.reshape(n, 2 * f.dde_dim),
         ]
     )
 
 
 def entity_matrix(f) -> np.ndarray:
     """Rows ``[query | entity text | DDE]`` of a feature bundle, one per entity of its view."""
-    n, slots, width = f.dde.shape
-    return np.hstack([np.tile(f.query, (n, 1)), f.view.entity_text, f.dde.reshape(n, slots * width)])
+    return np.hstack([np.tile(f.query, (len(f.dde), 1)), node_rows(f)])
+
+
+def node_rows(f) -> np.ndarray:
+    """The entity scorer's layer-0 node rows ``[entity text | DDE codes]``, one per entity."""
+    return np.hstack([f.view.entity_text, f.codes()])
 
 
 def dense_triple_loss_and_grad(model, X: np.ndarray, y: np.ndarray, pos_weight: float):
@@ -373,7 +378,7 @@ def dense_entity_loss_and_grad(model, f, y: np.ndarray, pos_weight: float):
 def allocating_entity_forward(model, gt, caches: list | None = None) -> np.ndarray:
     """The logits; each layer's inputs and outputs are appended to ``caches`` when it is given."""
     m, rel_text, H = gt.view.messages, gt.view.relation_text, model.hidden
-    b, h = gt.query, gt.X
+    b, h = gt.query, node_rows(gt)
     for layer in range(model.depth):
         Wf, bf, Wb, bb, Wu, bu = model.params[6 * layer : 6 * layer + 6]
         n, d = len(b), len(b) + h.shape[1]

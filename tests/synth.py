@@ -20,10 +20,12 @@ def separable_sample(
     n_triples: int = 100,
     n_pos: int = 5,
     n_decoys: int = 0,
+    junk_entities: int = 40,
 ) -> tuple[TrainSample, set[int]]:
     """One question whose positives share a marker relation.
 
-    Positives are (subject, "signal link", value) triples; the rest are junk.
+    Positives are (subject, "signal link", value) triples; the rest are junk
+    between ``junk_entities`` "thing" and as many "other" entities.
     With ``n_decoys`` > 0, that many "decoy link" triples are added to the
     graph; the returned extra set holds their triple ids (the corrupted
     supervision is positives plus decoys).
@@ -36,7 +38,9 @@ def separable_sample(
     n_junk = n_triples - n_pos - n_decoys
     for j in range(n_junk):
         rel = JUNK_RELATIONS[int(rng.integers(0, len(JUNK_RELATIONS)))]
-        rows.append(f"thing {index} {rng.integers(0, 40)}\t{rel}\tother {index} {rng.integers(0, 40)}")
+        rows.append(
+            f"thing {index} {rng.integers(0, junk_entities)}\t{rel}\tother {index} {rng.integers(0, junk_entities)}"
+        )
     g = load_kg(io.StringIO("\n".join(rows)), "tsv")
     question = Question(
         id=f"syn{index}",

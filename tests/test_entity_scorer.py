@@ -1,6 +1,7 @@
 import gc
 import io
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from kgrag.retriever import (
 )
 from kgrag.kg import load_kg
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
+from kgrag.retriever.features import dde_width
 from kgrag.retriever.subgraph import relation_text
 from kgrag.retriever.triple_scorer import sgd_step
 
@@ -249,6 +251,31 @@ def test_fit_keeps_one_buffer_set_sized_to_the_largest_view():
     del model, buffers, buf
     gc.collect()
     assert [ref() for ref in alive] == [None] * len(alive)
+
+
+def test_training_memory_per_added_question_is_its_own_inputs_only():
+    """Questions over one graph share its view's tables: the traced peak of ``fit`` grows per
+    added question by its DDE bucket ids, query row and labels, far below a float64 node row
+    ``[entity text | DDE codes]`` per entity, V·(T + slots·width)·8 B."""
+    sample, _ = separable_sample(0, np.random.default_rng(0), n_triples=1000, junk_entities=250)
+    cfg = PipelineConfig(seed=42, text_dim=16, training=TrainingSettings(epochs=1, gnn_hidden=8, gnn_depth=1))
+    n_entities = len(sample.graph.entities)
+    assert n_entities >= 400
+
+    def traced_peak(n_questions: int) -> int:
+        samples = [sample] * n_questions
+        tracemalloc.start()
+        try:
+            fit(EntityScorer, samples, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1)  # builds the view's tables and messages, which the graph keeps for later runs
+    q = 4
+    per_question = (traced_peak(4 * q) - traced_peak(q)) / (3 * q)
+    node_row = cfg.text_dim + cfg.dde_slots * dde_width(cfg.dde_depth)
+    assert per_question < n_entities * node_row  # an eighth of the float64 node rows
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kgrag.kg import load_kg, working_graph
 from kgrag.retriever import EntityScorer, HashedBowEncoder, TripleFeatureBuilder, anchor_slots, compute_dde
 from kgrag.retriever.entity_scorer import prepare_graph_tensors
-from kgrag.retriever.features import Segments, ViewTables
+from kgrag.retriever.features import Segments, ViewTables, dde_width, question_features
 
 from conftest import graph_from_lines, make_question
 from oracles import directed_distance, hashed_bow, triple_matrix
@@ -221,8 +221,44 @@ def test_entity_feature_matrix_shape():
     q = make_question(g, ["A"], ["C"], text="a to c")
     enc = HashedBowEncoder(16)
     gt = prepare_graph_tensors(g, q, enc, depth=2, slots=2)
-    assert gt.X.shape == (3, 16 + 2 * 2 * (2 + 2))  # entity text and DDE; the query is shared
-    assert len(gt.query) + gt.X.shape[1] == EntityScorer(8, 1, enc.tag, 2, 2).input_dim
+    node_width = gt.view.entity_text.shape[1] + gt.dde_dim  # layer 0's node rows; the query is shared
+    assert (len(gt.view.entity_ids), node_width) == (3, 16 + 2 * 2 * (2 + 2))
+    assert len(gt.query) + node_width == EntityScorer(8, 1, enc.tag, 2, 2).input_dim
+
+
+def test_dde_is_kept_as_int8_bucket_ids():
+    g = graph_from_lines("A r1 B", "B r2 C", "D r3 C")
+    q = make_question(g, ["A", "D"], ["C"], text="a to c")
+    f = question_features(g, q, HashedBowEncoder(8), depth=3, slots=3)
+    assert f.dde.dtype == np.int8 and f.dde.shape == (4, 3, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=20),
+    anchors=st.sets(st.integers(0, 7), min_size=1, max_size=5),
+    depth=st.integers(1, 4),
+    slots=st.integers(1, 4),
+)
+def test_dde_codes_are_the_stacked_compute_dde_codes(rows, anchors, depth, slots):
+    """Each slot's expanded codes are bitwise compute_dde's for its anchors, and an empty
+    slot's are both unreachable buckets."""
+    g = graph_from_lines(*(f"e{h} r e{t}" for h, t in rows))
+    names = sorted(f"e{a}" for a in anchors if f"e{a}" in g.entity_ids) or [g.entity_label(0)]
+    q = make_question(g, names, [], text="q")
+    f = question_features(g, q, HashedBowEncoder(8), depth=depth, slots=slots)
+    width = dde_width(depth)
+    codes = f.codes()
+    assert codes.dtype == np.float64 and codes.shape == (len(f.view.entity_ids), slots * width)
+    unreachable = np.zeros(width)
+    unreachable[[depth + 1, width - 1]] = 1.0
+    for s, slot in enumerate(anchor_slots(set(q.query_entities), slots)):
+        got = codes[:, s * width : (s + 1) * width]
+        if slot:
+            want = np.array(list(compute_dde(g, slot, depth).values()))
+        else:
+            want = np.tile(unreachable, (len(got), 1))
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
